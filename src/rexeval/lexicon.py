@@ -30,6 +30,8 @@ class Lexicon:
     negator: str = "not"
     neutral_token: str = "okay"
     antonyms: dict[str, str] = field(default_factory=dict)
+    _aspect_set: frozenset = field(init=False, repr=False, compare=False)
+    _positive_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.positive) != len(self.negative):
@@ -41,7 +43,9 @@ class Lexicon:
             antonyms[pos] = neg
             antonyms[neg] = pos
         object.__setattr__(self, "antonyms", antonyms)
-        aspect_set = set(self.aspects)
+        aspect_set = frozenset(self.aspects)
+        object.__setattr__(self, "_aspect_set", aspect_set)
+        object.__setattr__(self, "_positive_set", frozenset(self.positive))
         if len(aspect_set) != len(self.aspects):
             raise ValueError("duplicate aspect terms")
         overlap = aspect_set & set(antonyms)
@@ -62,14 +66,6 @@ class Lexicon:
 
     def antonym(self, token: str) -> str:
         return self.antonyms[token]
-
-    @property
-    def _aspect_set(self) -> frozenset:
-        return frozenset(self.aspects)
-
-    @property
-    def _positive_set(self) -> frozenset:
-        return frozenset(self.positive)
 
 
 def load_lexicon(path=None) -> Lexicon:

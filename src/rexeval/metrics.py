@@ -410,9 +410,6 @@ class EmbeddingTable:
         self._norms = np.sqrt((self.vectors * self.vectors).sum(axis=1))
         self._cache: dict[tuple[int, int], float] = {}
 
-    def vector(self, token: str) -> np.ndarray:
-        return self.vectors[self.vocab.token_to_id(token)]
-
     def cosine(self, a: str, b: str) -> float:
         ia = self.vocab.token_to_id(a)
         ib = self.vocab.token_to_id(b)

@@ -56,6 +56,11 @@ class ExplainableRecommender(abc.ABC):
                  max_len: int | None = None) -> list[str]:
         """Explanation tokens, ending with the EOS marker."""
 
+    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
+        """Explanations for many (user, item, aspect) requests; overridden where
+        batching pays."""
+        return [self.generate(u, i, aspect=a, max_len=max_len) for u, i, a in requests]
+
     @abc.abstractmethod
     def log_likelihood(self, user: int, item: int, tokens) -> float:
         """Sum of per-token log-probabilities, EOS included. Always <= 0."""
@@ -129,6 +134,35 @@ def make_batch(reviews, vocab: Vocab) -> Batch:
 def _sum_target_logprobs(lp: np.ndarray, word_ids) -> float:
     targets = list(word_ids) + [EOS_ID]
     return float(sum(lp[t, tid] for t, tid in enumerate(targets)))
+
+
+def _greedy_decode(vocab: Vocab, start, step, n: int, max_len: int) -> list[list[str]]:
+    """Greedy explanations for n sequences decoded side by side.
+
+    `start()` runs the prefix and BOS of all n rows and returns (logits of
+    the first word, state); `step(state, keep, ids)` drops the state rows
+    where the boolean `keep` is False (None keeps all), feeds one word id
+    per remaining row, and returns (logits of the next word, state).
+    Logits are (rows, V). A row stops at EOS or after max_len - 1 words;
+    either way its tokens end with the EOS marker.
+    """
+    words: list[list[int]] = [[] for _ in range(n)]
+    if n and max_len > 1:
+        logits, state = start()
+        alive = np.arange(n)
+        while True:
+            dist = log_softmax(logits)
+            dist[:, PAD_ID] = -np.inf
+            dist[:, BOS_ID] = -np.inf
+            nxt = np.argmax(dist, axis=1)
+            going = nxt != EOS_ID
+            alive, nxt = alive[going], nxt[going]
+            for row, wid in zip(alive.tolist(), nxt.tolist()):
+                words[row].append(wid)
+            if not alive.size or len(words[alive[0]]) >= max_len - 1:
+                break
+            logits, state = step(state, None if going.all() else going, nxt)
+    return [[vocab.id_to_token(w) for w in ids] + [EOS_TOKEN] for ids in words]
 
 
 # ----------------------------------------------------------------------
@@ -210,24 +244,36 @@ class TransformerModel(ExplainableRecommender):
             self._masks[L] = mask
         return mask
 
-    def _run(self, tape: Tape, users, items, aspect_ids, input_ids):
+    def _run(self, tape: Tape, users, items, aspect_ids, input_ids, past=None):
+        """Forward pass; returns (logits, rating, kv).
+
+        `kv` holds one (keys, values) pair per layer for every position run
+        so far. Without `past` the positions are the prefix then
+        `input_ids`. With `past`, the `kv` of an earlier call, only
+        `input_ids` are run: they continue that sequence and attend over
+        the cached keys and values. The rating head reads the prefix, so
+        it is None then.
+        """
         B, W = input_ids.shape
-        L = self.prefix_len + W
-        if W - 1 > self.word_capacity:
-            raise ValueError(f"text of {W - 1} words exceeds positional capacity")
+        start = 0 if past is None else past[0][0].shape[1]
+        L = (self.prefix_len if past is None else start) + W
+        if L - self.prefix_len - 1 > self.word_capacity:
+            raise ValueError(f"text of {L - self.prefix_len - 1} words exceeds "
+                             "positional capacity")
         store = self.store
         word_table = tape.param(store, "word.emb")
-        pieces = [
-            tape.embedding(tape.param(store, "user.emb"), users[:, None]),
-            tape.embedding(tape.param(store, "item.emb"), items[:, None]),
-        ]
-        if self.arch.use_aspect:
-            pieces.append(tape.embedding(word_table, aspect_ids[:, None]))
+        pieces = []
+        if past is None:
+            pieces.append(tape.embedding(tape.param(store, "user.emb"), users[:, None]))
+            pieces.append(tape.embedding(tape.param(store, "item.emb"), items[:, None]))
+            if self.arch.use_aspect:
+                pieces.append(tape.embedding(word_table, aspect_ids[:, None]))
         pieces.append(tape.embedding(word_table, input_ids))
-        x = tape.concat(pieces, axis=1)
-        pos = tape.embedding(tape.param(store, "pos.emb"), np.arange(L))
-        x = tape.add(x, tape.broadcast(pos, (B, L, self.arch.embed_dim)))
-        mask = self._mask(L)
+        x = tape.concat(pieces, axis=1) if past is None else pieces[0]
+        pos = tape.embedding(tape.param(store, "pos.emb"), np.arange(start, L))
+        x = tape.add(x, tape.broadcast(pos, (B, L - start, self.arch.embed_dim)))
+        mask = self._mask(L)[:, start:]
+        kv = []
         for layer in range(self.arch.layers):
             p = f"l{layer}."
             a_in = tape.layer_norm(x, tape.param(store, p + "ln1.gain"),
@@ -235,6 +281,10 @@ class TransformerModel(ExplainableRecommender):
             q = tape.affine(a_in, tape.param(store, p + "wq"), tape.param(store, p + "bq"))
             k = tape.affine(a_in, tape.param(store, p + "wk"), tape.param(store, p + "bk"))
             v = tape.affine(a_in, tape.param(store, p + "wv"), tape.param(store, p + "bv"))
+            if past is not None:
+                k = tape.concat([tape.leaf(past[layer][0]), k], axis=1)
+                v = tape.concat([tape.leaf(past[layer][1]), v], axis=1)
+            kv.append((k.value, v.value))
             att = tape.attention(q, k, v, mask, self.arch.heads)
             x = tape.add(x, tape.affine(att, tape.param(store, p + "wo"),
                                         tape.param(store, p + "bo")))
@@ -245,17 +295,20 @@ class TransformerModel(ExplainableRecommender):
             x = tape.add(x, tape.affine(h, tape.param(store, p + "ffn.w2"),
                                         tape.param(store, p + "ffn.b2")))
         xf = tape.layer_norm(x, tape.param(store, "final.gain"), tape.param(store, "final.bias"))
+        if past is not None:
+            logits = tape.affine(xf, tape.param(store, "out.w"), tape.param(store, "out.b"))
+            return logits, None, kv
         words = tape.slice_axis(xf, self.prefix_len, L, axis=1)
         logits = tape.affine(words, tape.param(store, "out.w"), tape.param(store, "out.b"))
         item_h = tape.select(xf, 1, axis=1)
         r = tape.nonlin(tape.affine(item_h, tape.param(store, "rate.w1"),
                                     tape.param(store, "rate.b1")), "tanh")
         rating = tape.affine(r, tape.param(store, "rate.w2"), tape.param(store, "rate.b2"))
-        return logits, rating
+        return logits, rating, kv
 
     def loss_nodes(self, tape: Tape, batch: Batch):
-        logits, rating = self._run(tape, batch.users, batch.items,
-                                   batch.aspect_ids, batch.input_ids)
+        logits, rating, _ = self._run(tape, batch.users, batch.items,
+                                      batch.aspect_ids, batch.input_ids)
         nll = tape.softmax_xent(logits, batch.target_ids, batch.pad)
         mse = tape.squared_error(rating, batch.ratings.reshape(-1, 1))
         return nll, mse
@@ -279,7 +332,7 @@ class TransformerModel(ExplainableRecommender):
         items = np.array([item], dtype=np.int64)
         aspects = np.array([aspect_id], dtype=np.int64)
         input_ids = np.array([[BOS_ID] + list(word_ids)], dtype=np.int64)
-        logits, rating = self._run(tape, users, items, aspects, input_ids)
+        logits, rating, _ = self._run(tape, users, items, aspects, input_ids)
         return log_softmax(logits.value[0]), float(rating.value[0, 0])
 
     def token_log_probs(self, user: int, item: int, tokens) -> np.ndarray:
@@ -322,7 +375,7 @@ class TransformerModel(ExplainableRecommender):
             input_ids[b, 1:len(ids) + 1] = ids
         users = np.array([u for u, _, _ in chunk], dtype=np.int64)
         items = np.array([i for _, i, _ in chunk], dtype=np.int64)
-        logits, _ = self._run(Tape(), users, items, aspects, input_ids)
+        logits, _, _ = self._run(Tape(), users, items, aspects, input_ids)
         lp = log_softmax(logits.value)
         return [_sum_target_logprobs(lp[b], ids) for b, ids in enumerate(tok_ids)]
 
@@ -333,27 +386,36 @@ class TransformerModel(ExplainableRecommender):
 
     def generate(self, user: int, item: int, aspect: str | None = None,
                  max_len: int | None = None) -> list[str]:
-        self._check_ids(user, item)
-        if self.arch.use_aspect:
-            if aspect is None:
-                raise ValueError("aspect-conditioned model needs a conditioning aspect")
-            aspect_id = self.vocab.token_to_id(aspect)
-        else:
-            if aspect is not None:
+        return self.generate_many([(user, item, aspect)], max_len)[0]
+
+    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
+        """Greedy decoding of all requests as one batch with a K/V cache."""
+        requests = list(requests)
+        aspects = np.full(len(requests), UNK_ID, dtype=np.int64)
+        for b, (user, item, aspect) in enumerate(requests):
+            self._check_ids(user, item)
+            if self.arch.use_aspect:
+                if aspect is None:
+                    raise ValueError("aspect-conditioned model needs a conditioning aspect")
+                aspects[b] = self.vocab.token_to_id(aspect)
+            elif aspect is not None:
                 raise ValueError("model does not condition on aspects")
-            aspect_id = UNK_ID
-        max_len = max_len or self.arch.max_len
-        words: list[int] = []
-        while len(words) < max_len - 1:
-            logp, _ = self._infer(user, item, aspect_id, words)
-            dist = logp[-1].copy()
-            dist[PAD_ID] = -np.inf
-            dist[BOS_ID] = -np.inf
-            nxt = int(np.argmax(dist))
-            if nxt == EOS_ID:
-                break
-            words.append(nxt)
-        return [self.vocab.id_to_token(w) for w in words] + [EOS_TOKEN]
+        users = np.array([u for u, _, _ in requests], dtype=np.int64)
+        items = np.array([i for _, i, _ in requests], dtype=np.int64)
+
+        def start():
+            bos = np.full((len(requests), 1), BOS_ID, dtype=np.int64)
+            logits, _, kv = self._run(Tape(), users, items, aspects, bos)
+            return logits.value[:, -1], kv
+
+        def step(kv, keep, ids):
+            if keep is not None:
+                kv = [(k[keep], v[keep]) for k, v in kv]
+            logits, _, kv = self._run(Tape(), None, None, None, ids[:, None], past=kv)
+            return logits.value[:, -1], kv
+
+        return _greedy_decode(self.vocab, start, step, len(requests),
+                              max_len or self.arch.max_len)
 
     def architecture_header(self) -> dict:
         return {"kind": "transformer", "num_users": self.num_users,
@@ -403,13 +465,22 @@ class RecurrentModel(ExplainableRecommender):
         store.add_zeros("rate.b2", (1,))
         self.store = store
 
-    def _run(self, tape: Tape, users, items, input_ids):
+    def _run(self, tape: Tape, users, items, input_ids, h0=None):
+        """Forward pass; returns (logits, rating, last hidden state).
+
+        Without `h0` the recurrence starts from the [user; item] state.
+        With `h0`, the last state of an earlier call, it continues that
+        sequence, and the rating is None.
+        """
         store = self.store
-        u_e = tape.embedding(tape.param(store, "user.emb"), users)
-        i_e = tape.embedding(tape.param(store, "item.emb"), items)
-        ui = tape.concat([u_e, i_e], axis=1)
-        h = tape.nonlin(tape.affine(ui, tape.param(store, "init.w"),
-                                    tape.param(store, "init.b")), "tanh")
+        if h0 is None:
+            u_e = tape.embedding(tape.param(store, "user.emb"), users)
+            i_e = tape.embedding(tape.param(store, "item.emb"), items)
+            ui = tape.concat([u_e, i_e], axis=1)
+            h = tape.nonlin(tape.affine(ui, tape.param(store, "init.w"),
+                                        tape.param(store, "init.b")), "tanh")
+        else:
+            h = tape.leaf(h0)
         emb = tape.embedding(tape.param(store, "word.emb"), input_ids)
         gate_params = [tape.param(store, n) for n in
                        ("gru.wz", "gru.bz", "gru.wr", "gru.br", "gru.wn", "gru.bn")]
@@ -420,13 +491,15 @@ class RecurrentModel(ExplainableRecommender):
             states.append(h)
         hseq = tape.stack(states, axis=1)
         logits = tape.affine(hseq, tape.param(store, "out.w"), tape.param(store, "out.b"))
+        if h0 is not None:
+            return logits, None, h.value
         r = tape.nonlin(tape.affine(ui, tape.param(store, "rate.w1"),
                                     tape.param(store, "rate.b1")), "tanh")
         rating = tape.affine(r, tape.param(store, "rate.w2"), tape.param(store, "rate.b2"))
-        return logits, rating
+        return logits, rating, h.value
 
     def loss_nodes(self, tape: Tape, batch: Batch):
-        logits, rating = self._run(tape, batch.users, batch.items, batch.input_ids)
+        logits, rating, _ = self._run(tape, batch.users, batch.items, batch.input_ids)
         nll = tape.softmax_xent(logits, batch.target_ids, batch.pad)
         mse = tape.squared_error(rating, batch.ratings.reshape(-1, 1))
         return nll, mse
@@ -440,7 +513,7 @@ class RecurrentModel(ExplainableRecommender):
     def _infer(self, user: int, item: int, word_ids: list[int]):
         tape = Tape()
         input_ids = np.array([[BOS_ID] + list(word_ids)], dtype=np.int64)
-        logits, rating = self._run(tape, np.array([user]), np.array([item]), input_ids)
+        logits, rating, _ = self._run(tape, np.array([user]), np.array([item]), input_ids)
         return log_softmax(logits.value[0]), float(rating.value[0, 0])
 
     def token_log_probs(self, user: int, item: int, tokens) -> np.ndarray:
@@ -478,7 +551,7 @@ class RecurrentModel(ExplainableRecommender):
             input_ids[b, 1:len(ids) + 1] = ids
         users = np.array([u for u, _, _ in chunk], dtype=np.int64)
         items = np.array([i for _, i, _ in chunk], dtype=np.int64)
-        logits, _ = self._run(Tape(), users, items, input_ids)
+        logits, _, _ = self._run(Tape(), users, items, input_ids)
         lp = log_softmax(logits.value)
         return [_sum_target_logprobs(lp[b], ids) for b, ids in enumerate(tok_ids)]
 
@@ -489,21 +562,31 @@ class RecurrentModel(ExplainableRecommender):
 
     def generate(self, user: int, item: int, aspect: str | None = None,
                  max_len: int | None = None) -> list[str]:
-        self._check_ids(user, item)
-        if aspect is not None:
-            raise ValueError("model does not condition on aspects")
-        max_len = max_len or self.arch.max_len
-        words: list[int] = []
-        while len(words) < max_len - 1:
-            logp, _ = self._infer(user, item, words)
-            dist = logp[-1].copy()
-            dist[PAD_ID] = -np.inf
-            dist[BOS_ID] = -np.inf
-            nxt = int(np.argmax(dist))
-            if nxt == EOS_ID:
-                break
-            words.append(nxt)
-        return [self.vocab.id_to_token(w) for w in words] + [EOS_TOKEN]
+        return self.generate_many([(user, item, aspect)], max_len)[0]
+
+    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
+        """Greedy decoding of all requests as one batch, carrying the GRU state."""
+        requests = list(requests)
+        for user, item, aspect in requests:
+            self._check_ids(user, item)
+            if aspect is not None:
+                raise ValueError("model does not condition on aspects")
+        users = np.array([u for u, _, _ in requests], dtype=np.int64)
+        items = np.array([i for _, i, _ in requests], dtype=np.int64)
+
+        def start():
+            bos = np.full((len(requests), 1), BOS_ID, dtype=np.int64)
+            logits, _, h = self._run(Tape(), users, items, bos)
+            return logits.value[:, -1], h
+
+        def step(h, keep, ids):
+            if keep is not None:
+                h = h[keep]
+            logits, _, h = self._run(Tape(), None, None, ids[:, None], h0=h)
+            return logits.value[:, -1], h
+
+        return _greedy_decode(self.vocab, start, step, len(requests),
+                              max_len or self.arch.max_len)
 
     def architecture_header(self) -> dict:
         return {"kind": "recurrent", "num_users": self.num_users,

@@ -309,15 +309,16 @@ def stage_generate(config: RunConfig, log=None) -> dict:
         gen_dir.mkdir(exist_ok=True)
         for spec in config.active_models:
             model = models[spec.name]
+            aspects = [review.aspect if model.conditions_on_aspect else None
+                       for review in pool]
+            texts = model.generate_many([(review.user, review.item, aspect)
+                                         for review, aspect in zip(pool, aspects)])
             rows = []
-            for review in pool:
+            for review, aspect, tokens in zip(pool, aspects, texts):
                 if model.conditions_on_aspect:
-                    rating = model.predict_rating(review.user, review.item,
-                                                  aspect=review.aspect)
-                    tokens = model.generate(review.user, review.item, aspect=review.aspect)
+                    rating = model.predict_rating(review.user, review.item, aspect=aspect)
                 else:
                     rating = model.predict_rating(review.user, review.item)
-                    tokens = model.generate(review.user, review.item)
                 rows.append((review.user, review.item, float(rating), tokens))
             with open(gen_dir / f"{spec.name}.tsv", "w", encoding="utf-8") as fh:
                 fh.write(f"# config {lineage_hash(config)}\n")
@@ -400,7 +401,11 @@ def stage_evaluate(config: RunConfig, log=None) -> EvaluationReport:
 
             def add_cell(key: str, compute) -> None:
                 audit = AuditWriter() if settings.audit else None
-                cells[key] = compute(audit)
+                try:
+                    cells[key] = compute(audit)
+                except Exception as exc:
+                    raise StageError("evaluate", f"model '{spec.name}', cell '{key}': "
+                                                 f"{type(exc).__name__}: {exc}") from exc
                 if audit is not None:
                     cell_dir = out / AUDIT_DIR / spec.name
                     cell_dir.mkdir(parents=True, exist_ok=True)

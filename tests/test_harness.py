@@ -11,6 +11,7 @@ import pytest
 from rexeval.cli import main
 from rexeval.config import (CorpusSpec, MetricSettings, ModelSpec, RunConfig,
                             Seeds, apply_overrides, lineage_hash, load_config)
+from rexeval.models import EOS_TOKEN, TransformerModel
 from rexeval.pipeline import model_seed
 from rexeval.report import EvaluationReport, verify_against_audit
 
@@ -305,6 +306,20 @@ def test_selection_and_generated_air_mode(micro_ini, runall_dir, tmp_path):
     checked = verify_against_audit(report, target / "audit")
     assert {key for _, key, _, _ in checked} == {"air", "air_generated",
                                                  "entail", "rmse"}
+
+
+def test_evaluate_errors_name_the_model_and_cell(micro_ini, runall_dir, tmp_path,
+                                                capsys, monkeypatch):
+    target = tmp_path / "mute"
+    shutil.copytree(runall_dir, target)
+    monkeypatch.setattr(TransformerModel, "generate_many",
+                        lambda self, requests, max_len=None: [[EOS_TOKEN] for _ in requests])
+    assert _cli("generate", "--config", micro_ini, "--out", target, "--quiet",
+                "--models", "tiny") == 0
+    assert _cli("evaluate", "--config", micro_ini, "--out", target, "--quiet",
+                "--models", "tiny", "--metrics", "air entail", "--air-mode", "both") == 1
+    assert ("[evaluate] model 'tiny', cell 'air_generated': ValueError: empty AIR pool"
+            in capsys.readouterr().err)
 
 
 # ----------------------------------------------------------------------

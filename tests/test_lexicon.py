@@ -27,6 +27,15 @@ def test_antonym_is_an_involution(lexicon):
         assert lexicon.is_positive(word) != lexicon.is_positive(other)
 
 
+def test_lexicon_identity_ignores_its_lookup_sets(lexicon):
+    same = load_lexicon()
+    assert same == lexicon and same is not lexicon
+    assert Lexicon(("a",), ("x",), ("y",)) != Lexicon(("b",), ("x",), ("y",))
+    assert "_aspect_set" not in repr(lexicon) and "_positive_set" not in repr(lexicon)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(lexicon)  # the antonym dict is a compared field
+
+
 @pytest.mark.parametrize("kwargs,message", [
     (dict(aspects=("a",), positive=("x", "y"), negative=("z",)), "differ in length"),
     (dict(aspects=("a", "a"), positive=(), negative=()), "duplicate aspect"),

@@ -296,7 +296,7 @@ def test_cooccurrence_embeddings(small_corpus):
     # unseen tokens share the constant unknown-word vector
     assert table.vocab.token_to_id("zzzz") == UNK_ID
     assert table.cosine("zzzz", "qqqq") == pytest.approx(1.0)
-    assert np.linalg.norm(table.vector("food")) > 0.0
+    assert np.linalg.norm(table.vectors[table.vocab.token_to_id("food")]) > 0.0
     with pytest.raises(ValueError, match="window"):
         train_cooccurrence_embeddings(small_corpus, window=0)
     bare = SimpleNamespace(vocab=small_corpus.vocab, train=[])

@@ -5,7 +5,7 @@ import pytest
 import scipy.stats
 
 from rexeval.corpus import build_corpus, generate_world, render_review
-from rexeval.lexicon import EOS_ID, RESERVED_TOKENS, extract_aspect
+from rexeval.lexicon import BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, UNK_ID, extract_aspect
 from rexeval.models import (EOS_TOKEN, OracleModel, RandomScorer,
                             RecurrentArch, RecurrentModel, TransformerArch,
                             TransformerModel, UniformScorer, UnigramModel,
@@ -291,6 +291,99 @@ def test_make_batch_layout(tiny_corpus):
 
 def test_strip_reserved():
     assert strip_reserved(["<bos>", "nice", "<eos>", "<pad>"]) == ["nice"]
+
+
+# ----------------------------------------------------------------------
+# batched decoding against the full-prefix reference
+
+
+def full_prefix_generate(model, user, item, aspect=None, max_len=None):
+    """Reference greedy decoder: one forward pass over BOS and every word
+    so far for each new word, one pair at a time."""
+    prefix = [user, item]
+    if isinstance(model, TransformerModel):
+        prefix.append(model.vocab.token_to_id(aspect) if model.arch.use_aspect else UNK_ID)
+    max_len = max_len or model.arch.max_len
+    words: list[int] = []
+    while len(words) < max_len - 1:
+        logp, _ = model._infer(*prefix, words)
+        dist = logp[-1].copy()
+        dist[PAD_ID] = -np.inf
+        dist[BOS_ID] = -np.inf
+        nxt = int(np.argmax(dist))
+        if nxt == EOS_ID:
+            break
+        words.append(nxt)
+    return [model.vocab.id_to_token(w) for w in words] + [EOS_TOKEN]
+
+
+@pytest.fixture(scope="module")
+def briefly_trained(tiny_corpus):
+    """A transformer and a GRU after ten short epochs: each stops its rows at
+    mixed lengths, and the GRU's words depend on its carried state."""
+    models = (TransformerModel(TransformerArch(embed_dim=16, ffn_dim=32, layers=2,
+                                               heads=2),
+                               tiny_corpus.vocab, 10, 8, seed=3),
+              RecurrentModel(RecurrentArch(embed_dim=16, hidden_dim=24),
+                             tiny_corpus.vocab, 10, 8, seed=3))
+    for model in models:
+        train_model(model, tiny_corpus, TrainConfig(epochs=10, batch_size=8, lr=1e-2,
+                                                    patience=10, seed=3))
+    return models
+
+
+def test_batched_decoding_equals_full_prefix_decoding(
+        tiny_corpus, sanity_corpus, fresh_transformer, fresh_recurrent, briefly_trained,
+        trained_transformer, trained_conditional):
+    tiny = [(r.user, r.item, r.aspect) for r in tiny_corpus.test + tiny_corpus.validation]
+    sanity = [(r.user, r.item, r.aspect) for r in sanity_corpus.test[:40]]
+    cases = [(fresh_transformer, tiny), (fresh_recurrent, tiny),
+             (briefly_trained[0], tiny), (briefly_trained[1], tiny),
+             (trained_transformer, sanity), (trained_conditional, sanity)]
+    lengths = set()
+    for model, requests in cases:
+        if not model.conditions_on_aspect:
+            requests = [(u, i, None) for u, i, _ in requests]
+        for max_len in (1, 2, None):
+            expect = [full_prefix_generate(model, u, i, a, max_len) for u, i, a in requests]
+            assert model.generate_many(requests, max_len=max_len) == expect
+            if max_len is None:
+                lengths.update(len(tokens) for tokens in expect)
+        u, i, a = requests[0]
+        assert model.generate(u, i, aspect=a) == full_prefix_generate(model, u, i, a)
+    # some batch had rows stop at different lengths, some at the length cap
+    assert len(lengths) > 2 and max(lengths) == 24
+
+
+def test_generate_many_validates_before_decoding(tiny_corpus, lexicon, fresh_transformer,
+                                                 fresh_recurrent, monkeypatch):
+    cond = TransformerModel(
+        TransformerArch(embed_dim=16, ffn_dim=32, layers=1, heads=2, use_aspect=True),
+        tiny_corpus.vocab, 10, 8, seed=7, lexicon=lexicon)
+    bad = [(fresh_transformer, [(0, 0, None), (10, 0, None)], "cold-start user"),
+           (fresh_recurrent, [(0, 0, None), (0, 8, None)], "cold-start item"),
+           (cond, [(0, 0, "food"), (0, 1, None)], "needs a conditioning aspect"),
+           (fresh_transformer, [(0, 0, None), (0, 1, "food")], "does not condition"),
+           (fresh_recurrent, [(0, 0, None), (0, 1, "food")], "does not condition")]
+    for model, requests, message in bad:
+        with pytest.raises(ValueError, match=message):
+            model.generate(*requests[-1])
+        # any forward pass would raise something else first
+        monkeypatch.setattr(model, "_run", None)
+        with pytest.raises(ValueError, match=message):
+            model.generate_many(requests)
+        monkeypatch.undo()
+        assert model.generate_many([]) == []
+
+
+def test_base_generate_many_is_per_pair_generate(tiny_corpus):
+    requests = [(r.user, r.item, r.aspect) for r in tiny_corpus.test]
+    for model in (OracleModel(tiny_corpus.world), RandomScorer(5, tiny_corpus.vocab),
+                  UnigramModel.fit(tiny_corpus), UniformScorer(7)):
+        for max_len in (None, 3):
+            assert model.generate_many(requests, max_len=max_len) == [
+                model.generate(u, i, aspect=a, max_len=max_len) for u, i, a in requests]
+        assert model.generate_many([]) == []
 
 
 # ----------------------------------------------------------------------
