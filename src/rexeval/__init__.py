@@ -50,7 +50,7 @@ from .models import (
     UnigramModel,
     model_from_checkpoint,
 )
-from .perturb import PerturbedPair, negate_sentiment, sample_candidates, substitute_aspect
+from .perturb import PerturbedPair, negate_sentiment, substitute_aspect
 from .pipeline import (
     StageError,
     run_pipeline,

@@ -22,17 +22,14 @@ MASKED_SCORE = -1e30
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function without overflow: exp only ever sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
@@ -41,40 +38,49 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 
 
 def attention_forward(q, k, v, mask, n_heads):
-    """Scaled-dot attention.
+    """Scaled-dot attention as batched matrix products over (batch, head).
 
     q: (B, Lq, D), k/v: (B, Lk, D), mask: bool (B|1, Lq, Lk) with True
     meaning the query may attend to the key, or None for full attention.
     Returns (out (B, Lq, D), cache).
+
+    Scores and weights are kept keys-major, (B, H, Lk, Lq), so the softmax
+    sums over a slow axis: numpy then adds the keys one after another
+    instead of pairwise, and masked or padded keys, whose weight is
+    exactly zero, cannot change a row's value whatever the key count.
     """
     B, Lq, D = q.shape
     Lk = k.shape[1]
     if D % n_heads != 0:
         raise ValueError(f"model dim {D} not divisible by {n_heads} heads")
     dh = D // n_heads
-    qh = q.reshape(B, Lq, n_heads, dh)
-    kh = k.reshape(B, Lk, n_heads, dh)
-    vh = v.reshape(B, Lk, n_heads, dh)
-    scores = np.einsum("bqhd,bkhd->bhqk", qh, kh) / np.sqrt(dh)
+    # head-major views: (B, H, L, dh)
+    qh = q.reshape(B, Lq, n_heads, dh).transpose(0, 2, 1, 3)
+    kh = k.reshape(B, Lk, n_heads, dh).transpose(0, 2, 1, 3)
+    vh = v.reshape(B, Lk, n_heads, dh).transpose(0, 2, 1, 3)
+    scores = (kh @ qh.transpose(0, 1, 3, 2)) / np.sqrt(dh)
     if mask is not None:
-        scores = np.where(mask[:, None, :, :], scores, MASKED_SCORE)
-    weights = softmax(scores)
-    out = np.einsum("bhqk,bkhd->bqhd", weights, vh).reshape(B, Lq, D)
+        scores = np.where(mask.transpose(0, 2, 1)[:, None], scores, MASKED_SCORE)
+    weights = softmax(scores, axis=-2)
+    out = (weights.transpose(0, 1, 3, 2) @ vh).transpose(0, 2, 1, 3).reshape(B, Lq, D)
     return out, (qh, kh, vh, weights, dh)
 
 
 def attention_backward(g, cache):
     qh, kh, vh, weights, dh = cache
-    B, Lq, H, _ = qh.shape
-    gh = g.reshape(B, Lq, H, dh)
-    gw = np.einsum("bqhd,bkhd->bhqk", gh, vh)
-    gv = np.einsum("bhqk,bqhd->bkhd", weights, gh)
-    # softmax backward: rows of `weights` are distributions over keys.
-    gs = weights * (gw - (weights * gw).sum(axis=-1, keepdims=True))
-    gq = np.einsum("bhqk,bkhd->bqhd", gs, kh) / np.sqrt(dh)
-    gk = np.einsum("bhqk,bqhd->bkhd", gs, qh) / np.sqrt(dh)
+    B, H, Lq, _ = qh.shape
+    Lk = kh.shape[2]
+    gh = g.reshape(B, Lq, H, dh).transpose(0, 2, 1, 3)
+    gw = vh @ gh.transpose(0, 1, 3, 2)
+    gv = weights @ gh
+    # softmax backward: columns of the keys-major `weights` are distributions.
+    gs = weights * (gw - (weights * gw).sum(axis=-2, keepdims=True))
+    gq = (gs.transpose(0, 1, 3, 2) @ kh) / np.sqrt(dh)
+    gk = (gs @ qh) / np.sqrt(dh)
     D = H * dh
-    return gq.reshape(B, Lq, D), gk.reshape(B, -1, D), gv.reshape(B, -1, D)
+    return (gq.transpose(0, 2, 1, 3).reshape(B, Lq, D),
+            gk.transpose(0, 2, 1, 3).reshape(B, Lk, D),
+            gv.transpose(0, 2, 1, 3).reshape(B, Lk, D))
 
 
 def layer_norm_forward(x, gain, bias):

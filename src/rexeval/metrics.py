@@ -151,7 +151,12 @@ def mrr_ae(model, reviews, lexicon: Lexicon, *, k: int = 100, seed: int = 0,
 
     Candidates are drawn from the same review pool excluding only texts
     identical to the gold text; the gold takes the worst rank among
-    ties. Candidates without any aspect term are used unchanged.
+    ties. Candidates without any aspect term are used unchanged. Audit
+    rows name the best impostor: the pool index of the lowest-perplexity
+    candidate (the first drawn among equals) and its perplexity. Every
+    gold's candidate list is built first, each (candidate, aspect)
+    rewrite is computed once, and all texts are scored in one
+    `perplexity_many` call.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -159,7 +164,9 @@ def mrr_ae(model, reviews, lexicon: Lexicon, *, k: int = 100, seed: int = 0,
         raise ValueError("empty review pool")
     texts = [review.text for review in reviews]
     dups = Counter(texts)
-    rr_sum = 0.0
+    rewrites: dict[tuple[int, str], tuple[str, ...]] = {}
+    pools = []
+    requests = []
     for idx, gold in enumerate(reviews):
         eligible = len(reviews) - dups[texts[idx]]
         if eligible < k:
@@ -170,19 +177,30 @@ def mrr_ae(model, reviews, lexicon: Lexicon, *, k: int = 100, seed: int = 0,
             rng = np.random.default_rng([seed, 0x3A3, idx])
             chosen = sample_distinct(rng, len(reviews), k,
                                      lambda j: texts[j] == texts[idx])
-        requests = [(gold.user, gold.item, gold.tokens)]
+        pools.append(chosen)
+        requests.append((gold.user, gold.item, gold.tokens))
         for j in chosen:
-            pair = substitute_aspect(reviews[j].tokens, gold.aspect, lexicon)
-            requests.append((gold.user, gold.item,
-                             pair.perturbed if pair is not None else reviews[j].tokens))
-        ppls = model.perplexity_many(requests)
-        ppl_gold = ppls[0]
-        rank = 1 + sum(p < ppl_gold for p in ppls[1:]) + sum(p == ppl_gold for p in ppls[1:])
+            text = rewrites.get((j, gold.aspect))
+            if text is None:
+                pair = substitute_aspect(reviews[j].tokens, gold.aspect, lexicon)
+                text = pair.perturbed if pair is not None else reviews[j].tokens
+                rewrites[j, gold.aspect] = text
+            requests.append((gold.user, gold.item, text))
+    ppls = model.perplexity_many(requests)
+    rr_sum = 0.0
+    start = 0
+    for gold, chosen in zip(reviews, pools):
+        ppl_gold = ppls[start]
+        others = ppls[start + 1:start + 1 + len(chosen)]
+        start += 1 + len(chosen)
+        rank = 1 + sum(p < ppl_gold for p in others) + sum(p == ppl_gold for p in others)
         rr_sum += 1.0 / rank
         if audit is not None:
+            best = min(range(len(others)), key=others.__getitem__)
             audit(instance=f"{gold.user}:{gold.item}", rank=rank,
                   reciprocal_rank=1.0 / rank, ppl_gold=ppl_gold,
-                  n_candidates=len(chosen))
+                  n_candidates=len(chosen), best_impostor=chosen[best],
+                  ppl_best_impostor=others[best])
     value = 100.0 * (rr_sum / len(reviews))
     return MetricResult("mrr_ae", value, len(reviews), 0, HIGHER,
                         {"k": k, "seed": seed,

@@ -169,6 +169,76 @@ def _greedy_decode(vocab: Vocab, start, step, n: int, max_len: int) -> list[list
 # trainable models
 
 
+class NeuralRecommender(ExplainableRecommender):
+    """Inference shared by the trainable models.
+
+    Each architecture supplies `_score_logits` (word logits of a padded
+    batch), `token_log_probs`, `predict_rating` and `generate_many`.
+    """
+
+    @abc.abstractmethod
+    def _score_logits(self, users, items, aspects, input_ids) -> np.ndarray:
+        """(B, W, V) logits at every input position of a BOS-led batch."""
+
+    def _text_aspect_id(self, tokens) -> int:
+        """Aspect id a scored text conditions on; UNK for unconditioned models."""
+        return UNK_ID
+
+    def _check_ids(self, user: int, item: int) -> None:
+        if not 0 <= user < self.num_users:
+            raise ValueError(f"cold-start user id {user}")
+        if not 0 <= item < self.num_items:
+            raise ValueError(f"cold-start item id {item}")
+
+    def log_likelihood(self, user: int, item: int, tokens) -> float:
+        tokens = list(tokens)
+        if not tokens:
+            raise ValueError("log_likelihood of empty text")
+        logp = self.token_log_probs(user, item, tokens)
+        return _sum_target_logprobs(logp, [self.vocab.token_to_id(t) for t in tokens])
+
+    def log_likelihood_many(self, requests, chunk_size: int = 64) -> list[float]:
+        """Batched scoring in request order.
+
+        Requests are stably sorted by token count before chunking, so a
+        chunk holds texts of similar length and pads little. Right-padding
+        never reaches a scored position, and each row's arithmetic does
+        not depend on the other rows of its chunk.
+        """
+        tok_ids = []
+        for user, item, tokens in requests:
+            self._check_ids(user, item)
+            tokens = list(tokens)
+            if not tokens:
+                raise ValueError("log_likelihood of empty text")
+            tok_ids.append([self.vocab.token_to_id(t) for t in tokens])
+        order = sorted(range(len(requests)), key=lambda j: len(tok_ids[j]))
+        out = [0.0] * len(requests)
+        for start in range(0, len(order), chunk_size):
+            rows = order[start:start + chunk_size]
+            lls = self._ll_chunk([requests[j] for j in rows], [tok_ids[j] for j in rows])
+            for j, ll in zip(rows, lls):
+                out[j] = ll
+        return out
+
+    def _ll_chunk(self, chunk, tok_ids) -> list[float]:
+        W = max(len(ids) for ids in tok_ids) + 1
+        input_ids = np.full((len(chunk), W), PAD_ID, dtype=np.int64)
+        for b, ids in enumerate(tok_ids):
+            input_ids[b, 0] = BOS_ID
+            input_ids[b, 1:len(ids) + 1] = ids
+        users = np.array([u for u, _, _ in chunk], dtype=np.int64)
+        items = np.array([i for _, i, _ in chunk], dtype=np.int64)
+        aspects = np.array([self._text_aspect_id(tokens) for _, _, tokens in chunk],
+                           dtype=np.int64)
+        lp = log_softmax(self._score_logits(users, items, aspects, input_ids))
+        return [_sum_target_logprobs(lp[b], ids) for b, ids in enumerate(tok_ids)]
+
+    def generate(self, user: int, item: int, aspect: str | None = None,
+                 max_len: int | None = None) -> list[str]:
+        return self.generate_many([(user, item, aspect)], max_len)[0]
+
+
 @dataclass(frozen=True)
 class TransformerArch:
     embed_dim: int = 64
@@ -180,7 +250,7 @@ class TransformerArch:
     use_aspect: bool = False
 
 
-class TransformerModel(ExplainableRecommender):
+class TransformerModel(NeuralRecommender):
     """Decoder with a fully visible (user, item[, aspect]) prefix.
 
     Word positions attend causally; every position sees the whole
@@ -313,12 +383,6 @@ class TransformerModel(ExplainableRecommender):
         mse = tape.squared_error(rating, batch.ratings.reshape(-1, 1))
         return nll, mse
 
-    def _check_ids(self, user: int, item: int) -> None:
-        if not 0 <= user < self.num_users:
-            raise ValueError(f"cold-start user id {user}")
-        if not 0 <= item < self.num_items:
-            raise ValueError(f"cold-start item id {item}")
-
     def _aspect_id(self, aspect: str | None, tokens=None) -> int:
         if not self.arch.use_aspect:
             return UNK_ID
@@ -335,58 +399,23 @@ class TransformerModel(ExplainableRecommender):
         logits, rating, _ = self._run(tape, users, items, aspects, input_ids)
         return log_softmax(logits.value[0]), float(rating.value[0, 0])
 
+    def _text_aspect_id(self, tokens) -> int:
+        return self._aspect_id(None, tokens)
+
+    def _score_logits(self, users, items, aspects, input_ids) -> np.ndarray:
+        return self._run(Tape(), users, items, aspects, input_ids)[0].value
+
     def token_log_probs(self, user: int, item: int, tokens) -> np.ndarray:
         """Log distributions at each scored position (words then EOS)."""
         self._check_ids(user, item)
         word_ids = [self.vocab.token_to_id(t) for t in tokens]
-        aspect_id = self._aspect_id(None, tokens)
-        logp, _ = self._infer(user, item, aspect_id, word_ids)
+        logp, _ = self._infer(user, item, self._text_aspect_id(tokens), word_ids)
         return logp
-
-    def log_likelihood(self, user: int, item: int, tokens) -> float:
-        tokens = list(tokens)
-        if not tokens:
-            raise ValueError("log_likelihood of empty text")
-        logp = self.token_log_probs(user, item, tokens)
-        return _sum_target_logprobs(logp, [self.vocab.token_to_id(t) for t in tokens])
-
-    def log_likelihood_many(self, requests, chunk_size: int = 64) -> list[float]:
-        """Batched scoring: right-padding never reaches a scored position."""
-        out: list[float] = []
-        for start in range(0, len(requests), chunk_size):
-            out.extend(self._ll_chunk(requests[start:start + chunk_size]))
-        return out
-
-    def _ll_chunk(self, chunk) -> list[float]:
-        tok_ids = []
-        aspects = np.full(len(chunk), UNK_ID, dtype=np.int64)
-        for b, (user, item, tokens) in enumerate(chunk):
-            self._check_ids(user, item)
-            tokens = list(tokens)
-            if not tokens:
-                raise ValueError("log_likelihood of empty text")
-            tok_ids.append([self.vocab.token_to_id(t) for t in tokens])
-            if self.arch.use_aspect:
-                aspects[b] = self._aspect_id(None, tokens)
-        W = max(len(ids) for ids in tok_ids) + 1
-        input_ids = np.full((len(chunk), W), PAD_ID, dtype=np.int64)
-        for b, ids in enumerate(tok_ids):
-            input_ids[b, 0] = BOS_ID
-            input_ids[b, 1:len(ids) + 1] = ids
-        users = np.array([u for u, _, _ in chunk], dtype=np.int64)
-        items = np.array([i for _, i, _ in chunk], dtype=np.int64)
-        logits, _, _ = self._run(Tape(), users, items, aspects, input_ids)
-        lp = log_softmax(logits.value)
-        return [_sum_target_logprobs(lp[b], ids) for b, ids in enumerate(tok_ids)]
 
     def predict_rating(self, user: int, item: int, aspect: str | None = None) -> float:
         self._check_ids(user, item)
         _, raw = self._infer(user, item, self._aspect_id(aspect), [])
         return clamp_rating(raw)
-
-    def generate(self, user: int, item: int, aspect: str | None = None,
-                 max_len: int | None = None) -> list[str]:
-        return self.generate_many([(user, item, aspect)], max_len)[0]
 
     def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
         """Greedy decoding of all requests as one batch with a K/V cache."""
@@ -431,7 +460,7 @@ class RecurrentArch:
     rating_hidden: int = 64
 
 
-class RecurrentModel(ExplainableRecommender):
+class RecurrentModel(NeuralRecommender):
     """GRU decoder whose initial state is derived from [user; item].
 
     The rating head is a feed-forward network on the same [user; item]
@@ -504,11 +533,8 @@ class RecurrentModel(ExplainableRecommender):
         mse = tape.squared_error(rating, batch.ratings.reshape(-1, 1))
         return nll, mse
 
-    def _check_ids(self, user: int, item: int) -> None:
-        if not 0 <= user < self.num_users:
-            raise ValueError(f"cold-start user id {user}")
-        if not 0 <= item < self.num_items:
-            raise ValueError(f"cold-start item id {item}")
+    def _score_logits(self, users, items, aspects, input_ids) -> np.ndarray:
+        return self._run(Tape(), users, items, input_ids)[0].value
 
     def _infer(self, user: int, item: int, word_ids: list[int]):
         tape = Tape()
@@ -521,48 +547,10 @@ class RecurrentModel(ExplainableRecommender):
         logp, _ = self._infer(user, item, [self.vocab.token_to_id(t) for t in tokens])
         return logp
 
-    def log_likelihood(self, user: int, item: int, tokens) -> float:
-        tokens = list(tokens)
-        if not tokens:
-            raise ValueError("log_likelihood of empty text")
-        logp = self.token_log_probs(user, item, tokens)
-        return _sum_target_logprobs(logp, [self.vocab.token_to_id(t) for t in tokens])
-
-    def log_likelihood_many(self, requests, chunk_size: int = 64) -> list[float]:
-        """Batched scoring: the recurrence never carries state into a scored position
-        from the right-padding that follows it."""
-        out: list[float] = []
-        for start in range(0, len(requests), chunk_size):
-            out.extend(self._ll_chunk(requests[start:start + chunk_size]))
-        return out
-
-    def _ll_chunk(self, chunk) -> list[float]:
-        tok_ids = []
-        for user, item, tokens in chunk:
-            self._check_ids(user, item)
-            tokens = list(tokens)
-            if not tokens:
-                raise ValueError("log_likelihood of empty text")
-            tok_ids.append([self.vocab.token_to_id(t) for t in tokens])
-        W = max(len(ids) for ids in tok_ids) + 1
-        input_ids = np.full((len(chunk), W), PAD_ID, dtype=np.int64)
-        for b, ids in enumerate(tok_ids):
-            input_ids[b, 0] = BOS_ID
-            input_ids[b, 1:len(ids) + 1] = ids
-        users = np.array([u for u, _, _ in chunk], dtype=np.int64)
-        items = np.array([i for _, i, _ in chunk], dtype=np.int64)
-        logits, _, _ = self._run(Tape(), users, items, input_ids)
-        lp = log_softmax(logits.value)
-        return [_sum_target_logprobs(lp[b], ids) for b, ids in enumerate(tok_ids)]
-
     def predict_rating(self, user: int, item: int) -> float:
         self._check_ids(user, item)
         _, raw = self._infer(user, item, [])
         return clamp_rating(raw)
-
-    def generate(self, user: int, item: int, aspect: str | None = None,
-                 max_len: int | None = None) -> list[str]:
-        return self.generate_many([(user, item, aspect)], max_len)[0]
 
     def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
         """Greedy decoding of all requests as one batch, carrying the GRU state."""

@@ -153,6 +153,47 @@ def mse_loss(pred, target) -> float:
     return float(d @ d / d.size)
 
 
+def _hex_floats(values: np.ndarray) -> str:
+    """Space-separated `float.hex` of each value, byte for byte, built from
+    the bit fields instead of one Python call per value.
+
+    Each value becomes one fixed-width uint8 row: sign, "0x", lead digit,
+    ".", 13 mantissa digits, "p", exponent sign, 4 exponent digits and a
+    separating space. Positions a value does not use (plus sign, leading
+    exponent zeros, all but one mantissa digit of zero) hold NUL and are
+    dropped at the end. Arrays holding inf or nan use `float.hex` itself.
+    """
+    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    if not flat.size:
+        return ""
+    bits = flat.view(np.uint64)
+    expo = ((bits >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.int64)
+    if (expo == 0x7FF).any():
+        return " ".join(float(x).hex() for x in flat)
+    mant = bits & np.uint64((1 << 52) - 1)
+    zero = (expo == 0) & (mant == 0)
+    digits = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+    rows = np.zeros((flat.size, 25), dtype=np.uint8)
+    rows[:, 0] = np.where(bits >> np.uint64(63), ord("-"), 0)
+    rows[:, 1] = ord("0")
+    rows[:, 2] = ord("x")
+    rows[:, 3] = np.where(expo > 0, ord("1"), ord("0"))
+    rows[:, 4] = ord(".")
+    shifts = np.arange(48, -4, -4, dtype=np.uint64)
+    rows[:, 5:18] = digits[((mant[:, None] >> shifts) & np.uint64(0xF)).astype(np.intp)]
+    rows[zero, 6:18] = 0
+    rows[:, 18] = ord("p")
+    power = np.where(zero, 0, np.maximum(expo, 1) - 1023)
+    rows[:, 19] = np.where(power < 0, ord("-"), ord("+"))
+    mag = np.abs(power)
+    for col, scale in zip(range(20, 23), (1000, 100, 10)):
+        rows[:, col] = np.where(mag >= scale, ord("0") + mag // scale % 10, 0)
+    rows[:, 23] = ord("0") + mag % 10
+    rows[:, 24] = ord(" ")
+    chars = rows.reshape(-1)
+    return chars[chars != 0][:-1].tobytes().decode("ascii")
+
+
 def save_checkpoint(path, store: ParamStore, seed: int, config_hash: str,
                     extra: dict | None = None) -> None:
     header = {"seed": int(seed), "step": int(store.step), "config_hash": config_hash}
@@ -162,7 +203,7 @@ def save_checkpoint(path, store: ParamStore, seed: int, config_hash: str,
     for name in store.names():
         p = store[name]
         shape = ",".join(str(d) for d in p.shape)
-        values = " ".join(float(x).hex() for x in p.reshape(-1))
+        values = _hex_floats(p)
         lines.append(f"{name} {shape} {values}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -181,7 +222,8 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
         parts = line.split(" ")
         name = parts[0]
         shape = tuple(int(d) for d in parts[1].split(",") if d)
-        values = np.array([float.fromhex(tok) for tok in parts[2:]], dtype=np.float64)
+        values = np.fromiter(map(float.fromhex, parts[2:]), dtype=np.float64,
+                             count=len(parts) - 2)
         store.add(name, values.reshape(shape))
     store.step = int(header["step"])
     return store, header

@@ -101,22 +101,3 @@ def sample_distinct(rng: np.random.Generator, n: int, k: int, excluded) -> list[
         seen.add(j)
         chosen.append(j)
     return chosen
-
-
-def sample_candidates(reviews, gold, k: int, seed) -> list:
-    """k distinct reviews, excluding any whose text equals the gold text.
-
-    Seeded-deterministic; exactly k eligible reviews short-circuits to
-    all of them in corpus order; fewer than k is an error.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    gold_text = gold.text
-    eligible = [r for r in reviews if r.text != gold_text]
-    if len(eligible) < k:
-        raise ValueError(f"not enough distinct candidates: {len(eligible)} < k={k}")
-    if len(eligible) == k:
-        return eligible
-    rng = np.random.default_rng([seed, 0xCA9D] if isinstance(seed, int) else list(seed) + [0xCA9D])
-    idx = sorted(sample_distinct(rng, len(eligible), k, lambda _: False))
-    return [eligible[j] for j in idx]

@@ -185,6 +185,16 @@ def _recompute(name: str, rows: list[dict]) -> float:
     raise ValueError(f"no audit recomputation rule for metric '{name}'")
 
 
+def _unexplained_ranks(rows: list[dict]) -> list[str]:
+    """MRR-AE rows whose best impostor does not account for the rank: the
+    gold ranks first exactly when every impostor scores a higher
+    perplexity. Audits written before the column existed are skipped."""
+    if not rows or "ppl_best_impostor" not in rows[0]:
+        return []
+    return [r["instance"] for r in rows
+            if (float(r["ppl_best_impostor"]) > float(r["ppl_gold"])) != (int(r["rank"]) == 1)]
+
+
 def verify_against_audit(report: EvaluationReport, audit_dir, cells=None,
                          tol: float = 1e-9) -> list[tuple[str, str, float, float]]:
     """Recompute report cells from per-instance audit logs.
@@ -217,6 +227,12 @@ def verify_against_audit(report: EvaluationReport, audit_dir, cells=None,
                 raise AuditMismatch(
                     f"{row.model}/{key}: reported {cell.value!r} but audit "
                     f"recomputes to {recomputed!r}")
+            if cell.name == "mrr_ae":
+                unexplained = _unexplained_ranks(rows)
+                if unexplained:
+                    raise AuditMismatch(
+                        f"{row.model}/{key}: best impostor does not explain the rank "
+                        f"of {len(unexplained)} instances, first {unexplained[0]}")
             checked.append((row.model, key, cell.value, recomputed))
     if wanted is not None and len(checked) < len(wanted):
         missing = wanted - {(m, k) for m, k, _, _ in checked}

@@ -10,8 +10,9 @@ inputs are bounded away from the kink).
 import numpy as np
 import pytest
 
-from rexeval.autodiff import (LN_EPS, Tape, attention_forward, gru_forward,
-                              log_softmax, sigmoid, softmax)
+from rexeval.autodiff import (LN_EPS, MASKED_SCORE, Tape, attention_backward,
+                              attention_forward, gru_forward, log_softmax, sigmoid,
+                              softmax)
 from rexeval.nn import ParamStore, grad_check
 
 TOL = 1e-4
@@ -215,6 +216,69 @@ def test_sigmoid_is_stable_at_extremes():
     out = sigmoid(x)
     assert np.all(np.isfinite(out))
     np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
+
+
+def test_sigmoid_equals_the_masked_formula_bitwise():
+    grid = np.concatenate([[0.0, -0.0, 710.0, -710.0, 745.0, -745.0, 1e308, -1e308,
+                            5e-324, -5e-324, np.nan],
+                           np.linspace(-40.0, 40.0, 4001),
+                           np.random.default_rng(0).normal(scale=20.0, size=2000)])
+    expect = np.empty_like(grid)
+    pos = grid >= 0
+    expect[pos] = 1.0 / (1.0 + np.exp(-grid[pos]))
+    ex = np.exp(grid[~pos])
+    expect[~pos] = ex / (1.0 + ex)
+    got = sigmoid(grid)
+    nan = np.isnan(grid)
+    assert np.isnan(got[nan]).all()
+    np.testing.assert_array_equal(got[~nan].view(np.uint64), expect[~nan].view(np.uint64))
+    assert sigmoid(np.array([-0.0]))[0] == 0.5
+
+
+def _einsum_attention(q, k, v, mask, n_heads, g):
+    """Reference attention over einsum contractions: (out, (gq, gk, gv))."""
+    B, Lq, D = q.shape
+    Lk = k.shape[1]
+    dh = D // n_heads
+    qh = q.reshape(B, Lq, n_heads, dh)
+    kh = k.reshape(B, Lk, n_heads, dh)
+    vh = v.reshape(B, Lk, n_heads, dh)
+    scores = np.einsum("bqhd,bkhd->bhqk", qh, kh) / np.sqrt(dh)
+    if mask is not None:
+        scores = np.where(mask[:, None, :, :], scores, MASKED_SCORE)
+    weights = softmax(scores)
+    out = np.einsum("bhqk,bkhd->bqhd", weights, vh).reshape(B, Lq, D)
+    gh = g.reshape(B, Lq, n_heads, dh)
+    gw = np.einsum("bqhd,bkhd->bhqk", gh, vh)
+    gv = np.einsum("bhqk,bqhd->bkhd", weights, gh)
+    gs = weights * (gw - (weights * gw).sum(axis=-1, keepdims=True))
+    gq = np.einsum("bhqk,bkhd->bqhd", gs, kh) / np.sqrt(dh)
+    gk = np.einsum("bhqk,bqhd->bkhd", gs, qh) / np.sqrt(dh)
+    return out, (gq.reshape(B, Lq, D), gk.reshape(B, Lk, D), gv.reshape(B, Lk, D))
+
+
+@pytest.mark.parametrize("case", ["masked", "full", "cached"])
+def test_attention_matches_einsum_reference(case):
+    rng = np.random.default_rng(11)
+    B, Lq, Lk, D, H = 3, 6, 6, 8, 2
+    mask = np.tril(np.ones((Lq, Lk), dtype=bool))[None]
+    if case == "full":
+        mask = None
+    elif case == "cached":
+        # two new queries after six cached positions (Lq < Lk), as when a
+        # K/V cache is continued; the first key is a visible prefix
+        Lq, Lk = 2, 8
+        pos = np.arange(Lk - Lq, Lk)[:, None]
+        mask = ((np.arange(Lk)[None, :] < 1) | (np.arange(Lk)[None, :] <= pos))[None]
+    q = rng.normal(size=(B, Lq, D))
+    k, v = rng.normal(size=(B, Lk, D)), rng.normal(size=(B, Lk, D))
+    g = rng.normal(size=(B, Lq, D))
+    out, cache = attention_forward(q, k, v, mask, H)
+    expect_out, expect_grads = _einsum_attention(q, k, v, mask, H, g)
+    np.testing.assert_allclose(out, expect_out, rtol=0, atol=1e-12)
+    for got, expect in zip(attention_backward(g, cache), expect_grads, strict=True):
+        assert got.shape == expect.shape
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
 
 def test_single_head_attention_matches_manual_softmax():

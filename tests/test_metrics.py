@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import zlib
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +17,9 @@ from rexeval.metrics import (HIGHER, LOWER, AuditWriter, AuxRegressor,
                              mrr_ae, mrr_random_baseline, rmse, rmse_metric,
                              tlae, train_aux_regressor,
                              train_cooccurrence_embeddings)
-from rexeval.models import RandomScorer, UniformScorer
+from rexeval.models import (RandomScorer, RecurrentArch, RecurrentModel,
+                            TransformerArch, TransformerModel, UniformScorer)
+from rexeval.perturb import sample_distinct, substitute_aspect
 
 
 class _ScriptedScorer:
@@ -137,6 +141,91 @@ def test_mrr_determinism_and_errors(small_corpus, lexicon):
         mrr_ae(scorer, reviews, lexicon, k=len(reviews))
     with pytest.raises(ValueError, match="empty review pool"):
         mrr_ae(scorer, [], lexicon, k=1)
+
+
+def per_gold_mrr_ae(model, reviews, lexicon, *, k, seed):
+    """Reference MRR-AE: samples, rewrites and scores one gold at a time.
+
+    Returns the result, one (rank, ppl_gold) pair per gold, and each
+    gold's candidate pool indices with their perplexities.
+    """
+    texts = [review.text for review in reviews]
+    dups = Counter(texts)
+    rr_sum = 0.0
+    rows, pools = [], []
+    for idx, gold in enumerate(reviews):
+        eligible = len(reviews) - dups[texts[idx]]
+        if eligible == k:
+            chosen = [j for j in range(len(reviews)) if texts[j] != texts[idx]]
+        else:
+            rng = np.random.default_rng([seed, 0x3A3, idx])
+            chosen = sample_distinct(rng, len(reviews), k,
+                                     lambda j: texts[j] == texts[idx])
+        requests = [(gold.user, gold.item, gold.tokens)]
+        for j in chosen:
+            pair = substitute_aspect(reviews[j].tokens, gold.aspect, lexicon)
+            requests.append((gold.user, gold.item,
+                             pair.perturbed if pair is not None else reviews[j].tokens))
+        ppls = model.perplexity_many(requests)
+        ppl_gold = ppls[0]
+        rank = 1 + sum(p < ppl_gold for p in ppls[1:]) + sum(p == ppl_gold for p in ppls[1:])
+        rr_sum += 1.0 / rank
+        rows.append((rank, ppl_gold))
+        pools.append(list(zip(chosen, ppls[1:])))
+    result = MetricResult("mrr_ae", 100.0 * (rr_sum / len(reviews)), len(reviews), 0,
+                          HIGHER, {"k": k, "seed": seed,
+                                   "candidate_exclusion": "textual-duplicates-only"})
+    return result, rows, pools
+
+
+@pytest.fixture(scope="module")
+def pool_with_duplicate(small_corpus):
+    """13 reviews, two of which share one text from different (user, item)
+    pairs: with k = 11 those two golds take the eligible == k branch and
+    the other eleven are sampled."""
+    reviews = list(small_corpus.test[:12])
+    twin = dataclasses.replace(reviews[3], user=reviews[0].user, item=reviews[5].item)
+    return reviews + [twin]
+
+
+def test_batched_mrr_ae_equals_per_gold_reference(small_corpus, lexicon,
+                                                  pool_with_duplicate):
+    vocab = small_corpus.vocab
+    users, items = small_corpus.world.num_users, small_corpus.world.num_items
+    models = (TransformerModel(TransformerArch(embed_dim=16, ffn_dim=32, layers=1, heads=2),
+                               vocab, users, items, seed=5),
+              RecurrentModel(RecurrentArch(embed_dim=16, hidden_dim=24),
+                             vocab, users, items, seed=5))
+    cases = [(pool_with_duplicate, 11), (small_corpus.test[:30], 20)]
+    for model in models:
+        for reviews, k in cases:
+            expect, rows, _ = per_gold_mrr_ae(model, reviews, lexicon, k=k, seed=4)
+            writer = AuditWriter()
+            assert mrr_ae(model, reviews, lexicon, k=k, seed=4, audit=writer) == expect
+            assert [(r["rank"], r["ppl_gold"]) for r in writer.rows] == rows
+    assert [r["n_candidates"] for r in writer.rows] == [20] * 30
+
+
+def test_mrr_audit_names_the_lowest_perplexity_impostor(small_corpus, lexicon,
+                                                        pool_with_duplicate):
+    def scripted(user, item, tokens):
+        # distinct pseudo-random perplexities; gold texts win for even users
+        text = " ".join(tokens)
+        score = 2.0 + zlib.crc32(f"{user}:{item}:{text}".encode()) % 1000 / 1000.0
+        return 1.0 if user % 2 == 0 and text in golds else score
+
+    for reviews, k in ((pool_with_duplicate, 11), (small_corpus.test[:30], 20)):
+        golds = {r.text for r in reviews}
+        scorer = _ScriptedScorer(scripted)
+        writer = AuditWriter()
+        mrr_ae(scorer, reviews, lexicon, k=k, seed=1, audit=writer)
+        _, rows, pools = per_gold_mrr_ae(scorer, reviews, lexicon, k=k, seed=1)
+        for row, (rank, ppl_gold), pool in zip(writer.rows, rows, pools):
+            lowest = min(ppl for _, ppl in pool)
+            assert row["ppl_best_impostor"] == lowest
+            assert row["best_impostor"] == next(j for j, ppl in pool if ppl == lowest)
+            assert (rank == 1) == (lowest > ppl_gold)
+        assert {row["rank"] for row in writer.rows} != {1}
 
 
 def test_mrr_random_baseline_values():

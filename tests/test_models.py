@@ -149,12 +149,18 @@ def test_batched_scoring_equals_single_scoring(tiny_corpus, fresh_transformer,
                                                fresh_recurrent):
     requests = [(r.user, r.item, list(r.tokens))
                 for r in tiny_corpus.test + tiny_corpus.validation]
+    # long texts pad the short ones in a chunk past 8 keys, where numpy's
+    # pairwise summation would regroup a softmax sum over the keys axis
+    requests += [(u, i, (t * 3)[:26]) for u, i, t in requests[:4]]
+    order = np.random.default_rng(5).permutation(len(requests))
     for model in (fresh_transformer, fresh_recurrent):
         batched = model.log_likelihood_many(requests)
         single = [model.log_likelihood(u, i, t) for u, i, t in requests]
         assert batched == single
         chunked = model.log_likelihood_many(requests, chunk_size=3)
         assert chunked == single
+        shuffled = model.log_likelihood_many([requests[j] for j in order], chunk_size=5)
+        assert shuffled == [single[j] for j in order]
 
 
 def test_token_log_probs_are_distributions(fresh_transformer, fresh_recurrent):

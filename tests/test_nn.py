@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rexeval.nn import (CHECKPOINT_MAGIC, ParamStore, clip_global_norm,
+from rexeval.nn import (CHECKPOINT_MAGIC, _hex_floats, ParamStore, clip_global_norm,
                         grad_check, load_checkpoint, mse_loss, nll_loss,
                         save_checkpoint)
 
@@ -138,3 +140,41 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     with pytest.raises(ValueError, match="not a checkpoint"):
         load_checkpoint(path)
     assert CHECKPOINT_MAGIC.startswith("rexeval-checkpoint")
+
+
+def _float_hex(values) -> str:
+    return " ".join(float(x).hex() for x in np.asarray(values, dtype=np.float64).reshape(-1))
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1.0, -2.0, 0.5, 1e-300]
+
+
+def test_hex_encoder_equals_float_hex_on_edges_and_random_bits():
+    for value in EDGE_FLOATS:
+        assert _hex_floats(np.array([value])) == float(value).hex()
+    bits = np.random.default_rng(9).integers(0, 2 ** 64, size=50_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    values = np.concatenate([EDGE_FLOATS, values[np.isfinite(values)]])
+    assert _hex_floats(values) == _float_hex(values)
+    # shape does not matter, only the flat C order
+    assert _hex_floats(values[:12].reshape(3, 4)) == _float_hex(values[:12])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+def test_hex_encoder_equals_float_hex_on_any_bit_pattern(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assert _hex_floats(values) == _float_hex(values)
+
+
+def test_checkpoint_keeps_non_finite_values(tmp_path):
+    store = ParamStore()
+    store.add("odd", np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.5]))
+    assert _hex_floats(store["odd"]) == "inf -inf nan -0x0.0p+0 0x0.0000000000001p-1022 " \
+                                       "0x1.8000000000000p+0"
+    path = tmp_path / "odd.ckpt"
+    save_checkpoint(path, store, seed=0, config_hash="h")
+    loaded, _ = load_checkpoint(path)
+    np.testing.assert_array_equal(loaded["odd"], store["odd"])
+    assert np.signbit(loaded["odd"][3])

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from rexeval.lexicon import NEGATIVE, NEUTRAL, POSITIVE, classify_polarity
 from rexeval.perturb import (NEGATION, SUBSTITUTION, negate_sentiment,
-                             sample_candidates, sample_distinct,
-                             substitute_aspect)
+                             sample_distinct, substitute_aspect)
 
 
 def test_negate_swaps_antonyms(lexicon):
@@ -90,25 +89,3 @@ def test_sample_distinct_skips_excluded():
     picks = sample_distinct(rng, 10, 4, lambda j: j % 2 == 0)
     assert len(picks) == len(set(picks)) == 4
     assert all(j % 2 == 1 for j in picks)
-
-
-def test_sample_candidates_contract(small_corpus):
-    reviews = small_corpus.test
-    gold = reviews[0]
-    out = sample_candidates(reviews, gold, k=5, seed=3)
-    assert len(out) == 5
-    assert all(r.text != gold.text for r in out)
-    assert out == sample_candidates(reviews, gold, k=5, seed=3)
-    assert out != sample_candidates(reviews, gold, k=5, seed=4)
-    with pytest.raises(ValueError, match="k must be"):
-        sample_candidates(reviews, gold, k=0, seed=3)
-    with pytest.raises(ValueError, match="not enough distinct"):
-        sample_candidates(reviews, gold, k=len(reviews), seed=3)
-
-
-def test_sample_candidates_short_circuits_at_exact_k(small_corpus):
-    reviews = small_corpus.test[:6]
-    gold = reviews[2]
-    eligible = [r for r in reviews if r.text != gold.text]
-    out = sample_candidates(reviews, gold, k=len(eligible), seed=99)
-    assert out == eligible  # corpus order, no sampling involved

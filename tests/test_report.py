@@ -158,3 +158,21 @@ def test_verify_against_audit_cell_selection(tmp_path):
         verify_against_audit(report, audit, cells=[("beta", "air")])
     with pytest.raises(AuditMismatch, match="not found in report"):
         verify_against_audit(report, audit, cells=[("alpha", "nope")])
+
+
+def test_verify_against_audit_checks_the_best_impostor(tmp_path):
+    rows = [{"instance": "0:0", "rank": 1, "reciprocal_rank": 1.0, "ppl_gold": 2.0,
+             "n_candidates": 3, "best_impostor": 4, "ppl_best_impostor": 2.5},
+            {"instance": "1:0", "rank": 2, "reciprocal_rank": 0.5, "ppl_gold": 2.0,
+             "n_candidates": 3, "best_impostor": 0, "ppl_best_impostor": 1.5}]
+    report = EvaluationReport("cfg", "fp", {}, {}, None, [
+        ModelRow("alpha", False, "", {"mrr_ae": _result("mrr_ae", 75.0, 2)})])
+    _write_audit(tmp_path / "alpha" / "mrr_ae.tsv", rows)
+    assert len(verify_against_audit(report, tmp_path)) == 1
+
+    # an impostor scoring worse than the gold cannot be what beat it
+    rows[1]["ppl_best_impostor"] = 2.25
+    _write_audit(tmp_path / "alpha" / "mrr_ae.tsv", rows)
+    with pytest.raises(AuditMismatch, match="best impostor does not explain the rank "
+                                            "of 1 instances, first 1:0"):
+        verify_against_audit(report, tmp_path)
