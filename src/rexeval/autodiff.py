@@ -87,23 +87,32 @@ def layer_norm_forward(x, gain, bias):
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    sq = xc * xc
+    var = sq.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return xhat * gain + bias, (xhat, inv)
+    # two full-size buffers: xc becomes xhat, sq becomes the output
+    xhat = np.multiply(xc, inv, out=xc)
+    out = np.multiply(xhat, gain, out=sq)
+    out += bias
+    return out, (xhat, inv)
 
 
 def layer_norm_backward(g, gain, cache):
+    """Gradients of layer_norm_forward; the same operations in the same
+    order as inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)),
+    computed in two full-size buffers."""
     xhat, inv = cache
     D = xhat.shape[-1]
-    dgain = (g * xhat).reshape(-1, D).sum(axis=0)
+    tmp = g * xhat
+    dgain = tmp.reshape(-1, D).sum(axis=0)
     dbias = g.reshape(-1, D).sum(axis=0)
-    dxhat = g * gain
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    dx = g * gain
+    np.multiply(dx, xhat, out=tmp)
+    proj = tmp.mean(axis=-1, keepdims=True)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, proj, out=tmp)
+    dx -= tmp
+    dx *= inv
     return dx, dgain, dbias
 
 
@@ -252,8 +261,11 @@ class Tape:
                 continue
             for parent, g in bw(node.grad):
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.value)
-                parent.grad += g
+                    # g + 0.0 has the bits of zeros + g, signed zeros included,
+                    # and never aliases g
+                    parent.grad = np.add(g, 0.0, out=np.empty_like(parent.value))
+                else:
+                    parent.grad += g
 
     def assert_finite(self) -> None:
         for node, _ in self._steps:

@@ -418,7 +418,12 @@ def entail_metric(instances, lexicon: Lexicon, audit=None) -> MetricResult:
 
 
 class EmbeddingTable:
-    """Token vectors with cached pairwise cosine similarity."""
+    """Token vectors with cached pairwise cosine similarity.
+
+    Cosines live in a dense (V, V) table indexed by token id, filled
+    lazily: each distinct pair is computed once, by one scalar expression,
+    and written to both of its cells.
+    """
 
     def __init__(self, vocab: Vocab, vectors: np.ndarray):
         if vectors.shape[0] != len(vocab):
@@ -426,22 +431,37 @@ class EmbeddingTable:
         self.vocab = vocab
         self.vectors = np.asarray(vectors, dtype=np.float64)
         self._norms = np.sqrt((self.vectors * self.vectors).sum(axis=1))
-        self._cache: dict[tuple[int, int], float] = {}
+        self._table: np.ndarray | None = None  # NaN marks a pair not computed yet
+
+    def _fill(self, ia: int, ib: int) -> None:
+        lo, hi = (ia, ib) if ia <= ib else (ib, ia)
+        na = self._norms[lo]
+        nb = self._norms[hi]
+        if na == 0.0 or nb == 0.0:
+            value = 0.0
+        else:
+            value = float(self.vectors[lo] @ self.vectors[hi] / (na * nb))
+        self._table[lo, hi] = self._table[hi, lo] = value
+
+    def cosine_matrix(self, a_ids, b_ids) -> np.ndarray:
+        """(len(a_ids), len(b_ids)) cosines between two token-id sequences."""
+        if self._table is None:
+            self._table = np.full((len(self.vocab), len(self.vocab)), np.nan)
+        a_ids = np.asarray(a_ids, dtype=np.intp)
+        b_ids = np.asarray(b_ids, dtype=np.intp)
+        block = self._table[np.ix_(a_ids, b_ids)]
+        missing = np.isnan(block)
+        if missing.any():
+            rows, cols = np.nonzero(missing)
+            for ia, ib in zip(a_ids[rows].tolist(), b_ids[cols].tolist()):
+                if math.isnan(self._table[ia, ib]):  # not filled by an earlier pair
+                    self._fill(ia, ib)
+            block = self._table[np.ix_(a_ids, b_ids)]
+        return block
 
     def cosine(self, a: str, b: str) -> float:
-        ia = self.vocab.token_to_id(a)
-        ib = self.vocab.token_to_id(b)
-        key = (ia, ib) if ia <= ib else (ib, ia)
-        hit = self._cache.get(key)
-        if hit is None:
-            na = self._norms[key[0]]
-            nb = self._norms[key[1]]
-            if na == 0.0 or nb == 0.0:
-                hit = 0.0
-            else:
-                hit = float(self.vectors[key[0]] @ self.vectors[key[1]] / (na * nb))
-            self._cache[key] = hit
-        return hit
+        ia, ib = self.vocab.token_to_id(a), self.vocab.token_to_id(b)
+        return float(self.cosine_matrix([ia], [ib])[0, 0])
 
 
 def train_cooccurrence_embeddings(corpus, dim: int = 32, window: int = 2) -> EmbeddingTable:
@@ -486,18 +506,21 @@ def train_cooccurrence_embeddings(corpus, dim: int = 32, window: int = 2) -> Emb
 def greedy_match_f1(generated, reference, table: EmbeddingTable) -> tuple[float, float, float]:
     """Greedy token matching by cosine: precision over generated tokens,
     recall over reference tokens, and their harmonic mean."""
-    generated = list(generated)
-    reference = list(reference)
-    if not generated or not reference:
+    to_id = table.vocab.token_to_id
+    gen_ids = [to_id(t) for t in generated]
+    ref_ids = [to_id(t) for t in reference]
+    if not gen_ids or not ref_ids:
         raise ValueError("cannot match empty text")
+    cos = table.cosine_matrix(gen_ids, ref_ids)
+    # the best matches are added one at a time, in token order
     p_total = 0.0
-    for g in generated:
-        p_total += max(table.cosine(g, r) for r in reference)
+    for best in cos.max(axis=1).tolist():
+        p_total += best
     r_total = 0.0
-    for r in reference:
-        r_total += max(table.cosine(r, g) for g in generated)
-    precision = p_total / len(generated)
-    recall = r_total / len(reference)
+    for best in cos.max(axis=0).tolist():
+        r_total += best
+    precision = p_total / len(gen_ids)
+    recall = r_total / len(ref_ids)
     if precision + recall == 0.0:
         return precision, recall, 0.0
     return precision, recall, 2.0 * precision * recall / (precision + recall)
@@ -515,7 +538,7 @@ def gm_f1_metric(instances, table: EmbeddingTable, audit=None) -> MetricResult:
         if not words:
             excluded += 1
             continue
-        precision, recall, f1 = greedy_match_f1(words, list(reference), table)
+        precision, recall, f1 = greedy_match_f1(words, reference, table)
         total += f1
         count += 1
         if audit is not None:

@@ -56,6 +56,12 @@ class ExplainableRecommender(abc.ABC):
                  max_len: int | None = None) -> list[str]:
         """Explanation tokens, ending with the EOS marker."""
 
+    def predict_rating_many(self, requests) -> list[float]:
+        """Ratings for many (user, item, aspect) requests, the aspect None for
+        models that do not condition on one; overridden where batching pays."""
+        return [self.predict_rating(u, i) if a is None else self.predict_rating(u, i, aspect=a)
+                for u, i, a in requests]
+
     def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
         """Explanations for many (user, item, aspect) requests; overridden where
         batching pays."""
@@ -131,9 +137,25 @@ def make_batch(reviews, vocab: Vocab) -> Batch:
     )
 
 
-def _sum_target_logprobs(lp: np.ndarray, word_ids) -> float:
-    targets = list(word_ids) + [EOS_ID]
-    return float(sum(lp[t, tid] for t, tid in enumerate(targets)))
+def _sum_target_logprobs(lp: np.ndarray, tok_ids) -> list[float]:
+    """Per row b, the sum of lp[b, t, target] over its words then EOS.
+
+    lp is (B, W, V) with W above every row's word count. The targets are
+    read with one gather, and each row is added left to right from 0.0,
+    as a Python loop over the positions would: `np.cumsum` adds
+    sequentially, where `np.sum` would add pairwise. Padded positions
+    are zeroed and come last, so they leave the sum unchanged.
+    """
+    B, W = lp.shape[:2]
+    targets = np.full((B, W), PAD_ID, dtype=np.int64)
+    pad = np.ones((B, W), dtype=bool)
+    for b, ids in enumerate(tok_ids):
+        targets[b, :len(ids)] = ids
+        targets[b, len(ids)] = EOS_ID
+        pad[b, :len(ids) + 1] = False
+    picked = np.zeros((B, W + 1))  # column 0 is the 0.0 each sum starts from
+    picked[:, 1:] = np.where(pad, 0.0, lp[np.arange(B)[:, None], np.arange(W), targets])
+    return np.cumsum(picked, axis=1)[:, -1].tolist()
 
 
 def _greedy_decode(vocab: Vocab, start, step, n: int, max_len: int) -> list[list[str]]:
@@ -172,17 +194,37 @@ def _greedy_decode(vocab: Vocab, start, step, n: int, max_len: int) -> list[list
 class NeuralRecommender(ExplainableRecommender):
     """Inference shared by the trainable models.
 
-    Each architecture supplies `_score_logits` (word logits of a padded
-    batch), `token_log_probs`, `predict_rating` and `generate_many`.
+    Each architecture supplies its parameters, `_run` and `_keep_rows`.
+    `_run(tape, users, items, aspect_ids, input_ids, past=None)` returns
+    (logits, head input, state): without `past` it runs the
+    (user, item[, aspect]) prefix and then `input_ids`, and the head input
+    is the node the rating head reads; with `past`, the state of an
+    earlier call, it continues that sequence and the head input is None.
+    `_keep_rows(state, keep)` drops the state rows where `keep` is False.
     """
 
     @abc.abstractmethod
-    def _score_logits(self, users, items, aspects, input_ids) -> np.ndarray:
-        """(B, W, V) logits at every input position of a BOS-led batch."""
+    def _run(self, tape: Tape, users, items, aspect_ids, input_ids, past=None):
+        """(logits (B, W, V), head input or None, state)."""
 
-    def _text_aspect_id(self, tokens) -> int:
-        """Aspect id a scored text conditions on; UNK for unconditioned models."""
-        return UNK_ID
+    @abc.abstractmethod
+    def _keep_rows(self, state, keep: np.ndarray):
+        """The decoding state without the rows where `keep` is False."""
+
+    def _rating_head(self, tape: Tape, h):
+        """Raw (B, 1) rating from the head input rows."""
+        store = self.store
+        r = tape.nonlin(tape.affine(h, tape.param(store, "rate.w1"),
+                                    tape.param(store, "rate.b1")), "tanh")
+        return tape.affine(r, tape.param(store, "rate.w2"), tape.param(store, "rate.b2"))
+
+    def loss_nodes(self, tape: Tape, batch: Batch):
+        logits, head_in, _ = self._run(tape, batch.users, batch.items,
+                                       batch.aspect_ids, batch.input_ids)
+        rating = self._rating_head(tape, head_in)
+        nll = tape.softmax_xent(logits, batch.target_ids, batch.pad)
+        mse = tape.squared_error(rating, batch.ratings.reshape(-1, 1))
+        return nll, mse
 
     def _check_ids(self, user: int, item: int) -> None:
         if not 0 <= user < self.num_users:
@@ -190,12 +232,51 @@ class NeuralRecommender(ExplainableRecommender):
         if not 0 <= item < self.num_items:
             raise ValueError(f"cold-start item id {item}")
 
+    def _aspect_id(self, aspect: str | None, tokens=None) -> int:
+        """Aspect id the prefix conditions on: the given aspect, else the
+        one a text names, else UNK; always UNK for unconditioned models."""
+        if not self.conditions_on_aspect:
+            return UNK_ID
+        if aspect is None and tokens is not None:
+            aspect = extract_aspect(tokens, self.lexicon)
+        return self.vocab.token_to_id(aspect) if aspect is not None else UNK_ID
+
+    def _decode_aspect_id(self, aspect: str | None) -> int:
+        if self.conditions_on_aspect:
+            if aspect is None:
+                raise ValueError("aspect-conditioned model needs a conditioning aspect")
+            return self.vocab.token_to_id(aspect)
+        if aspect is not None:
+            raise ValueError("model does not condition on aspects")
+        return UNK_ID
+
+    def _prefixes(self, requests, aspect_id) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """User, item and aspect-id arrays of (user, item, aspect) requests,
+        all validated before any forward pass."""
+        users = np.empty(len(requests), dtype=np.int64)
+        items = np.empty(len(requests), dtype=np.int64)
+        aspects = np.empty(len(requests), dtype=np.int64)
+        for b, (user, item, aspect) in enumerate(requests):
+            self._check_ids(user, item)
+            users[b], items[b], aspects[b] = user, item, aspect_id(aspect)
+        return users, items, aspects
+
+    def token_log_probs(self, user: int, item: int, tokens) -> np.ndarray:
+        """Log distributions at each scored position (words then EOS)."""
+        self._check_ids(user, item)
+        tokens = list(tokens)
+        input_ids = np.array([[BOS_ID] + [self.vocab.token_to_id(t) for t in tokens]],
+                             dtype=np.int64)
+        logits, _, _ = self._run(Tape(), np.array([user]), np.array([item]),
+                                 np.array([self._aspect_id(None, tokens)]), input_ids)
+        return log_softmax(logits.value[0])
+
     def log_likelihood(self, user: int, item: int, tokens) -> float:
         tokens = list(tokens)
         if not tokens:
             raise ValueError("log_likelihood of empty text")
         logp = self.token_log_probs(user, item, tokens)
-        return _sum_target_logprobs(logp, [self.vocab.token_to_id(t) for t in tokens])
+        return _sum_target_logprobs(logp[None], [[self.vocab.token_to_id(t) for t in tokens]])[0]
 
     def log_likelihood_many(self, requests, chunk_size: int = 64) -> list[float]:
         """Batched scoring in request order.
@@ -229,14 +310,57 @@ class NeuralRecommender(ExplainableRecommender):
             input_ids[b, 1:len(ids) + 1] = ids
         users = np.array([u for u, _, _ in chunk], dtype=np.int64)
         items = np.array([i for _, i, _ in chunk], dtype=np.int64)
-        aspects = np.array([self._text_aspect_id(tokens) for _, _, tokens in chunk],
+        aspects = np.array([self._aspect_id(None, tokens) for _, _, tokens in chunk],
                            dtype=np.int64)
-        lp = log_softmax(self._score_logits(users, items, aspects, input_ids))
-        return [_sum_target_logprobs(lp[b], ids) for b, ids in enumerate(tok_ids)]
+        logits, _, _ = self._run(Tape(), users, items, aspects, input_ids)
+        lp = log_softmax(logits.value)
+        return _sum_target_logprobs(lp, tok_ids)
+
+    def predict_rating(self, user: int, item: int, aspect: str | None = None) -> float:
+        return self.predict_rating_many([(user, item, aspect)])[0]
+
+    def predict_rating_many(self, requests) -> list[float]:
+        """Ratings of (user, item, aspect) requests from one prefix pass.
+
+        The trunk runs the prefix and BOS of every request as one batch: a
+        row's values do not depend on the other rows. The two products of
+        the rating head run one row at a time, as a one-pair pass runs
+        them: over the batch, a (B, d) product can round differently from
+        the (1, d) one in the last bit (gemm against gemv).
+        """
+        requests = list(requests)
+        if not requests:
+            return []
+        users, items, aspects = self._prefixes(requests, self._aspect_id)
+        bos = np.full((len(requests), 1), BOS_ID, dtype=np.int64)
+        _, head_in, _ = self._run(Tape(), users, items, aspects, bos)
+        tape = Tape()
+        return [clamp_rating(float(self._rating_head(tape, tape.leaf(row[None])).value[0, 0]))
+                for row in head_in.value]
 
     def generate(self, user: int, item: int, aspect: str | None = None,
                  max_len: int | None = None) -> list[str]:
         return self.generate_many([(user, item, aspect)], max_len)[0]
+
+    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
+        """Greedy decoding of all requests as one batch, carrying each
+        architecture's state (K/V cache or GRU state) between steps."""
+        requests = list(requests)
+        users, items, aspects = self._prefixes(requests, self._decode_aspect_id)
+
+        def start():
+            bos = np.full((len(requests), 1), BOS_ID, dtype=np.int64)
+            logits, _, state = self._run(Tape(), users, items, aspects, bos)
+            return logits.value[:, -1], state
+
+        def step(state, keep, ids):
+            if keep is not None:
+                state = self._keep_rows(state, keep)
+            logits, _, state = self._run(Tape(), None, None, None, ids[:, None], past=state)
+            return logits.value[:, -1], state
+
+        return _greedy_decode(self.vocab, start, step, len(requests),
+                              max_len or self.arch.max_len)
 
 
 @dataclass(frozen=True)
@@ -315,14 +439,14 @@ class TransformerModel(NeuralRecommender):
         return mask
 
     def _run(self, tape: Tape, users, items, aspect_ids, input_ids, past=None):
-        """Forward pass; returns (logits, rating, kv).
+        """Forward pass; returns (logits, item representation, kv).
 
         `kv` holds one (keys, values) pair per layer for every position run
         so far. Without `past` the positions are the prefix then
         `input_ids`. With `past`, the `kv` of an earlier call, only
         `input_ids` are run: they continue that sequence and attend over
-        the cached keys and values. The rating head reads the prefix, so
-        it is None then.
+        the cached keys and values. The rating head reads the final
+        representation at the item position, so it is None then.
         """
         B, W = input_ids.shape
         start = 0 if past is None else past[0][0].shape[1]
@@ -370,81 +494,10 @@ class TransformerModel(NeuralRecommender):
             return logits, None, kv
         words = tape.slice_axis(xf, self.prefix_len, L, axis=1)
         logits = tape.affine(words, tape.param(store, "out.w"), tape.param(store, "out.b"))
-        item_h = tape.select(xf, 1, axis=1)
-        r = tape.nonlin(tape.affine(item_h, tape.param(store, "rate.w1"),
-                                    tape.param(store, "rate.b1")), "tanh")
-        rating = tape.affine(r, tape.param(store, "rate.w2"), tape.param(store, "rate.b2"))
-        return logits, rating, kv
+        return logits, tape.select(xf, 1, axis=1), kv
 
-    def loss_nodes(self, tape: Tape, batch: Batch):
-        logits, rating, _ = self._run(tape, batch.users, batch.items,
-                                      batch.aspect_ids, batch.input_ids)
-        nll = tape.softmax_xent(logits, batch.target_ids, batch.pad)
-        mse = tape.squared_error(rating, batch.ratings.reshape(-1, 1))
-        return nll, mse
-
-    def _aspect_id(self, aspect: str | None, tokens=None) -> int:
-        if not self.arch.use_aspect:
-            return UNK_ID
-        if aspect is None and tokens is not None:
-            aspect = extract_aspect(tokens, self.lexicon)
-        return self.vocab.token_to_id(aspect) if aspect is not None else UNK_ID
-
-    def _infer(self, user: int, item: int, aspect_id: int, word_ids: list[int]):
-        tape = Tape()
-        users = np.array([user], dtype=np.int64)
-        items = np.array([item], dtype=np.int64)
-        aspects = np.array([aspect_id], dtype=np.int64)
-        input_ids = np.array([[BOS_ID] + list(word_ids)], dtype=np.int64)
-        logits, rating, _ = self._run(tape, users, items, aspects, input_ids)
-        return log_softmax(logits.value[0]), float(rating.value[0, 0])
-
-    def _text_aspect_id(self, tokens) -> int:
-        return self._aspect_id(None, tokens)
-
-    def _score_logits(self, users, items, aspects, input_ids) -> np.ndarray:
-        return self._run(Tape(), users, items, aspects, input_ids)[0].value
-
-    def token_log_probs(self, user: int, item: int, tokens) -> np.ndarray:
-        """Log distributions at each scored position (words then EOS)."""
-        self._check_ids(user, item)
-        word_ids = [self.vocab.token_to_id(t) for t in tokens]
-        logp, _ = self._infer(user, item, self._text_aspect_id(tokens), word_ids)
-        return logp
-
-    def predict_rating(self, user: int, item: int, aspect: str | None = None) -> float:
-        self._check_ids(user, item)
-        _, raw = self._infer(user, item, self._aspect_id(aspect), [])
-        return clamp_rating(raw)
-
-    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
-        """Greedy decoding of all requests as one batch with a K/V cache."""
-        requests = list(requests)
-        aspects = np.full(len(requests), UNK_ID, dtype=np.int64)
-        for b, (user, item, aspect) in enumerate(requests):
-            self._check_ids(user, item)
-            if self.arch.use_aspect:
-                if aspect is None:
-                    raise ValueError("aspect-conditioned model needs a conditioning aspect")
-                aspects[b] = self.vocab.token_to_id(aspect)
-            elif aspect is not None:
-                raise ValueError("model does not condition on aspects")
-        users = np.array([u for u, _, _ in requests], dtype=np.int64)
-        items = np.array([i for _, i, _ in requests], dtype=np.int64)
-
-        def start():
-            bos = np.full((len(requests), 1), BOS_ID, dtype=np.int64)
-            logits, _, kv = self._run(Tape(), users, items, aspects, bos)
-            return logits.value[:, -1], kv
-
-        def step(kv, keep, ids):
-            if keep is not None:
-                kv = [(k[keep], v[keep]) for k, v in kv]
-            logits, _, kv = self._run(Tape(), None, None, None, ids[:, None], past=kv)
-            return logits.value[:, -1], kv
-
-        return _greedy_decode(self.vocab, start, step, len(requests),
-                              max_len or self.arch.max_len)
+    def _keep_rows(self, kv, keep):
+        return [(k[keep], v[keep]) for k, v in kv]
 
     def architecture_header(self) -> dict:
         return {"kind": "transformer", "num_users": self.num_users,
@@ -494,22 +547,24 @@ class RecurrentModel(NeuralRecommender):
         store.add_zeros("rate.b2", (1,))
         self.store = store
 
-    def _run(self, tape: Tape, users, items, input_ids, h0=None):
-        """Forward pass; returns (logits, rating, last hidden state).
+    def _run(self, tape: Tape, users, items, aspect_ids, input_ids, past=None):
+        """Forward pass; returns (logits, [user; item], last hidden state).
 
-        Without `h0` the recurrence starts from the [user; item] state.
-        With `h0`, the last state of an earlier call, it continues that
-        sequence, and the rating is None.
+        Without `past` the recurrence starts from the [user; item] state,
+        which the rating head also reads. With `past`, the last state of an
+        earlier call, it continues that sequence, and the head input is
+        None. The GRU does not condition on aspects.
         """
         store = self.store
-        if h0 is None:
+        if past is None:
             u_e = tape.embedding(tape.param(store, "user.emb"), users)
             i_e = tape.embedding(tape.param(store, "item.emb"), items)
             ui = tape.concat([u_e, i_e], axis=1)
             h = tape.nonlin(tape.affine(ui, tape.param(store, "init.w"),
                                         tape.param(store, "init.b")), "tanh")
         else:
-            h = tape.leaf(h0)
+            ui = None
+            h = tape.leaf(past)
         emb = tape.embedding(tape.param(store, "word.emb"), input_ids)
         gate_params = [tape.param(store, n) for n in
                        ("gru.wz", "gru.bz", "gru.wr", "gru.br", "gru.wn", "gru.bn")]
@@ -520,61 +575,10 @@ class RecurrentModel(NeuralRecommender):
             states.append(h)
         hseq = tape.stack(states, axis=1)
         logits = tape.affine(hseq, tape.param(store, "out.w"), tape.param(store, "out.b"))
-        if h0 is not None:
-            return logits, None, h.value
-        r = tape.nonlin(tape.affine(ui, tape.param(store, "rate.w1"),
-                                    tape.param(store, "rate.b1")), "tanh")
-        rating = tape.affine(r, tape.param(store, "rate.w2"), tape.param(store, "rate.b2"))
-        return logits, rating, h.value
+        return logits, ui, h.value
 
-    def loss_nodes(self, tape: Tape, batch: Batch):
-        logits, rating, _ = self._run(tape, batch.users, batch.items, batch.input_ids)
-        nll = tape.softmax_xent(logits, batch.target_ids, batch.pad)
-        mse = tape.squared_error(rating, batch.ratings.reshape(-1, 1))
-        return nll, mse
-
-    def _score_logits(self, users, items, aspects, input_ids) -> np.ndarray:
-        return self._run(Tape(), users, items, input_ids)[0].value
-
-    def _infer(self, user: int, item: int, word_ids: list[int]):
-        tape = Tape()
-        input_ids = np.array([[BOS_ID] + list(word_ids)], dtype=np.int64)
-        logits, rating, _ = self._run(tape, np.array([user]), np.array([item]), input_ids)
-        return log_softmax(logits.value[0]), float(rating.value[0, 0])
-
-    def token_log_probs(self, user: int, item: int, tokens) -> np.ndarray:
-        self._check_ids(user, item)
-        logp, _ = self._infer(user, item, [self.vocab.token_to_id(t) for t in tokens])
-        return logp
-
-    def predict_rating(self, user: int, item: int) -> float:
-        self._check_ids(user, item)
-        _, raw = self._infer(user, item, [])
-        return clamp_rating(raw)
-
-    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
-        """Greedy decoding of all requests as one batch, carrying the GRU state."""
-        requests = list(requests)
-        for user, item, aspect in requests:
-            self._check_ids(user, item)
-            if aspect is not None:
-                raise ValueError("model does not condition on aspects")
-        users = np.array([u for u, _, _ in requests], dtype=np.int64)
-        items = np.array([i for _, i, _ in requests], dtype=np.int64)
-
-        def start():
-            bos = np.full((len(requests), 1), BOS_ID, dtype=np.int64)
-            logits, _, h = self._run(Tape(), users, items, bos)
-            return logits.value[:, -1], h
-
-        def step(h, keep, ids):
-            if keep is not None:
-                h = h[keep]
-            logits, _, h = self._run(Tape(), None, None, ids[:, None], h0=h)
-            return logits.value[:, -1], h
-
-        return _greedy_decode(self.vocab, start, step, len(requests),
-                              max_len or self.arch.max_len)
+    def _keep_rows(self, h, keep):
+        return h[keep]
 
     def architecture_header(self) -> dict:
         return {"kind": "recurrent", "num_users": self.num_users,
@@ -716,11 +720,17 @@ class UnigramModel(ExplainableRecommender):
 def model_from_checkpoint(path, vocab: Vocab, lexicon=None):
     """Rebuild a trained model from a checkpoint header and parameters."""
     store, header = load_checkpoint(path)
+    return model_from_parameters(store, header, vocab, lexicon, source=path)
+
+
+def model_from_parameters(store: ParamStore, header: dict, vocab: Vocab, lexicon=None,
+                          source="checkpoint"):
+    """Rebuild a trained model from a loaded checkpoint; errors name `source`."""
     desc = header.get("model")
     if not desc:
-        raise ValueError(f"{path}: checkpoint lacks a model description")
+        raise ValueError(f"{source}: checkpoint lacks a model description")
     if desc["vocab_size"] != len(vocab):
-        raise ValueError(f"{path}: vocab size {desc['vocab_size']} != corpus {len(vocab)}")
+        raise ValueError(f"{source}: vocab size {desc['vocab_size']} != corpus {len(vocab)}")
     kind = desc["kind"]
     if kind == "transformer":
         arch = TransformerArch(**{f: desc[f] for f in TransformerArch.__dataclass_fields__})
@@ -731,7 +741,7 @@ def model_from_checkpoint(path, vocab: Vocab, lexicon=None):
         model = RecurrentModel(arch, vocab, desc["num_users"], desc["num_items"],
                                seed=header["seed"])
     else:
-        raise ValueError(f"{path}: unknown model kind '{kind}'")
+        raise ValueError(f"{source}: unknown model kind '{kind}'")
     model.store.load_state({name: store[name] for name in store.names()})
     model.store.step = store.step
     return model

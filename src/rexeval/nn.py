@@ -1,21 +1,32 @@
 """Parameter storage, Adam, finite-difference checking, checkpoint io.
 
-Checkpoints are plain text: a magic line, a JSON header (seed, step,
-config hash, optional model description), then one line per parameter
-with its name, shape, and flat values as C99 hex floats. Hex floats make
-the round trip bit-exact, which the determinism contract relies on.
+Checkpoints (format `rexeval-checkpoint-v2`) are text: a magic line, a
+JSON header (seed, step, config hash, optional model description), then
+one line per parameter: its name, its shape, and the base64 of its flat
+values as little-endian IEEE-754 float64 bytes, in C order. The bytes are
+the binary64 bit patterns themselves and base64 is a lossless encoding of
+bytes, so no value passes through a decimal or hex conversion: every bit
+pattern, including signed zeros, subnormals, infinities and NaN payloads,
+reads back bit for bit, which the determinism contract relies on. Fixing
+the byte order makes a file read the same on any host. Encoding and
+decoding are one `binascii` call plus one array copy per parameter.
+Files in the earlier hex-float format (v1) are rejected with a message to
+rerun the train stage; checkpoints are regenerable from the run's config.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
+import math
 from collections.abc import Callable
 
 import numpy as np
 
 from .autodiff import softmax_xent_forward
 
-CHECKPOINT_MAGIC = "rexeval-checkpoint-v1"
+CHECKPOINT_MAGIC = "rexeval-checkpoint-v2"
+_WIRE_DTYPE = np.dtype("<f8")
 INIT_SCALE = 0.08
 
 
@@ -26,6 +37,7 @@ class ParamStore:
         self._params: dict[str, np.ndarray] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
+        self._buffers = (np.empty(0), np.empty(0))
         self.step = 0
 
     def add(self, name: str, values: np.ndarray) -> np.ndarray:
@@ -83,11 +95,32 @@ class ParamStore:
                 raise ValueError(f"gradient shape mismatch for '{name}': {g.shape} vs {p.shape}")
             m = self._m[name]
             v = self._v[name]
+            a, b = self._scratch(p.size)
+            a, b = a.reshape(p.shape), b.reshape(p.shape)
+            # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g;
+            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), each operation in
+            # the order and association of the formula, so only the
+            # temporaries are saved.
+            np.multiply(g, 1.0 - beta1, out=a)
             m *= beta1
-            m += (1.0 - beta1) * g
+            m += a
+            np.multiply(g, g, out=a)
+            a *= 1.0 - beta2
             v *= beta2
-            v += (1.0 - beta2) * (g * g)
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            v += a
+            np.divide(m, bc1, out=a)
+            a *= lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            p -= a
+
+    def _scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two flat buffers of `size` values, kept between Adam steps."""
+        if self._buffers[0].size < size:
+            self._buffers = (np.empty(size), np.empty(size))
+        return self._buffers[0][:size], self._buffers[1][:size]
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, np.ndarray], float]:
@@ -153,77 +186,52 @@ def mse_loss(pred, target) -> float:
     return float(d @ d / d.size)
 
 
-def _hex_floats(values: np.ndarray) -> str:
-    """Space-separated `float.hex` of each value, byte for byte, built from
-    the bit fields instead of one Python call per value.
-
-    Each value becomes one fixed-width uint8 row: sign, "0x", lead digit,
-    ".", 13 mantissa digits, "p", exponent sign, 4 exponent digits and a
-    separating space. Positions a value does not use (plus sign, leading
-    exponent zeros, all but one mantissa digit of zero) hold NUL and are
-    dropped at the end. Arrays holding inf or nan use `float.hex` itself.
-    """
-    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    if not flat.size:
-        return ""
-    bits = flat.view(np.uint64)
-    expo = ((bits >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.int64)
-    if (expo == 0x7FF).any():
-        return " ".join(float(x).hex() for x in flat)
-    mant = bits & np.uint64((1 << 52) - 1)
-    zero = (expo == 0) & (mant == 0)
-    digits = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-    rows = np.zeros((flat.size, 25), dtype=np.uint8)
-    rows[:, 0] = np.where(bits >> np.uint64(63), ord("-"), 0)
-    rows[:, 1] = ord("0")
-    rows[:, 2] = ord("x")
-    rows[:, 3] = np.where(expo > 0, ord("1"), ord("0"))
-    rows[:, 4] = ord(".")
-    shifts = np.arange(48, -4, -4, dtype=np.uint64)
-    rows[:, 5:18] = digits[((mant[:, None] >> shifts) & np.uint64(0xF)).astype(np.intp)]
-    rows[zero, 6:18] = 0
-    rows[:, 18] = ord("p")
-    power = np.where(zero, 0, np.maximum(expo, 1) - 1023)
-    rows[:, 19] = np.where(power < 0, ord("-"), ord("+"))
-    mag = np.abs(power)
-    for col, scale in zip(range(20, 23), (1000, 100, 10)):
-        rows[:, col] = np.where(mag >= scale, ord("0") + mag // scale % 10, 0)
-    rows[:, 23] = ord("0") + mag % 10
-    rows[:, 24] = ord(" ")
-    chars = rows.reshape(-1)
-    return chars[chars != 0][:-1].tobytes().decode("ascii")
-
-
 def save_checkpoint(path, store: ParamStore, seed: int, config_hash: str,
                     extra: dict | None = None) -> None:
     header = {"seed": int(seed), "step": int(store.step), "config_hash": config_hash}
     if extra:
         header.update(extra)
-    lines = [CHECKPOINT_MAGIC, json.dumps(header, sort_keys=True)]
+    chunks = [f"{CHECKPOINT_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode("utf-8")]
     for name in store.names():
         p = store[name]
         shape = ",".join(str(d) for d in p.shape)
-        values = _hex_floats(p)
-        lines.append(f"{name} {shape} {values}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        raw = np.ascontiguousarray(p, dtype=_WIRE_DTYPE).tobytes()
+        # b2a_base64 ends the line with its newline
+        chunks += [f"{name} {shape} ".encode("utf-8"), binascii.b2a_base64(raw)]
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    magic = lines[0].decode("utf-8", errors="replace")
+    if magic != CHECKPOINT_MAGIC:
+        if magic.startswith("rexeval-checkpoint-"):
+            raise ValueError(f"{path}: checkpoint format {magic} is no longer read "
+                             f"(this version reads {CHECKPOINT_MAGIC}); rerun the train "
+                             "stage to rewrite it")
         raise ValueError(f"{path}: not a checkpoint file")
     header = json.loads(lines[1])
     store = ParamStore()
     for line in lines[2:]:
         if not line:
             continue
-        parts = line.split(" ")
-        name = parts[0]
-        shape = tuple(int(d) for d in parts[1].split(",") if d)
-        values = np.fromiter(map(float.fromhex, parts[2:]), dtype=np.float64,
-                             count=len(parts) - 2)
-        store.add(name, values.reshape(shape))
+        # name and shape are short; the values stay one uncopied slice
+        name_end = line.find(b" ")
+        shape_end = line.find(b" ", name_end + 1)
+        name = line[:max(name_end, 0)].decode("utf-8", errors="replace")
+        if name_end < 0 or shape_end < 0:
+            raise ValueError(f"{path}: parameter '{name}': expected 'name shape values'")
+        shape = tuple(int(d) for d in line[name_end + 1:shape_end].split(b",") if d)
+        try:
+            raw = binascii.a2b_base64(memoryview(line)[shape_end + 1:])
+        except binascii.Error as exc:
+            raise ValueError(f"{path}: parameter '{name}': bad base64 ({exc})") from exc
+        need = math.prod(shape)
+        if len(raw) != 8 * need:
+            raise ValueError(f"{path}: parameter '{name}' holds {len(raw) / 8:g} values "
+                             f"but its shape {shape} needs {need}")
+        store.add(name, np.frombuffer(raw, dtype=_WIRE_DTYPE).reshape(shape))
     store.step = int(header["step"])
     return store, header

@@ -4,9 +4,10 @@ Five stages, each resumable from the run directory alone: gen-corpus,
 train, generate, evaluate, report. Every stage revalidates the lineage
 hash stored in meta.json, so artifacts produced under one configuration
 abort any stage invoked under another instead of silently mixing runs.
-All artifacts are written deterministically (seeded generators, hex or
-repr floats, sorted keys); wall-clock timing goes to a sidecar file
-that is not part of the run's identity.
+All artifacts are written deterministically (seeded generators, exact
+float64 bytes in checkpoints, repr floats elsewhere, sorted keys);
+wall-clock timing goes to a sidecar file that is not part of the run's
+identity.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ from .models import (
     TransformerArch,
     TransformerModel,
     UnigramModel,
-    model_from_checkpoint,
+    model_from_parameters,
     strip_reserved,
 )
-from .nn import CHECKPOINT_MAGIC, save_checkpoint
+from .nn import load_checkpoint, save_checkpoint
 from .report import EvaluationReport, ModelRow, format_table
 from .training import TrainConfig, train_model
 
@@ -198,13 +199,6 @@ def build_model(spec, config: RunConfig, corpus, lexicon):
                           num_users, num_items, seed)
 
 
-def _checkpoint_header(path: Path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        return json.loads(fh.readline())
-
-
 def _materialize_models(config: RunConfig, corpus, lexicon, stage: str) -> dict:
     """Build untrainable models and load trained ones from checkpoints."""
     out = Path(config.out_dir)
@@ -218,11 +212,12 @@ def _materialize_models(config: RunConfig, corpus, lexicon, stage: str) -> dict:
         if not path.exists():
             raise StageError(stage, f"missing checkpoint for '{spec.name}'; "
                                     "run the train stage first")
-        header = _checkpoint_header(path)
+        store, header = load_checkpoint(path)
         if header.get("config_hash") != expected:
             raise StageError(stage, f"checkpoint for '{spec.name}' was trained under "
                                     "a different configuration; rerun the train stage")
-        models[spec.name] = model_from_checkpoint(path, corpus.vocab, lexicon)
+        models[spec.name] = model_from_parameters(store, header, corpus.vocab, lexicon,
+                                                  source=path)
     return models
 
 
@@ -309,17 +304,13 @@ def stage_generate(config: RunConfig, log=None) -> dict:
         gen_dir.mkdir(exist_ok=True)
         for spec in config.active_models:
             model = models[spec.name]
-            aspects = [review.aspect if model.conditions_on_aspect else None
-                       for review in pool]
-            texts = model.generate_many([(review.user, review.item, aspect)
-                                         for review, aspect in zip(pool, aspects)])
-            rows = []
-            for review, aspect, tokens in zip(pool, aspects, texts):
-                if model.conditions_on_aspect:
-                    rating = model.predict_rating(review.user, review.item, aspect=aspect)
-                else:
-                    rating = model.predict_rating(review.user, review.item)
-                rows.append((review.user, review.item, float(rating), tokens))
+            requests = [(review.user, review.item,
+                         review.aspect if model.conditions_on_aspect else None)
+                        for review in pool]
+            texts = model.generate_many(requests)
+            ratings = model.predict_rating_many(requests)
+            rows = [(review.user, review.item, float(rating), tokens)
+                    for review, rating, tokens in zip(pool, ratings, texts)]
             with open(gen_dir / f"{spec.name}.tsv", "w", encoding="utf-8") as fh:
                 fh.write(f"# config {lineage_hash(config)}\n")
                 for user, item, rating, tokens in rows:

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from rexeval.autodiff import (LN_EPS, MASKED_SCORE, Tape, attention_backward,
-                              attention_forward, gru_forward, log_softmax, sigmoid,
-                              softmax)
+                              attention_forward, gru_forward, layer_norm_backward,
+                              layer_norm_forward, log_softmax, sigmoid, softmax)
 from rexeval.nn import ParamStore, grad_check
 
 TOL = 1e-4
@@ -332,6 +332,38 @@ def test_layer_norm_normalizes_last_axis():
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=10 * LN_EPS)
 
 
+def _layer_norm_reference(x, gain, bias, g):
+    """Layer norm forward and backward written with a fresh array per step."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = xc * inv
+    out = xhat * gain + bias
+    D = x.shape[-1]
+    dgain = (g * xhat).reshape(-1, D).sum(axis=0)
+    dbias = g.reshape(-1, D).sum(axis=0)
+    dxhat = g * gain
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return out, dx, dgain, dbias
+
+
+@pytest.mark.parametrize("shape", [(3, 8), (4, 7, 16), (2, 5, 64)])
+def test_layer_norm_equals_the_fresh_array_formula_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=shape) * 3 + 1
+    x[0, ...] = 0.0  # a constant row: xhat is all zeros
+    gain = rng.normal(size=shape[-1])
+    bias = rng.normal(size=shape[-1])
+    g = rng.normal(size=shape)
+    out, cache = layer_norm_forward(x, gain, bias)
+    dx, dgain, dbias = layer_norm_backward(g, gain, cache)
+    for got, want in zip((out, dx, dgain, dbias), _layer_norm_reference(x, gain, bias, g)):
+        assert got.shape == want.shape
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+
 def test_softmax_xent_matches_manual_mean():
     rng = np.random.default_rng(8)
     logits = rng.normal(size=(2, 3, 5))
@@ -384,6 +416,17 @@ def test_backward_accumulates_shared_nodes():
     y = t.add(x, x)
     t.backward(y)
     assert float(x.grad) == 2.0
+
+
+def test_first_gradient_has_the_bits_of_zeros_plus_g():
+    t = Tape()
+    x = t.leaf(np.array([1.0, 2.0]))
+    y = t.scale(x, -1.0)
+    # the squared error's gradient is +0.0, so the scale passes -0.0 to x
+    loss = t.squared_error(y, np.array([-1.0, -2.0]))
+    t.backward(loss)
+    assert np.signbit(y.grad).tolist() == [False, False]
+    assert np.signbit(x.grad).tolist() == [False, False]  # 0.0 + -0.0 == +0.0
 
 
 def test_backward_rejects_nonscalar_and_foreign_loss():

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -245,6 +247,36 @@ def test_run_all_reruns_identically(micro_ini, runall_dir, tmp_path):
     again = tmp_path / "again"
     assert _cli("run-all", "--config", micro_ini, "--out", again, "--quiet") == 0
     assert _tree(again) == _tree(runall_dir)
+
+
+COMPARE_RUNS = Path(__file__).resolve().parents[1] / "scripts" / "compare_runs.py"
+
+
+def _compare_runs(run_a, run_b) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(COMPARE_RUNS), str(run_a), str(run_b)],
+                          capture_output=True, text=True, check=False)
+
+
+def test_compare_runs_names_every_differing_or_missing_file(staged_dir, runall_dir,
+                                                            tmp_path):
+    same = _compare_runs(staged_dir, runall_dir)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert "identical" in same.stdout
+    copy = tmp_path / "copy"
+    shutil.copytree(runall_dir, copy)
+    # checkpoints and the timing sidecar are not compared
+    (copy / "checkpoints" / "tiny.ckpt").write_text("another format\n", encoding="utf-8")
+    (copy / "timing.txt").write_text("wall_time_seconds 0.000\n", encoding="utf-8")
+    assert _compare_runs(runall_dir, copy).returncode == 0
+    gens = copy / "gens" / "tiny.tsv"
+    gens.write_bytes(gens.read_bytes() + b"\n")
+    (copy / "audit" / "tiny" / "rmse.tsv").unlink()
+    (copy / "extra.txt").write_text("x", encoding="utf-8")
+    diff = _compare_runs(runall_dir, copy)
+    assert diff.returncode == 1
+    assert diff.stdout.splitlines() == [f"only in {runall_dir}: audit/tiny/rmse.tsv",
+                                        f"only in {copy}: extra.txt",
+                                        "differs: gens/tiny.tsv"]
 
 
 def test_artifact_layout_and_meta(runall_dir, micro_config):

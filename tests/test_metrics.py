@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rexeval.lexicon import NEGATIVE, UNK_ID, Vocab, classify_polarity
+from rexeval.lexicon import NEGATIVE, RESERVED_TOKENS, UNK_ID, Vocab, classify_polarity
 from rexeval.metrics import (HIGHER, LOWER, AuditWriter, AuxRegressor,
                              BigramLM, EmbeddingTable, MetricResult, air,
                              cnll_metric, cond_nll_score, entail_metric,
@@ -342,7 +342,9 @@ def test_embedding_table_cosine():
     assert table.cosine("a", "a") == 1.0
     assert table.cosine("a", "b") == 0.0
     assert table.cosine("a", "b") == table.cosine("b", "a")
-    assert len(table._cache) == 2  # the ordered pair is cached once
+    # two distinct pairs computed: (a, a) fills one cell, (a, b) both of its cells
+    filled = ~np.isnan(table._table)
+    assert filled.sum() == 3 and (filled == filled.T).all()
     vocab = table.vocab
     vectors = np.eye(len(vocab))
     vectors[vocab.token_to_id("c")] = 0.0
@@ -377,6 +379,64 @@ def test_gm_f1_metric_aggregates():
     assert (result.count, result.excluded) == (2, 1)
     assert writer.rows[0] == {"instance": "0:0", "precision": 0.5,
                               "recall": 0.5, "f1": 0.5}
+
+
+def _greedy_match_reference(generated, reference, vectors, vocab):
+    """GM-F1 of one pair by per-token cosines, each computed from the
+    vectors by the scalar expression (zero-norm rows give 0.0)."""
+    norms = np.sqrt((vectors * vectors).sum(axis=1))
+
+    def cosine(a, b):
+        lo, hi = sorted((vocab.token_to_id(a), vocab.token_to_id(b)))
+        na, nb = norms[lo], norms[hi]
+        if na == 0.0 or nb == 0.0:
+            return 0.0
+        return float(vectors[lo] @ vectors[hi] / (na * nb))
+
+    p_total = 0.0
+    for g in generated:
+        p_total += max(cosine(g, r) for r in reference)
+    r_total = 0.0
+    for r in reference:
+        r_total += max(cosine(r, g) for g in generated)
+    precision = p_total / len(generated)
+    recall = r_total / len(reference)
+    if precision + recall == 0.0:
+        return precision, recall, 0.0
+    return precision, recall, 2.0 * precision * recall / (precision + recall)
+
+
+def test_gm_f1_on_token_ids_equals_per_token_cosines(small_corpus):
+    table = train_cooccurrence_embeddings(small_corpus, dim=16)
+    vocab = table.vocab
+    vectors = table.vectors.copy()
+    # a zero-norm word and an unseen word in the texts
+    vectors[vocab.token_to_id("service")] = 0.0
+    table = EmbeddingTable(vocab, vectors)
+    rng = np.random.default_rng(8)
+    words = vocab.tokens() + ["zzzz"]
+    instances = []
+    for j, review in enumerate(small_corpus.test[:60]):
+        generated = [words[k] for k in rng.integers(0, len(words), size=rng.integers(1, 12))]
+        generated += ["service", "<eos>"] if j % 3 == 0 else ["<eos>"]
+        instances.append((review.user, review.item, generated, list(review.tokens)))
+    instances.append((0, 0, ["<eos>"], ["food"]))  # excluded: no words
+    writer = AuditWriter()
+    result = gm_f1_metric(instances, table, audit=writer)
+    expect = [_greedy_match_reference([t for t in gen if t not in RESERVED_TOKENS], ref,
+                                      vectors, vocab)
+              for _, _, gen, ref in instances[:-1]]
+    assert [(r["precision"], r["recall"], r["f1"]) for r in writer.rows] == expect
+    total = 0.0
+    for _, _, f1 in expect:
+        total += f1
+    assert result.value == total / len(expect)
+    assert (result.count, result.excluded) == (len(expect), 1) and len(expect) > 30
+    for gen, ref in (("food", "service"), ("zzzz", "food"), ("service", "service")):
+        assert table.cosine(gen, ref) == _greedy_match_reference([gen], [ref], vectors,
+                                                                 vocab)[0]
+        assert greedy_match_f1([gen], [ref], table) == _greedy_match_reference(
+            [gen], [ref], vectors, vocab)
 
 
 def test_cooccurrence_embeddings(small_corpus):

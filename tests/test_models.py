@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from rexeval.autodiff import Tape, log_softmax
 from rexeval.corpus import build_corpus, generate_world, render_review
 from rexeval.lexicon import BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, UNK_ID, extract_aspect
 from rexeval.models import (EOS_TOKEN, OracleModel, RandomScorer,
                             RecurrentArch, RecurrentModel, TransformerArch,
                             TransformerModel, UniformScorer, UnigramModel,
-                            clamp_rating, make_batch, model_from_checkpoint,
-                            strip_reserved)
+                            _sum_target_logprobs, clamp_rating, make_batch,
+                            model_from_checkpoint, strip_reserved)
 from rexeval.nn import save_checkpoint
 from rexeval.training import TrainConfig, train_model
 
@@ -303,16 +304,35 @@ def test_strip_reserved():
 # batched decoding against the full-prefix reference
 
 
+def one_pair_pass(model, user, item, aspect_id, word_ids):
+    """Reference inference: one forward pass of a single (user, item) pair
+    over its prefix, BOS and the given words, with the rating head run on
+    that one row. Returns (log-probs per position, raw rating)."""
+    tape = Tape()
+    logits, head_in, _ = model._run(tape, np.array([user]), np.array([item]),
+                                    np.array([aspect_id]),
+                                    np.array([[BOS_ID] + list(word_ids)], dtype=np.int64))
+    store = model.store
+    r = tape.nonlin(tape.affine(head_in, tape.param(store, "rate.w1"),
+                                tape.param(store, "rate.b1")), "tanh")
+    rating = tape.affine(r, tape.param(store, "rate.w2"), tape.param(store, "rate.b2"))
+    return log_softmax(logits.value[0]), float(rating.value[0, 0])
+
+
+def _prefix_aspect_id(model, aspect):
+    if model.conditions_on_aspect and aspect is not None:
+        return model.vocab.token_to_id(aspect)
+    return UNK_ID
+
+
 def full_prefix_generate(model, user, item, aspect=None, max_len=None):
     """Reference greedy decoder: one forward pass over BOS and every word
     so far for each new word, one pair at a time."""
-    prefix = [user, item]
-    if isinstance(model, TransformerModel):
-        prefix.append(model.vocab.token_to_id(aspect) if model.arch.use_aspect else UNK_ID)
+    aspect_id = _prefix_aspect_id(model, aspect)
     max_len = max_len or model.arch.max_len
     words: list[int] = []
     while len(words) < max_len - 1:
-        logp, _ = model._infer(*prefix, words)
+        logp, _ = one_pair_pass(model, user, item, aspect_id, words)
         dist = logp[-1].copy()
         dist[PAD_ID] = -np.inf
         dist[BOS_ID] = -np.inf
@@ -359,6 +379,61 @@ def test_batched_decoding_equals_full_prefix_decoding(
         assert model.generate(u, i, aspect=a) == full_prefix_generate(model, u, i, a)
     # some batch had rows stop at different lengths, some at the length cap
     assert len(lengths) > 2 and max(lengths) == 24
+
+
+def test_batched_ratings_equal_one_pair_ratings(
+        tiny_corpus, sanity_corpus, lexicon, fresh_transformer, fresh_recurrent,
+        briefly_trained, trained_transformer, trained_conditional):
+    fresh_cond = TransformerModel(
+        TransformerArch(embed_dim=16, ffn_dim=32, layers=1, heads=2, use_aspect=True),
+        tiny_corpus.vocab, 10, 8, seed=7, lexicon=lexicon)
+    tiny = [(r.user, r.item, r.aspect) for r in tiny_corpus.test + tiny_corpus.validation]
+    sanity = [(r.user, r.item, r.aspect) for r in sanity_corpus.test[:150]]
+    # repeated and reordered pairs, mixed with the rest
+    tiny += tiny[::-3]
+    cases = [(fresh_transformer, tiny), (fresh_recurrent, tiny), (fresh_cond, tiny),
+             (briefly_trained[0], tiny), (briefly_trained[1], tiny),
+             (trained_transformer, sanity), (trained_conditional, sanity)]
+    for model, requests in cases:
+        if not model.conditions_on_aspect:
+            requests = [(u, i, None) for u, i, _ in requests]
+        expect = [clamp_rating(one_pair_pass(model, u, i, _prefix_aspect_id(model, a), [])[1])
+                  for u, i, a in requests]
+        assert model.predict_rating_many(requests) == expect
+        assert model.predict_rating_many(requests[:1]) == expect[:1]
+        u, i, a = requests[-1]
+        assert model.predict_rating(u, i, aspect=a) == expect[-1]
+    assert fresh_transformer.predict_rating_many([]) == []
+    with pytest.raises(ValueError, match="cold-start item"):
+        fresh_recurrent.predict_rating_many([(0, 0, None), (0, 8, None)])
+
+
+def test_base_predict_rating_many_is_per_pair_predict_rating(tiny_corpus):
+    requests = [(r.user, r.item, None) for r in tiny_corpus.test]
+    for model in (OracleModel(tiny_corpus.world), RandomScorer(5, tiny_corpus.vocab),
+                  UnigramModel.fit(tiny_corpus), UniformScorer(7)):
+        assert model.predict_rating_many(requests) == [
+            model.predict_rating(u, i) for u, i, _ in requests]
+        assert model.predict_rating_many([]) == []
+
+
+def _sum_target_logprobs_reference(lp, word_ids) -> float:
+    """One row's target log-probs added by a Python loop over positions."""
+    targets = list(word_ids) + [EOS_ID]
+    return float(sum(lp[t, tid] for t, tid in enumerate(targets)))
+
+
+def test_target_gather_equals_the_position_loop():
+    rng = np.random.default_rng(12)
+    for B, W, V in ((1, 1, 4), (5, 9, 30), (17, 27, 50)):
+        lp = log_softmax(rng.normal(size=(B, W, V)) * 4)
+        lp[0, 0, 5 % V] = -0.0
+        tok_ids = [rng.integers(0, V, size=rng.integers(0, W)).tolist() for _ in range(B)]
+        tok_ids[-1] = rng.integers(0, V, size=W - 1).tolist()  # one row fills the width
+        got = _sum_target_logprobs(lp, tok_ids)
+        assert got == [_sum_target_logprobs_reference(lp[b], ids)
+                       for b, ids in enumerate(tok_ids)]
+        assert all(type(x) is float for x in got)
 
 
 def test_generate_many_validates_before_decoding(tiny_corpus, lexicon, fresh_transformer,

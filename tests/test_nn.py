@@ -1,13 +1,15 @@
 """Parameter store, Adam, clipping, and checkpoint round-trips."""
 
+import base64
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rexeval.nn import (CHECKPOINT_MAGIC, _hex_floats, ParamStore, clip_global_norm,
-                        grad_check, load_checkpoint, mse_loss, nll_loss,
-                        save_checkpoint)
+from rexeval.nn import (CHECKPOINT_MAGIC, ParamStore, clip_global_norm, grad_check,
+                        load_checkpoint, mse_loss, nll_loss, save_checkpoint)
 
 
 def test_store_basics():
@@ -59,6 +61,31 @@ def test_adam_matches_reference_updates():
         ref = ref - lr * (m / (1 - b1 ** step)) / (np.sqrt(v / (1 - b2 ** step)) + eps)
         np.testing.assert_allclose(store["p"], ref, rtol=1e-12)
     assert store.step == 3
+
+
+def test_adam_step_equals_the_fresh_array_formula_bitwise():
+    rng = np.random.default_rng(4)
+    # a large parameter before a small one, so the scratch buffers are
+    # reused at another size
+    shapes = {"big": (7, 5), "small": (3,), "mid": (2, 2, 2)}
+    store = ParamStore()
+    ref = {}
+    for name, shape in shapes.items():
+        store.add(name, rng.normal(size=shape))
+        ref[name] = [store[name].copy(), np.zeros(shape), np.zeros(shape)]
+    lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+    for step in range(1, 5):
+        grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+                 for name, shape in shapes.items()}
+        grads["small"][0] = -0.0
+        store.adam_step(grads, lr)
+        bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+        for name, g in grads.items():
+            p, m, v = ref[name]
+            m[...] = b1 * m + (1.0 - b1) * g
+            v[...] = b2 * v + (1.0 - b2) * (g * g)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            assert (store[name].view(np.uint64) == p.view(np.uint64)).all()
 
 
 def test_adam_validates_inputs():
@@ -142,39 +169,80 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     assert CHECKPOINT_MAGIC.startswith("rexeval-checkpoint")
 
 
-def _float_hex(values) -> str:
-    return " ".join(float(x).hex() for x in np.asarray(values, dtype=np.float64).reshape(-1))
+EDGE_BITS = [0x0000000000000000, 0x8000000000000000,  # +0, -0
+             0x0000000000000001, 0x800FFFFFFFFFFFFF,  # subnormals
+             0x7FF0000000000000, 0xFFF0000000000000,  # +inf, -inf
+             0x7FF8000000000000, 0xFFF8000000000001,  # quiet NaNs, with a payload
+             0x7FF0000000000001, 0x7FF4000000000000,  # signalling NaN payloads
+             0x7FEFFFFFFFFFFFFF, 0x3FF0000000000000]  # max finite, 1.0
 
 
-EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
-               1.7976931348623157e308, -1.7976931348623157e308, 1.0, -2.0, 0.5, 1e-300]
+def _round_trip_bits(tmp_path, bits, shape=None) -> np.ndarray:
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    store = ParamStore()
+    store.add("p", values.reshape(shape or values.shape))
+    path = tmp_path / "bits.ckpt"
+    save_checkpoint(path, store, seed=0, config_hash="h")
+    loaded, _ = load_checkpoint(path)
+    assert loaded["p"].shape == store["p"].shape
+    return loaded["p"].reshape(-1).view(np.uint64)
 
 
-def test_hex_encoder_equals_float_hex_on_edges_and_random_bits():
-    for value in EDGE_FLOATS:
-        assert _hex_floats(np.array([value])) == float(value).hex()
-    bits = np.random.default_rng(9).integers(0, 2 ** 64, size=50_000, dtype=np.uint64)
-    values = bits.view(np.float64)
-    values = np.concatenate([EDGE_FLOATS, values[np.isfinite(values)]])
-    assert _hex_floats(values) == _float_hex(values)
-    # shape does not matter, only the flat C order
-    assert _hex_floats(values[:12].reshape(3, 4)) == _float_hex(values[:12])
+def test_checkpoint_round_trip_keeps_edge_bit_patterns(tmp_path):
+    assert _round_trip_bits(tmp_path, EDGE_BITS).tolist() == EDGE_BITS
+    assert _round_trip_bits(tmp_path, EDGE_BITS, shape=(3, 4)).tolist() == EDGE_BITS
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
-def test_hex_encoder_equals_float_hex_on_any_bit_pattern(patterns):
-    values = np.array(patterns, dtype=np.uint64).view(np.float64)
-    assert _hex_floats(values) == _float_hex(values)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=0, max_size=40))
+def test_checkpoint_round_trip_is_bit_exact_on_any_bit_pattern(tmp_path_factory, patterns):
+    tmp_path = tmp_path_factory.mktemp("bits")
+    assert _round_trip_bits(tmp_path, patterns).tolist() == patterns
 
 
 def test_checkpoint_keeps_non_finite_values(tmp_path):
     store = ParamStore()
     store.add("odd", np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.5]))
-    assert _hex_floats(store["odd"]) == "inf -inf nan -0x0.0p+0 0x0.0000000000001p-1022 " \
-                                       "0x1.8000000000000p+0"
     path = tmp_path / "odd.ckpt"
     save_checkpoint(path, store, seed=0, config_hash="h")
     loaded, _ = load_checkpoint(path)
     np.testing.assert_array_equal(loaded["odd"], store["odd"])
     assert np.signbit(loaded["odd"][3])
+
+
+def test_checkpoint_values_are_base64_of_little_endian_doubles(tmp_path):
+    store = ParamStore()
+    store.add("w", np.array([[1.0, -2.5]]))
+    path = tmp_path / "w.ckpt"
+    save_checkpoint(path, store, seed=0, config_hash="h")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == CHECKPOINT_MAGIC == "rexeval-checkpoint-v2"
+    expect = base64.b64encode(struct.pack("<2d", 1.0, -2.5)).decode("ascii")
+    assert lines[2] == f"w 1,2 {expect}"
+
+
+def test_checkpoint_rejects_the_hex_float_format(tmp_path):
+    path = tmp_path / "old.ckpt"
+    path.write_text('rexeval-checkpoint-v1\n{"config_hash": "h", "seed": 0, "step": 0}\n'
+                    "w 2 0x1.0000000000000p+0 -0x1.4000000000000p+1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="rexeval-checkpoint-v1") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value) and "rerun the train stage" in str(err.value)
+
+
+def test_checkpoint_rejects_a_value_count_that_does_not_match_the_shape(tmp_path):
+    store = ParamStore()
+    store.add("ok", np.zeros(2))
+    store.add("w", np.arange(6.0).reshape(2, 3))
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, store, seed=0, config_hash="h")
+    text = path.read_text(encoding="utf-8")
+    for bad_shape in ("2,2", "7", "2,3,1,2"):
+        path.write_text(text.replace("w 2,3 ", f"w {bad_shape} "), encoding="utf-8")
+        with pytest.raises(ValueError, match="parameter 'w'") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+    # a truncated value line is caught the same way
+    path.write_text(text.replace("w 2,3 ", "w 2,3 AAAA"), encoding="utf-8")
+    with pytest.raises(ValueError, match="parameter 'w'"):
+        load_checkpoint(path)
