@@ -21,6 +21,10 @@ def main(argv=None) -> int:
     parser.add_argument("cells", nargs="*", metavar="MODEL:CELL",
                         help="specific cells to check, e.g. oracle:mrr_ae")
     args = parser.parse_args(argv)
+    cells = [tuple(c.split(":", 1)) for c in args.cells] or None
+    if cells is not None and any(len(c) != 2 or not all(c) for c in cells):
+        print("error: cells must look like MODEL:CELL", file=sys.stderr)
+        return 2
 
     run = Path(args.run_dir)
     report_path = run / REPORT_JSON
@@ -28,13 +32,6 @@ def main(argv=None) -> int:
         print(f"error: no {REPORT_JSON} in {run}", file=sys.stderr)
         return 1
     report = EvaluationReport.load(report_path)
-    cells = None
-    if args.cells:
-        try:
-            cells = [tuple(c.split(":", 1)) for c in args.cells]
-        except ValueError:
-            print("error: cells must look like MODEL:CELL", file=sys.stderr)
-            return 2
     try:
         checked = verify_against_audit(report, run / AUDIT_DIR, cells=cells)
     except AuditMismatch as exc:

@@ -16,7 +16,8 @@ import hashlib
 import re
 from dataclasses import dataclass
 
-VALID_METRICS = ("air", "mrr_ae", "tlae", "entail", "gm_f1", "cnll", "rmse")
+from .metrics import METRIC_NAMES
+
 AIR_MODES = ("ground-truth", "generated", "both")
 TLAE_MODES = ("model-rating", "gold-rating", "both")
 MODEL_KINDS = ("oracle", "random", "unigram", "transformer", "recurrent")
@@ -44,10 +45,6 @@ class CorpusSpec:
     lexicon_path: str | None = None
     external_path: str | None = None  # pre-built TSV; skips generation
 
-    @property
-    def total_reviews(self) -> int:
-        return self.users * self.reviews_per_user
-
 
 @dataclass(frozen=True)
 class Seeds:
@@ -58,7 +55,7 @@ class Seeds:
 
 @dataclass(frozen=True)
 class MetricSettings:
-    metrics: tuple[str, ...] = VALID_METRICS
+    metrics: tuple[str, ...] = METRIC_NAMES
     k: int = 100
     n_explanations: int = 10000
     air_mode: str = "ground-truth"
@@ -69,8 +66,8 @@ class MetricSettings:
 
     def __post_init__(self):
         for m in self.metrics:
-            if m not in VALID_METRICS:
-                raise ValueError(f"unknown metric '{m}' (known: {', '.join(VALID_METRICS)})")
+            if m not in METRIC_NAMES:
+                raise ValueError(f"unknown metric '{m}' (known: {', '.join(METRIC_NAMES)})")
         if self.air_mode not in AIR_MODES:
             raise ValueError(f"air_mode must be one of {', '.join(AIR_MODES)}")
         if self.tlae_mode not in TLAE_MODES:
@@ -102,6 +99,13 @@ class ModelSpec:
     @property
     def trainable(self) -> bool:
         return self.kind in TRAINABLE_KINDS
+
+    @property
+    def privileged(self) -> bool:
+        """Whether the model reads the answer key: the oracle, and a
+        transformer fed the gold aspect."""
+        return self.kind == "oracle" or (self.kind == "transformer"
+                                         and bool(self.option_dict.get("use_aspect")))
 
 
 @dataclass(frozen=True)
@@ -194,8 +198,7 @@ def load_config(path) -> RunConfig:
         section = parser["metrics"]
         for key in section:
             if key == "metrics":
-                metric_kwargs["metrics"] = tuple(
-                    m.strip() for m in section[key].replace(",", " ").split())
+                metric_kwargs["metrics"] = tuple(section[key].replace(",", " ").split())
             elif key in ("k", "n_explanations", "embed_dim"):
                 metric_kwargs[key] = _parse_value("metrics", key, section[key], int)
             elif key == "cnll_weight":
@@ -295,22 +298,13 @@ def apply_overrides(config: RunConfig, *, out_dir=None, seed_corpus=None,
         if not wanted:
             raise ValueError("--models given but no names parsed")
         selected = tuple(wanted)
-    settings = config.metrics
-    updates: dict = {}
     if metrics is not None:
-        updates["metrics"] = tuple(m.strip() for m in metrics.replace(",", " ").split())
-    if k is not None:
-        updates["k"] = k
-    if n_explanations is not None:
-        updates["n_explanations"] = n_explanations
-    if air_mode is not None:
-        updates["air_mode"] = air_mode
-    if tlae_mode is not None:
-        updates["tlae_mode"] = tlae_mode
-    if audit is not None:
-        updates["audit"] = audit
-    if updates:
-        settings = dataclasses.replace(settings, **updates)
+        metrics = tuple(metrics.replace(",", " ").split())
+    updates = {key: value for key, value in (
+        ("metrics", metrics), ("k", k), ("n_explanations", n_explanations),
+        ("air_mode", air_mode), ("tlae_mode", tlae_mode), ("audit", audit))
+        if value is not None}
+    settings = dataclasses.replace(config.metrics, **updates)
     return dataclasses.replace(
         config, seeds=seeds, metrics=settings, selected=selected,
         out_dir=out_dir if out_dir is not None else config.out_dir)

@@ -9,21 +9,24 @@ aspect+polarity entailment proxy, greedy embedding matching, and a
 reference-conditioned bigram NLL. All aggregates accumulate in
 instance order with plain float sums so results are independent of any
 worker scheduling, and every metric can stream per-instance rows to an
-audit callback for external recomputation.
+audit callback for external recomputation. `CELLS`, at the end, is the
+one list of report cells that config, evaluation, report and audit read.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .autodiff import Tape
 from .lexicon import (PAD_ID, UNK_ID, RESERVED_TOKENS, Lexicon, Vocab,
                       classify_polarity, extract_aspect)
-from .models import clamp_rating
+from .models import clamp_rating, strip_reserved
 from .nn import ParamStore, clip_global_norm
 from .perturb import negate_sentiment, sample_distinct, substitute_aspect
 from .training import DivergenceError
@@ -338,16 +341,19 @@ def train_aux_regressor(corpus, *, embed_dim: int = 32, hidden_dim: int = 32,
     return reg
 
 
-def _mse(pred, target) -> float:
-    total = 0.0
-    n = 0
-    for p, t in zip(pred, target, strict=True):
-        d = float(p) - float(t)
-        total += d * d
-        n += 1
-    if n == 0:
+def _mse(predicted, gold) -> float:
+    """Mean squared error, the squares added in input order."""
+    predicted = [float(x) for x in predicted]
+    gold = [float(x) for x in gold]
+    if len(predicted) != len(gold):
+        raise ValueError(f"length mismatch: {len(predicted)} vs {len(gold)}")
+    if not predicted:
         raise ValueError("mse of empty input")
-    return total / n
+    total = 0.0
+    for p, g in zip(predicted, gold):
+        d = p - g
+        total += d * d
+    return total / len(predicted)
 
 
 def tlae(regressor: AuxRegressor, generations, *, target: str = "model-rating",
@@ -662,17 +668,7 @@ def cnll_metric(instances, lm: BigramLM, weight: float = 0.5, audit=None) -> Met
 
 
 def rmse(predicted, gold) -> float:
-    predicted = [float(x) for x in predicted]
-    gold = [float(x) for x in gold]
-    if len(predicted) != len(gold):
-        raise ValueError(f"length mismatch: {len(predicted)} vs {len(gold)}")
-    if not predicted:
-        raise ValueError("rmse of empty input")
-    total = 0.0
-    for p, g in zip(predicted, gold):
-        d = p - g
-        total += d * d
-    return math.sqrt(total / len(predicted))
+    return math.sqrt(_mse(predicted, gold))
 
 
 def rmse_metric(instances, audit=None) -> MetricResult:
@@ -689,3 +685,118 @@ def rmse_metric(instances, audit=None) -> MetricResult:
             audit(instance=f"{user}:{item}", predicted=preds[-1], gold=golds[-1],
                   squared_error=d * d)
     return MetricResult("rmse", rmse(preds, golds), len(preds), 0, LOWER, {})
+
+
+# ----------------------------------------------------------------------
+# the metric cells
+
+
+class CellInputs(NamedTuple):
+    """What cells compute from. `model` is set only when a selected cell
+    scores with it, `gens` (the model's (user, item, rating, tokens) rows,
+    aligned with the pool) only when one reads them."""
+
+    pool: list
+    lexicon: Lexicon
+    settings: object  # config.MetricSettings
+    seed: int
+    helpers: dict
+    model: object = None
+    gens: list | None = None
+
+
+def _beside_gold(c: CellInputs, column: int, gold: str) -> list:
+    """(user, item, generation column, gold review attribute) per pool row;
+    column 2 of a generation row is the model's rating, column 3 its tokens."""
+    return [(row[0], row[1], row[column], getattr(review, gold))
+            for row, review in zip(c.gens, c.pool)]
+
+
+def _mean(rows: list[dict], column: str) -> float:
+    return sum(float(r[column]) for r in rows) / len(rows)
+
+
+# fitted helpers, fit in this order when a selected cell names one:
+# (corpus, settings, eval seed, log) -> helper
+HELPERS = {
+    "regressor": lambda corpus, settings, seed, log: train_aux_regressor(
+        corpus, embed_dim=settings.embed_dim, seed=seed, log=log),
+    "embeddings": lambda corpus, settings, seed, log: train_cooccurrence_embeddings(
+        corpus, dim=settings.embed_dim),
+    "bigram": lambda corpus, settings, seed, log: BigramLM.fit(corpus),
+}
+
+
+class Cell(NamedTuple):
+    """One report column: what selects it, what it reads, how it is
+    computed and shown, and how its audit rows recompute its value."""
+
+    key: str  # results and audit key
+    metric: str  # config metric name that selects it
+    # (CellInputs, audit) -> MetricResult, calling the metric through its
+    # module-level name so that a rebinding of the name is seen
+    compute: Callable
+    header: str
+    fmt: str
+    reduce: Callable[[list[dict]], float]  # audit rows -> value
+    modes: tuple[str, tuple[str, ...]] | None = None  # (setting, values that turn it on)
+    scores_model: bool = False
+    reads_gens: bool = False
+    helper: str | None = None  # key of HELPERS
+
+
+# every metric cell, in report column order
+CELLS = (
+    Cell("air", "air",
+         lambda c, a: air(c.model, c.pool, c.lexicon, source="ground-truth", audit=a),
+         "AIR↑", "{:.2f}", lambda rows: 100.0 * (1.0 - _mean(rows, "flipped")),
+         modes=("air_mode", ("ground-truth", "both")), scores_model=True),
+    Cell("air_generated", "air",
+         lambda c, a: air(c.model, c.pool, c.lexicon, source="generated", audit=a,
+                          texts=[strip_reserved(t) for _, _, _, t in c.gens],
+                          name="air_generated"),
+         "AIR-gen↑", "{:.2f}", lambda rows: 100.0 * (1.0 - _mean(rows, "flipped")),
+         modes=("air_mode", ("generated", "both")), scores_model=True, reads_gens=True),
+    Cell("mrr_ae", "mrr_ae",
+         lambda c, a: mrr_ae(c.model, c.pool, c.lexicon, k=c.settings.k, seed=c.seed, audit=a),
+         "MRR-AE↑", "{:.2f}", lambda rows: 100.0 * _mean(rows, "reciprocal_rank"),
+         scores_model=True),
+    Cell("tlae", "tlae",
+         lambda c, a: tlae(c.helpers["regressor"], [(u, i, t, r) for u, i, r, t in c.gens],
+                           target="model-rating", audit=a),
+         "TLAE↓", "{:.3f}", lambda rows: _mean(rows, "squared_error"),
+         modes=("tlae_mode", ("model-rating", "both")), reads_gens=True, helper="regressor"),
+    Cell("tlae_gold", "tlae",
+         lambda c, a: tlae(c.helpers["regressor"], _beside_gold(c, 3, "rating"),
+                           target="gold-rating", name="tlae_gold", audit=a),
+         "TLAE-gold↓", "{:.3f}", lambda rows: _mean(rows, "squared_error"),
+         modes=("tlae_mode", ("gold-rating", "both")), reads_gens=True, helper="regressor"),
+    Cell("entail", "entail",
+         lambda c, a: entail_metric(_beside_gold(c, 3, "tokens"), c.lexicon, audit=a),
+         "Entail↑", "{:.2f}",
+         lambda rows: 100.0 * sum(int(r["entailed"]) for r in rows) / len(rows),
+         reads_gens=True),
+    Cell("gm_f1", "gm_f1",
+         lambda c, a: gm_f1_metric(_beside_gold(c, 3, "tokens"), c.helpers["embeddings"],
+                                   audit=a),
+         "GM-F1↑", "{:.3f}", lambda rows: _mean(rows, "f1"),
+         reads_gens=True, helper="embeddings"),
+    Cell("cnll", "cnll",
+         lambda c, a: cnll_metric(_beside_gold(c, 3, "tokens"), c.helpers["bigram"],
+                                  weight=c.settings.cnll_weight, audit=a),
+         "CNLL↓", "{:.3f}", lambda rows: _mean(rows, "score"),
+         reads_gens=True, helper="bigram"),
+    Cell("rmse", "rmse",
+         lambda c, a: rmse_metric(_beside_gold(c, 2, "rating"), audit=a),
+         "RMSE↓", "{:.3f}", lambda rows: math.sqrt(_mean(rows, "squared_error")),
+         reads_gens=True),
+)
+CELLS_BY_KEY = {cell.key: cell for cell in CELLS}
+METRIC_NAMES = tuple(dict.fromkeys(cell.metric for cell in CELLS))  # in column order
+
+
+def selected_cells(settings) -> list[Cell]:
+    """The cells the settings turn on, by metric in the settings' order
+    and within a metric in column order."""
+    return [cell for metric in settings.metrics for cell in CELLS if cell.metric == metric
+            and (cell.modes is None or getattr(settings, cell.modes[0]) in cell.modes[1])]

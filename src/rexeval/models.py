@@ -44,7 +44,6 @@ def _unit(*parts) -> float:
 class ExplainableRecommender(abc.ABC):
     """Rating prediction, explanation generation, and text scoring."""
 
-    privileged = False
     conditions_on_aspect = False
 
     @abc.abstractmethod
@@ -393,7 +392,6 @@ class TransformerModel(NeuralRecommender):
         self.num_items = num_items
         self.seed = seed
         self.lexicon = lexicon
-        self.privileged = arch.use_aspect
         self.conditions_on_aspect = arch.use_aspect
         self.prefix_len = 3 if arch.use_aspect else 2
         self.word_capacity = arch.max_len + 8
@@ -598,8 +596,6 @@ class OracleModel(ExplainableRecommender):
     metrics should saturate on it.
     """
 
-    privileged = True
-
     def __init__(self, world):
         from .corpus import render_review  # local import to avoid a cycle
         self._render = render_review
@@ -742,6 +738,9 @@ def model_from_parameters(store: ParamStore, header: dict, vocab: Vocab, lexicon
                                seed=header["seed"])
     else:
         raise ValueError(f"{source}: unknown model kind '{kind}'")
-    model.store.load_state({name: store[name] for name in store.names()})
+    try:
+        model.store.load_state({name: store[name] for name in store.names()})
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
     model.store.step = store.step
     return model

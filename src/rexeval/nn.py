@@ -23,15 +23,13 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .autodiff import softmax_xent_forward
-
 CHECKPOINT_MAGIC = "rexeval-checkpoint-v2"
 _WIRE_DTYPE = np.dtype("<f8")
 INIT_SCALE = 0.08
 
 
 class ParamStore:
-    """Named float64 parameter arrays with Adam moment accumulators."""
+    """Named float64 parameters; Adam moments are allocated at a first update."""
 
     def __init__(self):
         self._params: dict[str, np.ndarray] = {}
@@ -45,8 +43,6 @@ class ParamStore:
             raise ValueError(f"duplicate parameter name '{name}'")
         arr = np.array(values, dtype=np.float64)
         self._params[name] = arr
-        self._m[name] = np.zeros_like(arr)
-        self._v[name] = np.zeros_like(arr)
         return arr
 
     def add_uniform(self, name: str, shape: tuple[int, ...], rng: np.random.Generator,
@@ -75,6 +71,12 @@ class ParamStore:
         return {name: p.copy() for name, p in self._params.items()}
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Overwrite every parameter; `state` holds exactly this store's names."""
+        missing = [name for name in self._params if name not in state]
+        extra = [name for name in state if name not in self._params]
+        if missing or extra:
+            raise ValueError(f"missing parameter '{missing[0]}'" if missing
+                             else f"unexpected parameter '{extra[0]}'")
         for name, values in state.items():
             p = self._params[name]
             if p.shape != values.shape:
@@ -93,7 +95,10 @@ class ParamStore:
             p = self._params[name]
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape mismatch for '{name}': {g.shape} vs {p.shape}")
-            m = self._m[name]
+            m = self._m.get(name)
+            if m is None:  # first update: the moments start at zero
+                m = self._m[name] = np.zeros_like(p)
+                self._v[name] = np.zeros_like(p)
             v = self._v[name]
             a, b = self._scratch(p.size)
             a, b = a.reshape(p.shape), b.reshape(p.shape)
@@ -167,23 +172,6 @@ def grad_check(loss_fn: Callable[[], tuple[float, dict[str, np.ndarray]]],
             denom = max(abs(analytic), abs(numeric), 1e-8)
             worst = max(worst, abs(analytic - numeric) / denom)
     return worst
-
-
-def nll_loss(logits: np.ndarray, targets, pad_mask=None) -> float:
-    """Mean negative log-likelihood over non-padded positions."""
-    loss, _ = softmax_xent_forward(np.asarray(logits, dtype=np.float64), targets, pad_mask)
-    return loss
-
-
-def mse_loss(pred, target) -> float:
-    p = np.asarray(pred, dtype=np.float64).reshape(-1)
-    t = np.asarray(target, dtype=np.float64).reshape(-1)
-    if p.shape != t.shape:
-        raise ValueError(f"mse_loss length mismatch: {p.shape} vs {t.shape}")
-    if p.size == 0:
-        raise ValueError("mse_loss on empty input")
-    d = p - t
-    return float(d @ d / d.size)
 
 
 def save_checkpoint(path, store: ParamStore, seed: int, config_hash: str,

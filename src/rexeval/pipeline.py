@@ -22,19 +22,7 @@ from pathlib import Path
 from .config import RunConfig, lineage_hash
 from .corpus import build_corpus, generate_world, load_corpus, load_world, save_corpus, save_world
 from .lexicon import load_lexicon
-from .metrics import (
-    AuditWriter,
-    BigramLM,
-    air,
-    cnll_metric,
-    entail_metric,
-    gm_f1_metric,
-    mrr_ae,
-    rmse_metric,
-    tlae,
-    train_aux_regressor,
-    train_cooccurrence_embeddings,
-)
+from .metrics import HELPERS, AuditWriter, CellInputs, selected_cells
 from .models import (
     OracleModel,
     RandomScorer,
@@ -44,7 +32,6 @@ from .models import (
     TransformerModel,
     UnigramModel,
     model_from_parameters,
-    strip_reserved,
 )
 from .nn import load_checkpoint, save_checkpoint
 from .report import EvaluationReport, ModelRow, format_table
@@ -356,102 +343,49 @@ def _read_generations(path: Path, pool, config: RunConfig, name: str) -> list:
 def stage_evaluate(config: RunConfig, log=None) -> EvaluationReport:
     out = Path(config.out_dir)
     settings = config.metrics
+    cells = selected_cells(settings)
     with _stage_errors("evaluate"):
         corpus, lexicon, meta = _load_corpus_artifacts(config, "evaluate")
-        models = _materialize_models(config, corpus, lexicon, "evaluate")
+        models = (_materialize_models(config, corpus, lexicon, "evaluate")
+                  if any(cell.scores_model for cell in cells) else {})
         pool = _evaluation_pool(config, corpus)
         if not pool:
             raise StageError("evaluate", "empty test split: nothing to evaluate")
 
-        needs_gens = (bool({"tlae", "entail", "gm_f1", "cnll", "rmse"} & set(settings.metrics))
-                      or ("air" in settings.metrics and settings.air_mode != "ground-truth"))
         gens = {}
-        if needs_gens:
+        if any(cell.reads_gens for cell in cells):
             for spec in config.active_models:
                 gens[spec.name] = _read_generations(out / GEN_DIR / f"{spec.name}.tsv",
                                                     pool, config, spec.name)
 
-        regressor = None
-        if "tlae" in settings.metrics:
-            reg_log = (lambda m: log(f"[evaluate] {m}")) if log else None
-            regressor = train_aux_regressor(corpus, embed_dim=settings.embed_dim,
-                                            seed=config.seeds.eval, log=reg_log)
-            if log:
-                log(f"[evaluate] regressor validation mse {regressor.validation_mse:.4f}")
-        table = (train_cooccurrence_embeddings(corpus, dim=settings.embed_dim)
-                 if "gm_f1" in settings.metrics else None)
-        lm = BigramLM.fit(corpus) if "cnll" in settings.metrics else None
+        helper_log = (lambda m: log(f"[evaluate] {m}")) if log else None
+        needed = {cell.helper for cell in cells}
+        helpers = {name: fit(corpus, settings, config.seeds.eval, helper_log)
+                   for name, fit in HELPERS.items() if name in needed}
+        regressor = helpers.get("regressor")
+        if log and regressor:
+            log(f"[evaluate] regressor validation mse {regressor.validation_mse:.4f}")
+        shared = CellInputs(pool, lexicon, settings, config.seeds.eval, helpers)
 
         rows = []
         for spec in config.active_models:
-            model = models[spec.name]
-            gen_rows = gens.get(spec.name)
-            stripped = ([strip_reserved(tokens) for _, _, _, tokens in gen_rows]
-                        if gen_rows is not None else None)
-            cells: dict = {}
-
-            def add_cell(key: str, compute) -> None:
+            inputs = shared._replace(model=models.get(spec.name), gens=gens.get(spec.name))
+            results: dict = {}
+            for cell in cells:
                 audit = AuditWriter() if settings.audit else None
                 try:
-                    cells[key] = compute(audit)
+                    results[cell.key] = cell.compute(inputs, audit)
                 except Exception as exc:
-                    raise StageError("evaluate", f"model '{spec.name}', cell '{key}': "
+                    raise StageError("evaluate", f"model '{spec.name}', cell '{cell.key}': "
                                                  f"{type(exc).__name__}: {exc}") from exc
                 if audit is not None:
                     cell_dir = out / AUDIT_DIR / spec.name
                     cell_dir.mkdir(parents=True, exist_ok=True)
-                    audit.dump(cell_dir / f"{key}.tsv")
-
-            for metric in settings.metrics:
-                if metric == "air":
-                    if settings.air_mode in ("ground-truth", "both"):
-                        add_cell("air", lambda a: air(
-                            model, pool, lexicon, source="ground-truth", audit=a))
-                    if settings.air_mode in ("generated", "both"):
-                        add_cell("air_generated", lambda a: air(
-                            model, pool, lexicon, texts=stripped, source="generated",
-                            name="air_generated", audit=a))
-                elif metric == "mrr_ae":
-                    add_cell("mrr_ae", lambda a: mrr_ae(
-                        model, pool, lexicon, k=settings.k, seed=config.seeds.eval,
-                        audit=a))
-                elif metric == "tlae":
-                    if settings.tlae_mode in ("model-rating", "both"):
-                        instances = [(u, i, tokens, rating)
-                                     for u, i, rating, tokens in gen_rows]
-                        add_cell("tlae", lambda a, inst=instances: tlae(
-                            regressor, inst, target="model-rating", audit=a))
-                    if settings.tlae_mode in ("gold-rating", "both"):
-                        instances = [(row[0], row[1], row[3], review.rating)
-                                     for row, review in zip(gen_rows, pool)]
-                        add_cell("tlae_gold", lambda a, inst=instances: tlae(
-                            regressor, inst, target="gold-rating", name="tlae_gold",
-                            audit=a))
-                elif metric == "entail":
-                    instances = [(row[0], row[1], row[3], review.tokens)
-                                 for row, review in zip(gen_rows, pool)]
-                    add_cell("entail", lambda a, inst=instances: entail_metric(
-                        inst, lexicon, audit=a))
-                elif metric == "gm_f1":
-                    instances = [(row[0], row[1], row[3], review.tokens)
-                                 for row, review in zip(gen_rows, pool)]
-                    add_cell("gm_f1", lambda a, inst=instances: gm_f1_metric(
-                        inst, table, audit=a))
-                elif metric == "cnll":
-                    instances = [(row[0], row[1], row[3], review.tokens)
-                                 for row, review in zip(gen_rows, pool)]
-                    add_cell("cnll", lambda a, inst=instances: cnll_metric(
-                        inst, lm, weight=settings.cnll_weight, audit=a))
-                elif metric == "rmse":
-                    instances = [(row[0], row[1], row[2], review.rating)
-                                 for row, review in zip(gen_rows, pool)]
-                    add_cell("rmse", lambda a, inst=instances: rmse_metric(inst, audit=a))
-
-            rows.append(ModelRow(model=spec.name,
-                                 privileged=bool(getattr(model, "privileged", False)),
-                                 note=spec.note, cells=cells))
+                    audit.dump(cell_dir / f"{cell.key}.tsv")
+            rows.append(ModelRow(model=spec.name, privileged=spec.privileged,
+                                 note=spec.note, cells=results))
             if log:
-                summary = " ".join(f"{k}={c.value:.3f}" for k, c in cells.items())
+                summary = " ".join(f"{k}={c.value:.3f}" for k, c in results.items())
                 log(f"[evaluate] {spec.name}: {summary}")
 
         report = EvaluationReport(
@@ -468,8 +402,7 @@ def stage_evaluate(config: RunConfig, log=None) -> EvaluationReport:
                 "cnll_weight": settings.cnll_weight,
                 "embed_dim": settings.embed_dim,
             },
-            regressor_validation_mse=(regressor.validation_mse
-                                      if regressor is not None else None),
+            regressor_validation_mse=regressor.validation_mse if regressor else None,
             rows=rows,
         )
         report.save(out / RESULTS_FILE)

@@ -1,32 +1,19 @@
 """Evaluation reports: a lossless JSON form and a plain-text table.
 
-The table marks the per-column best among non-privileged models and
-footnotes every cell that excluded instances. The JSON form carries
-every MetricResult so any cell can be traced back to its inputs, and
-`verify_against_audit` recomputes cells from per-instance audit logs.
+The table's columns come from `metrics.CELLS`; it marks the per-column
+best among non-privileged models and footnotes every cell that excluded
+instances. The JSON form carries every MetricResult so any cell can be
+traced back to its inputs, and `verify_against_audit` recomputes cells
+from per-instance audit logs with each cell's reduction in `CELLS`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .metrics import HIGHER, MetricResult
-
-# column key, table header, cell format
-COLUMNS = (
-    ("air", "AIR↑", "{:.2f}"),
-    ("air_generated", "AIR-gen↑", "{:.2f}"),
-    ("mrr_ae", "MRR-AE↑", "{:.2f}"),
-    ("tlae", "TLAE↓", "{:.3f}"),
-    ("tlae_gold", "TLAE-gold↓", "{:.3f}"),
-    ("entail", "Entail↑", "{:.2f}"),
-    ("gm_f1", "GM-F1↑", "{:.3f}"),
-    ("cnll", "CNLL↓", "{:.3f}"),
-    ("rmse", "RMSE↓", "{:.3f}"),
-)
+from .metrics import CELLS, CELLS_BY_KEY, HIGHER, MetricResult
 
 
 @dataclass
@@ -105,30 +92,30 @@ def _best_values(report: EvaluationReport, key: str) -> float | None:
 
 
 def format_table(report: EvaluationReport) -> str:
-    columns = [c for c in COLUMNS if any(c[0] in row.cells for row in report.rows)]
-    best = {key: _best_values(report, key) for key, _, _ in columns}
+    columns = [c for c in CELLS if any(c.key in row.cells for row in report.rows)]
+    best = {c.key: _best_values(report, c.key) for c in columns}
 
     footnotes: list[str] = []
     grid: list[list[str]] = []
     for row in report.rows:
         name = row.model + (" (privileged)" if row.privileged else "")
         rendered = [name]
-        for key, _, fmt in columns:
-            cell = row.cells.get(key)
+        for column in columns:
+            cell = row.cells.get(column.key)
             if cell is None:
                 rendered.append("-")
                 continue
-            text = fmt.format(cell.value)
-            if not row.privileged and best[key] is not None and cell.value == best[key]:
+            text = column.fmt.format(cell.value)
+            if not row.privileged and cell.value == best[column.key]:
                 text = f"*{text}*"
             if cell.excluded > 0:
-                footnotes.append(f"[{len(footnotes) + 1}] {row.model} {key}: "
+                footnotes.append(f"[{len(footnotes) + 1}] {row.model} {column.key}: "
                                  f"{cell.excluded} of {cell.attempted} instances excluded")
                 text += f"[{len(footnotes)}]"
             rendered.append(text)
         grid.append(rendered)
 
-    headers = ["model"] + [header for _, header, _ in columns]
+    headers = ["model"] + [c.header for c in columns]
     widths = [max(len(headers[c]), *(len(g[c]) for g in grid)) for c in range(len(headers))]
     lines = [
         "explanation faithfulness and coherence report",
@@ -163,26 +150,6 @@ def _read_audit(path: Path) -> list[dict]:
         return []
     columns = lines[0].split("\t")
     return [dict(zip(columns, line.split("\t"), strict=True)) for line in lines[1:]]
-
-
-def _recompute(name: str, rows: list[dict]) -> float:
-    name = {"air_generated": "air", "tlae_gold": "tlae"}.get(name, name)
-    if name == "air":
-        flipped = sum(int(r["flipped"]) for r in rows)
-        return 100.0 * (1.0 - flipped / len(rows))
-    if name == "mrr_ae":
-        return 100.0 * (sum(float(r["reciprocal_rank"]) for r in rows) / len(rows))
-    if name == "tlae":
-        return sum(float(r["squared_error"]) for r in rows) / len(rows)
-    if name == "entail":
-        return 100.0 * sum(int(r["entailed"]) for r in rows) / len(rows)
-    if name == "gm_f1":
-        return sum(float(r["f1"]) for r in rows) / len(rows)
-    if name == "cnll":
-        return sum(float(r["score"]) for r in rows) / len(rows)
-    if name == "rmse":
-        return math.sqrt(sum(float(r["squared_error"]) for r in rows) / len(rows))
-    raise ValueError(f"no audit recomputation rule for metric '{name}'")
 
 
 def _unexplained_ranks(rows: list[dict]) -> list[str]:
@@ -222,7 +189,9 @@ def verify_against_audit(report: EvaluationReport, audit_dir, cells=None,
                 raise AuditMismatch(
                     f"{row.model}/{key}: audit has {len(rows)} instances, "
                     f"report says {cell.count}")
-            recomputed = _recompute(cell.name, rows)
+            if key not in CELLS_BY_KEY:
+                raise ValueError(f"no audit recomputation rule for cell '{key}'")
+            recomputed = CELLS_BY_KEY[key].reduce(rows)
             if abs(recomputed - cell.value) > tol * max(1.0, abs(cell.value)):
                 raise AuditMismatch(
                     f"{row.model}/{key}: reported {cell.value!r} but audit "

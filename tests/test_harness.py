@@ -177,6 +177,14 @@ def test_spec_validation():
         RunConfig(selected=())
 
 
+def test_model_spec_privileged_marks_oracle_and_aspect_transformers():
+    assert ModelSpec("o", "oracle").privileged
+    assert ModelSpec("t", "transformer", (("use_aspect", True),)).privileged
+    assert not ModelSpec("t", "transformer", (("use_aspect", False),)).privileged
+    for kind in ("random", "unigram", "transformer", "recurrent"):
+        assert not ModelSpec("m", kind).privileged
+
+
 def test_lineage_hash_covers_artifacts_only(micro_config):
     base = micro_config
     ref = lineage_hash(base)
@@ -279,6 +287,23 @@ def test_compare_runs_names_every_differing_or_missing_file(staged_dir, runall_d
                                         "differs: gens/tiny.tsv"]
 
 
+VERIFY_AUDIT = COMPARE_RUNS.with_name("verify_audit.py")
+
+
+def test_verify_audit_rejects_cells_without_model_and_key(runall_dir):
+    def verify(*cells):
+        return subprocess.run([sys.executable, str(VERIFY_AUDIT), str(runall_dir), *cells],
+                              capture_output=True, text=True, check=False)
+
+    ok = verify("oracle:air", "tiny:tlae_gold")
+    assert ok.returncode == 0, ok.stdout + ok.stderr
+    assert "2 cell(s) verified" in ok.stdout
+    for bad in ("oracle", ":air", "oracle:"):
+        done = verify("oracle:air", bad)
+        assert done.returncode == 2, (bad, done.stdout + done.stderr)
+        assert "cells must look like MODEL:CELL" in done.stderr
+
+
 def test_artifact_layout_and_meta(runall_dir, micro_config):
     meta = json.loads((runall_dir / "meta.json").read_text(encoding="utf-8"))
     assert meta["config_hash"] == lineage_hash(micro_config)
@@ -338,6 +363,24 @@ def test_selection_and_generated_air_mode(micro_ini, runall_dir, tmp_path):
     checked = verify_against_audit(report, target / "audit")
     assert {key for _, key, _, _ in checked} == {"air", "air_generated",
                                                  "entail", "rmse"}
+
+
+def test_cells_that_read_only_generations_open_no_checkpoint(micro_ini, runall_dir,
+                                                              tmp_path, capsys):
+    argv = ("--metrics", "tlae entail gm_f1 cnll rmse", "--tlae-mode", "both")
+    intact = tmp_path / "intact"
+    shutil.copytree(runall_dir, intact)
+    assert _cli("evaluate", "--config", micro_ini, "--out", intact, "--quiet", *argv) == 0
+    bare = tmp_path / "bare"
+    shutil.copytree(runall_dir, bare)
+    shutil.rmtree(bare / "checkpoints")
+    assert _cli("evaluate", "--config", micro_ini, "--out", bare, "--quiet", *argv) == 0
+    assert (bare / "results.json").read_bytes() == (intact / "results.json").read_bytes()
+    assert _tree(bare / "audit") == _tree(intact / "audit")
+    # a cell that scores with the model still needs its checkpoint
+    assert _cli("evaluate", "--config", micro_ini, "--out", bare, "--quiet",
+                "--metrics", "entail mrr_ae") == 1
+    assert "missing checkpoint for 'tiny'" in capsys.readouterr().err
 
 
 def test_evaluate_errors_name_the_model_and_cell(micro_ini, runall_dir, tmp_path,

@@ -1,5 +1,8 @@
 """Model contracts: scoring laws, batching, generation, checkpoints."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -114,7 +117,6 @@ def test_oracle_reproduces_ground_truth(tiny_corpus):
         assert oracle.perplexity(review.user, review.item, gold.tokens) == 1.0
         other = list(gold.tokens) + ["extra"]
         assert oracle.log_likelihood(review.user, review.item, other) <= -1.0
-    assert OracleModel.privileged is True
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +221,7 @@ def test_aspect_conditioning_contract(tiny_corpus, lexicon, fresh_transformer,
     cond = TransformerModel(
         TransformerArch(embed_dim=16, ffn_dim=32, layers=1, heads=2, use_aspect=True),
         tiny_corpus.vocab, 10, 8, seed=7, lexicon=lexicon)
-    assert cond.privileged and cond.conditions_on_aspect
+    assert cond.conditions_on_aspect
     with pytest.raises(ValueError, match="needs a conditioning aspect"):
         cond.generate(0, 0)
     out = cond.generate(0, 0, aspect="food")
@@ -275,6 +277,35 @@ def test_model_from_checkpoint_validation(tmp_path, tiny_corpus, fresh_transform
                     extra={"model": desc})
     with pytest.raises(ValueError, match="unknown model kind"):
         model_from_checkpoint(weird, tiny_corpus.vocab)
+
+
+def test_truncated_or_padded_checkpoint_is_rejected(tmp_path, tiny_corpus,
+                                                    fresh_transformer):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, fresh_transformer.store, seed=1, config_hash="h",
+                    extra={"model": fresh_transformer.architecture_header()})
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    last = fresh_transformer.store.names()[-1]
+    assert lines[-1].startswith(f"{last} ")
+
+    path.write_text("".join(lines[:-1]), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"missing parameter '{last}'") as err:
+        model_from_checkpoint(path, tiny_corpus.vocab)
+    assert str(path) in str(err.value)
+
+    path.write_text("".join(lines + [lines[-1].replace(last, "extra.w", 1)]),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="unexpected parameter 'extra.w'"):
+        model_from_checkpoint(path, tiny_corpus.vocab)
+
+    # the same values under a flattened shape
+    idx = next(j for j in range(2, len(lines)) if "," in lines[j].split(" ")[1])
+    name, shape, values = lines[idx].split(" ")
+    size = math.prod(int(d) for d in shape.split(","))
+    lines[idx] = f"{name} {size} {values}"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"shape mismatch for '{name}'")):
+        model_from_checkpoint(path, tiny_corpus.vocab)
 
 
 def test_make_batch_layout(tiny_corpus):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rexeval.autodiff import softmax_xent_forward
 from rexeval.nn import (CHECKPOINT_MAGIC, ParamStore, clip_global_norm, grad_check,
-                        load_checkpoint, mse_loss, nll_loss, save_checkpoint)
+                        load_checkpoint, save_checkpoint)
 
 
 def test_store_basics():
@@ -88,6 +89,18 @@ def test_adam_step_equals_the_fresh_array_formula_bitwise():
             assert (store[name].view(np.uint64) == p.view(np.uint64)).all()
 
 
+def test_a_loaded_store_allocates_no_adam_moments(tmp_path):
+    store = ParamStore()
+    store.add("w", np.arange(6.0).reshape(2, 3))
+    store.add_zeros("b", (3,))
+    path = tmp_path / "store.ckpt"
+    save_checkpoint(path, store, seed=0, config_hash="h")
+    loaded, _ = load_checkpoint(path)
+    assert loaded._m == {} and loaded._v == {}
+    loaded.adam_step({"w": np.ones((2, 3))}, lr=1e-3)
+    assert list(loaded._m) == list(loaded._v) == ["w"]
+
+
 def test_adam_validates_inputs():
     store = ParamStore()
     store.add("p", np.zeros(2))
@@ -130,13 +143,8 @@ def test_grad_check_guards():
 
 def test_loss_helpers():
     logits = np.log(np.array([[0.25, 0.75], [0.5, 0.5]]))
-    assert nll_loss(logits, [1, 0]) == pytest.approx(
-        -(np.log(0.75) + np.log(0.5)) / 2)
-    assert mse_loss([1.0, 3.0], [0.0, 1.0]) == pytest.approx(2.5)
-    with pytest.raises(ValueError, match="length mismatch"):
-        mse_loss([1.0], [1.0, 2.0])
-    with pytest.raises(ValueError, match="empty"):
-        mse_loss([], [])
+    loss, _ = softmax_xent_forward(logits, np.array([1, 0]))
+    assert loss == pytest.approx(-(np.log(0.75) + np.log(0.5)) / 2)
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
