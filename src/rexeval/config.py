@@ -17,20 +17,15 @@ import re
 from dataclasses import dataclass
 
 from .metrics import METRIC_NAMES
+from .models import KINDS
 
 AIR_MODES = ("ground-truth", "generated", "both")
 TLAE_MODES = ("model-rating", "gold-rating", "both")
-MODEL_KINDS = ("oracle", "random", "unigram", "transformer", "recurrent")
-TRAINABLE_KINDS = ("transformer", "recurrent")
 
-# every recognised [model:*] key with its parser; "note" is free text
-_MODEL_OPTION_TYPES = {
-    "embed_dim": int, "ffn_dim": int, "layers": int, "heads": int,
-    "max_len": int, "rating_hidden": int, "hidden_dim": int,
-    "use_aspect": "bool", "alpha": float,
-    "epochs": int, "batch_size": int, "lr": float, "rating_weight": float,
-    "clip_norm": float, "patience": int,
-}
+
+def _repeated(names) -> list[str]:
+    """The names that occur more than once, in order of first occurrence."""
+    return [name for name in dict.fromkeys(names) if names.count(name) > 1]
 
 
 @dataclass(frozen=True)
@@ -68,6 +63,8 @@ class MetricSettings:
         for m in self.metrics:
             if m not in METRIC_NAMES:
                 raise ValueError(f"unknown metric '{m}' (known: {', '.join(METRIC_NAMES)})")
+        if repeated := _repeated(self.metrics):
+            raise ValueError(f"metric(s) selected more than once: {', '.join(repeated)}")
         if self.air_mode not in AIR_MODES:
             raise ValueError(f"air_mode must be one of {', '.join(AIR_MODES)}")
         if self.tlae_mode not in TLAE_MODES:
@@ -86,11 +83,16 @@ class ModelSpec:
     note: str = ""
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind '{self.kind}' (known: {', '.join(MODEL_KINDS)})")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown model kind '{self.kind}' (known: {', '.join(KINDS)})")
         if not re.fullmatch(r"[A-Za-z0-9._-]+", self.name):
             raise ValueError(f"model name '{self.name}' may only use letters, digits, "
                              "dot, dash and underscore")
+        takes = KINDS[self.kind].options
+        for key, _ in self.options:
+            if key not in takes:
+                raise ValueError(f"model '{self.name}': unknown key '{key}' for kind "
+                                 f"'{self.kind}' (it takes {', '.join(takes) or 'no options'})")
 
     @property
     def option_dict(self) -> dict:
@@ -98,14 +100,13 @@ class ModelSpec:
 
     @property
     def trainable(self) -> bool:
-        return self.kind in TRAINABLE_KINDS
+        return KINDS[self.kind].model is not None
 
     @property
     def privileged(self) -> bool:
         """Whether the model reads the answer key: the oracle, and a
         transformer fed the gold aspect."""
-        return self.kind == "oracle" or (self.kind == "transformer"
-                                         and bool(self.option_dict.get("use_aspect")))
+        return KINDS[self.kind].privileged(self.option_dict)
 
 
 @dataclass(frozen=True)
@@ -123,14 +124,16 @@ class RunConfig:
         if not self.models:
             raise ValueError("model roster is empty")
         names = [m.name for m in self.models]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate model names in roster")
+        if repeated := _repeated(names):
+            raise ValueError(f"duplicate model names in roster: {', '.join(repeated)}")
         if self.selected is not None:
             missing = [s for s in self.selected if s not in names]
             if missing:
                 raise ValueError(f"unknown model(s) selected: {', '.join(missing)}")
             if not self.selected:
                 raise ValueError("empty model selection")
+            if repeated := _repeated(self.selected):
+                raise ValueError(f"model(s) selected more than once: {', '.join(repeated)}")
 
     @property
     def active_models(self) -> tuple[ModelSpec, ...]:
@@ -148,7 +151,7 @@ class RunConfig:
 
 def _parse_value(section: str, key: str, raw: str, kind):
     try:
-        if kind == "bool":
+        if kind is bool:
             lowered = raw.strip().lower()
             if lowered in ("true", "yes", "1", "on"):
                 return True
@@ -206,7 +209,7 @@ def load_config(path) -> RunConfig:
             elif key in ("air_mode", "tlae_mode"):
                 metric_kwargs[key] = section[key].strip()
             elif key == "audit":
-                metric_kwargs[key] = _parse_value("metrics", key, section[key], "bool")
+                metric_kwargs[key] = _parse_value("metrics", key, section[key], bool)
             else:
                 raise ValueError(f"[metrics] unknown key '{key}'")
 
@@ -230,6 +233,8 @@ def load_config(path) -> RunConfig:
         kind = section.get("kind", "").strip()
         if not kind:
             raise ValueError(f"[{section_name}] missing 'kind'")
+        # a key the kind does not take is kept as text, for ModelSpec to reject
+        parsers = KINDS[kind].options if kind in KINDS else {}
         options = []
         note = ""
         for key in section:
@@ -238,10 +243,8 @@ def load_config(path) -> RunConfig:
             if key == "note":
                 note = section[key].strip()
                 continue
-            if key not in _MODEL_OPTION_TYPES:
-                raise ValueError(f"[{section_name}] unknown key '{key}'")
-            options.append((key, _parse_value(
-                section_name, key, section[key], _MODEL_OPTION_TYPES[key])))
+            options.append((key, _parse_value(section_name, key, section[key],
+                                              parsers.get(key, str))))
         models.append(ModelSpec(name, kind, tuple(sorted(options)), note))
 
     return RunConfig(

@@ -15,14 +15,17 @@ mutable state.
 from __future__ import annotations
 
 import abc
+import dataclasses
 import hashlib
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .autodiff import Tape, log_softmax
 from .lexicon import BOS_ID, EOS_ID, PAD_ID, UNK_ID, RESERVED_TOKENS, Vocab, extract_aspect
 from .nn import ParamStore, load_checkpoint
+from .training import Batch, TrainConfig
 
 EOS_TOKEN = RESERVED_TOKENS[EOS_ID]
 
@@ -47,8 +50,9 @@ class ExplainableRecommender(abc.ABC):
     conditions_on_aspect = False
 
     @abc.abstractmethod
-    def predict_rating(self, user: int, item: int) -> float:
-        """Predicted rating in [1, 5]."""
+    def predict_rating(self, user: int, item: int, aspect: str | None = None) -> float:
+        """Predicted rating in [1, 5]; the aspect is None for models that
+        do not condition on one."""
 
     @abc.abstractmethod
     def generate(self, user: int, item: int, aspect: str | None = None,
@@ -56,10 +60,9 @@ class ExplainableRecommender(abc.ABC):
         """Explanation tokens, ending with the EOS marker."""
 
     def predict_rating_many(self, requests) -> list[float]:
-        """Ratings for many (user, item, aspect) requests, the aspect None for
-        models that do not condition on one; overridden where batching pays."""
-        return [self.predict_rating(u, i) if a is None else self.predict_rating(u, i, aspect=a)
-                for u, i, a in requests]
+        """Ratings for many (user, item, aspect) requests; overridden where
+        batching pays."""
+        return [self.predict_rating(u, i, aspect=a) for u, i, a in requests]
 
     def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
         """Explanations for many (user, item, aspect) requests; overridden where
@@ -70,19 +73,16 @@ class ExplainableRecommender(abc.ABC):
     def log_likelihood(self, user: int, item: int, tokens) -> float:
         """Sum of per-token log-probabilities, EOS included. Always <= 0."""
 
-    def perplexity(self, user: int, item: int, tokens) -> float:
-        """exp(-log_likelihood / T) with T counting scored positions (words + EOS)."""
-        tokens = list(tokens)
-        if not tokens:
-            raise ValueError("perplexity of empty text")
-        ll = self.log_likelihood(user, item, tokens)
-        return float(np.exp(-ll / (len(tokens) + 1)))
-
     def log_likelihood_many(self, requests) -> list[float]:
         """Score many (user, item, tokens) requests; overridden where batching pays."""
         return [self.log_likelihood(u, i, tokens) for u, i, tokens in requests]
 
+    def perplexity(self, user: int, item: int, tokens) -> float:
+        return self.perplexity_many([(user, item, tokens)])[0]
+
     def perplexity_many(self, requests) -> list[float]:
+        """exp(-log_likelihood / T) per (user, item, tokens) request, with T
+        counting scored positions (words + EOS)."""
         requests = [(u, i, list(tokens)) for u, i, tokens in requests]
         for _, _, tokens in requests:
             if not tokens:
@@ -90,50 +90,6 @@ class ExplainableRecommender(abc.ABC):
         lls = self.log_likelihood_many(requests)
         return [float(np.exp(-ll / (len(tokens) + 1)))
                 for (_, _, tokens), ll in zip(requests, lls)]
-
-
-@dataclass
-class Batch:
-    """Padded encodings of a list of reviews."""
-
-    users: np.ndarray       # (B,)
-    items: np.ndarray       # (B,)
-    aspect_ids: np.ndarray  # (B,) vocab id of each review's aspect term
-    input_ids: np.ndarray   # (B, W): BOS then words, right-padded
-    target_ids: np.ndarray  # (B, W): words then EOS, right-padded
-    pad: np.ndarray         # (B, W): True at padded positions
-    ratings: np.ndarray     # (B,) float
-
-    @property
-    def scored_positions(self) -> int:
-        return int((~self.pad).sum())
-
-
-def make_batch(reviews, vocab: Vocab) -> Batch:
-    if not reviews:
-        raise ValueError("empty batch")
-    encoded = [vocab.encode(r.tokens, append_eos=False) for r in reviews]
-    W = max(len(ids) for ids in encoded) + 1
-    B = len(reviews)
-    input_ids = np.full((B, W), PAD_ID, dtype=np.int64)
-    target_ids = np.full((B, W), PAD_ID, dtype=np.int64)
-    pad = np.ones((B, W), dtype=bool)
-    for b, ids in enumerate(encoded):
-        n = len(ids)
-        input_ids[b, 0] = BOS_ID
-        input_ids[b, 1:n + 1] = ids
-        target_ids[b, :n] = ids
-        target_ids[b, n] = EOS_ID
-        pad[b, :n + 1] = False
-    return Batch(
-        users=np.array([r.user for r in reviews], dtype=np.int64),
-        items=np.array([r.item for r in reviews], dtype=np.int64),
-        aspect_ids=np.array([vocab.token_to_id(r.aspect) for r in reviews], dtype=np.int64),
-        input_ids=input_ids,
-        target_ids=target_ids,
-        pad=pad,
-        ratings=np.array([r.rating for r in reviews], dtype=np.float64),
-    )
 
 
 def _sum_target_logprobs(lp: np.ndarray, tok_ids) -> list[float]:
@@ -200,7 +156,24 @@ class NeuralRecommender(ExplainableRecommender):
     is the node the rating head reads; with `past`, the state of an
     earlier call, it continues that sequence and the head input is None.
     `_keep_rows(state, keep)` drops the state rows where `keep` is False.
+    `kind` names the architecture in checkpoint headers and in `KINDS`.
     """
+
+    kind: str
+
+    def __init__(self, arch, vocab: Vocab, num_users: int, num_items: int, seed: int,
+                 lexicon=None):
+        self.arch = arch
+        self.vocab = vocab
+        self.num_users = num_users
+        self.num_items = num_items
+        self.seed = seed
+        self.lexicon = lexicon
+
+    def architecture_header(self) -> dict:
+        return {"kind": self.kind, "num_users": self.num_users,
+                "num_items": self.num_items, "vocab_size": len(self.vocab),
+                **dataclasses.asdict(self.arch)}
 
     @abc.abstractmethod
     def _run(self, tape: Tape, users, items, aspect_ids, input_ids, past=None):
@@ -382,16 +355,13 @@ class TransformerModel(NeuralRecommender):
     predictions are independent of any decoded words.
     """
 
+    kind = "transformer"
+
     def __init__(self, arch: TransformerArch, vocab: Vocab, num_users: int,
                  num_items: int, seed: int, lexicon=None):
         if arch.use_aspect and lexicon is None:
             raise ValueError("aspect-conditioned model needs a lexicon")
-        self.arch = arch
-        self.vocab = vocab
-        self.num_users = num_users
-        self.num_items = num_items
-        self.seed = seed
-        self.lexicon = lexicon
+        super().__init__(arch, vocab, num_users, num_items, seed, lexicon)
         self.conditions_on_aspect = arch.use_aspect
         self.prefix_len = 3 if arch.use_aspect else 2
         self.word_capacity = arch.max_len + 8
@@ -497,11 +467,6 @@ class TransformerModel(NeuralRecommender):
     def _keep_rows(self, kv, keep):
         return [(k[keep], v[keep]) for k, v in kv]
 
-    def architecture_header(self) -> dict:
-        return {"kind": "transformer", "num_users": self.num_users,
-                "num_items": self.num_items, "vocab_size": len(self.vocab),
-                **asdict(self.arch)}
-
 
 @dataclass(frozen=True)
 class RecurrentArch:
@@ -518,14 +483,11 @@ class RecurrentModel(NeuralRecommender):
     concatenation, so ratings do not depend on decoded words.
     """
 
-    def __init__(self, arch: RecurrentArch, vocab: Vocab, num_users: int,
-                 num_items: int, seed: int):
-        self.arch = arch
-        self.vocab = vocab
-        self.num_users = num_users
-        self.num_items = num_items
-        self.seed = seed
+    kind = "recurrent"
 
+    def __init__(self, arch: RecurrentArch, vocab: Vocab, num_users: int,
+                 num_items: int, seed: int, lexicon=None):
+        super().__init__(arch, vocab, num_users, num_items, seed, lexicon)
         d, H = arch.embed_dim, arch.hidden_dim
         rng = np.random.default_rng([seed, 0x6F0])
         store = ParamStore()
@@ -578,11 +540,6 @@ class RecurrentModel(NeuralRecommender):
     def _keep_rows(self, h, keep):
         return h[keep]
 
-    def architecture_header(self) -> dict:
-        return {"kind": "recurrent", "num_users": self.num_users,
-                "num_items": self.num_items, "vocab_size": len(self.vocab),
-                **asdict(self.arch)}
-
 
 # ----------------------------------------------------------------------
 # reference scorers
@@ -598,6 +555,8 @@ class OracleModel(ExplainableRecommender):
 
     def __init__(self, world):
         from .corpus import render_review  # local import to avoid a cycle
+        if world is None:
+            raise ValueError("the oracle needs a generated corpus with a saved world")
         self._render = render_review
         self.world = world
         self._cache: dict[tuple[int, int], object] = {}
@@ -610,7 +569,7 @@ class OracleModel(ExplainableRecommender):
             self._cache[key] = review
         return review
 
-    def predict_rating(self, user: int, item: int) -> float:
+    def predict_rating(self, user: int, item: int, aspect: str | None = None) -> float:
         return float(self._gold(user, item).rating)
 
     def generate(self, user: int, item: int, aspect: str | None = None,
@@ -633,7 +592,7 @@ class RandomScorer(ExplainableRecommender):
         self.seed = seed
         self.vocab = vocab
 
-    def predict_rating(self, user: int, item: int) -> float:
+    def predict_rating(self, user: int, item: int, aspect: str | None = None) -> float:
         return 1.0 + 4.0 * _unit(self.seed, "rating", user, item)
 
     def generate(self, user: int, item: int, aspect: str | None = None,
@@ -661,7 +620,7 @@ class UniformScorer(ExplainableRecommender):
             raise ValueError("vocab size must be positive")
         self.vocab_size = vocab_size
 
-    def predict_rating(self, user: int, item: int) -> float:
+    def predict_rating(self, user: int, item: int, aspect: str | None = None) -> float:
         return 3.0
 
     def generate(self, user: int, item: int, aspect: str | None = None,
@@ -694,7 +653,7 @@ class UnigramModel(ExplainableRecommender):
         mean_rating = float(np.mean([r.rating for r in corpus.train]))
         return cls(log_probs, mean_rating, vocab)
 
-    def predict_rating(self, user: int, item: int) -> float:
+    def predict_rating(self, user: int, item: int, aspect: str | None = None) -> float:
         return clamp_rating(self.mean_rating)
 
     def generate(self, user: int, item: int, aspect: str | None = None,
@@ -727,20 +686,71 @@ def model_from_parameters(store: ParamStore, header: dict, vocab: Vocab, lexicon
         raise ValueError(f"{source}: checkpoint lacks a model description")
     if desc["vocab_size"] != len(vocab):
         raise ValueError(f"{source}: vocab size {desc['vocab_size']} != corpus {len(vocab)}")
-    kind = desc["kind"]
-    if kind == "transformer":
-        arch = TransformerArch(**{f: desc[f] for f in TransformerArch.__dataclass_fields__})
-        model = TransformerModel(arch, vocab, desc["num_users"], desc["num_items"],
-                                 seed=header["seed"], lexicon=lexicon)
-    elif kind == "recurrent":
-        arch = RecurrentArch(**{f: desc[f] for f in RecurrentArch.__dataclass_fields__})
-        model = RecurrentModel(arch, vocab, desc["num_users"], desc["num_items"],
-                               seed=header["seed"])
-    else:
-        raise ValueError(f"{source}: unknown model kind '{kind}'")
+    kind = KINDS.get(desc["kind"])
+    if kind is None or kind.model is None:
+        raise ValueError(f"{source}: unknown model kind '{desc['kind']}'")
+    arch = kind.arch(**{f.name: desc[f.name] for f in dataclasses.fields(kind.arch)})
+    model = kind.model(arch, vocab, desc["num_users"], desc["num_items"],
+                       seed=header["seed"], lexicon=lexicon)
     try:
         model.store.load_state({name: store[name] for name in store.names()})
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
     model.store.step = store.step
     return model
+
+
+# ----------------------------------------------------------------------
+# the roster kinds
+
+
+def _id_bounds(corpus) -> tuple[int, int]:
+    """(users, items) a model of the corpus needs embeddings for."""
+    if corpus.world is not None:
+        return corpus.world.num_users, corpus.world.num_items
+    users = items = 0
+    for _, review in corpus.all_reviews():
+        users = max(users, review.user + 1)
+        items = max(items, review.item + 1)
+    return users, items
+
+
+class Kind(NamedTuple):
+    """One roster kind: the [model:*] options it takes, how an untrained
+    model of it is built, and, for a trainable kind, its model class and
+    architecture."""
+
+    options: dict[str, Callable]  # option -> parser of its INI value
+    build: Callable  # (options dict, corpus, lexicon, seed) -> untrained model
+    model: type | None = None  # NeuralRecommender subclass, for a trainable kind
+    arch: type | None = None  # the architecture dataclass it is built from
+    privileged: Callable[[dict], bool] = lambda options: False  # reads the answer key
+
+    def train_options(self, options: dict) -> dict:
+        """A trainable kind's options that are not architecture fields: the
+        TrainConfig keyword arguments."""
+        return {k: v for k, v in options.items() if k not in self.arch.__dataclass_fields__}
+
+
+def _trainable(model: type, arch: type, **kwargs) -> Kind:
+    """A trainable kind: it takes its architecture's fields and the training
+    settings other than the seed, each parsed as the type of its default."""
+    def build(options, corpus, lexicon, seed):
+        arch_options = {k: v for k, v in options.items() if k in arch.__dataclass_fields__}
+        return model(arch(**arch_options), corpus.vocab, *_id_bounds(corpus), seed, lexicon)
+    parsers = {f.name: type(f.default) for settings in (arch, TrainConfig)
+               for f in dataclasses.fields(settings) if f.name != "seed"}
+    return Kind(parsers, build, model, arch, **kwargs)
+
+
+# every roster kind, by the name a [model:*] section gives as its `kind`
+KINDS = {
+    "oracle": Kind({}, lambda options, corpus, lexicon, seed: OracleModel(corpus.world),
+                   privileged=lambda options: True),
+    "random": Kind({}, lambda options, corpus, lexicon, seed: RandomScorer(seed, corpus.vocab)),
+    "unigram": Kind({"alpha": float},
+                    lambda options, corpus, lexicon, seed: UnigramModel.fit(corpus, **options)),
+    "transformer": _trainable(TransformerModel, TransformerArch,
+                              privileged=lambda options: bool(options.get("use_aspect"))),
+    "recurrent": _trainable(RecurrentModel, RecurrentArch),
+}

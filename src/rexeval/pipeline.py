@@ -23,16 +23,7 @@ from .config import RunConfig, lineage_hash
 from .corpus import build_corpus, generate_world, load_corpus, load_world, save_corpus, save_world
 from .lexicon import load_lexicon
 from .metrics import HELPERS, AuditWriter, CellInputs, selected_cells
-from .models import (
-    OracleModel,
-    RandomScorer,
-    RecurrentArch,
-    RecurrentModel,
-    TransformerArch,
-    TransformerModel,
-    UnigramModel,
-    model_from_parameters,
-)
+from .models import KINDS, model_from_parameters
 from .nn import load_checkpoint, save_checkpoint
 from .report import EvaluationReport, ModelRow, format_table
 from .training import TrainConfig, train_model
@@ -50,8 +41,6 @@ REPORT_TXT = "report.txt"
 TIMING_FILE = "timing.txt"
 
 STAGES = ("gen-corpus", "train", "generate", "evaluate", "report")
-
-_TRAIN_KEYS = ("epochs", "batch_size", "lr", "rating_weight", "clip_norm", "patience")
 
 
 class StageError(RuntimeError):
@@ -125,65 +114,14 @@ def _load_corpus_artifacts(config: RunConfig, stage: str):
     return corpus, lexicon, meta
 
 
-def _id_bounds(corpus) -> tuple[int, int]:
-    if corpus.world is not None:
-        return corpus.world.num_users, corpus.world.num_items
-    users = items = 0
-    for _, review in corpus.all_reviews():
-        users = max(users, review.user + 1)
-        items = max(items, review.item + 1)
-    return users, items
-
-
 # ----------------------------------------------------------------------
 # model construction
 
 
-def _split_options(spec) -> tuple[dict, dict]:
-    """Partition a trainable model's options into architecture and
-    training keyword arguments."""
-    arch_fields = (TransformerArch if spec.kind == "transformer"
-                   else RecurrentArch).__dataclass_fields__
-    arch: dict = {}
-    train: dict = {}
-    for key, value in spec.options:
-        if key in arch_fields:
-            arch[key] = value
-        elif key in _TRAIN_KEYS:
-            train[key] = value
-        else:
-            raise ValueError(f"model '{spec.name}': option '{key}' does not apply "
-                             f"to kind '{spec.kind}'")
-    return arch, train
-
-
 def build_model(spec, config: RunConfig, corpus, lexicon):
     """Construct an untrained model for one roster entry."""
-    seed = model_seed(config.seeds.model, spec.name)
-    if spec.kind == "oracle":
-        if spec.options:
-            raise ValueError(f"model '{spec.name}': oracle takes no options")
-        if corpus.world is None:
-            raise ValueError(f"model '{spec.name}': the oracle needs a generated "
-                             "corpus with a saved world")
-        return OracleModel(corpus.world)
-    if spec.kind == "random":
-        if spec.options:
-            raise ValueError(f"model '{spec.name}': random takes no options")
-        return RandomScorer(seed, corpus.vocab)
-    if spec.kind == "unigram":
-        extra = [k for k, _ in spec.options if k != "alpha"]
-        if extra:
-            raise ValueError(f"model '{spec.name}': unigram only accepts 'alpha', "
-                             f"got {', '.join(extra)}")
-        return UnigramModel.fit(corpus, alpha=spec.option_dict.get("alpha", 0.1))
-    num_users, num_items = _id_bounds(corpus)
-    arch_opts, _ = _split_options(spec)
-    if spec.kind == "transformer":
-        return TransformerModel(TransformerArch(**arch_opts), corpus.vocab,
-                                num_users, num_items, seed, lexicon=lexicon)
-    return RecurrentModel(RecurrentArch(**arch_opts), corpus.vocab,
-                          num_users, num_items, seed)
+    return KINDS[spec.kind].build(spec.option_dict, corpus, lexicon,
+                                  model_seed(config.seeds.model, spec.name))
 
 
 def _materialize_models(config: RunConfig, corpus, lexicon, stage: str) -> dict:
@@ -262,8 +200,7 @@ def stage_train(config: RunConfig, log=None) -> dict:
                 continue
             seed = model_seed(config.seeds.model, spec.name)
             model = build_model(spec, config, corpus, lexicon)
-            _, train_opts = _split_options(spec)
-            tconfig = TrainConfig(seed=seed, **train_opts)
+            tconfig = TrainConfig(seed=seed, **KINDS[spec.kind].train_options(spec.option_dict))
             prefixed = (lambda m: log(f"[train] {spec.name}: {m}")) if log else None
             history = train_model(model, corpus, tconfig, log=prefixed)
             save_checkpoint(ckpt_dir / f"{spec.name}.ckpt", model.store, seed,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape
-from .models import make_batch
+from .lexicon import BOS_ID, EOS_ID, PAD_ID, Vocab
 from .nn import clip_global_norm
 
 
@@ -48,6 +48,50 @@ class TrainConfig:
             raise ValueError("clip_norm must be positive")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+
+
+@dataclass
+class Batch:
+    """Padded encodings of a list of reviews."""
+
+    users: np.ndarray       # (B,)
+    items: np.ndarray       # (B,)
+    aspect_ids: np.ndarray  # (B,) vocab id of each review's aspect term
+    input_ids: np.ndarray   # (B, W): BOS then words, right-padded
+    target_ids: np.ndarray  # (B, W): words then EOS, right-padded
+    pad: np.ndarray         # (B, W): True at padded positions
+    ratings: np.ndarray     # (B,) float
+
+    @property
+    def scored_positions(self) -> int:
+        return int((~self.pad).sum())
+
+
+def make_batch(reviews, vocab: Vocab) -> Batch:
+    if not reviews:
+        raise ValueError("empty batch")
+    encoded = [vocab.encode(r.tokens, append_eos=False) for r in reviews]
+    W = max(len(ids) for ids in encoded) + 1
+    B = len(reviews)
+    input_ids = np.full((B, W), PAD_ID, dtype=np.int64)
+    target_ids = np.full((B, W), PAD_ID, dtype=np.int64)
+    pad = np.ones((B, W), dtype=bool)
+    for b, ids in enumerate(encoded):
+        n = len(ids)
+        input_ids[b, 0] = BOS_ID
+        input_ids[b, 1:n + 1] = ids
+        target_ids[b, :n] = ids
+        target_ids[b, n] = EOS_ID
+        pad[b, :n + 1] = False
+    return Batch(
+        users=np.array([r.user for r in reviews], dtype=np.int64),
+        items=np.array([r.item for r in reviews], dtype=np.int64),
+        aspect_ids=np.array([vocab.token_to_id(r.aspect) for r in reviews], dtype=np.int64),
+        input_ids=input_ids,
+        target_ids=target_ids,
+        pad=pad,
+        ratings=np.array([r.rating for r in reviews], dtype=np.float64),
+    )
 
 
 def joint_loss(model, reviews, vocab, rating_weight: float,

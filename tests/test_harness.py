@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import rexeval
 from rexeval.cli import main
 from rexeval.config import (CorpusSpec, MetricSettings, ModelSpec, RunConfig,
                             Seeds, apply_overrides, lineage_hash, load_config)
@@ -143,6 +145,12 @@ def test_load_config_defaults_and_output_section(tmp_path):
     ("[model:m]\nkind = mystery\n", "unknown model kind"),
     ("[model:m]\nkind = transformer\nwidgets = 3\n", "unknown key 'widgets'"),
     ("[model:has space]\nkind = oracle\n", "may only use"),
+    # a key some other kind takes is still unknown to this one
+    ("[model:m]\nkind = oracle\nepochs = 3\n", "unknown key 'epochs' for kind 'oracle'"),
+    ("[model:m]\nkind = recurrent\nheads = 2\n", "unknown key 'heads' for kind 'recurrent'"),
+    ("[model:m]\nkind = transformer\nhidden_dim = 8\n",
+     "unknown key 'hidden_dim' for kind 'transformer'"),
+    ("[model:m]\nkind = unigram\nepochs = 3\n", "unknown key 'epochs' for kind 'unigram'"),
 ])
 def test_load_config_rejections(tmp_path, ini, message):
     path = tmp_path / "bad.ini"
@@ -166,6 +174,10 @@ def test_spec_validation():
         ModelSpec("m", "mystery")
     with pytest.raises(ValueError, match="may only use"):
         ModelSpec("two words", "oracle")
+    with pytest.raises(ValueError, match="unknown key 'alpha' for kind 'random'"):
+        ModelSpec("r", "random", (("alpha", 0.5),))
+    with pytest.raises(ValueError, match="selected more than once: rmse$"):
+        MetricSettings(metrics=("rmse", "air", "rmse"))
     with pytest.raises(ValueError, match="roster is empty"):
         RunConfig(models=())
     twice = (ModelSpec("m", "oracle"), ModelSpec("m", "random"))
@@ -175,6 +187,8 @@ def test_spec_validation():
         RunConfig(selected=("ghost",))
     with pytest.raises(ValueError, match="empty model selection"):
         RunConfig(selected=())
+    with pytest.raises(ValueError, match="selected more than once: oracle$"):
+        RunConfig(selected=("oracle", "oracle"))
 
 
 def test_model_spec_privileged_marks_oracle_and_aspect_transformers():
@@ -229,6 +243,10 @@ def test_apply_overrides(micro_config):
         apply_overrides(micro_config, models=",")
     with pytest.raises(ValueError, match="unknown model"):
         apply_overrides(micro_config, models="ghost")
+    with pytest.raises(ValueError, match="selected more than once: tiny$"):
+        apply_overrides(micro_config, models="tiny,oracle,tiny")
+    with pytest.raises(ValueError, match="selected more than once: rmse$"):
+        apply_overrides(micro_config, metrics="rmse,rmse")
 
 
 def test_model_seed_is_name_keyed():
@@ -291,9 +309,12 @@ VERIFY_AUDIT = COMPARE_RUNS.with_name("verify_audit.py")
 
 
 def test_verify_audit_rejects_cells_without_model_and_key(runall_dir):
+    # the script imports the rexeval this test imported, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(rexeval.__file__).parents[1])}
+
     def verify(*cells):
         return subprocess.run([sys.executable, str(VERIFY_AUDIT), str(runall_dir), *cells],
-                              capture_output=True, text=True, check=False)
+                              capture_output=True, text=True, check=False, env=env)
 
     ok = verify("oracle:air", "tiny:tlae_gold")
     assert ok.returncode == 0, ok.stdout + ok.stderr
@@ -462,6 +483,17 @@ def test_generation_pool_alignment_guards(micro_ini, tmp_path, capsys):
                 "--models", "oracle", "--metrics", "entail rmse",
                 "--n-explanations", "4") == 1
     assert "different configuration" in capsys.readouterr().err
+
+
+def test_unused_model_option_fails_before_anything_is_written(tmp_path, capsys):
+    for kind, key in (("oracle", "epochs"), ("recurrent", "heads")):
+        out = tmp_path / kind
+        ini = tmp_path / f"{kind}.ini"
+        ini.write_text(f"[output]\ndir = {out.as_posix()}\n\n"
+                       f"[model:m]\nkind = {kind}\n{key} = 3\n", encoding="utf-8")
+        assert _cli("run-all", "--config", ini, "--quiet") == 1
+        assert f"unknown key '{key}' for kind '{kind}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_usage_and_config_errors(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Model contracts: scoring laws, batching, generation, checkpoints."""
 
+import dataclasses
 import math
 import re
 
@@ -10,13 +11,13 @@ import scipy.stats
 from rexeval.autodiff import Tape, log_softmax
 from rexeval.corpus import build_corpus, generate_world, render_review
 from rexeval.lexicon import BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, UNK_ID, extract_aspect
-from rexeval.models import (EOS_TOKEN, OracleModel, RandomScorer,
+from rexeval.models import (EOS_TOKEN, KINDS, OracleModel, RandomScorer,
                             RecurrentArch, RecurrentModel, TransformerArch,
                             TransformerModel, UniformScorer, UnigramModel,
-                            _sum_target_logprobs, clamp_rating, make_batch,
+                            _sum_target_logprobs, clamp_rating,
                             model_from_checkpoint, strip_reserved)
 from rexeval.nn import save_checkpoint
-from rexeval.training import TrainConfig, train_model
+from rexeval.training import TrainConfig, make_batch, train_model
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +307,27 @@ def test_truncated_or_padded_checkpoint_is_rejected(tmp_path, tiny_corpus,
     path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"shape mismatch for '{name}'")):
         model_from_checkpoint(path, tiny_corpus.vocab)
+
+
+def test_every_option_a_kind_takes_reaches_the_model(tiny_corpus, lexicon):
+    trainable = {kind: entry for kind, entry in KINDS.items() if entry.model is not None}
+    assert set(trainable) == {"transformer", "recurrent"}
+    for kind, entry in trainable.items():
+        assert entry.model.kind == kind
+        defaults = {f.name: f.default for settings in (entry.arch, TrainConfig)
+                    for f in dataclasses.fields(settings)}
+        for key, parse in entry.options.items():
+            value = not defaults[key] if parse is bool else parse(2 * defaults[key])
+            options = {key: value}
+            model = entry.build(options, tiny_corpus, lexicon, 7)
+            train = TrainConfig(**entry.train_options(options))
+            # exactly one of the two carries it, so no option is accepted and ignored
+            carried = [getattr(obj, key, None) == value for obj in (model.arch, train)]
+            assert carried.count(True) == 1, (kind, key)
+    smoothed = KINDS["unigram"].build({"alpha": 5.0}, tiny_corpus, lexicon, 7)
+    plain = KINDS["unigram"].build({}, tiny_corpus, lexicon, 7)
+    assert not np.array_equal(smoothed.log_probs, plain.log_probs)
+    assert KINDS["oracle"].options == KINDS["random"].options == {}
 
 
 def test_make_batch_layout(tiny_corpus):
