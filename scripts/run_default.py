@@ -9,9 +9,10 @@ minutes of wall time. Extra CLI flags pass straight through, e.g.
 import sys
 from pathlib import Path
 
-from rexeval.cli import main
-
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))  # run from a checkout, installed or not
+
+from rexeval.cli import main  # noqa: E402
 
 if __name__ == "__main__":
     sys.exit(main(["run-all", "--config", str(ROOT / "configs" / "default.ini"),

@@ -11,8 +11,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from rexeval.pipeline import AUDIT_DIR, REPORT_JSON
-from rexeval.report import AuditMismatch, EvaluationReport, verify_against_audit
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))  # run from a checkout, installed or not
+
+from rexeval.pipeline import AUDIT_DIR, REPORT_JSON  # noqa: E402
+from rexeval.report import AuditMismatch, EvaluationReport, verify_against_audit  # noqa: E402
 
 
 def main(argv=None) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 from .autodiff import Tape, log_softmax
 from .lexicon import BOS_ID, EOS_ID, PAD_ID, UNK_ID, RESERVED_TOKENS, Vocab, extract_aspect
 from .nn import ParamStore, load_checkpoint
-from .training import Batch, TrainConfig
+from .training import Batch, TrainConfig, length_order
 
 EOS_TOKEN = RESERVED_TOKENS[EOS_ID]
 
@@ -253,7 +253,7 @@ class NeuralRecommender(ExplainableRecommender):
     def log_likelihood_many(self, requests, chunk_size: int = 64) -> list[float]:
         """Batched scoring in request order.
 
-        Requests are stably sorted by token count before chunking, so a
+        Requests are chunked in `length_order` of token count, so a
         chunk holds texts of similar length and pads little. Right-padding
         never reaches a scored position, and each row's arithmetic does
         not depend on the other rows of its chunk.
@@ -265,7 +265,7 @@ class NeuralRecommender(ExplainableRecommender):
             if not tokens:
                 raise ValueError("log_likelihood of empty text")
             tok_ids.append([self.vocab.token_to_id(t) for t in tokens])
-        order = sorted(range(len(requests)), key=lambda j: len(tok_ids[j]))
+        order = length_order([len(ids) for ids in tok_ids])
         out = [0.0] * len(requests)
         for start in range(0, len(order), chunk_size):
             rows = order[start:start + chunk_size]

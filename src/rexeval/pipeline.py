@@ -206,7 +206,8 @@ def stage_train(config: RunConfig, log=None) -> dict:
             save_checkpoint(ckpt_dir / f"{spec.name}.ckpt", model.store, seed,
                             lineage_hash(config), extra={"model": model.architecture_header()})
             _write_json(log_dir / f"{spec.name}.json",
-                        {"config_hash": lineage_hash(config), "history": history})
+                        {"config_hash": lineage_hash(config), "history": history,
+                         "max_epochs": tconfig.epochs})
             histories[spec.name] = history
     return histories
 
@@ -346,6 +347,25 @@ def stage_evaluate(config: RunConfig, log=None) -> EvaluationReport:
     return report
 
 
+def _training_summaries(config: RunConfig, report: EvaluationReport) -> dict:
+    """(epochs run, configured maximum, best epoch) of each reported model
+    that has a train log; the best epoch is the first with the lowest
+    validation joint loss, the one `train_model` restores."""
+    summaries = {}
+    for row in report.rows:
+        path = Path(config.out_dir) / TRAIN_LOG_DIR / f"{row.model}.json"
+        if not path.exists():
+            continue
+        train_log = json.loads(path.read_text(encoding="utf-8"))
+        if train_log["config_hash"] != report.config_hash:
+            raise StageError("report", f"train log for '{row.model}' belongs to a different "
+                                       "configuration; rerun the train stage")
+        history = train_log["history"]
+        best = min(history, key=lambda entry: entry["val_joint"])["epoch"]
+        summaries[row.model] = (len(history), train_log["max_epochs"], best)
+    return summaries
+
+
 def stage_report(config: RunConfig, log=None) -> EvaluationReport:
     out = Path(config.out_dir)
     with _stage_errors("report"):
@@ -357,6 +377,7 @@ def stage_report(config: RunConfig, log=None) -> EvaluationReport:
         if report.config_hash != lineage_hash(config):
             raise StageError("report", "results.json belongs to a different configuration; "
                                        "rerun the evaluate stage")
+        report.training = _training_summaries(config, report)
         report.save(out / REPORT_JSON)
         (out / REPORT_TXT).write_text(format_table(report), encoding="utf-8")
     if log:
@@ -365,14 +386,17 @@ def stage_report(config: RunConfig, log=None) -> EvaluationReport:
 
 
 def run_pipeline(config: RunConfig, log=None) -> EvaluationReport:
-    """All five stages in order, plus a timing sidecar."""
+    """All five stages in order, plus a timing sidecar with the wall
+    seconds of the whole run and of each stage."""
     started = time.perf_counter()
-    stage_gen_corpus(config, log)
-    stage_train(config, log)
-    stage_generate(config, log)
-    stage_evaluate(config, log)
-    report = stage_report(config, log)
+    lines = []
+    for name, stage in zip(STAGES, (stage_gen_corpus, stage_train, stage_generate,
+                                    stage_evaluate, stage_report)):
+        stage_started = time.perf_counter()
+        report = stage(config, log)
+        lines.append(f"{name}_seconds {time.perf_counter() - stage_started:.3f}\n")
     report.wall_time_seconds = time.perf_counter() - started
     (Path(config.out_dir) / TIMING_FILE).write_text(
-        f"wall_time_seconds {report.wall_time_seconds:.3f}\n", encoding="utf-8")
+        f"wall_time_seconds {report.wall_time_seconds:.3f}\n" + "".join(lines),
+        encoding="utf-8")
     return report

@@ -43,6 +43,8 @@ class EvaluationReport:
     rows: list[ModelRow]
     # measured, not part of the report's identity: never serialized, never compared
     wall_time_seconds: float | None = field(default=None, compare=False)
+    # model -> (epochs run, configured maximum, best epoch), from the train logs
+    training: dict[str, tuple[int, int, int]] = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -137,6 +139,8 @@ def format_table(report: EvaluationReport) -> str:
     for row in report.rows:
         if row.note:
             lines.append(f"note {row.model}: {row.note}")
+    for model, (run, maximum, best) in report.training.items():
+        lines.append(f"training {model}: {run} of {maximum} epochs run, best epoch {best}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,9 +1,10 @@
 """Minibatch training for the joint text-plus-rating objective.
 
 The loss is mean token cross-entropy plus a weighted rating MSE. Epochs
-shuffle with a seeded generator, gradients are clipped by global norm,
-and the parameters giving the best validation joint loss are restored
-at the end, with early stopping after a patience of flat epochs.
+draw length-bucketed batches from a seeded generator, gradients are
+clipped by global norm, and the parameters giving the best validation
+joint loss are restored at the end, with early stopping after a patience
+of flat epochs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,12 @@ import numpy as np
 from .autodiff import Tape
 from .lexicon import BOS_ID, EOS_ID, PAD_ID, Vocab
 from .nn import clip_global_norm
+
+
+# Batches per window that is sorted by length before it is cut into batches:
+# wide enough that a batch pads little, narrow enough that batch contents
+# still vary from epoch to epoch.
+BUCKET_WINDOW = 8
 
 
 class DivergenceError(RuntimeError):
@@ -94,9 +101,36 @@ def make_batch(reviews, vocab: Vocab) -> Batch:
     )
 
 
+def length_order(lengths) -> np.ndarray:
+    """Positions of `lengths` in ascending order; equal lengths keep their order."""
+    return np.argsort(np.asarray(lengths, dtype=np.int64), kind="stable")
+
+
+def epoch_batches(lengths, batch_size: int, rng) -> list[np.ndarray]:
+    """One epoch of length-bucketed batches of positions into `lengths`.
+
+    A permutation from `rng` is cut into windows of BUCKET_WINDOW batches;
+    each window is stably sorted by length and cut into batches, and the
+    order of all batches is then shuffled with `rng`. Every position is in
+    exactly one batch, and only the last window can end in a partial one.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = rng.permutation(len(lengths))
+    span = batch_size * BUCKET_WINDOW
+    batches = []
+    for start in range(0, len(order), span):
+        window = order[start:start + span]
+        window = window[length_order(lengths[window])]
+        batches.extend(window[b:b + batch_size] for b in range(0, len(window), batch_size))
+    return [batches[k] for k in rng.permutation(len(batches))]
+
+
 def joint_loss(model, reviews, vocab, rating_weight: float,
                batch_size: int = 64) -> tuple[float, float, float]:
-    """(joint, nll, mse) over the reviews; nll is token-weighted across chunks."""
+    """(joint, nll, mse) over the reviews; nll is token-weighted across chunks.
+
+    Reviews are chunked in `length_order`, so a chunk pads little.
+    """
     if not reviews:
         raise ValueError("empty batch")
     if rating_weight < 0:
@@ -104,8 +138,9 @@ def joint_loss(model, reviews, vocab, rating_weight: float,
     nll_sum = 0.0
     mse_sum = 0.0
     positions = 0
-    for start in range(0, len(reviews), batch_size):
-        chunk = reviews[start:start + batch_size]
+    order = length_order([len(r.tokens) for r in reviews])
+    for start in range(0, len(order), batch_size):
+        chunk = [reviews[j] for j in order[start:start + batch_size]]
         batch = make_batch(chunk, vocab)
         nll, mse = model.loss_nodes(Tape(), batch)
         n = batch.scored_positions
@@ -123,20 +158,20 @@ def train_model(model, corpus, config: TrainConfig, log=None) -> list[dict]:
     if not train:
         raise ValueError("empty train split")
     vocab = corpus.vocab
+    lengths = [len(r.tokens) for r in train]
     rng = np.random.default_rng([config.seed, 0x7E41])
     best_val = np.inf
     best_state = model.store.state_copy()
     flat_epochs = 0
     history: list[dict] = []
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(train))
         nll_sum = 0.0
         mse_sum = 0.0
         positions = 0
         seen = 0
         try:
-            for start in range(0, len(train), config.batch_size):
-                chunk = [train[j] for j in order[start:start + config.batch_size]]
+            for rows in epoch_batches(lengths, config.batch_size, rng):
+                chunk = [train[j] for j in rows]
                 batch = make_batch(chunk, vocab)
                 tape = Tape()
                 nll, mse = model.loss_nodes(tape, batch)

@@ -264,9 +264,17 @@ def test_staged_stages_match_run_all_bytes(staged_dir, runall_dir):
     staged = _tree(staged_dir)
     assert staged  # the run produced artifacts
     assert staged == _tree(runall_dir)
-    # only the end-to-end runner writes the timing sidecar
+    # only the end-to-end runner writes the timing sidecar: the whole run's
+    # wall seconds, then each stage's
     assert not (staged_dir / "timing.txt").exists()
-    assert (runall_dir / "timing.txt").exists()
+    timing = [line.split(" ") for line in
+              (runall_dir / "timing.txt").read_text(encoding="utf-8").splitlines()]
+    assert [key for key, _ in timing] == ["wall_time_seconds", "gen-corpus_seconds",
+                                          "train_seconds", "generate_seconds",
+                                          "evaluate_seconds", "report_seconds"]
+    seconds = [float(value) for _, value in timing]
+    assert min(seconds) >= 0
+    assert sum(seconds[1:]) <= seconds[0] + 0.005  # each value is rounded to 1 ms
 
 
 def test_run_all_reruns_identically(micro_ini, runall_dir, tmp_path):
@@ -325,6 +333,14 @@ def test_verify_audit_rejects_cells_without_model_and_key(runall_dir):
         assert "cells must look like MODEL:CELL" in done.stderr
 
 
+def test_verify_audit_runs_from_a_checkout_without_pythonpath(runall_dir, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(VERIFY_AUDIT), str(runall_dir)],
+                          capture_output=True, text=True, check=False, env=env, cwd=tmp_path)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "cell(s) verified" in done.stdout
+
+
 def test_artifact_layout_and_meta(runall_dir, micro_config):
     meta = json.loads((runall_dir / "meta.json").read_text(encoding="utf-8"))
     assert meta["config_hash"] == lineage_hash(micro_config)
@@ -365,6 +381,17 @@ def test_report_subcommand_prints_the_table(micro_ini, runall_dir, capsys):
     assert _cli("report", "--config", micro_ini, "--out", runall_dir, "--quiet") == 0
     out = capsys.readouterr().out
     assert out.startswith("explanation faithfulness and coherence report")
+    assert out == (runall_dir / "report.txt").read_text(encoding="utf-8")
+
+
+def test_report_says_what_training_did(runall_dir):
+    train_log = json.loads((runall_dir / "train_logs" / "tiny.json").read_text(encoding="utf-8"))
+    assert train_log["max_epochs"] == 2
+    val = [entry["val_joint"] for entry in train_log["history"]]
+    best = val.index(min(val)) + 1
+    text = (runall_dir / "report.txt").read_text(encoding="utf-8")
+    training = [line for line in text.splitlines() if line.startswith("training ")]
+    assert training == [f"training tiny: {len(val)} of 2 epochs run, best epoch {best}"]
 
 
 def test_selection_and_generated_air_mode(micro_ini, runall_dir, tmp_path):

@@ -1,10 +1,15 @@
 """Joint-objective evaluation and the minibatch training loop."""
 
+import math
+
 import numpy as np
 import pytest
 
+from rexeval import training
+from rexeval.autodiff import Tape
 from rexeval.models import TransformerArch, TransformerModel
-from rexeval.training import TrainConfig, joint_loss, train_model
+from rexeval.training import (BUCKET_WINDOW, TrainConfig, epoch_batches, joint_loss,
+                              length_order, make_batch, train_model)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +42,77 @@ def test_joint_loss_is_chunking_invariant(setup):
     parts = joint_loss(model, corpus.validation, corpus.vocab, 1.0, batch_size=3)
     # token-weighted accumulation makes the nll independent of chunking
     np.testing.assert_allclose(parts, whole, rtol=1e-12)
+
+
+def test_joint_loss_in_length_order_equals_review_order(setup):
+    corpus, fresh = setup
+    model = fresh()
+    reviews = corpus.validation + corpus.test
+    assert length_order([len(r.tokens) for r in reviews]).tolist() != list(range(len(reviews)))
+    nll_sum = mse_sum = positions = 0.0
+    for start in range(0, len(reviews), 8):
+        batch = make_batch(reviews[start:start + 8], corpus.vocab)
+        nll, mse = model.loss_nodes(Tape(), batch)
+        nll_sum += float(nll.value) * batch.scored_positions
+        mse_sum += float(mse.value) * len(batch.ratings)
+        positions += batch.scored_positions
+    reference = (nll_sum / positions + 0.5 * mse_sum / len(reviews),
+                 nll_sum / positions, mse_sum / len(reviews))
+    ordered = joint_loss(model, reviews, corpus.vocab, 0.5, batch_size=8)
+    np.testing.assert_allclose(ordered, reference, rtol=1e-12)
+
+
+def test_length_order_is_stable():
+    assert length_order([3, 1, 3, 2, 1]).tolist() == [1, 4, 3, 0, 2]
+    assert length_order([]).tolist() == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("n, batch_size", [(203, 8), (37, 4), (48, 6), (5, 8), (8, 8)])
+def test_epoch_batches_bucket_each_window_and_cover_every_review_once(seed, n, batch_size):
+    lengths = np.random.default_rng(seed + 100).integers(4, 15, size=n)
+    batches = epoch_batches(lengths, batch_size, np.random.default_rng(seed))
+    assert sorted(np.concatenate(batches).tolist()) == list(range(n))
+    assert len(batches) == math.ceil(n / batch_size)
+    partial = [len(b) for b in batches if len(b) != batch_size]
+    assert partial == ([n % batch_size] if n % batch_size else [])
+    # the generator's first draw fixes the windows; within one, the batches
+    # hold consecutive runs of its length-sorted reviews
+    permutation = np.random.default_rng(seed).permutation(n)
+    for start in range(0, n, batch_size * BUCKET_WINDOW):
+        window = set(permutation[start:start + batch_size * BUCKET_WINDOW].tolist())
+        inside = sorted((b for b in batches if set(b.tolist()) <= window),
+                        key=lambda b: (lengths[b].min(), lengths[b].max()))
+        assert sum(len(b) for b in inside) == len(window)
+        for shorter, longer in zip(inside, inside[1:]):
+            assert lengths[shorter].max() <= lengths[longer].min()
+    again = epoch_batches(lengths, batch_size, np.random.default_rng(seed))
+    assert [b.tolist() for b in again] == [b.tolist() for b in batches]
+
+
+def test_every_train_review_is_seen_once_per_epoch(setup, monkeypatch):
+    corpus, fresh = setup
+    train_ids = {id(r) for r in corpus.train}
+    batch_size = 5  # two windows and a partial batch over the 48 train reviews
+    assert len(corpus.train) % batch_size
+    seen = []
+
+    def recording(reviews, vocab):
+        if id(reviews[0]) in train_ids:
+            seen.append([id(r) for r in reviews])
+        return make_batch(reviews, vocab)
+
+    monkeypatch.setattr(training, "make_batch", recording)
+    epochs = 3
+    history = train_model(fresh(), corpus, TrainConfig(epochs=epochs, batch_size=batch_size,
+                                                       patience=epochs, seed=4))
+    assert len(history) == epochs
+    per_epoch = math.ceil(len(corpus.train) / batch_size)
+    assert len(seen) == epochs * per_epoch
+    for e in range(epochs):
+        rows = seen[e * per_epoch:(e + 1) * per_epoch]
+        assert sorted(i for batch in rows for i in batch) == sorted(train_ids)
+        assert sum(len(batch) < batch_size for batch in rows) == 1
 
 
 def test_joint_loss_combines_terms(setup):
