@@ -1,16 +1,23 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-A Tape records one forward pass as an ordered list of nodes and replays
-it backwards exactly once per backward() call. The value-level primitive
-set is fixed: affine map (matrix product plus bias), embedding lookup,
-elementwise nonlinearity, scaled-dot attention, GRU cell step, layer
-normalization, fused softmax cross-entropy, and mean squared error.
-Structural helpers (add, scale, concat, select, slice_axis, stack,
-broadcast) only rearrange values; models are composed from these pieces
-and nothing else.
+A Tape records one forward pass as an ordered list of steps (a node and
+its backward closure) and keeps only what a later step still needs.
+backward() consumes the tape: it pops each step as that step's backward
+runs, so the closures and cached activations of later layers are freed
+while the gradients of earlier layers are built, and a tape is
+differentiated once. An inference tape (`Tape(grad=False)`) records no
+steps at all, so each intermediate is freed as soon as the caller drops
+its node. Both run the same forward functions and return the same bits.
 
-Forward math lives in free functions so that tape ops and tape-free
-inference paths share a single implementation.
+The value-level primitive set is fixed: affine map (matrix product plus
+bias), embedding lookup, elementwise nonlinearity, scaled-dot attention,
+GRU cell step, layer normalization, fused softmax cross-entropy, and mean
+squared error. Structural helpers (add, scale, concat, select,
+slice_axis, stack, broadcast) only rearrange values; models are composed
+from these pieces and nothing else.
+
+Forward math lives in free functions that the tape ops call, so
+recording and inference tapes share a single implementation.
 """
 
 from __future__ import annotations
@@ -206,12 +213,18 @@ class Node:
 
 
 class Tape:
-    """Ordered record of one forward pass, consumed by backward()."""
+    """Ordered record of one forward pass, consumed by backward().
 
-    def __init__(self, check_finite: bool = False):
+    With `grad=False` the tape is for inference: ops return the same
+    nodes, but no step is recorded and backward() raises.
+    """
+
+    def __init__(self, *, grad: bool = True, check_finite: bool = False):
         self._steps: list[tuple[Node, object]] = []
         self._param_nodes: dict[str, Node] = {}
+        self.grad = grad
         self.check_finite = check_finite
+        self._consumed = False
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -221,7 +234,8 @@ class Tape:
         if self.check_finite and not np.all(np.isfinite(value)):
             raise FloatingPointError(f"non-finite values produced by op '{op}'")
         node = Node(value, op)
-        self._steps.append((node, backward))
+        if self.grad:
+            self._steps.append((node, backward))
         return node
 
     def leaf(self, values, op: str = "leaf") -> Node:
@@ -247,16 +261,27 @@ class Tape:
         return out
 
     def backward(self, loss: Node) -> None:
-        if not self._steps:
+        """Accumulate d(loss)/d(node) into each reached node's `.grad`,
+        popping every step as it runs; the tape holds no steps afterwards."""
+        if not self.grad:
+            raise RuntimeError("backward on an inference tape (grad=False): it records "
+                               "no steps")
+        if self._consumed:
+            raise RuntimeError("backward already ran on this tape and freed its steps; "
+                               "record the forward pass on a new tape")
+        steps = self._steps
+        if not steps:
             raise RuntimeError("backward before forward: tape is empty")
         if loss.value.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
-        if not any(node is loss for node, _ in self._steps):
+        if not any(node is loss for node, _ in steps):
             raise RuntimeError("loss node was not recorded on this tape")
-        for node, _ in self._steps:
+        for node, _ in steps:
             node.grad = None
         loss.grad = np.ones((), dtype=np.float64)
-        for node, bw in reversed(self._steps):
+        self._consumed = True
+        while steps:
+            node, bw = steps.pop()
             if bw is None or node.grad is None:
                 continue
             for parent, g in bw(node.grad):
@@ -266,11 +291,6 @@ class Tape:
                     parent.grad = np.add(g, 0.0, out=np.empty_like(parent.value))
                 else:
                     parent.grad += g
-
-    def assert_finite(self) -> None:
-        for node, _ in self._steps:
-            if not np.all(np.isfinite(node.value)):
-                raise FloatingPointError(f"non-finite value in op '{node.op}'")
 
     # ------------------------------------------------------------------
     # value primitives

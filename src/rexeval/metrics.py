@@ -273,7 +273,7 @@ class AuxRegressor:
         for start in range(0, len(texts), chunk_size):
             chunk = texts[start:start + chunk_size]
             input_ids, pad = self._encode(chunk)
-            raw = self._run(Tape(), input_ids, pad).value[:, 0]
+            raw = self._run(Tape(grad=False), input_ids, pad).value[:, 0]
             out[start:start + len(chunk)] = np.clip(raw, 1.0, 5.0)
         return out
 

@@ -7,9 +7,11 @@ and is the only quantity the ranking metrics consume, so any object
 implementing the interface can be evaluated.
 
 Trainable models are composed purely from the tape primitives in
-`autodiff`; their tape-free inference paths reuse the same forward
-functions through a fresh tape per call, so concurrent reads share no
-mutable state.
+`autodiff`. Training records each batch on a tape that backward
+consumes; inference (scoring, ratings, decoding) runs the same ops on a
+fresh inference tape per pass (`Tape(grad=False)`), which records no
+steps, so a pass keeps no intermediate it no longer reads and
+concurrent reads share no mutable state.
 """
 
 from __future__ import annotations
@@ -239,7 +241,7 @@ class NeuralRecommender(ExplainableRecommender):
         tokens = list(tokens)
         input_ids = np.array([[BOS_ID] + [self.vocab.token_to_id(t) for t in tokens]],
                              dtype=np.int64)
-        logits, _, _ = self._run(Tape(), np.array([user]), np.array([item]),
+        logits, _, _ = self._run(Tape(grad=False), np.array([user]), np.array([item]),
                                  np.array([self._aspect_id(None, tokens)]), input_ids)
         return log_softmax(logits.value[0])
 
@@ -284,7 +286,7 @@ class NeuralRecommender(ExplainableRecommender):
         items = np.array([i for _, i, _ in chunk], dtype=np.int64)
         aspects = np.array([self._aspect_id(None, tokens) for _, _, tokens in chunk],
                            dtype=np.int64)
-        logits, _, _ = self._run(Tape(), users, items, aspects, input_ids)
+        logits, _, _ = self._run(Tape(grad=False), users, items, aspects, input_ids)
         lp = log_softmax(logits.value)
         return _sum_target_logprobs(lp, tok_ids)
 
@@ -305,8 +307,8 @@ class NeuralRecommender(ExplainableRecommender):
             return []
         users, items, aspects = self._prefixes(requests, self._aspect_id)
         bos = np.full((len(requests), 1), BOS_ID, dtype=np.int64)
-        _, head_in, _ = self._run(Tape(), users, items, aspects, bos)
-        tape = Tape()
+        _, head_in, _ = self._run(Tape(grad=False), users, items, aspects, bos)
+        tape = Tape(grad=False)
         return [clamp_rating(float(self._rating_head(tape, tape.leaf(row[None])).value[0, 0]))
                 for row in head_in.value]
 
@@ -322,13 +324,14 @@ class NeuralRecommender(ExplainableRecommender):
 
         def start():
             bos = np.full((len(requests), 1), BOS_ID, dtype=np.int64)
-            logits, _, state = self._run(Tape(), users, items, aspects, bos)
+            logits, _, state = self._run(Tape(grad=False), users, items, aspects, bos)
             return logits.value[:, -1], state
 
         def step(state, keep, ids):
             if keep is not None:
                 state = self._keep_rows(state, keep)
-            logits, _, state = self._run(Tape(), None, None, None, ids[:, None], past=state)
+            logits, _, state = self._run(Tape(grad=False), None, None, None, ids[:, None],
+                                         past=state)
             return logits.value[:, -1], state
 
         return _greedy_decode(self.vocab, start, step, len(requests),

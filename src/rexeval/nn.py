@@ -192,34 +192,45 @@ def save_checkpoint(path, store: ParamStore, seed: int, config_hash: str,
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:
     with open(path, "rb") as fh:
-        lines = fh.read().split(b"\n")
-    magic = lines[0].decode("utf-8", errors="replace")
+        data = fh.read()
+    # walk the lines in place: no per-line copy of the value text
+    view = memoryview(data)
+
+    def line_end(start: int) -> int:
+        end = data.find(b"\n", start)
+        return len(data) if end < 0 else end
+
+    magic_end = line_end(0)
+    magic = data[:magic_end].decode("utf-8", errors="replace")
     if magic != CHECKPOINT_MAGIC:
         if magic.startswith("rexeval-checkpoint-"):
             raise ValueError(f"{path}: checkpoint format {magic} is no longer read "
                              f"(this version reads {CHECKPOINT_MAGIC}); rerun the train "
                              "stage to rewrite it")
         raise ValueError(f"{path}: not a checkpoint file")
-    header = json.loads(lines[1])
+    header_end = line_end(magic_end + 1)
+    header = json.loads(data[magic_end + 1:header_end])
     store = ParamStore()
-    for line in lines[2:]:
-        if not line:
-            continue
-        # name and shape are short; the values stay one uncopied slice
-        name_end = line.find(b" ")
-        shape_end = line.find(b" ", name_end + 1)
-        name = line[:max(name_end, 0)].decode("utf-8", errors="replace")
-        if name_end < 0 or shape_end < 0:
-            raise ValueError(f"{path}: parameter '{name}': expected 'name shape values'")
-        shape = tuple(int(d) for d in line[name_end + 1:shape_end].split(b",") if d)
-        try:
-            raw = binascii.a2b_base64(memoryview(line)[shape_end + 1:])
-        except binascii.Error as exc:
-            raise ValueError(f"{path}: parameter '{name}': bad base64 ({exc})") from exc
-        need = math.prod(shape)
-        if len(raw) != 8 * need:
-            raise ValueError(f"{path}: parameter '{name}' holds {len(raw) / 8:g} values "
-                             f"but its shape {shape} needs {need}")
-        store.add(name, np.frombuffer(raw, dtype=_WIRE_DTYPE).reshape(shape))
+    start = header_end + 1
+    while start < len(data):
+        end = line_end(start)
+        if end > start:
+            # name and shape are short; the values stay one uncopied slice
+            name_end = data.find(b" ", start, end)
+            shape_end = data.find(b" ", name_end + 1, end) if name_end >= 0 else -1
+            name = data[start:max(name_end, start)].decode("utf-8", errors="replace")
+            if name_end < 0 or shape_end < 0:
+                raise ValueError(f"{path}: parameter '{name}': expected 'name shape values'")
+            shape = tuple(int(d) for d in data[name_end + 1:shape_end].split(b",") if d)
+            try:
+                raw = binascii.a2b_base64(view[shape_end + 1:end])
+            except binascii.Error as exc:
+                raise ValueError(f"{path}: parameter '{name}': bad base64 ({exc})") from exc
+            need = math.prod(shape)
+            if len(raw) != 8 * need:
+                raise ValueError(f"{path}: parameter '{name}' holds {len(raw) / 8:g} values "
+                                 f"but its shape {shape} needs {need}")
+            store.add(name, np.frombuffer(raw, dtype=_WIRE_DTYPE).reshape(shape))
+        start = end + 1
     store.step = int(header["step"])
     return store, header

@@ -6,8 +6,8 @@ hash stored in meta.json, so artifacts produced under one configuration
 abort any stage invoked under another instead of silently mixing runs.
 All artifacts are written deterministically (seeded generators, exact
 float64 bytes in checkpoints, repr floats elsewhere, sorted keys);
-wall-clock timing goes to a sidecar file that is not part of the run's
-identity.
+wall-clock timing and peak memory go to a sidecar file that is not part
+of the run's identity.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import resource
 import shutil
+import sys
 import time
 from pathlib import Path
 
@@ -385,9 +387,17 @@ def stage_report(config: RunConfig, log=None) -> EvaluationReport:
     return report
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB (`ru_maxrss`
+    is in KiB on Linux and in bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
+
+
 def run_pipeline(config: RunConfig, log=None) -> EvaluationReport:
     """All five stages in order, plus a timing sidecar with the wall
-    seconds of the whole run and of each stage."""
+    seconds of the whole run and, per stage, its seconds and the process's
+    peak RSS at its end (a high-water mark, so it never falls)."""
     started = time.perf_counter()
     lines = []
     for name, stage in zip(STAGES, (stage_gen_corpus, stage_train, stage_generate,
@@ -395,6 +405,7 @@ def run_pipeline(config: RunConfig, log=None) -> EvaluationReport:
         stage_started = time.perf_counter()
         report = stage(config, log)
         lines.append(f"{name}_seconds {time.perf_counter() - stage_started:.3f}\n")
+        lines.append(f"{name}_peak_rss_mb {_peak_rss_mb():.1f}\n")
     report.wall_time_seconds = time.perf_counter() - started
     (Path(config.out_dir) / TIMING_FILE).write_text(
         f"wall_time_seconds {report.wall_time_seconds:.3f}\n" + "".join(lines),

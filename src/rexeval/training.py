@@ -142,7 +142,7 @@ def joint_loss(model, reviews, vocab, rating_weight: float,
     for start in range(0, len(order), batch_size):
         chunk = [reviews[j] for j in order[start:start + batch_size]]
         batch = make_batch(chunk, vocab)
-        nll, mse = model.loss_nodes(Tape(), batch)
+        nll, mse = model.loss_nodes(Tape(grad=False), batch)
         n = batch.scored_positions
         nll_sum += float(nll.value) * n
         mse_sum += float(mse.value) * len(chunk)

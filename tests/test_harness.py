@@ -265,16 +265,19 @@ def test_staged_stages_match_run_all_bytes(staged_dir, runall_dir):
     assert staged  # the run produced artifacts
     assert staged == _tree(runall_dir)
     # only the end-to-end runner writes the timing sidecar: the whole run's
-    # wall seconds, then each stage's
+    # wall seconds, then each stage's seconds and the peak RSS at its end
     assert not (staged_dir / "timing.txt").exists()
     timing = [line.split(" ") for line in
               (runall_dir / "timing.txt").read_text(encoding="utf-8").splitlines()]
-    assert [key for key, _ in timing] == ["wall_time_seconds", "gen-corpus_seconds",
-                                          "train_seconds", "generate_seconds",
-                                          "evaluate_seconds", "report_seconds"]
-    seconds = [float(value) for _, value in timing]
+    stages = ["gen-corpus", "train", "generate", "evaluate", "report"]
+    assert [key for key, _ in timing] == ["wall_time_seconds"] + [
+        f"{stage}_{what}" for stage in stages for what in ("seconds", "peak_rss_mb")]
+    seconds = [float(value) for key, value in timing if key.endswith("seconds")]
     assert min(seconds) >= 0
     assert sum(seconds[1:]) <= seconds[0] + 0.005  # each value is rounded to 1 ms
+    peaks = [float(value) for key, value in timing if key.endswith("_peak_rss_mb")]
+    assert peaks[0] > 0
+    assert peaks == sorted(peaks)  # a high-water mark never falls
 
 
 def test_run_all_reruns_identically(micro_ini, runall_dir, tmp_path):
