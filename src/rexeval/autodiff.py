@@ -1,13 +1,24 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-A Tape records one forward pass as an ordered list of steps (a node and
-its backward closure) and keeps only what a later step still needs.
+A Tape records one forward pass as an ordered list of steps. A step is
+a node's gradient slot plus its backward closure, and it holds only
+what that backward reads: the slots of the node's parents, and the
+arrays the gradient formula needs (an affine's input, a layer norm's
+normalised input, attention's inputs and weights, a ReLU or tanh's own
+output, the cross-entropy's log-probabilities). A node's value is not
+part of its step, so a value no backward reads (a residual sum, the
+pre-ReLU output of an affine, a concatenation, the logits) is freed as
+soon as the forward pass drops its node. `select` and `slice_axis`
+keep only a shape, and `broadcast` returns a view.
+
 backward() consumes the tape: it pops each step as that step's backward
 runs, so the closures and cached activations of later layers are freed
 while the gradients of earlier layers are built, and a tape is
-differentiated once. An inference tape (`Tape(grad=False)`) records no
-steps at all, so each intermediate is freed as soon as the caller drops
-its node. Both run the same forward functions and return the same bits.
+differentiated once. Gradients land in the slots, which `Node.grad`
+reads, so the nodes a caller still holds keep their gradients. An
+inference tape (`Tape(grad=False)`) records no steps at all, so each
+intermediate is freed as soon as the caller drops its node. Both run
+the same forward functions and return the same bits.
 
 The value-level primitive set is fixed: affine map (matrix product plus
 bias), embedding lookup, elementwise nonlinearity, scaled-dot attention,
@@ -134,9 +145,12 @@ def gru_forward(x, h, wz, bz, wr, br, wn, bn):
     return out, (xh, xrh, z, r, n)
 
 
-def gru_backward(g, x, h, wz, wr, wn, cache):
+def gru_backward(g, wz, wr, wn, cache):
+    """Gradients of gru_forward; the input and the previous state are
+    read back from the cached [x; h]."""
     xh, xrh, z, r, n = cache
-    din = x.shape[1]
+    din = xh.shape[1] - z.shape[1]
+    h = xh[:, din:]
     dn = g * (1.0 - z)
     dz = g * (h - n)
     dh = g * z
@@ -197,15 +211,31 @@ def softmax_xent_backward(g, cache):
     return (probs * (g / count)).reshape(shape)
 
 
-class Node:
-    """One tape entry: a float64 array plus its accumulated gradient."""
+class GradSlot:
+    """Where backward accumulates one node's gradient. It keeps the shape
+    of the node's value but not the value, so a recorded step that holds
+    slots holds no activations."""
 
-    __slots__ = ("value", "grad", "op")
+    __slots__ = ("grad", "shape")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.grad = None
+        self.shape = shape
+
+
+class Node:
+    """One tape entry: a float64 array plus the slot of its gradient."""
+
+    __slots__ = ("value", "op", "slot")
 
     def __init__(self, value: np.ndarray, op: str):
         self.value = value
-        self.grad = None
         self.op = op
+        self.slot = GradSlot(value.shape)
+
+    @property
+    def grad(self):
+        return self.slot.grad
 
     @property
     def shape(self):
@@ -215,12 +245,14 @@ class Node:
 class Tape:
     """Ordered record of one forward pass, consumed by backward().
 
-    With `grad=False` the tape is for inference: ops return the same
-    nodes, but no step is recorded and backward() raises.
+    Each op's backward closure takes the gradient of the op's output and
+    returns (parent slot, gradient) pairs. With `grad=False` the tape is
+    for inference: ops return the same nodes, but no step is recorded
+    and backward() raises.
     """
 
     def __init__(self, *, grad: bool = True, check_finite: bool = False):
-        self._steps: list[tuple[Node, object]] = []
+        self._steps: list[tuple[GradSlot, object]] = []
         self._param_nodes: dict[str, Node] = {}
         self.grad = grad
         self.check_finite = check_finite
@@ -235,7 +267,7 @@ class Tape:
             raise FloatingPointError(f"non-finite values produced by op '{op}'")
         node = Node(value, op)
         if self.grad:
-            self._steps.append((node, backward))
+            self._steps.append((node.slot, backward))
         return node
 
     def leaf(self, values, op: str = "leaf") -> Node:
@@ -274,21 +306,21 @@ class Tape:
             raise RuntimeError("backward before forward: tape is empty")
         if loss.value.shape != ():
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
-        if not any(node is loss for node, _ in steps):
+        if not any(slot is loss.slot for slot, _ in steps):
             raise RuntimeError("loss node was not recorded on this tape")
-        for node, _ in steps:
-            node.grad = None
-        loss.grad = np.ones((), dtype=np.float64)
+        for slot, _ in steps:
+            slot.grad = None
+        loss.slot.grad = np.ones((), dtype=np.float64)
         self._consumed = True
         while steps:
-            node, bw = steps.pop()
-            if bw is None or node.grad is None:
+            slot, bw = steps.pop()
+            if bw is None or slot.grad is None:
                 continue
-            for parent, g in bw(node.grad):
+            for parent, g in bw(slot.grad):
                 if parent.grad is None:
                     # g + 0.0 has the bits of zeros + g, signed zeros included,
                     # and never aliases g
-                    parent.grad = np.add(g, 0.0, out=np.empty_like(parent.value))
+                    parent.grad = np.add(g, 0.0, out=np.empty(parent.shape))
                 else:
                     parent.grad += g
 
@@ -306,12 +338,13 @@ class Tape:
         if b is not None:
             out = out + b.value
         out = out.reshape(*lead, wv.shape[1])
+        xs, ws, bs = x.slot, w.slot, None if b is None else b.slot
 
         def backward(g):
             g2 = g.reshape(-1, g.shape[-1])
-            grads = [(x, (g2 @ wv.T).reshape(xv.shape)), (w, x2.T @ g2)]
-            if b is not None:
-                grads.append((b, g2.sum(axis=0)))
+            grads = [(xs, (g2 @ wv.T).reshape(xs.shape)), (ws, x2.T @ g2)]
+            if bs is not None:
+                grads.append((bs, g2.sum(axis=0)))
             return grads
 
         return self._record(out, "affine", backward)
@@ -323,15 +356,18 @@ class Tape:
         if ids.size and (ids.min() < 0 or ids.max() >= tv.shape[0]):
             raise ValueError(f"embedding id out of range for table of {tv.shape[0]} rows")
         out = tv[ids]
+        ts = table.slot
 
         def backward(g):
-            gt = np.zeros_like(tv)
-            np.add.at(gt, ids.reshape(-1), g.reshape(-1, tv.shape[1]))
-            return [(table, gt)]
+            gt = np.zeros(ts.shape)
+            np.add.at(gt, ids.reshape(-1), g.reshape(-1, ts.shape[1]))
+            return [(ts, gt)]
 
         return self._record(out, "embedding", backward)
 
     def nonlin(self, x: Node, kind: str) -> Node:
+        """tanh, sigmoid or relu; each backward reads only the output (ReLU's
+        mask out > 0 equals x > 0, NaN, signed zeros and infinities included)."""
         xv = x.value
         if kind == "tanh":
             out = np.tanh(xv)
@@ -341,19 +377,21 @@ class Tape:
             dfn = lambda g: g * out * (1.0 - out)
         elif kind == "relu":
             out = np.maximum(xv, 0.0)
-            dfn = lambda g: g * (xv > 0)
+            dfn = lambda g: g * (out > 0)
         else:
             raise ValueError(f"unknown nonlinearity '{kind}'")
-        return self._record(out, kind, lambda g: [(x, dfn(g))])
+        xs = x.slot
+        return self._record(out, kind, lambda g: [(xs, dfn(g))])
 
     def attention(self, q: Node, k: Node, v: Node, mask, n_heads: int) -> Node:
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
         out, cache = attention_forward(q.value, k.value, v.value, mask, n_heads)
+        qs, ks, vs = q.slot, k.slot, v.slot
 
         def backward(g):
             gq, gk, gv = attention_backward(g, cache)
-            return [(q, gq), (k, gk), (v, gv)]
+            return [(qs, gq), (ks, gk), (vs, gv)]
 
         return self._record(out, "attention", backward)
 
@@ -361,29 +399,31 @@ class Tape:
                  wn: Node, bn: Node) -> Node:
         out, cache = gru_forward(x.value, h.value, wz.value, bz.value,
                                  wr.value, br.value, wn.value, bn.value)
+        wzv, wrv, wnv = wz.value, wr.value, wn.value
+        slots = [n.slot for n in (x, h, wz, bz, wr, br, wn, bn)]
 
         def backward(g):
-            dx, dh, dwz, dbz, dwr, dbr, dwn, dbn = gru_backward(
-                g, x.value, h.value, wz.value, wr.value, wn.value, cache)
-            return [(x, dx), (h, dh), (wz, dwz), (bz, dbz),
-                    (wr, dwr), (br, dbr), (wn, dwn), (bn, dbn)]
+            return list(zip(slots, gru_backward(g, wzv, wrv, wnv, cache)))
 
         return self._record(out, "gru_cell", backward)
 
     def layer_norm(self, x: Node, gain: Node, bias: Node) -> Node:
         out, cache = layer_norm_forward(x.value, gain.value, bias.value)
+        gv = gain.value
+        xs, gs, bs = x.slot, gain.slot, bias.slot
 
         def backward(g):
-            dx, dgain, dbias = layer_norm_backward(g, gain.value, cache)
-            return [(x, dx), (gain, dgain), (bias, dbias)]
+            dx, dgain, dbias = layer_norm_backward(g, gv, cache)
+            return [(xs, dx), (gs, dgain), (bs, dbias)]
 
         return self._record(out, "layer_norm", backward)
 
     def softmax_xent(self, logits: Node, targets, pad_mask=None) -> Node:
         loss, cache = softmax_xent_forward(logits.value, targets, pad_mask)
+        ls = logits.slot
 
         def backward(g):
-            return [(logits, softmax_xent_backward(g, cache))]
+            return [(ls, softmax_xent_backward(g, cache))]
 
         return self._record(np.float64(loss), "softmax_xent", backward)
 
@@ -396,9 +436,10 @@ class Tape:
             raise ValueError("squared_error on empty input")
         diff = (pv - tv).reshape(-1)
         loss = float(diff @ diff / diff.size)
+        ps = pred.slot
 
         def backward(g):
-            return [(pred, (2.0 / diff.size) * (pv - tv) * g)]
+            return [(ps, (2.0 / diff.size) * diff.reshape(ps.shape) * g)]
 
         return self._record(np.float64(loss), "squared_error", backward)
 
@@ -408,25 +449,26 @@ class Tape:
     def add(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
             raise ValueError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
-        return self._record(a.value + b.value, "add",
-                            lambda g: [(a, g), (b, g)])
+        sa, sb = a.slot, b.slot
+        return self._record(a.value + b.value, "add", lambda g: [(sa, g), (sb, g)])
 
     def scale(self, a: Node, c: float) -> Node:
         c = float(c)
-        return self._record(a.value * c, "scale", lambda g: [(a, g * c)])
+        sa = a.slot
+        return self._record(a.value * c, "scale", lambda g: [(sa, g * c)])
 
     def concat(self, nodes: list[Node], axis: int) -> Node:
         values = [n.value for n in nodes]
         out = np.concatenate(values, axis=axis)
-        sizes = [v.shape[axis] for v in values]
-        offsets = np.cumsum([0] + sizes)
+        slots = [n.slot for n in nodes]
+        offsets = np.cumsum([0] + [v.shape[axis] for v in values])
 
         def backward(g):
             grads = []
-            for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            for slot, lo, hi in zip(slots, offsets[:-1], offsets[1:]):
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
-                grads.append((node, g[tuple(idx)]))
+                grads.append((slot, g[tuple(idx)]))
             return grads
 
         return self._record(out, "concat", backward)
@@ -434,13 +476,14 @@ class Tape:
     def select(self, x: Node, index: int, axis: int) -> Node:
         """Take one slice along an axis, dropping that axis."""
         out = np.take(x.value, index, axis=axis)
+        xs = x.slot
 
         def backward(g):
-            gx = np.zeros_like(x.value)
-            idx = [slice(None)] * x.value.ndim
+            gx = np.zeros(xs.shape)
+            idx = [slice(None)] * len(xs.shape)
             idx[axis] = index
             gx[tuple(idx)] = g
-            return [(x, gx)]
+            return [(xs, gx)]
 
         return self._record(out, "select", backward)
 
@@ -449,25 +492,29 @@ class Tape:
         idx[axis] = slice(start, stop)
         idx = tuple(idx)
         out = x.value[idx]
+        xs = x.slot
 
         def backward(g):
-            gx = np.zeros_like(x.value)
+            gx = np.zeros(xs.shape)
             gx[idx] = g
-            return [(x, gx)]
+            return [(xs, gx)]
 
         return self._record(out, "slice", backward)
 
     def stack(self, nodes: list[Node], axis: int) -> Node:
         out = np.stack([n.value for n in nodes], axis=axis)
+        slots = [n.slot for n in nodes]
 
         def backward(g):
-            return [(node, np.take(g, j, axis=axis)) for j, node in enumerate(nodes)]
+            return [(slot, np.take(g, j, axis=axis)) for j, slot in enumerate(slots)]
 
         return self._record(out, "stack", backward)
 
     def broadcast(self, x: Node, shape: tuple[int, ...]) -> Node:
-        out = np.broadcast_to(x.value, shape)
-        xshape = x.value.shape
+        """A read-only view of x broadcast to `shape`; no op writes into a
+        node's value."""
+        xs = x.slot
+        xshape = xs.shape
 
         def backward(g):
             # Sum over axes introduced or widened by the broadcast.
@@ -476,6 +523,6 @@ class Tape:
             reduce_axes = tuple(i for i, d in enumerate(xshape) if d == 1 and gx.shape[i] != 1)
             if reduce_axes:
                 gx = gx.sum(axis=reduce_axes, keepdims=True)
-            return [(x, gx)]
+            return [(xs, gx)]
 
-        return self._record(out.copy(), "broadcast", backward)
+        return self._record(np.broadcast_to(x.value, shape), "broadcast", backward)

@@ -30,6 +30,9 @@ from .nn import ParamStore, load_checkpoint
 from .training import Batch, TrainConfig, length_order
 
 EOS_TOKEN = RESERVED_TOKENS[EOS_ID]
+# Rows one batched inference pass (scoring or decoding) runs at once: its
+# working set stays bounded whatever the number of requests.
+CHUNK_ROWS = 64
 
 
 def strip_reserved(tokens) -> list[str]:
@@ -84,8 +87,9 @@ class ExplainableRecommender(abc.ABC):
 
     def perplexity_many(self, requests) -> list[float]:
         """exp(-log_likelihood / T) per (user, item, tokens) request, with T
-        counting scored positions (words + EOS)."""
-        requests = [(u, i, list(tokens)) for u, i, tokens in requests]
+        counting scored positions (words + EOS). Each text is read where
+        it is, as a list or tuple of tokens, and not copied."""
+        requests = list(requests)
         for _, _, tokens in requests:
             if not tokens:
                 raise ValueError("perplexity of empty text")
@@ -252,7 +256,7 @@ class NeuralRecommender(ExplainableRecommender):
         logp = self.token_log_probs(user, item, tokens)
         return _sum_target_logprobs(logp[None], [[self.vocab.token_to_id(t) for t in tokens]])[0]
 
-    def log_likelihood_many(self, requests, chunk_size: int = 64) -> list[float]:
+    def log_likelihood_many(self, requests, chunk_size: int = CHUNK_ROWS) -> list[float]:
         """Batched scoring in request order.
 
         Requests are chunked in `length_order` of token count, so a
@@ -317,13 +321,21 @@ class NeuralRecommender(ExplainableRecommender):
         return self.generate_many([(user, item, aspect)], max_len)[0]
 
     def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
-        """Greedy decoding of all requests as one batch, carrying each
-        architecture's state (K/V cache or GRU state) between steps."""
-        requests = list(requests)
-        users, items, aspects = self._prefixes(requests, self._decode_aspect_id)
+        """Greedy decoding in request order, CHUNK_ROWS requests at a time,
+        carrying each architecture's state (K/V cache or GRU state) between
+        steps; a row's tokens do not depend on the other rows decoded with
+        it. All requests are validated before any forward pass."""
+        users, items, aspects = self._prefixes(list(requests), self._decode_aspect_id)
+        max_len = max_len or self.arch.max_len
+        texts = []
+        for lo in range(0, len(users), CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            texts += self._decode_chunk(users[rows], items[rows], aspects[rows], max_len)
+        return texts
 
+    def _decode_chunk(self, users, items, aspects, max_len: int) -> list[list[str]]:
         def start():
-            bos = np.full((len(requests), 1), BOS_ID, dtype=np.int64)
+            bos = np.full((len(users), 1), BOS_ID, dtype=np.int64)
             logits, _, state = self._run(Tape(grad=False), users, items, aspects, bos)
             return logits.value[:, -1], state
 
@@ -334,8 +346,7 @@ class NeuralRecommender(ExplainableRecommender):
                                          past=state)
             return logits.value[:, -1], state
 
-        return _greedy_decode(self.vocab, start, step, len(requests),
-                              max_len or self.arch.max_len)
+        return _greedy_decode(self.vocab, start, step, len(users), max_len)
 
 
 @dataclass(frozen=True)

@@ -518,6 +518,56 @@ def test_an_inference_tape_records_no_steps_and_refuses_backward():
         t.backward(loss)
 
 
+def _buffer(a):
+    """The array that owns a's memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_values_no_backward_reads_are_freed_before_backward():
+    rng = np.random.default_rng(15)
+    store = ParamStore()
+    for name, shape in (("emb", (6, 4)), ("pos", (3, 4)), ("gain", (4,)), ("bias", (4,)),
+                        ("w1", (4, 8)), ("b1", (8,)), ("w2", (8, 4)), ("b2", (4,)),
+                        ("out", (4, 5))):
+        store.add(name, rng.normal(size=shape))
+    t = Tape()
+    emb, pos = t.param(store, "emb"), t.param(store, "pos")
+    # a transformer block: concatenated input plus positions, a ReLU
+    # feed-forward residual, then a layer norm and the logits
+    cat = t.concat([t.embedding(emb, [[0], [1]]), t.embedding(emb, [[2, 3], [4, 5]])], axis=1)
+    x = t.add(cat, t.broadcast(pos, (2, 3, 4)))
+    pre = t.affine(x, t.param(store, "w1"), t.param(store, "b1"))
+    h = t.nonlin(pre, "relu")
+    res = t.add(x, t.affine(h, t.param(store, "w2"), t.param(store, "b2")))
+    y = t.layer_norm(res, t.param(store, "gain"), t.param(store, "bias"))
+    logits = t.affine(y, t.param(store, "out"))
+    loss = t.softmax_xent(logits, rng.integers(0, 5, size=(2, 3)))
+    unread = {name: weakref.ref(_buffer(node.value)) for name, node in
+              (("concat", cat), ("pre-relu", pre), ("residual", res), ("logits", logits))}
+    read = {name: weakref.ref(_buffer(node.value)) for name, node in
+            (("affine input", x), ("relu output", h))}
+    del cat, x, pre, h, res, y, logits
+    assert {name for name, ref in unread.items() if ref() is not None} == set()
+    assert {name for name, ref in read.items() if ref() is None} == set()
+    t.backward(loss)
+    assert {name for name, ref in read.items() if ref() is not None} == set()
+    assert all(np.isfinite(g).all() for g in t.param_grads(store).values())
+
+
+def test_relu_mask_from_its_output_equals_the_mask_from_its_input():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, tiny, -tiny, 3 * tiny,
+                  np.finfo(np.float64).tiny / 2, -np.finfo(np.float64).tiny / 2, 1.5, -1.5])
+    g = np.random.default_rng(16).normal(size=x.shape)
+    t = Tape()
+    t.nonlin(t.leaf(x), "relu")
+    _, relu_backward = t._steps[-1]
+    [(_, gx)] = relu_backward(g)
+    assert gx.tobytes() == (g * (x > 0)).tobytes()
+
+
 def _op_cases(rng):
     """Per op, a function that runs that op on a tape from fixed inputs."""
     x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(5,))

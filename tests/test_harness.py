@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +17,7 @@ from rexeval.cli import main
 from rexeval.config import (CorpusSpec, MetricSettings, ModelSpec, RunConfig,
                             Seeds, apply_overrides, lineage_hash, load_config)
 from rexeval.models import EOS_TOKEN, TransformerModel
+from rexeval import pipeline
 from rexeval.pipeline import model_seed
 from rexeval.report import EvaluationReport, verify_against_audit
 
@@ -265,19 +267,23 @@ def test_staged_stages_match_run_all_bytes(staged_dir, runall_dir):
     assert staged  # the run produced artifacts
     assert staged == _tree(runall_dir)
     # only the end-to-end runner writes the timing sidecar: the whole run's
-    # wall seconds, then each stage's seconds and the peak RSS at its end
+    # wall seconds, then each stage's seconds, the peak RSS at its end and
+    # the minor page faults taken during it
     assert not (staged_dir / "timing.txt").exists()
     timing = [line.split(" ") for line in
               (runall_dir / "timing.txt").read_text(encoding="utf-8").splitlines()]
     stages = ["gen-corpus", "train", "generate", "evaluate", "report"]
     assert [key for key, _ in timing] == ["wall_time_seconds"] + [
-        f"{stage}_{what}" for stage in stages for what in ("seconds", "peak_rss_mb")]
+        f"{stage}_{what}" for stage in stages
+        for what in ("seconds", "peak_rss_mb", "minor_faults")]
     seconds = [float(value) for key, value in timing if key.endswith("seconds")]
     assert min(seconds) >= 0
     assert sum(seconds[1:]) <= seconds[0] + 0.005  # each value is rounded to 1 ms
     peaks = [float(value) for key, value in timing if key.endswith("_peak_rss_mb")]
     assert peaks[0] > 0
     assert peaks == sorted(peaks)  # a high-water mark never falls
+    faults = [value for key, value in timing if key.endswith("_minor_faults")]
+    assert all(value.isdigit() for value in faults)  # counts, never negative
 
 
 def test_run_all_reruns_identically(micro_ini, runall_dir, tmp_path):
@@ -474,6 +480,45 @@ def test_stage_order_and_tamper_guards(micro_ini, tmp_path, capsys):
 
     assert _cli("evaluate", "--config", micro_ini, "--out", out, "--quiet") == 1
     assert "missing checkpoint for 'tiny'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def heap_policy_unset():
+    """fix_heap_policy as if no stage of this process had run yet."""
+    pipeline.fix_heap_policy.cache_clear()
+    yield pipeline.fix_heap_policy
+    pipeline.fix_heap_policy.cache_clear()
+
+
+def test_the_first_stage_fixes_the_heap_policy_once(micro_ini, tmp_path, capsys,
+                                                     monkeypatch, heap_policy_unset):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(pipeline, "_libc", lambda: SimpleNamespace(mallopt=mallopt))
+    out = tmp_path / "heap"
+    assert _cli("report", "--config", micro_ini, "--out", out, "--quiet") == 1
+    assert "no corpus artifacts" in capsys.readouterr().err
+    assert calls == [(pipeline._M_MMAP_THRESHOLD, pipeline.MMAP_THRESHOLD),
+                     (pipeline._M_TRIM_THRESHOLD, pipeline.TRIM_THRESHOLD)]
+    assert _cli("gen-corpus", "--config", micro_ini, "--out", out, "--quiet") == 0
+    assert heap_policy_unset() is True
+    assert len(calls) == 2  # once per process
+
+
+def test_a_c_library_without_mallopt_keeps_its_heap_policy(monkeypatch, heap_policy_unset):
+    monkeypatch.setattr(pipeline, "_libc", lambda: SimpleNamespace())
+    assert heap_policy_unset() is False
+    heap_policy_unset.cache_clear()
+
+    def unloadable():
+        raise OSError("no C library")
+
+    monkeypatch.setattr(pipeline, "_libc", unloadable)
+    assert heap_policy_unset() is False
 
 
 def test_generation_pool_alignment_guards(micro_ini, tmp_path, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from rexeval import models
 from rexeval.autodiff import Tape, log_softmax
 from rexeval.corpus import build_corpus, generate_world, render_review
 from rexeval.lexicon import BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, UNK_ID, extract_aspect
@@ -432,6 +433,26 @@ def test_batched_decoding_equals_full_prefix_decoding(
         assert model.generate(u, i, aspect=a) == full_prefix_generate(model, u, i, a)
     # some batch had rows stop at different lengths, some at the length cap
     assert len(lengths) > 2 and max(lengths) == 24
+
+
+def test_chunked_decoding_equals_one_batch(monkeypatch, tiny_corpus, sanity_corpus,
+                                           briefly_trained, trained_transformer):
+    tiny = [(r.user, r.item, None) for r in tiny_corpus.test + tiny_corpus.validation]
+    tiny = (tiny * (2 * models.CHUNK_ROWS // len(tiny) + 1))[:2 * models.CHUNK_ROWS + 5]
+    sanity = [(r.user, r.item, None) for r in sanity_corpus.test[:150]]
+    cases = [(briefly_trained[0], tiny), (briefly_trained[1], tiny),
+             (trained_transformer, sanity)]
+    lengths = set()
+    for model, requests in cases:
+        assert len(requests) > models.CHUNK_ROWS
+        for max_len in (1, 2, None):
+            chunked = model.generate_many(requests, max_len=max_len)
+            with monkeypatch.context() as patch:
+                patch.setattr(models, "CHUNK_ROWS", len(requests))
+                assert model.generate_many(requests, max_len=max_len) == chunked
+            if max_len is None:
+                lengths.update(len(tokens) for tokens in chunked)
+    assert len(lengths) > 2  # rows stopped at mixed lengths
 
 
 def test_batched_ratings_equal_one_pair_ratings(
