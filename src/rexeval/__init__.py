@@ -48,7 +48,6 @@ from .models import (
     TransformerModel,
     UniformScorer,
     UnigramModel,
-    model_from_checkpoint,
 )
 from .perturb import PerturbedPair, negate_sentiment, substitute_aspect
 from .pipeline import (

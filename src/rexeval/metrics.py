@@ -277,9 +277,6 @@ class AuxRegressor:
             out[start:start + len(chunk)] = np.clip(raw, 1.0, 5.0)
         return out
 
-    def predict(self, tokens) -> float:
-        return float(self.predict_many([list(tokens)])[0])
-
 
 def train_aux_regressor(corpus, *, embed_dim: int = 32, hidden_dim: int = 32,
                         epochs: int = 12, lr: float = 3e-3, batch_size: int = 64,
@@ -464,10 +461,6 @@ class EmbeddingTable:
                     self._fill(ia, ib)
             block = self._table[np.ix_(a_ids, b_ids)]
         return block
-
-    def cosine(self, a: str, b: str) -> float:
-        ia, ib = self.vocab.token_to_id(a), self.vocab.token_to_id(b)
-        return float(self.cosine_matrix([ia], [ib])[0, 0])
 
 
 def train_cooccurrence_embeddings(corpus, dim: int = 32, window: int = 2) -> EmbeddingTable:

@@ -1,10 +1,11 @@
-"""Joint review-rating models sharing one scoring interface.
+"""Joint review-rating models sharing one batched interface.
 
-Every model answers three questions about a (user, item) pair: what
-rating it predicts, what explanation text it generates, and how likely
-an arbitrary text is under it. Perplexity is derived from the last one
-and is the only quantity the ranking metrics consume, so any object
-implementing the interface can be evaluated.
+Every model answers three questions, each over a list of requests and in
+request order: the rating it predicts for each (user, item, aspect), the
+explanation text it generates for each, and how likely each (user, item,
+text) is under it. Perplexity is derived from the last one and is the
+only quantity the ranking metrics consume, so any object implementing
+the interface can be evaluated.
 
 Trainable models are composed purely from the tape primitives in
 `autodiff`. Training records each batch on a tape that backward
@@ -19,6 +20,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import hashlib
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -26,8 +28,8 @@ import numpy as np
 
 from .autodiff import Tape, log_softmax
 from .lexicon import BOS_ID, EOS_ID, PAD_ID, UNK_ID, RESERVED_TOKENS, Vocab, extract_aspect
-from .nn import ParamStore, load_checkpoint
-from .training import Batch, TrainConfig, length_order
+from .nn import ParamStore
+from .training import Batch, TrainConfig, length_order, padded_ids
 
 EOS_TOKEN = RESERVED_TOKENS[EOS_ID]
 # Rows one batched inference pass (scoring or decoding) runs at once: its
@@ -49,73 +51,62 @@ def _unit(*parts) -> float:
     return (int.from_bytes(digest.digest(), "big") + 0.5) / 2.0 ** 64
 
 
+def _nonempty(requests) -> list:
+    """The (user, item, tokens) requests as a list, once no text is empty:
+    every model's scoring rejects an empty text here, before it scores any.
+    The texts themselves are not copied."""
+    requests = list(requests)
+    for _, _, tokens in requests:
+        if not tokens:
+            raise ValueError("cannot score an empty text")
+    return requests
+
+
 class ExplainableRecommender(abc.ABC):
-    """Rating prediction, explanation generation, and text scoring."""
+    """Rating prediction, explanation generation and text scoring, each
+    answered for a list of requests, in request order."""
 
     conditions_on_aspect = False
 
     @abc.abstractmethod
-    def predict_rating(self, user: int, item: int, aspect: str | None = None) -> float:
-        """Predicted rating in [1, 5]; the aspect is None for models that
-        do not condition on one."""
-
-    @abc.abstractmethod
-    def generate(self, user: int, item: int, aspect: str | None = None,
-                 max_len: int | None = None) -> list[str]:
-        """Explanation tokens, ending with the EOS marker."""
-
     def predict_rating_many(self, requests) -> list[float]:
-        """Ratings for many (user, item, aspect) requests; overridden where
-        batching pays."""
-        return [self.predict_rating(u, i, aspect=a) for u, i, a in requests]
-
-    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
-        """Explanations for many (user, item, aspect) requests; overridden where
-        batching pays."""
-        return [self.generate(u, i, aspect=a, max_len=max_len) for u, i, a in requests]
+        """Predicted rating in [1, 5] per (user, item, aspect) request; the
+        aspect is None for models that do not condition on one."""
 
     @abc.abstractmethod
-    def log_likelihood(self, user: int, item: int, tokens) -> float:
-        """Sum of per-token log-probabilities, EOS included. Always <= 0."""
+    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
+        """Explanation tokens per (user, item, aspect) request, each ending
+        with the EOS marker."""
 
+    @abc.abstractmethod
     def log_likelihood_many(self, requests) -> list[float]:
-        """Score many (user, item, tokens) requests; overridden where batching pays."""
-        return [self.log_likelihood(u, i, tokens) for u, i, tokens in requests]
-
-    def perplexity(self, user: int, item: int, tokens) -> float:
-        return self.perplexity_many([(user, item, tokens)])[0]
+        """Sum of per-token log-probabilities, EOS included, per (user, item,
+        tokens) request; always <= 0. An empty text anywhere in the list
+        raises ValueError before any text is scored."""
 
     def perplexity_many(self, requests) -> list[float]:
         """exp(-log_likelihood / T) per (user, item, tokens) request, with T
         counting scored positions (words + EOS). Each text is read where
         it is, as a list or tuple of tokens, and not copied."""
         requests = list(requests)
-        for _, _, tokens in requests:
-            if not tokens:
-                raise ValueError("perplexity of empty text")
         lls = self.log_likelihood_many(requests)
         return [float(np.exp(-ll / (len(tokens) + 1)))
                 for (_, _, tokens), ll in zip(requests, lls)]
 
 
-def _sum_target_logprobs(lp: np.ndarray, tok_ids) -> list[float]:
-    """Per row b, the sum of lp[b, t, target] over its words then EOS.
+def _sum_target_logprobs(lp: np.ndarray, target_ids, pad) -> list[float]:
+    """Per row b, the sum of lp[b, t, target_ids[b, t]] over its unpadded t.
 
-    lp is (B, W, V) with W above every row's word count. The targets are
-    read with one gather, and each row is added left to right from 0.0,
-    as a Python loop over the positions would: `np.cumsum` adds
-    sequentially, where `np.sum` would add pairwise. Padded positions
-    are zeroed and come last, so they leave the sum unchanged.
+    lp is (B, W, V); the targets and the pad mask are (B, W), as
+    `padded_ids` builds them. The targets are read with one gather, and
+    each row is added left to right from 0.0, as a Python loop over the
+    positions would: `np.cumsum` adds sequentially, where `np.sum` would
+    add pairwise. Padded positions are zeroed and come last, so they leave
+    the sum unchanged.
     """
-    B, W = lp.shape[:2]
-    targets = np.full((B, W), PAD_ID, dtype=np.int64)
-    pad = np.ones((B, W), dtype=bool)
-    for b, ids in enumerate(tok_ids):
-        targets[b, :len(ids)] = ids
-        targets[b, len(ids)] = EOS_ID
-        pad[b, :len(ids) + 1] = False
+    B, W = target_ids.shape
     picked = np.zeros((B, W + 1))  # column 0 is the 0.0 each sum starts from
-    picked[:, 1:] = np.where(pad, 0.0, lp[np.arange(B)[:, None], np.arange(W), targets])
+    picked[:, 1:] = np.where(pad, 0.0, lp[np.arange(B)[:, None], np.arange(W), target_ids])
     return np.cumsum(picked, axis=1)[:, -1].tolist()
 
 
@@ -204,12 +195,6 @@ class NeuralRecommender(ExplainableRecommender):
         mse = tape.squared_error(rating, batch.ratings.reshape(-1, 1))
         return nll, mse
 
-    def _check_ids(self, user: int, item: int) -> None:
-        if not 0 <= user < self.num_users:
-            raise ValueError(f"cold-start user id {user}")
-        if not 0 <= item < self.num_items:
-            raise ValueError(f"cold-start item id {item}")
-
     def _aspect_id(self, aspect: str | None, tokens=None) -> int:
         """Aspect id the prefix conditions on: the given aspect, else the
         one a text names, else UNK; always UNK for unconditioned models."""
@@ -229,96 +214,63 @@ class NeuralRecommender(ExplainableRecommender):
         return UNK_ID
 
     def _prefixes(self, requests, aspect_id) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """User, item and aspect-id arrays of (user, item, aspect) requests,
-        all validated before any forward pass."""
+        """User, item and aspect-id arrays of (user, item, x) requests, the
+        aspect id being `aspect_id(x)`; all validated before any forward
+        pass."""
         users = np.empty(len(requests), dtype=np.int64)
         items = np.empty(len(requests), dtype=np.int64)
         aspects = np.empty(len(requests), dtype=np.int64)
-        for b, (user, item, aspect) in enumerate(requests):
-            self._check_ids(user, item)
-            users[b], items[b], aspects[b] = user, item, aspect_id(aspect)
+        for b, (user, item, x) in enumerate(requests):
+            if not 0 <= user < self.num_users:
+                raise ValueError(f"cold-start user id {user}")
+            if not 0 <= item < self.num_items:
+                raise ValueError(f"cold-start item id {item}")
+            users[b], items[b], aspects[b] = user, item, aspect_id(x)
         return users, items, aspects
-
-    def token_log_probs(self, user: int, item: int, tokens) -> np.ndarray:
-        """Log distributions at each scored position (words then EOS)."""
-        self._check_ids(user, item)
-        tokens = list(tokens)
-        input_ids = np.array([[BOS_ID] + [self.vocab.token_to_id(t) for t in tokens]],
-                             dtype=np.int64)
-        logits, _, _ = self._run(Tape(grad=False), np.array([user]), np.array([item]),
-                                 np.array([self._aspect_id(None, tokens)]), input_ids)
-        return log_softmax(logits.value[0])
-
-    def log_likelihood(self, user: int, item: int, tokens) -> float:
-        tokens = list(tokens)
-        if not tokens:
-            raise ValueError("log_likelihood of empty text")
-        logp = self.token_log_probs(user, item, tokens)
-        return _sum_target_logprobs(logp[None], [[self.vocab.token_to_id(t) for t in tokens]])[0]
 
     def log_likelihood_many(self, requests, chunk_size: int = CHUNK_ROWS) -> list[float]:
         """Batched scoring in request order.
 
-        Requests are chunked in `length_order` of token count, so a
-        chunk holds texts of similar length and pads little. Right-padding
-        never reaches a scored position, and each row's arithmetic does
-        not depend on the other rows of its chunk.
+        Every request is checked first. Requests are then chunked in
+        `length_order` of token count, so a chunk holds texts of similar
+        length and pads little, and each chunk encodes only its own texts.
+        Right-padding never reaches a scored position, and each row's
+        arithmetic does not depend on the other rows of its chunk.
         """
-        tok_ids = []
-        for user, item, tokens in requests:
-            self._check_ids(user, item)
-            tokens = list(tokens)
-            if not tokens:
-                raise ValueError("log_likelihood of empty text")
-            tok_ids.append([self.vocab.token_to_id(t) for t in tokens])
-        order = length_order([len(ids) for ids in tok_ids])
-        out = [0.0] * len(requests)
+        requests = _nonempty(requests)
+        users, items, aspects = self._prefixes(
+            requests, lambda tokens: self._aspect_id(None, tokens))
+        order = length_order([len(tokens) for _, _, tokens in requests])
+        out = np.empty(len(requests))
         for start in range(0, len(order), chunk_size):
             rows = order[start:start + chunk_size]
-            lls = self._ll_chunk([requests[j] for j in rows], [tok_ids[j] for j in rows])
-            for j, ll in zip(rows, lls):
-                out[j] = ll
-        return out
+            out[rows] = self._ll_chunk(users[rows], items[rows], aspects[rows],
+                                       [requests[j][2] for j in rows])
+        return out.tolist()
 
-    def _ll_chunk(self, chunk, tok_ids) -> list[float]:
-        W = max(len(ids) for ids in tok_ids) + 1
-        input_ids = np.full((len(chunk), W), PAD_ID, dtype=np.int64)
-        for b, ids in enumerate(tok_ids):
-            input_ids[b, 0] = BOS_ID
-            input_ids[b, 1:len(ids) + 1] = ids
-        users = np.array([u for u, _, _ in chunk], dtype=np.int64)
-        items = np.array([i for _, i, _ in chunk], dtype=np.int64)
-        aspects = np.array([self._aspect_id(None, tokens) for _, _, tokens in chunk],
-                           dtype=np.int64)
+    def _ll_chunk(self, users, items, aspects, texts) -> list[float]:
+        # a method of its own, so one chunk's logits are freed before the next
+        # chunk's are built
+        input_ids, target_ids, pad = padded_ids(
+            [self.vocab.encode(tokens, append_eos=False) for tokens in texts])
         logits, _, _ = self._run(Tape(grad=False), users, items, aspects, input_ids)
-        lp = log_softmax(logits.value)
-        return _sum_target_logprobs(lp, tok_ids)
-
-    def predict_rating(self, user: int, item: int, aspect: str | None = None) -> float:
-        return self.predict_rating_many([(user, item, aspect)])[0]
+        return _sum_target_logprobs(log_softmax(logits.value), target_ids, pad)
 
     def predict_rating_many(self, requests) -> list[float]:
         """Ratings of (user, item, aspect) requests from one prefix pass.
 
         The trunk runs the prefix and BOS of every request as one batch: a
         row's values do not depend on the other rows. The two products of
-        the rating head run one row at a time, as a one-pair pass runs
+        the rating head run one row at a time, as a one-row batch runs
         them: over the batch, a (B, d) product can round differently from
         the (1, d) one in the last bit (gemm against gemv).
         """
-        requests = list(requests)
-        if not requests:
-            return []
-        users, items, aspects = self._prefixes(requests, self._aspect_id)
-        bos = np.full((len(requests), 1), BOS_ID, dtype=np.int64)
+        users, items, aspects = self._prefixes(list(requests), self._aspect_id)
+        bos = np.full((len(users), 1), BOS_ID, dtype=np.int64)
         _, head_in, _ = self._run(Tape(grad=False), users, items, aspects, bos)
         tape = Tape(grad=False)
         return [clamp_rating(float(self._rating_head(tape, tape.leaf(row[None])).value[0, 0]))
                 for row in head_in.value]
-
-    def generate(self, user: int, item: int, aspect: str | None = None,
-                 max_len: int | None = None) -> list[str]:
-        return self.generate_many([(user, item, aspect)], max_len)[0]
 
     def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
         """Greedy decoding in request order, CHUNK_ROWS requests at a time,
@@ -583,20 +535,21 @@ class OracleModel(ExplainableRecommender):
             self._cache[key] = review
         return review
 
-    def predict_rating(self, user: int, item: int, aspect: str | None = None) -> float:
-        return float(self._gold(user, item).rating)
+    def predict_rating_many(self, requests) -> list[float]:
+        return [float(self._gold(user, item).rating) for user, item, _ in requests]
 
-    def generate(self, user: int, item: int, aspect: str | None = None,
-                 max_len: int | None = None) -> list[str]:
-        return list(self._gold(user, item).tokens) + [EOS_TOKEN]
+    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
+        return [list(self._gold(user, item).tokens) + [EOS_TOKEN] for user, item, _ in requests]
 
-    def log_likelihood(self, user: int, item: int, tokens) -> float:
-        tokens = tuple(tokens)
-        if not tokens:
-            raise ValueError("log_likelihood of empty text")
-        if tokens == self._gold(user, item).tokens:
-            return 0.0
-        return -1.0 - _unit(self.world.seed, "oracle", user, item, " ".join(tokens))
+    def log_likelihood_many(self, requests) -> list[float]:
+        out = []
+        for user, item, tokens in _nonempty(requests):
+            gold = self._gold(user, item).tokens
+            if len(tokens) == len(gold) and all(map(operator.eq, tokens, gold)):
+                out.append(0.0)
+            else:
+                out.append(-1.0 - _unit(self.world.seed, "oracle", user, item, " ".join(tokens)))
+        return out
 
 
 class RandomScorer(ExplainableRecommender):
@@ -606,24 +559,23 @@ class RandomScorer(ExplainableRecommender):
         self.seed = seed
         self.vocab = vocab
 
-    def predict_rating(self, user: int, item: int, aspect: str | None = None) -> float:
-        return 1.0 + 4.0 * _unit(self.seed, "rating", user, item)
+    def predict_rating_many(self, requests) -> list[float]:
+        return [1.0 + 4.0 * _unit(self.seed, "rating", user, item) for user, item, _ in requests]
 
-    def generate(self, user: int, item: int, aspect: str | None = None,
-                 max_len: int | None = None) -> list[str]:
+    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
         if self.vocab is None:
             raise ValueError("random generation needs a vocabulary")
         words = self.vocab.tokens()
-        rng = np.random.default_rng([self.seed, user, item])
-        n = int(rng.integers(3, 9))
-        n = min(n, (max_len or 24) - 1)
-        return [words[int(rng.integers(len(words)))] for _ in range(n)] + [EOS_TOKEN]
+        texts = []
+        for user, item, _ in requests:
+            rng = np.random.default_rng([self.seed, user, item])
+            n = min(int(rng.integers(3, 9)), (max_len or 24) - 1)
+            texts.append([words[int(rng.integers(len(words)))] for _ in range(n)] + [EOS_TOKEN])
+        return texts
 
-    def log_likelihood(self, user: int, item: int, tokens) -> float:
-        tokens = list(tokens)
-        if not tokens:
-            raise ValueError("log_likelihood of empty text")
-        return float(np.log(_unit(self.seed, "ll", user, item, " ".join(tokens))))
+    def log_likelihood_many(self, requests) -> list[float]:
+        return [float(np.log(_unit(self.seed, "ll", user, item, " ".join(tokens))))
+                for user, item, tokens in _nonempty(requests)]
 
 
 class UniformScorer(ExplainableRecommender):
@@ -634,18 +586,15 @@ class UniformScorer(ExplainableRecommender):
             raise ValueError("vocab size must be positive")
         self.vocab_size = vocab_size
 
-    def predict_rating(self, user: int, item: int, aspect: str | None = None) -> float:
-        return 3.0
+    def predict_rating_many(self, requests) -> list[float]:
+        return [3.0 for _ in requests]
 
-    def generate(self, user: int, item: int, aspect: str | None = None,
-                 max_len: int | None = None) -> list[str]:
-        return [EOS_TOKEN]
+    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
+        return [[EOS_TOKEN] for _ in requests]
 
-    def log_likelihood(self, user: int, item: int, tokens) -> float:
-        tokens = list(tokens)
-        if not tokens:
-            raise ValueError("log_likelihood of empty text")
-        return -(len(tokens) + 1) * float(np.log(self.vocab_size))
+    def log_likelihood_many(self, requests) -> list[float]:
+        log_v = float(np.log(self.vocab_size))
+        return [-(len(tokens) + 1) * log_v for _, _, tokens in _nonempty(requests)]
 
 
 class UnigramModel(ExplainableRecommender):
@@ -667,29 +616,19 @@ class UnigramModel(ExplainableRecommender):
         mean_rating = float(np.mean([r.rating for r in corpus.train]))
         return cls(log_probs, mean_rating, vocab)
 
-    def predict_rating(self, user: int, item: int, aspect: str | None = None) -> float:
-        return clamp_rating(self.mean_rating)
+    def predict_rating_many(self, requests) -> list[float]:
+        return [clamp_rating(self.mean_rating) for _ in requests]
 
-    def generate(self, user: int, item: int, aspect: str | None = None,
-                 max_len: int | None = None) -> list[str]:
-        word_ids = np.argsort(-self.log_probs)
-        for tid in word_ids:
-            if int(tid) >= len(RESERVED_TOKENS):
-                return [self.vocab.id_to_token(int(tid)), EOS_TOKEN]
-        return [EOS_TOKEN]
+    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
+        """The most probable word that is not reserved, then EOS."""
+        ranked = np.argsort(-self.log_probs)
+        best = [self.vocab.id_to_token(int(tid))
+                for tid in ranked[ranked >= len(RESERVED_TOKENS)][:1]]
+        return [best + [EOS_TOKEN] for _ in requests]
 
-    def log_likelihood(self, user: int, item: int, tokens) -> float:
-        tokens = list(tokens)
-        if not tokens:
-            raise ValueError("log_likelihood of empty text")
-        ids = self.vocab.encode(tokens, append_eos=True)
-        return float(self.log_probs[ids].sum())
-
-
-def model_from_checkpoint(path, vocab: Vocab, lexicon=None):
-    """Rebuild a trained model from a checkpoint header and parameters."""
-    store, header = load_checkpoint(path)
-    return model_from_parameters(store, header, vocab, lexicon, source=path)
+    def log_likelihood_many(self, requests) -> list[float]:
+        return [float(self.log_probs[self.vocab.encode(tokens, append_eos=True)].sum())
+                for _, _, tokens in _nonempty(requests)]
 
 
 def model_from_parameters(store: ParamStore, header: dict, vocab: Vocab, lexicon=None,

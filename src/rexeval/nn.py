@@ -1,4 +1,4 @@
-"""Parameter storage, Adam, finite-difference checking, checkpoint io.
+"""Parameter storage, Adam, gradient clipping, checkpoint io.
 
 Checkpoints (format `rexeval-checkpoint-v2`) are text: a magic line, a
 JSON header (seed, step, config hash, optional model description), then
@@ -19,7 +19,6 @@ from __future__ import annotations
 import binascii
 import json
 import math
-from collections.abc import Callable
 
 import numpy as np
 
@@ -63,9 +62,6 @@ class ParamStore:
 
     def names(self) -> list[str]:
         return list(self._params)
-
-    def num_values(self) -> int:
-        return sum(p.size for p in self._params.values())
 
     def state_copy(self) -> dict[str, np.ndarray]:
         return {name: p.copy() for name, p in self._params.items()}
@@ -138,40 +134,6 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dic
         return grads, norm
     factor = max_norm / norm
     return {name: g * factor for name, g in grads.items()}, norm
-
-
-def grad_check(loss_fn: Callable[[], tuple[float, dict[str, np.ndarray]]],
-               store: ParamStore, epsilon: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    loss_fn rebuilds the forward pass from the current store contents and
-    returns (loss, grads). It must be deterministic; a second baseline
-    call is compared bit for bit to catch hidden randomness.
-    """
-    if not (1e-6 <= epsilon <= 1e-3):
-        raise ValueError(f"epsilon {epsilon} outside [1e-6, 1e-3]")
-    loss_a, grads = loss_fn()
-    loss_b, _ = loss_fn()
-    if loss_a != loss_b:
-        raise ValueError("loss_fn is not deterministic between calls")
-    worst = 0.0
-    for name in store.names():
-        p = store[name]
-        ga = grads[name]
-        flat = p.reshape(-1)
-        gflat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            up, _ = loss_fn()
-            flat[i] = orig - epsilon
-            down, _ = loss_fn()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * epsilon)
-            analytic = gflat[i]
-            denom = max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic - numeric) / denom)
-    return worst
 
 
 def save_checkpoint(path, store: ParamStore, seed: int, config_hash: str,

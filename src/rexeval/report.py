@@ -153,7 +153,14 @@ def _read_audit(path: Path) -> list[dict]:
     if not lines:
         return []
     columns = lines[0].split("\t")
-    return [dict(zip(columns, line.split("\t"), strict=True)) for line in lines[1:]]
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        fields = line.split("\t")
+        if len(fields) != len(columns):
+            raise AuditMismatch(f"{path}: line {number} has {len(fields)} fields, "
+                                f"the header {len(columns)}")
+        rows.append(dict(zip(columns, fields)))
+    return rows
 
 
 def _unexplained_ranks(rows: list[dict]) -> list[str]:
@@ -164,6 +171,26 @@ def _unexplained_ranks(rows: list[dict]) -> list[str]:
         return []
     return [r["instance"] for r in rows
             if (float(r["ppl_best_impostor"]) > float(r["ppl_gold"])) != (int(r["rank"]) == 1)]
+
+
+def _recompute(cell, name: str, rows: list[dict], path: Path) -> tuple[float, list[str]]:
+    """The cell's value from its audit rows, and for MRR-AE the instances
+    whose rank the best impostor does not explain. A missing column or a
+    field that does not parse raises AuditMismatch naming the file, and
+    for a field its first such line."""
+    def read(rows):
+        return cell.reduce(rows), (_unexplained_ranks(rows) if name == "mrr_ae" else [])
+    try:
+        return read(rows)
+    except KeyError as exc:
+        raise AuditMismatch(f"{path}: no column {exc}") from None
+    except ValueError:
+        for number, r in enumerate(rows, start=2):
+            try:
+                read([r])
+            except ValueError as exc:
+                raise AuditMismatch(f"{path}: line {number}: {exc}") from None
+        raise
 
 
 def verify_against_audit(report: EvaluationReport, audit_dir, cells=None,
@@ -183,6 +210,9 @@ def verify_against_audit(report: EvaluationReport, audit_dir, cells=None,
         for key, cell in row.cells.items():
             if wanted is not None and (row.model, key) not in wanted:
                 continue
+            if key not in CELLS_BY_KEY:
+                raise AuditMismatch(f"{row.model}/{key}: no audit recomputation rule "
+                                    f"for cell '{key}'")
             path = audit_dir / row.model / f"{key}.tsv"
             if not path.exists():
                 if wanted is not None:
@@ -193,19 +223,15 @@ def verify_against_audit(report: EvaluationReport, audit_dir, cells=None,
                 raise AuditMismatch(
                     f"{row.model}/{key}: audit has {len(rows)} instances, "
                     f"report says {cell.count}")
-            if key not in CELLS_BY_KEY:
-                raise ValueError(f"no audit recomputation rule for cell '{key}'")
-            recomputed = CELLS_BY_KEY[key].reduce(rows)
+            recomputed, unexplained = _recompute(CELLS_BY_KEY[key], cell.name, rows, path)
             if abs(recomputed - cell.value) > tol * max(1.0, abs(cell.value)):
                 raise AuditMismatch(
                     f"{row.model}/{key}: reported {cell.value!r} but audit "
                     f"recomputes to {recomputed!r}")
-            if cell.name == "mrr_ae":
-                unexplained = _unexplained_ranks(rows)
-                if unexplained:
-                    raise AuditMismatch(
-                        f"{row.model}/{key}: best impostor does not explain the rank "
-                        f"of {len(unexplained)} instances, first {unexplained[0]}")
+            if unexplained:
+                raise AuditMismatch(
+                    f"{row.model}/{key}: best impostor does not explain the rank "
+                    f"of {len(unexplained)} instances, first {unexplained[0]}")
             checked.append((row.model, key, cell.value, recomputed))
     if wanted is not None and len(checked) < len(wanted):
         missing = wanted - {(m, k) for m, k, _, _ in checked}

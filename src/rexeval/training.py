@@ -74,22 +74,30 @@ class Batch:
         return int((~self.pad).sum())
 
 
-def make_batch(reviews, vocab: Vocab) -> Batch:
-    if not reviews:
-        raise ValueError("empty batch")
-    encoded = [vocab.encode(r.tokens, append_eos=False) for r in reviews]
+def padded_ids(encoded) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Teacher-forcing arrays of token-id rows, each (B, W) with W one above
+    the longest row: input_ids hold BOS then the words and target_ids the
+    words then EOS, both right-padded, and pad is True at padded positions."""
     W = max(len(ids) for ids in encoded) + 1
-    B = len(reviews)
+    B = len(encoded)
     input_ids = np.full((B, W), PAD_ID, dtype=np.int64)
     target_ids = np.full((B, W), PAD_ID, dtype=np.int64)
     pad = np.ones((B, W), dtype=bool)
+    input_ids[:, 0] = BOS_ID
     for b, ids in enumerate(encoded):
         n = len(ids)
-        input_ids[b, 0] = BOS_ID
         input_ids[b, 1:n + 1] = ids
         target_ids[b, :n] = ids
         target_ids[b, n] = EOS_ID
         pad[b, :n + 1] = False
+    return input_ids, target_ids, pad
+
+
+def make_batch(reviews, vocab: Vocab) -> Batch:
+    if not reviews:
+        raise ValueError("empty batch")
+    input_ids, target_ids, pad = padded_ids(
+        [vocab.encode(r.tokens, append_eos=False) for r in reviews])
     return Batch(
         users=np.array([r.user for r in reviews], dtype=np.int64),
         items=np.array([r.item for r in reviews], dtype=np.int64),

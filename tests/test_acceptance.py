@@ -22,6 +22,7 @@ from rexeval.pipeline import run_pipeline
 
 from test_autodiff import GRAD_CASES, max_grad_error
 from test_harness import MICRO_INI
+from testkit import generate, perplexity, predict_rating
 
 
 def _verdict(capsys, number: int, name: str, ok: bool, detail: str) -> None:
@@ -49,7 +50,7 @@ def test_criterion_2_uniform_scorer_perplexity_law(capsys):
     for vocab_size in (2, 50, 1000):
         scorer = UniformScorer(vocab_size)
         for tokens in (["w"], ["w"] * 7, ["a", "b", "c"]):
-            ppl = scorer.perplexity(0, 0, tokens)
+            ppl = perplexity(scorer, 0, 0, tokens)
             worst = max(worst, abs(ppl - vocab_size) / vocab_size)
     ok = worst <= 1e-9
     _verdict(capsys, 2, "uniform scorer perplexity equals vocabulary size", ok,
@@ -96,7 +97,7 @@ def test_criterion_5_trained_models_beat_their_baselines(
         sanity_corpus, trained_transformer, trained_conditional, lexicon, capsys):
     test = sanity_corpus.test
     golds = [float(r.rating) for r in test]
-    model_rmse = rmse([trained_transformer.predict_rating(r.user, r.item)
+    model_rmse = rmse([predict_rating(trained_transformer, r.user, r.item)
                        for r in test], golds)
     mean_rating = float(np.mean([r.rating for r in sanity_corpus.train]))
     mean_rmse = rmse([mean_rating] * len(test), golds)
@@ -107,10 +108,10 @@ def test_criterion_5_trained_models_beat_their_baselines(
         UnigramModel.fit(sanity_corpus).perplexity_many(requests)))
 
     conditioned = entail_metric(
-        [(r.user, r.item, trained_conditional.generate(r.user, r.item, aspect=r.aspect),
+        [(r.user, r.item, generate(trained_conditional, r.user, r.item, aspect=r.aspect),
           r.tokens) for r in test], lexicon).value
     unconditioned = entail_metric(
-        [(r.user, r.item, trained_transformer.generate(r.user, r.item), r.tokens)
+        [(r.user, r.item, generate(trained_transformer, r.user, r.item), r.tokens)
          for r in test], lexicon).value
 
     ok = (model_rmse < mean_rmse and model_ppl < unigram_ppl
@@ -130,8 +131,8 @@ def test_criterion_6_metrics_match_brute_force_exactly(small_corpus, lexicon, ca
     flipped = 0
     for review in positives:
         pair = negate_sentiment(list(review.tokens), lexicon)
-        ppl_orig = scorer.perplexity(review.user, review.item, pair.original)
-        ppl_neg = scorer.perplexity(review.user, review.item, pair.perturbed)
+        ppl_orig = perplexity(scorer, review.user, review.item, pair.original)
+        ppl_neg = perplexity(scorer, review.user, review.item, pair.perturbed)
         flipped += ppl_neg < ppl_orig
     air_ok = air(scorer, positives, lexicon).value \
         == 100.0 * (1.0 - flipped / len(positives))
@@ -143,14 +144,14 @@ def test_criterion_6_metrics_match_brute_force_exactly(small_corpus, lexicon, ca
     # ten all-distinct texts with k=9 pit every gold against the other nine
     rr_sum = 0.0
     for gold in fixture:
-        ppl_gold = scorer.perplexity(gold.user, gold.item, gold.tokens)
+        ppl_gold = perplexity(scorer, gold.user, gold.item, gold.tokens)
         ppls = []
         for other in fixture:
             if other.text == gold.text:
                 continue
             pair = substitute_aspect(other.tokens, gold.aspect, lexicon)
             tokens = pair.perturbed if pair is not None else other.tokens
-            ppls.append(scorer.perplexity(gold.user, gold.item, tokens))
+            ppls.append(perplexity(scorer, gold.user, gold.item, tokens))
         rank = 1 + sum(p < ppl_gold for p in ppls) + sum(p == ppl_gold for p in ppls)
         rr_sum += 1.0 / rank
     mrr_ok = mrr_ae(scorer, fixture, lexicon, k=9, seed=0).value \

@@ -2,7 +2,7 @@
 
 GRAD_CASES is the registry of (name, builder) pairs; each builder sizes
 its parameters from an rng, stores them, and returns a deterministic
-loss_fn suitable for nn.grad_check. The acceptance gate reuses the same
+loss_fn suitable for testkit.grad_check. The acceptance gate reuses the same
 registry over more seeds, so keep every case small and smooth (relu
 inputs are bounded away from the kink).
 """
@@ -15,7 +15,9 @@ import pytest
 from rexeval.autodiff import (LN_EPS, MASKED_SCORE, Tape, attention_backward,
                               attention_forward, gru_forward, layer_norm_backward,
                               layer_norm_forward, log_softmax, sigmoid, softmax)
-from rexeval.nn import ParamStore, grad_check
+from rexeval.nn import ParamStore
+
+from testkit import grad_check
 
 TOL = 1e-4
 

@@ -342,6 +342,40 @@ def test_verify_audit_rejects_cells_without_model_and_key(runall_dir):
         assert "cells must look like MODEL:CELL" in done.stderr
 
 
+def test_verify_audit_names_the_line_of_a_malformed_audit(runall_dir, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(rexeval.__file__).parents[1])}
+
+    def tampered(name, edit):
+        run = tmp_path / name
+        shutil.copytree(runall_dir, run)
+        audit = run / "audit" / "tiny" / "air.tsv"
+        lines = audit.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = edit(lines[3])
+        audit.write_text("".join(lines), encoding="utf-8")
+        done = subprocess.run([sys.executable, str(VERIFY_AUDIT), str(run)],
+                              capture_output=True, text=True, check=False, env=env)
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert "Traceback" not in done.stderr
+        return done.stderr
+
+    extra_tab = tampered("extra_tab", lambda line: line.replace("\t", "\t\t", 1))
+    assert extra_tab.startswith("MISMATCH: ")
+    assert f"{tmp_path / 'extra_tab' / 'audit' / 'tiny' / 'air.tsv'}: line 4 has" in extra_tab
+    not_a_number = tampered("not_a_number", lambda line: line.rsplit("\t", 1)[0] + "\tyes\n")
+    assert f"{tmp_path / 'not_a_number' / 'audit' / 'tiny' / 'air.tsv'}: line 4: " \
+           "could not convert" in not_a_number
+
+    run = tmp_path / "unknown_cell"
+    shutil.copytree(runall_dir, run)
+    report = json.loads((run / "report.json").read_text(encoding="utf-8"))
+    report["rows"][0]["cells"]["novel"] = report["rows"][0]["cells"]["air"]
+    (run / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    done = subprocess.run([sys.executable, str(VERIFY_AUDIT), str(run)],
+                          capture_output=True, text=True, check=False, env=env)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "MISMATCH: oracle/novel: no audit recomputation rule" in done.stderr
+
+
 def test_verify_audit_runs_from_a_checkout_without_pythonpath(runall_dir, tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run([sys.executable, str(VERIFY_AUDIT), str(runall_dir)],

@@ -21,6 +21,8 @@ from rexeval.models import (RandomScorer, RecurrentArch, RecurrentModel,
                             TransformerArch, TransformerModel, UniformScorer)
 from rexeval.perturb import sample_distinct, substitute_aspect
 
+from testkit import cosine, regressor_predict
+
 
 class _ScriptedScorer:
     """Assigns perplexities via a user-supplied function of the request."""
@@ -242,13 +244,13 @@ def test_mrr_random_baseline_values():
 def test_regressor_predicts_from_text_alone(small_corpus):
     reg = AuxRegressor(small_corpus.vocab, embed_dim=16, hidden_dim=16, seed=3)
     tokens = list(small_corpus.test[0].tokens)
-    single = reg.predict(tokens)
+    single = regressor_predict(reg, tokens)
     assert 1.0 <= single <= 5.0
     many = reg.predict_many([tokens, tokens + ["<eos>"]])
     assert many[0] == single      # reserved tokens are stripped before scoring
     assert many[1] == single
     with pytest.raises(ValueError, match="empty text"):
-        reg.predict(["<eos>"])
+        regressor_predict(reg, ["<eos>"])
 
 
 def test_regressor_training_learns_the_rating_signal(small_corpus):
@@ -339,9 +341,9 @@ def _one_hot_table():
 
 def test_embedding_table_cosine():
     table = _one_hot_table()
-    assert table.cosine("a", "a") == 1.0
-    assert table.cosine("a", "b") == 0.0
-    assert table.cosine("a", "b") == table.cosine("b", "a")
+    assert cosine(table, "a", "a") == 1.0
+    assert cosine(table, "a", "b") == 0.0
+    assert cosine(table, "a", "b") == cosine(table, "b", "a")
     # two distinct pairs computed: (a, a) fills one cell, (a, b) both of its cells
     filled = ~np.isnan(table._table)
     assert filled.sum() == 3 and (filled == filled.T).all()
@@ -349,8 +351,8 @@ def test_embedding_table_cosine():
     vectors = np.eye(len(vocab))
     vectors[vocab.token_to_id("c")] = 0.0
     zeroed = EmbeddingTable(vocab, vectors)
-    assert zeroed.cosine("c", "a") == 0.0
-    assert zeroed.cosine("c", "c") == 0.0
+    assert cosine(zeroed, "c", "a") == 0.0
+    assert cosine(zeroed, "c", "c") == 0.0
     with pytest.raises(ValueError, match="cover the vocabulary"):
         EmbeddingTable(vocab, np.eye(len(vocab) - 1))
 
@@ -433,7 +435,7 @@ def test_gm_f1_on_token_ids_equals_per_token_cosines(small_corpus):
     assert result.value == total / len(expect)
     assert (result.count, result.excluded) == (len(expect), 1) and len(expect) > 30
     for gen, ref in (("food", "service"), ("zzzz", "food"), ("service", "service")):
-        assert table.cosine(gen, ref) == _greedy_match_reference([gen], [ref], vectors,
+        assert cosine(table, gen, ref) == _greedy_match_reference([gen], [ref], vectors,
                                                                  vocab)[0]
         assert greedy_match_f1([gen], [ref], table) == _greedy_match_reference(
             [gen], [ref], vectors, vocab)
@@ -441,10 +443,10 @@ def test_gm_f1_on_token_ids_equals_per_token_cosines(small_corpus):
 
 def test_cooccurrence_embeddings(small_corpus):
     table = train_cooccurrence_embeddings(small_corpus, dim=16)
-    assert table.cosine("food", "food") == pytest.approx(1.0)
+    assert cosine(table, "food", "food") == pytest.approx(1.0)
     # unseen tokens share the constant unknown-word vector
     assert table.vocab.token_to_id("zzzz") == UNK_ID
-    assert table.cosine("zzzz", "qqqq") == pytest.approx(1.0)
+    assert cosine(table, "zzzz", "qqqq") == pytest.approx(1.0)
     assert np.linalg.norm(table.vectors[table.vocab.token_to_id("food")]) > 0.0
     with pytest.raises(ValueError, match="window"):
         train_cooccurrence_embeddings(small_corpus, window=0)

@@ -15,10 +15,11 @@ from rexeval.lexicon import BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, UNK_ID, ext
 from rexeval.models import (EOS_TOKEN, KINDS, OracleModel, RandomScorer,
                             RecurrentArch, RecurrentModel, TransformerArch,
                             TransformerModel, UniformScorer, UnigramModel,
-                            _sum_target_logprobs, clamp_rating,
-                            model_from_checkpoint, strip_reserved)
+                            _sum_target_logprobs, clamp_rating, strip_reserved)
 from rexeval.nn import save_checkpoint
-from rexeval.training import TrainConfig, make_batch, train_model
+from rexeval.training import TrainConfig, make_batch, padded_ids, train_model
+
+from testkit import generate, log_likelihood, model_from_checkpoint, perplexity, predict_rating
 
 
 @pytest.fixture(scope="module")
@@ -48,15 +49,15 @@ def fresh_recurrent(tiny_corpus):
 def test_uniform_scorer_perplexity_equals_vocab_size(vocab_size):
     scorer = UniformScorer(vocab_size)
     for tokens in (["a"], ["a"] * 5, ["b"] * 17):
-        ppl = scorer.perplexity(0, 0, tokens)
+        ppl = perplexity(scorer, 0, 0, tokens)
         assert abs(ppl - vocab_size) <= 1e-9 * vocab_size
 
 
 def test_uniform_scorer_contract():
     scorer = UniformScorer(10)
-    assert scorer.predict_rating(1, 2) == 3.0
-    assert scorer.generate(1, 2) == [EOS_TOKEN]
-    assert scorer.log_likelihood(0, 0, ["x", "y"]) == pytest.approx(-3 * np.log(10))
+    assert predict_rating(scorer, 1, 2) == 3.0
+    assert generate(scorer, 1, 2) == [EOS_TOKEN]
+    assert log_likelihood(scorer, 0, 0, ["x", "y"]) == pytest.approx(-3 * np.log(10))
     with pytest.raises(ValueError, match="must be positive"):
         UniformScorer(0)
 
@@ -64,28 +65,28 @@ def test_uniform_scorer_contract():
 def test_perplexity_is_exp_of_mean_negative_ll():
     scorer = RandomScorer(seed=3)
     tokens = ["alpha", "beta", "gamma"]
-    ll = scorer.log_likelihood(4, 5, tokens)
-    assert scorer.perplexity(4, 5, tokens) == float(np.exp(-ll / 4))
+    ll = log_likelihood(scorer, 4, 5, tokens)
+    assert perplexity(scorer, 4, 5, tokens) == float(np.exp(-ll / 4))
     [many] = scorer.perplexity_many([(4, 5, tokens)])
-    assert many == scorer.perplexity(4, 5, tokens)
+    assert many == perplexity(scorer, 4, 5, tokens)
 
 
 def test_empty_text_is_rejected_everywhere():
     scorer = RandomScorer(seed=3)
     with pytest.raises(ValueError, match="empty"):
-        scorer.log_likelihood(0, 0, [])
+        log_likelihood(scorer, 0, 0, [])
     with pytest.raises(ValueError, match="empty"):
-        scorer.perplexity(0, 0, [])
+        perplexity(scorer, 0, 0, [])
     with pytest.raises(ValueError, match="empty"):
         scorer.perplexity_many([(0, 0, ["ok"]), (0, 0, [])])
 
 
 def test_random_scorer_is_deterministic_and_uniform():
     scorer = RandomScorer(seed=11)
-    assert scorer.log_likelihood(1, 2, ["x"]) == scorer.log_likelihood(1, 2, ["x"])
-    assert scorer.log_likelihood(1, 2, ["x"]) != scorer.log_likelihood(1, 3, ["x"])
+    assert log_likelihood(scorer, 1, 2, ["x"]) == log_likelihood(scorer, 1, 2, ["x"])
+    assert log_likelihood(scorer, 1, 2, ["x"]) != log_likelihood(scorer, 1, 3, ["x"])
     # exp(ll) should look uniform on (0, 1)
-    draws = np.exp([scorer.log_likelihood(u, i, ["t"])
+    draws = np.exp([log_likelihood(scorer, u, i, ["t"])
                     for u in range(100) for i in range(100)])
     _, p = scipy.stats.chisquare(np.histogram(draws, bins=20, range=(0, 1))[0])
     assert p > 1e-3
@@ -94,15 +95,15 @@ def test_random_scorer_is_deterministic_and_uniform():
 
 def test_random_scorer_generation(tiny_corpus):
     scorer = RandomScorer(seed=11, vocab=tiny_corpus.vocab)
-    out = scorer.generate(3, 4)
-    assert out == scorer.generate(3, 4)
+    out = generate(scorer, 3, 4)
+    assert out == generate(scorer, 3, 4)
     assert out[-1] == EOS_TOKEN
     assert 3 <= len(out) - 1 <= 8
     assert all(w in tiny_corpus.vocab for w in out[:-1])
-    assert len(scorer.generate(3, 4, max_len=3)) <= 3
+    assert len(generate(scorer, 3, 4, max_len=3)) <= 3
     with pytest.raises(ValueError, match="needs a vocabulary"):
-        RandomScorer(seed=1).generate(0, 0)
-    assert 1.0 <= scorer.predict_rating(3, 4) <= 5.0
+        generate(RandomScorer(seed=1), 0, 0)
+    assert 1.0 <= predict_rating(scorer, 3, 4) <= 5.0
 
 
 # ----------------------------------------------------------------------
@@ -113,12 +114,12 @@ def test_oracle_reproduces_ground_truth(tiny_corpus):
     oracle = OracleModel(tiny_corpus.world)
     for review in tiny_corpus.test:
         gold = render_review(tiny_corpus.world, review.user, review.item)
-        assert oracle.predict_rating(review.user, review.item) == gold.rating
-        assert oracle.generate(review.user, review.item) == list(gold.tokens) + [EOS_TOKEN]
-        assert oracle.log_likelihood(review.user, review.item, gold.tokens) == 0.0
-        assert oracle.perplexity(review.user, review.item, gold.tokens) == 1.0
+        assert predict_rating(oracle, review.user, review.item) == gold.rating
+        assert generate(oracle, review.user, review.item) == list(gold.tokens) + [EOS_TOKEN]
+        assert log_likelihood(oracle, review.user, review.item, gold.tokens) == 0.0
+        assert perplexity(oracle, review.user, review.item, gold.tokens) == 1.0
         other = list(gold.tokens) + ["extra"]
-        assert oracle.log_likelihood(review.user, review.item, other) <= -1.0
+        assert log_likelihood(oracle, review.user, review.item, other) <= -1.0
 
 
 # ----------------------------------------------------------------------
@@ -136,14 +137,55 @@ def test_unigram_matches_hand_counts(tiny_corpus):
     np.testing.assert_array_equal(model.log_probs, expect)
     tokens = list(tiny_corpus.test[0].tokens)
     ids = vocab.encode(tokens, append_eos=True)
-    assert model.log_likelihood(0, 0, tokens) == float(expect[ids].sum())
-    assert model.predict_rating(0, 0) == clamp_rating(
+    assert log_likelihood(model, 0, 0, tokens) == float(expect[ids].sum())
+    assert predict_rating(model, 0, 0) == clamp_rating(
         float(np.mean([r.rating for r in tiny_corpus.train])))
-    gen = model.generate(0, 0)
+    gen = generate(model, 0, 0)
     assert len(gen) == 2 and gen[1] == EOS_TOKEN
     best = vocab.token_to_id(gen[0])
     assert counts[best] == max(counts[len(RESERVED_TOKENS):])
     assert gen[0] not in RESERVED_TOKENS
+
+
+# ----------------------------------------------------------------------
+# the batched interface, for every roster kind
+
+
+def _untrained_roster(corpus, lexicon) -> dict:
+    """An untrained model of every kind in KINDS, small where trainable,
+    plus an aspect-conditioned transformer."""
+    small = {"transformer": {"embed_dim": 16, "ffn_dim": 32, "layers": 1, "heads": 2},
+             "recurrent": {"embed_dim": 16, "hidden_dim": 24}}
+    roster = {kind: entry.build(small.get(kind, {}), corpus, lexicon, 7)
+              for kind, entry in KINDS.items()}
+    roster["transformer use_aspect"] = KINDS["transformer"].build(
+        {**small["transformer"], "use_aspect": True}, corpus, lexicon, 7)
+    return roster
+
+
+def test_the_batched_methods_are_the_one_model_interface(tiny_corpus, lexicon, monkeypatch):
+    assert models.ExplainableRecommender.__abstractmethods__ == {
+        "predict_rating_many", "generate_many", "log_likelihood_many"}
+    one_pair = {"predict_rating", "generate", "log_likelihood", "perplexity", "token_log_probs"}
+    for cls in vars(models).values():
+        if isinstance(cls, type) and cls.__module__ == models.__name__:
+            assert not one_pair & set(vars(cls)), cls.__name__
+    reviews = tiny_corpus.test + tiny_corpus.validation
+    for kind, model in _untrained_roster(tiny_corpus, lexicon).items():
+        asked = [(r.user, r.item, r.aspect if model.conditions_on_aspect else None)
+                 for r in reviews]
+        texts = [(r.user, r.item, r.tokens) for r in reviews]
+        for method, requests in ((model.predict_rating_many, asked),
+                                 (model.generate_many, asked),
+                                 (model.log_likelihood_many, texts)):
+            assert method([]) == [], kind
+            assert method(requests) == [method([request])[0] for request in requests], kind
+        if isinstance(model, models.NeuralRecommender):
+            monkeypatch.setattr(model, "_run", None)  # a forward pass would raise TypeError
+        for at in (0, len(texts) // 2, len(texts)):
+            with pytest.raises(ValueError, match="empty text"):
+                model.log_likelihood_many(texts[:at] + [(0, 0, [])] + texts[at:])
+        monkeypatch.undo()
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +202,7 @@ def test_batched_scoring_equals_single_scoring(tiny_corpus, fresh_transformer,
     order = np.random.default_rng(5).permutation(len(requests))
     for model in (fresh_transformer, fresh_recurrent):
         batched = model.log_likelihood_many(requests)
-        single = [model.log_likelihood(u, i, t) for u, i, t in requests]
+        single = [log_likelihood(model, u, i, t) for u, i, t in requests]
         assert batched == single
         chunked = model.log_likelihood_many(requests, chunk_size=3)
         assert chunked == single
@@ -170,33 +212,34 @@ def test_batched_scoring_equals_single_scoring(tiny_corpus, fresh_transformer,
 
 def test_token_log_probs_are_distributions(fresh_transformer, fresh_recurrent):
     for model in (fresh_transformer, fresh_recurrent):
-        lp = model.token_log_probs(1, 2, ["the", "food"])
+        ids = [model.vocab.token_to_id(t) for t in ["the", "food"]]
+        lp = one_pair_pass(model, 1, 2, UNK_ID, ids)[0]
         assert lp.shape == (3, len(model.vocab))  # two words plus EOS slot
         np.testing.assert_allclose(np.exp(lp).sum(axis=1), 1.0, rtol=1e-9)
 
 
 def test_log_likelihood_sums_target_positions(fresh_transformer):
     tokens = ["the", "food", "was"]
-    lp = fresh_transformer.token_log_probs(1, 2, tokens)
-    ids = [fresh_transformer.vocab.token_to_id(t) for t in tokens] + [EOS_ID]
-    manual = sum(lp[t, tid] for t, tid in enumerate(ids))
-    assert fresh_transformer.log_likelihood(1, 2, tokens) == pytest.approx(manual)
+    words = [fresh_transformer.vocab.token_to_id(t) for t in tokens]
+    lp = one_pair_pass(fresh_transformer, 1, 2, UNK_ID, words)[0]
+    manual = sum(lp[t, tid] for t, tid in enumerate(words + [EOS_ID]))
+    assert log_likelihood(fresh_transformer, 1, 2, tokens) == pytest.approx(manual)
 
 
 def test_cold_start_ids_are_rejected(fresh_transformer, fresh_recurrent):
     for model in (fresh_transformer, fresh_recurrent):
         with pytest.raises(ValueError, match="cold-start user"):
-            model.predict_rating(10, 0)
+            predict_rating(model, 10, 0)
         with pytest.raises(ValueError, match="cold-start item"):
-            model.log_likelihood(0, 8, ["x"])
+            log_likelihood(model, 0, 8, ["x"])
         with pytest.raises(ValueError, match="cold-start user"):
-            model.generate(-1, 0)
+            generate(model, -1, 0)
 
 
 def test_rating_predictions_are_clamped(fresh_transformer, fresh_recurrent):
     for model in (fresh_transformer, fresh_recurrent):
         for user in range(3):
-            assert 1.0 <= model.predict_rating(user, user) <= 5.0
+            assert 1.0 <= predict_rating(model, user, user) <= 5.0
     assert clamp_rating(0.3) == 1.0
     assert clamp_rating(7.2) == 5.0
     assert clamp_rating(3.3) == 3.3
@@ -204,29 +247,29 @@ def test_rating_predictions_are_clamped(fresh_transformer, fresh_recurrent):
 
 def test_generation_shape_and_stopping(fresh_transformer, fresh_recurrent):
     for model in (fresh_transformer, fresh_recurrent):
-        out = model.generate(2, 3)
+        out = generate(model, 2, 3)
         assert out[-1] == EOS_TOKEN
         assert len(out) <= model.arch.max_len
         # an untrained model may emit <unk>, but never padding, BOS, or a
         # mid-sequence EOS
         assert all(t not in ("<pad>", "<bos>", "<eos>") for t in out[:-1])
-        short = model.generate(2, 3, max_len=2)
+        short = generate(model, 2, 3, max_len=2)
         assert len(short) <= 2 and short[-1] == EOS_TOKEN
 
 
 def test_aspect_conditioning_contract(tiny_corpus, lexicon, fresh_transformer,
                                       fresh_recurrent):
     with pytest.raises(ValueError, match="does not condition"):
-        fresh_transformer.generate(0, 0, aspect="food")
+        generate(fresh_transformer, 0, 0, aspect="food")
     with pytest.raises(ValueError, match="does not condition"):
-        fresh_recurrent.generate(0, 0, aspect="food")
+        generate(fresh_recurrent, 0, 0, aspect="food")
     cond = TransformerModel(
         TransformerArch(embed_dim=16, ffn_dim=32, layers=1, heads=2, use_aspect=True),
         tiny_corpus.vocab, 10, 8, seed=7, lexicon=lexicon)
     assert cond.conditions_on_aspect
     with pytest.raises(ValueError, match="needs a conditioning aspect"):
-        cond.generate(0, 0)
-    out = cond.generate(0, 0, aspect="food")
+        generate(cond, 0, 0)
+    out = generate(cond, 0, 0, aspect="food")
     assert out[-1] == EOS_TOKEN
     with pytest.raises(ValueError, match="needs a lexicon"):
         TransformerModel(TransformerArch(use_aspect=True), tiny_corpus.vocab,
@@ -239,8 +282,14 @@ def test_conditioning_changes_scores(tiny_corpus, lexicon):
         tiny_corpus.vocab, 10, 8, seed=7, lexicon=lexicon)
     # the aspect is read off the text, so texts naming different aspects
     # are scored under different conditioning prefixes
-    a = cond.token_log_probs(1, 1, ["great", "food"])
-    b = cond.token_log_probs(1, 1, ["great", "service"])
+    def token_log_probs(tokens):
+        aspect_id = cond._aspect_id(None, tokens)  # what scoring conditions on
+        assert aspect_id == cond.vocab.token_to_id(tokens[-1])
+        return one_pair_pass(cond, 1, 1, aspect_id,
+                             [cond.vocab.token_to_id(t) for t in tokens])[0]
+
+    a = token_log_probs(["great", "food"])
+    b = token_log_probs(["great", "service"])
     assert a[0, 0] != b[0, 0]  # first-step distribution already differs
 
 
@@ -255,8 +304,8 @@ def test_checkpoint_round_trip_preserves_behavior(tmp_path, tiny_corpus, lexicon
         assert back.store.step == 5
         reqs = [(r.user, r.item, list(r.tokens)) for r in tiny_corpus.test[:5]]
         assert back.log_likelihood_many(reqs) == model.log_likelihood_many(reqs)
-        assert back.predict_rating(1, 2) == model.predict_rating(1, 2)
-        assert back.generate(1, 2) == model.generate(1, 2)
+        assert predict_rating(back, 1, 2) == predict_rating(model, 1, 2)
+        assert generate(back, 1, 2) == generate(model, 1, 2)
 
 
 def test_model_from_checkpoint_validation(tmp_path, tiny_corpus, fresh_transformer):
@@ -430,7 +479,7 @@ def test_batched_decoding_equals_full_prefix_decoding(
             if max_len is None:
                 lengths.update(len(tokens) for tokens in expect)
         u, i, a = requests[0]
-        assert model.generate(u, i, aspect=a) == full_prefix_generate(model, u, i, a)
+        assert generate(model, u, i, aspect=a) == full_prefix_generate(model, u, i, a)
     # some batch had rows stop at different lengths, some at the length cap
     assert len(lengths) > 2 and max(lengths) == 24
 
@@ -476,7 +525,7 @@ def test_batched_ratings_equal_one_pair_ratings(
         assert model.predict_rating_many(requests) == expect
         assert model.predict_rating_many(requests[:1]) == expect[:1]
         u, i, a = requests[-1]
-        assert model.predict_rating(u, i, aspect=a) == expect[-1]
+        assert predict_rating(model, u, i, aspect=a) == expect[-1]
     assert fresh_transformer.predict_rating_many([]) == []
     with pytest.raises(ValueError, match="cold-start item"):
         fresh_recurrent.predict_rating_many([(0, 0, None), (0, 8, None)])
@@ -487,7 +536,7 @@ def test_base_predict_rating_many_is_per_pair_predict_rating(tiny_corpus):
     for model in (OracleModel(tiny_corpus.world), RandomScorer(5, tiny_corpus.vocab),
                   UnigramModel.fit(tiny_corpus), UniformScorer(7)):
         assert model.predict_rating_many(requests) == [
-            model.predict_rating(u, i) for u, i, _ in requests]
+            predict_rating(model, u, i) for u, i, _ in requests]
         assert model.predict_rating_many([]) == []
 
 
@@ -504,7 +553,8 @@ def test_target_gather_equals_the_position_loop():
         lp[0, 0, 5 % V] = -0.0
         tok_ids = [rng.integers(0, V, size=rng.integers(0, W)).tolist() for _ in range(B)]
         tok_ids[-1] = rng.integers(0, V, size=W - 1).tolist()  # one row fills the width
-        got = _sum_target_logprobs(lp, tok_ids)
+        _, target_ids, pad = padded_ids(tok_ids)
+        got = _sum_target_logprobs(lp, target_ids, pad)
         assert got == [_sum_target_logprobs_reference(lp[b], ids)
                        for b, ids in enumerate(tok_ids)]
         assert all(type(x) is float for x in got)
@@ -522,7 +572,7 @@ def test_generate_many_validates_before_decoding(tiny_corpus, lexicon, fresh_tra
            (fresh_recurrent, [(0, 0, None), (0, 1, "food")], "does not condition")]
     for model, requests, message in bad:
         with pytest.raises(ValueError, match=message):
-            model.generate(*requests[-1])
+            generate(model, *requests[-1])
         # any forward pass would raise something else first
         monkeypatch.setattr(model, "_run", None)
         with pytest.raises(ValueError, match=message):
@@ -537,7 +587,7 @@ def test_base_generate_many_is_per_pair_generate(tiny_corpus):
                   UnigramModel.fit(tiny_corpus), UniformScorer(7)):
         for max_len in (None, 3):
             assert model.generate_many(requests, max_len=max_len) == [
-                model.generate(u, i, aspect=a, max_len=max_len) for u, i, a in requests]
+                generate(model, u, i, aspect=a, max_len=max_len) for u, i, a in requests]
         assert model.generate_many([]) == []
 
 
@@ -550,7 +600,7 @@ def test_trained_conditional_echoes_its_aspect(sanity_corpus, lexicon,
     test = sanity_corpus.test
     hits = sum(
         extract_aspect(strip_reserved(
-            trained_conditional.generate(r.user, r.item, aspect=r.aspect)),
+            generate(trained_conditional, r.user, r.item, aspect=r.aspect)),
             lexicon) == r.aspect
         for r in test)
     assert hits / len(test) >= 0.8
@@ -567,8 +617,8 @@ def test_trained_transformer_prefers_gold_over_shuffled(sanity_corpus,
         if shuffled == list(r.tokens):
             continue
         total += 1
-        wins += (trained_transformer.perplexity(r.user, r.item, r.tokens)
-                 < trained_transformer.perplexity(r.user, r.item, shuffled))
+        wins += (perplexity(trained_transformer, r.user, r.item, r.tokens)
+                 < perplexity(trained_transformer, r.user, r.item, shuffled))
     assert total > 30
     assert wins / total > 0.9
 

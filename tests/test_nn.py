@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rexeval.autodiff import softmax_xent_forward
-from rexeval.nn import (CHECKPOINT_MAGIC, ParamStore, clip_global_norm, grad_check,
-                        load_checkpoint, save_checkpoint)
+from rexeval.nn import (CHECKPOINT_MAGIC, ParamStore, clip_global_norm, load_checkpoint,
+                        save_checkpoint)
+
+from testkit import grad_check, num_values
 
 
 def test_store_basics():
@@ -19,7 +21,7 @@ def test_store_basics():
     store.add_zeros("z", (4,))
     store.add_ones("o", (2,))
     assert store.names() == ["a", "z", "o"]
-    assert store.num_values() == 6 + 4 + 2
+    assert num_values(store) == 6 + 4 + 2
     assert "a" in store and "missing" not in store
     assert store["a"] is a
     with pytest.raises(ValueError, match="duplicate parameter"):

@@ -1,0 +1,89 @@
+"""Helpers that only the tests use.
+
+The one-pair model calls (`predict_rating`, `generate`, `log_likelihood`,
+`perplexity`) are the batched interface over a one-element request list.
+The rest are conveniences over the library: finite-difference gradient
+checks, parameter counts, single-text regressor predictions, token
+cosines, and rebuilding a model from a checkpoint file.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable
+
+import numpy as np
+
+from rexeval.models import model_from_parameters
+from rexeval.nn import ParamStore, load_checkpoint
+
+
+def predict_rating(model, user: int, item: int, aspect: str | None = None) -> float:
+    return model.predict_rating_many([(user, item, aspect)])[0]
+
+
+def generate(model, user: int, item: int, aspect: str | None = None,
+             max_len: int | None = None) -> list[str]:
+    return model.generate_many([(user, item, aspect)], max_len=max_len)[0]
+
+
+def log_likelihood(model, user: int, item: int, tokens) -> float:
+    return model.log_likelihood_many([(user, item, tokens)])[0]
+
+
+def perplexity(model, user: int, item: int, tokens) -> float:
+    return model.perplexity_many([(user, item, tokens)])[0]
+
+
+def grad_check(loss_fn: Callable[[], tuple[float, dict[str, np.ndarray]]],
+               store: ParamStore, epsilon: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    loss_fn rebuilds the forward pass from the current store contents and
+    returns (loss, grads). It must be deterministic; a second baseline
+    call is compared bit for bit to catch hidden randomness.
+    """
+    if not (1e-6 <= epsilon <= 1e-3):
+        raise ValueError(f"epsilon {epsilon} outside [1e-6, 1e-3]")
+    loss_a, grads = loss_fn()
+    loss_b, _ = loss_fn()
+    if loss_a != loss_b:
+        raise ValueError("loss_fn is not deterministic between calls")
+    worst = 0.0
+    for name in store.names():
+        p = store[name]
+        ga = grads[name]
+        flat = p.reshape(-1)
+        gflat = ga.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            up, _ = loss_fn()
+            flat[i] = orig - epsilon
+            down, _ = loss_fn()
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * epsilon)
+            analytic = gflat[i]
+            denom = max(abs(analytic), abs(numeric), 1e-8)
+            worst = max(worst, abs(analytic - numeric) / denom)
+    return worst
+
+
+def num_values(store: ParamStore) -> int:
+    return sum(store[name].size for name in store.names())
+
+
+def regressor_predict(regressor, tokens) -> float:
+    """The text-only regressor's rating of one text."""
+    return float(regressor.predict_many([list(tokens)])[0])
+
+
+def cosine(table, a: str, b: str) -> float:
+    """Cosine between two tokens of an `EmbeddingTable`."""
+    ia, ib = table.vocab.token_to_id(a), table.vocab.token_to_id(b)
+    return float(table.cosine_matrix([ia], [ib])[0, 0])
+
+
+def model_from_checkpoint(path, vocab, lexicon=None):
+    """Rebuild a trained model from a checkpoint file; errors name the file."""
+    store, header = load_checkpoint(path)
+    return model_from_parameters(store, header, vocab, lexicon, source=path)
