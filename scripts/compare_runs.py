@@ -1,13 +1,15 @@
 #!/usr/bin/env python
 """Byte-compare the artifacts of two run directories.
 
-Usage: compare_runs.py RUN_A RUN_B
+Usage: compare_runs.py [--timing] RUN_A RUN_B
 
 Every file under either directory is compared byte for byte, except
 `checkpoints/` (its format may change between versions without changing
 any result) and the `timing.txt` sidecar (wall-clock time). Prints each
 file that differs or exists on one side only, and exits 1 if there is
-any, else 0.
+any, else 0. With --timing it first prints both runs' `timing.txt`
+values side by side with their ratio B/A; they never change the exit
+status.
 """
 
 import argparse
@@ -43,15 +45,44 @@ def compare(run_a: Path, run_b: Path) -> list[str]:
     return problems
 
 
+def timing(run: Path) -> dict[str, str]:
+    """A run's `timing.txt` values by key, in file order; empty without one."""
+    path = run / "timing.txt"
+    if not path.is_file():
+        return {}
+    return dict(line.split(" ", 1) for line in path.read_text(encoding="utf-8").splitlines()
+                if line)
+
+
+def timing_table(run_a: Path, run_b: Path) -> list[str]:
+    """One line per timing key of either run: its value in A and in B and
+    B / A, with "-" for a value one side lacks or a ratio over zero."""
+    a, b = timing(run_a), timing(run_b)
+    keys = list(dict.fromkeys([*a, *b]))
+    width = max([len("timing"), *map(len, keys)])
+    lines = [f"{'timing':<{width}}  {'A':>10}  {'B':>10}  {'B/A':>6}"]
+    for key in keys:
+        va, vb = a.get(key, "-"), b.get(key, "-")
+        ratio = (f"{float(vb) / float(va):.3f}" if "-" not in (va, vb) and float(va)
+                 else "-")
+        lines.append(f"{key:<{width}}  {va:>10}  {vb:>10}  {ratio:>6}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("run_a", type=Path)
     parser.add_argument("run_b", type=Path)
+    parser.add_argument("--timing", action="store_true",
+                        help="also print both runs' timing.txt side by side")
     args = parser.parse_args(argv)
     for run in (args.run_a, args.run_b):
         if not run.is_dir():
             print(f"error: {run} is not a directory", file=sys.stderr)
             return 2
+    if args.timing:
+        for line in timing_table(args.run_a, args.run_b):
+            print(line)
     problems = compare(args.run_a, args.run_b)
     for line in problems:
         print(line)

@@ -3,8 +3,9 @@
 
 Usage: verify_audit.py RUN_DIR [MODEL:CELL ...]
 
-With no cell arguments, every cell that has an audit log is checked.
-Exits nonzero if any recomputed aggregate disagrees with the report.
+With no cell arguments, every report cell is checked, and once any cell
+has an audit log, a cell without one is a mismatch. Exits nonzero if any
+log is missing or any recomputed aggregate disagrees with the report.
 """
 
 import argparse

@@ -147,19 +147,24 @@ def air(model, reviews, lexicon: Lexicon, *, texts=None, min_rating: int = 4,
 # faithfulness: gold-vs-substituted-candidates ranking
 
 
-def mrr_ae(model, reviews, lexicon: Lexicon, *, k: int = 100, seed: int = 0,
-           audit=None) -> MetricResult:
-    """Mean reciprocal rank (x100) of each gold review ranked by perplexity
-    against k candidates carrying the gold aspect.
+class MrrProbes(NamedTuple):
+    """What MRR-AE scores, whatever the model: each gold's candidate pool
+    indices, and the (user, item, tokens) requests, each gold followed by
+    its candidates rewritten to the gold aspect."""
+
+    k: int
+    seed: int
+    pools: list[list[int]]
+    requests: list[tuple]
+
+
+def mrr_ae_probes(reviews, lexicon: Lexicon, *, k: int = 100, seed: int = 0) -> MrrProbes:
+    """Every gold's candidates and the texts MRR-AE scores for them.
 
     Candidates are drawn from the same review pool excluding only texts
-    identical to the gold text; the gold takes the worst rank among
-    ties. Candidates without any aspect term are used unchanged. Audit
-    rows name the best impostor: the pool index of the lowest-perplexity
-    candidate (the first drawn among equals) and its perplexity. Every
-    gold's candidate list is built first, each (candidate, aspect)
-    rewrite is computed once, and all texts are scored in one
-    `perplexity_many` call.
+    identical to the gold text, with one seeded generator per gold.
+    Candidates without any aspect term are used unchanged, and each
+    (candidate, aspect) rewrite is computed once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -189,10 +194,29 @@ def mrr_ae(model, reviews, lexicon: Lexicon, *, k: int = 100, seed: int = 0,
                 text = pair.perturbed if pair is not None else reviews[j].tokens
                 rewrites[j, gold.aspect] = text
             requests.append((gold.user, gold.item, text))
-    ppls = model.perplexity_many(requests)
+    return MrrProbes(k, seed, pools, requests)
+
+
+def mrr_ae(model, reviews, lexicon: Lexicon, *, k: int = 100, seed: int = 0,
+           audit=None, probes: MrrProbes | None = None) -> MetricResult:
+    """Mean reciprocal rank (x100) of each gold review ranked by perplexity
+    against k candidates carrying the gold aspect (`mrr_ae_probes`).
+
+    The gold takes the worst rank among ties. Audit rows name the best
+    impostor: the pool index of the lowest-perplexity candidate (the
+    first drawn among equals) and its perplexity. All texts are scored in
+    one `perplexity_many` call. `probes`, the probe set of the same
+    reviews, k and seed, lets several models share one; without it the
+    set is built here.
+    """
+    if probes is None:
+        probes = mrr_ae_probes(reviews, lexicon, k=k, seed=seed)
+    elif (probes.k, probes.seed, len(probes.pools)) != (k, seed, len(reviews)):
+        raise ValueError("probes were built for another pool, k or seed")
+    ppls = model.perplexity_many(probes.requests)
     rr_sum = 0.0
     start = 0
-    for gold, chosen in zip(reviews, pools):
+    for gold, chosen in zip(reviews, probes.pools):
         ppl_gold = ppls[start]
         others = ppls[start + 1:start + 1 + len(chosen)]
         start += 1 + len(chosen)
@@ -709,14 +733,16 @@ def _mean(rows: list[dict], column: str) -> float:
     return sum(float(r[column]) for r in rows) / len(rows)
 
 
-# fitted helpers, fit in this order when a selected cell names one:
-# (corpus, settings, eval seed, log) -> helper
+# what cells share within one evaluation, built once, in this order, when a
+# selected cell names it: (corpus, CellInputs without helpers, log) -> helper
 HELPERS = {
-    "regressor": lambda corpus, settings, seed, log: train_aux_regressor(
-        corpus, embed_dim=settings.embed_dim, seed=seed, log=log),
-    "embeddings": lambda corpus, settings, seed, log: train_cooccurrence_embeddings(
-        corpus, dim=settings.embed_dim),
-    "bigram": lambda corpus, settings, seed, log: BigramLM.fit(corpus),
+    "regressor": lambda corpus, c, log: train_aux_regressor(
+        corpus, embed_dim=c.settings.embed_dim, seed=c.seed, log=log),
+    "embeddings": lambda corpus, c, log: train_cooccurrence_embeddings(
+        corpus, dim=c.settings.embed_dim),
+    "bigram": lambda corpus, c, log: BigramLM.fit(corpus),
+    "mrr_probes": lambda corpus, c, log: mrr_ae_probes(c.pool, c.lexicon, k=c.settings.k,
+                                                       seed=c.seed),
 }
 
 
@@ -751,9 +777,10 @@ CELLS = (
          "AIR-gen↑", "{:.2f}", lambda rows: 100.0 * (1.0 - _mean(rows, "flipped")),
          modes=("air_mode", ("generated", "both")), scores_model=True, reads_gens=True),
     Cell("mrr_ae", "mrr_ae",
-         lambda c, a: mrr_ae(c.model, c.pool, c.lexicon, k=c.settings.k, seed=c.seed, audit=a),
+         lambda c, a: mrr_ae(c.model, c.pool, c.lexicon, k=c.settings.k, seed=c.seed, audit=a,
+                             probes=c.helpers["mrr_probes"]),
          "MRR-AE↑", "{:.2f}", lambda rows: 100.0 * _mean(rows, "reciprocal_rank"),
-         scores_model=True),
+         scores_model=True, helper="mrr_probes"),
     Cell("tlae", "tlae",
          lambda c, a: tlae(c.helpers["regressor"], [(u, i, t, r) for u, i, r, t in c.gens],
                            target="model-rating", audit=a),
@@ -789,7 +816,6 @@ METRIC_NAMES = tuple(dict.fromkeys(cell.metric for cell in CELLS))  # in column 
 
 
 def selected_cells(settings) -> list[Cell]:
-    """The cells the settings turn on, by metric in the settings' order
-    and within a metric in column order."""
-    return [cell for metric in settings.metrics for cell in CELLS if cell.metric == metric
+    """The cells the settings turn on, in column order."""
+    return [cell for cell in CELLS if cell.metric in settings.metrics
             and (cell.modes is None or getattr(settings, cell.modes[0]) in cell.modes[1])]

@@ -153,10 +153,13 @@ class NeuralRecommender(ExplainableRecommender):
     is the node the rating head reads; with `past`, the state of an
     earlier call, it continues that sequence and the head input is None.
     `_keep_rows(state, keep)` drops the state rows where `keep` is False.
-    `kind` names the architecture in checkpoint headers and in `KINDS`.
+    An architecture whose scoring can share prefix work across chunks
+    overrides `_shared_prefixes`. `kind` names the architecture in
+    checkpoint headers and in `KINDS`.
     """
 
     kind: str
+    word_capacity: int | None = None  # most words a scored text may hold; None: no limit
 
     def __init__(self, arch, vocab: Vocab, num_users: int, num_items: int, seed: int,
                  lexicon=None):
@@ -231,30 +234,55 @@ class NeuralRecommender(ExplainableRecommender):
     def log_likelihood_many(self, requests, chunk_size: int = CHUNK_ROWS) -> list[float]:
         """Batched scoring in request order.
 
-        Every request is checked first. Requests are then chunked in
-        `length_order` of token count, so a chunk holds texts of similar
-        length and pads little, and each chunk encodes only its own texts.
-        Right-padding never reaches a scored position, and each row's
-        arithmetic does not depend on the other rows of its chunk.
+        Every request is checked first, and each distinct text is encoded,
+        and the aspect it names read, once per call. Requests are then
+        chunked in `length_order` of token count, so a chunk holds texts of
+        similar length and pads little. `_shared_prefixes` may run the
+        prefix work of the whole call before the first chunk. Right-padding
+        never reaches a scored position. A row's bits can depend on how
+        many rows its products hold and where it sits among them, but the
+        chunks are a pure function of the request list, and so are the
+        scores.
         """
         requests = _nonempty(requests)
-        users, items, aspects = self._prefixes(
-            requests, lambda tokens: self._aspect_id(None, tokens))
-        order = length_order([len(tokens) for _, _, tokens in requests])
+        if not requests:
+            return []
+        encoded: dict[tuple, tuple[np.ndarray, int]] = {}  # text -> (word ids, aspect id)
+
+        def text(tokens) -> tuple[np.ndarray, int]:
+            key = tokens if type(tokens) is tuple else tuple(tokens)  # a tuple is not copied
+            found = encoded.get(key)
+            if found is None:
+                found = encoded[key] = (self.vocab.encode(key, append_eos=False),
+                                        self._aspect_id(None, key))
+            return found
+
+        users, items, aspects = self._prefixes(requests, lambda tokens: text(tokens)[1])
+        lengths = [len(tokens) for _, _, tokens in requests]
+        longest = max(lengths)
+        if self.word_capacity is not None and longest > self.word_capacity:
+            raise ValueError(f"text of {longest} words exceeds positional capacity")
+        past_of = self._shared_prefixes(users, items, aspects)
+        order = length_order(lengths)
         out = np.empty(len(requests))
         for start in range(0, len(order), chunk_size):
             rows = order[start:start + chunk_size]
-            out[rows] = self._ll_chunk(users[rows], items[rows], aspects[rows],
-                                       [requests[j][2] for j in rows])
+            input_ids, target_ids, pad = padded_ids([text(requests[j][2])[0] for j in rows])
+            out[rows] = self._ll_chunk(users[rows], items[rows], aspects[rows], input_ids,
+                                       target_ids, pad,
+                                       None if past_of is None else past_of(rows))
         return out.tolist()
 
-    def _ll_chunk(self, users, items, aspects, texts) -> list[float]:
+    def _ll_chunk(self, users, items, aspects, input_ids, target_ids, pad, past) -> list[float]:
         # a method of its own, so one chunk's logits are freed before the next
-        # chunk's are built
-        input_ids, target_ids, pad = padded_ids(
-            [self.vocab.encode(tokens, append_eos=False) for tokens in texts])
-        logits, _, _ = self._run(Tape(grad=False), users, items, aspects, input_ids)
+        # chunk's are built; with `past`, `_run` reads no prefix ids
+        logits, _, _ = self._run(Tape(grad=False), users, items, aspects, input_ids, past=past)
         return _sum_target_logprobs(log_softmax(logits.value), target_ids, pad)
+
+    def _shared_prefixes(self, users, items, aspects):
+        """None, or a function from request rows to the `past` that scoring
+        continues from instead of running those rows' prefixes."""
+        return None
 
     def predict_rating_many(self, requests) -> list[float]:
         """Ratings of (user, item, aspect) requests from one prefix pass.
@@ -432,6 +460,26 @@ class TransformerModel(NeuralRecommender):
 
     def _keep_rows(self, kv, keep):
         return [(k[keep], v[keep]) for k, v in kv]
+
+    def _shared_prefixes(self, users, items, aspects):
+        """Runs each distinct (user, item, aspect id) prefix once, with no
+        words and CHUNK_ROWS prefixes at a time so the working set stays
+        bounded; the `past` of request rows gathers their prefixes' keys
+        and values."""
+        distinct, which = np.unique(np.stack([users, items, aspects], axis=1), axis=0,
+                                    return_inverse=True)
+        parts = [self._run(Tape(grad=False), p[:, 0], p[:, 1], p[:, 2],
+                           np.empty((len(p), 0), dtype=np.int64))[2]
+                 for p in (distinct[lo:lo + CHUNK_ROWS]
+                           for lo in range(0, len(distinct), CHUNK_ROWS))]
+        kv = [[np.concatenate([part[layer][i] for part in parts]) for i in (0, 1)]
+              for layer in range(self.arch.layers)]
+
+        def past(rows):
+            picked = which.reshape(-1)[rows]
+            return [(k[picked], v[picked]) for k, v in kv]
+
+        return past
 
 
 @dataclass(frozen=True)

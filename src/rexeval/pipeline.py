@@ -345,24 +345,30 @@ def stage_evaluate(config: RunConfig, log=None) -> EvaluationReport:
 
         helper_log = (lambda m: log(f"[evaluate] {m}")) if log else None
         needed = {cell.helper for cell in cells}
-        helpers = {name: fit(corpus, settings, config.seeds.eval, helper_log)
-                   for name, fit in HELPERS.items() if name in needed}
+        shared = CellInputs(pool, lexicon, settings, config.seeds.eval, {})
+        helpers = {name: build(corpus, shared, helper_log)
+                   for name, build in HELPERS.items() if name in needed}
         regressor = helpers.get("regressor")
         if log and regressor:
             log(f"[evaluate] regressor validation mse {regressor.validation_mse:.4f}")
-        shared = CellInputs(pool, lexicon, settings, config.seeds.eval, helpers)
+        shared = shared._replace(helpers=helpers)
 
         rows = []
+        cell_seconds = {}
         for spec in config.active_models:
             inputs = shared._replace(model=models.get(spec.name), gens=gens.get(spec.name))
             results: dict = {}
             for cell in cells:
                 audit = AuditWriter() if settings.audit else None
+                started = time.perf_counter()
                 try:
                     results[cell.key] = cell.compute(inputs, audit)
                 except Exception as exc:
                     raise StageError("evaluate", f"model '{spec.name}', cell '{cell.key}': "
                                                  f"{type(exc).__name__}: {exc}") from exc
+                seconds = cell_seconds[spec.name, cell.key] = time.perf_counter() - started
+                if log:
+                    log(f"[evaluate] {spec.name} {cell.key} {seconds:.3f} s")
                 if audit is not None:
                     cell_dir = out / AUDIT_DIR / spec.name
                     cell_dir.mkdir(parents=True, exist_ok=True)
@@ -389,6 +395,7 @@ def stage_evaluate(config: RunConfig, log=None) -> EvaluationReport:
             },
             regressor_validation_mse=regressor.validation_mse if regressor else None,
             rows=rows,
+            cell_seconds=cell_seconds,
         )
         report.save(out / RESULTS_FILE)
     return report
@@ -442,7 +449,9 @@ def run_pipeline(config: RunConfig, log=None) -> EvaluationReport:
     """All five stages in order, plus a timing sidecar with the wall
     seconds of the whole run and, per stage, its seconds, the process's
     peak RSS at its end (a high-water mark, so it never falls) and the
-    minor page faults the process took during it."""
+    minor page faults the process took during it. The evaluate stage's
+    lines are followed by the seconds of each (model, cell), in roster
+    and column order."""
     started = time.perf_counter()
     lines = []
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -456,6 +465,9 @@ def run_pipeline(config: RunConfig, log=None) -> EvaluationReport:
         lines.append(f"{name}_peak_rss_mb {_peak_rss_mb(usage):.1f}\n")
         lines.append(f"{name}_minor_faults {usage.ru_minflt - faults}\n")
         faults = usage.ru_minflt
+        if name == "evaluate":
+            lines += [f"evaluate.{model}.{key}_seconds {cell_s:.3f}\n"
+                      for (model, key), cell_s in report.cell_seconds.items()]
     report.wall_time_seconds = time.perf_counter() - started
     (Path(config.out_dir) / TIMING_FILE).write_text(
         f"wall_time_seconds {report.wall_time_seconds:.3f}\n" + "".join(lines),

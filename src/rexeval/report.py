@@ -45,6 +45,9 @@ class EvaluationReport:
     wall_time_seconds: float | None = field(default=None, compare=False)
     # model -> (epochs run, configured maximum, best epoch), from the train logs
     training: dict[str, tuple[int, int, int]] = field(default_factory=dict, compare=False)
+    # (model, cell key) -> seconds the evaluate stage spent on the cell; measured,
+    # never serialized
+    cell_seconds: dict[tuple[str, str], float] = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -198,14 +201,19 @@ def verify_against_audit(report: EvaluationReport, audit_dir, cells=None,
     """Recompute report cells from per-instance audit logs.
 
     `cells` optionally restricts the check to (model, column-key) pairs;
-    by default every cell with an audit log is verified. Returns the
+    by default every report cell is verified once any of them has an
+    audit log, and a run without audit logs verifies nothing. Returns the
     checked (model, key, reported, recomputed) tuples and raises
-    AuditMismatch on any disagreement beyond `tol` (relative to the
-    reported magnitude) or any instance-count mismatch.
+    AuditMismatch on a checked cell without its log, any disagreement
+    beyond `tol` (relative to the reported magnitude) or any
+    instance-count mismatch.
     """
     audit_dir = Path(audit_dir)
     checked: list[tuple[str, str, float, float]] = []
     wanted = set(cells) if cells is not None else None
+    if wanted is None and not any((audit_dir / row.model / f"{key}.tsv").exists()
+                                  for row in report.rows for key in row.cells):
+        return checked
     for row in report.rows:
         for key, cell in row.cells.items():
             if wanted is not None and (row.model, key) not in wanted:
@@ -215,9 +223,7 @@ def verify_against_audit(report: EvaluationReport, audit_dir, cells=None,
                                     f"for cell '{key}'")
             path = audit_dir / row.model / f"{key}.tsv"
             if not path.exists():
-                if wanted is not None:
-                    raise AuditMismatch(f"no audit log at {path}")
-                continue
+                raise AuditMismatch(f"no audit log at {path}")
             rows = _read_audit(path)
             if len(rows) != cell.count:
                 raise AuditMismatch(

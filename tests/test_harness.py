@@ -17,7 +17,7 @@ from rexeval.cli import main
 from rexeval.config import (CorpusSpec, MetricSettings, ModelSpec, RunConfig,
                             Seeds, apply_overrides, lineage_hash, load_config)
 from rexeval.models import EOS_TOKEN, TransformerModel
-from rexeval import pipeline
+from rexeval import metrics, pipeline
 from rexeval.pipeline import model_seed
 from rexeval.report import EvaluationReport, verify_against_audit
 
@@ -268,22 +268,53 @@ def test_staged_stages_match_run_all_bytes(staged_dir, runall_dir):
     assert staged == _tree(runall_dir)
     # only the end-to-end runner writes the timing sidecar: the whole run's
     # wall seconds, then each stage's seconds, the peak RSS at its end and
-    # the minor page faults taken during it
+    # the minor page faults taken during it; the evaluate stage's lines are
+    # followed by each (model, cell)'s seconds in roster and column order
     assert not (staged_dir / "timing.txt").exists()
     timing = [line.split(" ") for line in
               (runall_dir / "timing.txt").read_text(encoding="utf-8").splitlines()]
     stages = ["gen-corpus", "train", "generate", "evaluate", "report"]
-    assert [key for key, _ in timing] == ["wall_time_seconds"] + [
-        f"{stage}_{what}" for stage in stages
-        for what in ("seconds", "peak_rss_mb", "minor_faults")]
-    seconds = [float(value) for key, value in timing if key.endswith("seconds")]
-    assert min(seconds) >= 0
-    assert sum(seconds[1:]) <= seconds[0] + 0.005  # each value is rounded to 1 ms
+    cells = [f"evaluate.{model}.{cell}_seconds" for model in ("oracle", "random", "tiny")
+             for cell in ("air", "mrr_ae", "tlae", "tlae_gold", "entail", "gm_f1", "cnll",
+                          "rmse")]
+    expect = ["wall_time_seconds"]
+    for stage in stages:
+        expect += [f"{stage}_{what}" for what in ("seconds", "peak_rss_mb", "minor_faults")]
+        expect += cells if stage == "evaluate" else []
+    assert [key for key, _ in timing] == expect
+    seconds = {key: float(value) for key, value in timing if key.endswith("seconds")}
+    assert min(seconds.values()) >= 0
+    stage_seconds = [seconds[f"{stage}_seconds"] for stage in stages]
+    # each value is rounded to 1 ms
+    assert sum(stage_seconds) <= seconds["wall_time_seconds"] + 0.005
+    assert sum(seconds[key] for key in cells) <= seconds["evaluate_seconds"] + 0.0125
     peaks = [float(value) for key, value in timing if key.endswith("_peak_rss_mb")]
     assert peaks[0] > 0
     assert peaks == sorted(peaks)  # a high-water mark never falls
     faults = [value for key, value in timing if key.endswith("_minor_faults")]
     assert all(value.isdigit() for value in faults)  # counts, never negative
+
+
+def test_evaluate_builds_one_probe_set_and_times_each_cell(micro_ini, runall_dir, tmp_path,
+                                                           monkeypatch):
+    target = tmp_path / "timed"
+    shutil.copytree(runall_dir, target)
+    built = []
+    build = metrics.mrr_ae_probes
+    monkeypatch.setattr(metrics, "mrr_ae_probes",
+                        lambda *args, **kwargs: built.append(args) or build(*args, **kwargs))
+    lines = []
+    report = pipeline.stage_evaluate(
+        apply_overrides(load_config(micro_ini), out_dir=str(target)), log=lines.append)
+    assert len(built) == 1  # one probe set for the three models
+    cells = ("air", "mrr_ae", "tlae", "tlae_gold", "entail", "gm_f1", "cnll", "rmse")
+    order = [(model, cell) for model in ("oracle", "random", "tiny") for cell in cells]
+    timed = [line.split(" ") for line in lines if line.endswith(" s")]
+    assert [(model, cell) for _, model, cell, _, _ in timed] == order
+    assert all(tag == "[evaluate]" and float(value) >= 0 for tag, _, _, value, _ in timed)
+    assert list(report.cell_seconds) == order
+    # timing is kept out of every artifact
+    assert _tree(target) == _tree(runall_dir)
 
 
 def test_run_all_reruns_identically(micro_ini, runall_dir, tmp_path):
@@ -322,6 +353,39 @@ def test_compare_runs_names_every_differing_or_missing_file(staged_dir, runall_d
                                         "differs: gens/tiny.tsv"]
 
 
+def test_compare_runs_prints_timing_beside_the_byte_compare(staged_dir, runall_dir,
+                                                           tmp_path):
+    slower = tmp_path / "slower"
+    shutil.copytree(runall_dir, slower)
+    timing = dict(line.split(" ") for line in
+                  (runall_dir / "timing.txt").read_text(encoding="utf-8").splitlines())
+    evaluate = float(timing["evaluate_seconds"])
+    edited = {**timing, "evaluate_seconds": f"{2 * evaluate:.3f}"}
+    (slower / "timing.txt").write_text("".join(f"{k} {v}\n" for k, v in edited.items()),
+                                       encoding="utf-8")
+
+    def compare(run_a, run_b):
+        return subprocess.run([sys.executable, str(COMPARE_RUNS), "--timing", str(run_a),
+                               str(run_b)], capture_output=True, text=True, check=False)
+
+    done = compare(runall_dir, slower)
+    assert done.returncode == 0, done.stdout + done.stderr  # timing never fails a compare
+    lines = done.stdout.splitlines()
+    assert lines[0].split() == ["timing", "A", "B", "B/A"]
+    assert lines[-1].endswith("file(s) identical")
+    table = {line.split()[0]: line.split()[1:] for line in lines[1:-1]}
+    assert list(table) == list(timing)
+    assert table["evaluate_seconds"] == [timing["evaluate_seconds"],
+                                         edited["evaluate_seconds"],
+                                         f"{float(edited['evaluate_seconds']) / evaluate:.3f}"]
+    assert table["evaluate.tiny.mrr_ae_seconds"][2] in ("1.000", "-")
+    # a staged run writes no sidecar: its column is empty
+    staged = compare(staged_dir, runall_dir)
+    assert staged.returncode == 0, staged.stdout + staged.stderr
+    rows = [line.split() for line in staged.stdout.splitlines()[1:-1]]
+    assert rows and all(row[1] == "-" and row[3] == "-" for row in rows)
+
+
 VERIFY_AUDIT = COMPARE_RUNS.with_name("verify_audit.py")
 
 
@@ -340,6 +404,28 @@ def test_verify_audit_rejects_cells_without_model_and_key(runall_dir):
         done = verify("oracle:air", bad)
         assert done.returncode == 2, (bad, done.stdout + done.stderr)
         assert "cells must look like MODEL:CELL" in done.stderr
+
+
+def test_verify_audit_fails_on_a_missing_audit_log(runall_dir, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(rexeval.__file__).parents[1])}
+
+    def verify(run):
+        return subprocess.run([sys.executable, str(VERIFY_AUDIT), str(run)],
+                              capture_output=True, text=True, check=False, env=env)
+
+    run = tmp_path / "partial"
+    shutil.copytree(runall_dir, run)
+    intact = verify(run)
+    assert intact.returncode == 0, intact.stdout + intact.stderr
+    for log in sorted(run.glob("audit/*/rmse.tsv")):
+        log.unlink()
+    done = verify(run)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert done.stderr == f"MISMATCH: no audit log at {run / 'audit' / 'oracle' / 'rmse.tsv'}\n"
+    shutil.rmtree(run / "audit")
+    bare = verify(run)
+    assert bare.returncode == 1, bare.stdout + bare.stderr
+    assert "no audit logs found" in bare.stderr
 
 
 def test_verify_audit_names_the_line_of_a_malformed_audit(runall_dir, tmp_path):

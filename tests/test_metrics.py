@@ -14,10 +14,11 @@ from rexeval.metrics import (HIGHER, LOWER, AuditWriter, AuxRegressor,
                              BigramLM, EmbeddingTable, MetricResult, air,
                              cnll_metric, cond_nll_score, entail_metric,
                              entail_proxy, gm_f1_metric, greedy_match_f1,
-                             mrr_ae, mrr_random_baseline, rmse, rmse_metric,
+                             mrr_ae, mrr_ae_probes, mrr_random_baseline, rmse,
+                             rmse_metric,
                              tlae, train_aux_regressor,
                              train_cooccurrence_embeddings)
-from rexeval.models import (RandomScorer, RecurrentArch, RecurrentModel,
+from rexeval.models import (KINDS, RandomScorer, RecurrentArch, RecurrentModel,
                             TransformerArch, TransformerModel, UniformScorer)
 from rexeval.perturb import sample_distinct, substitute_aspect
 
@@ -228,6 +229,24 @@ def test_mrr_audit_names_the_lowest_perplexity_impostor(small_corpus, lexicon,
             assert row["best_impostor"] == next(j for j, ppl in pool if ppl == lowest)
             assert (rank == 1) == (lowest > ppl_gold)
         assert {row["rank"] for row in writer.rows} != {1}
+
+
+def test_mrr_ae_from_shared_probes_equals_its_own(small_corpus, lexicon):
+    reviews = small_corpus.test[:30]
+    probes = mrr_ae_probes(reviews, lexicon, k=12, seed=3)
+    kinds = [(name, {}) for name in KINDS] + [("transformer", {"use_aspect": True})]
+    for name, options in kinds:
+        model = KINDS[name].build(options, small_corpus, lexicon, 5)
+        own, shared = AuditWriter(), AuditWriter()
+        expect = mrr_ae(model, reviews, lexicon, k=12, seed=3, audit=own)
+        assert mrr_ae(model, reviews, lexicon, k=12, seed=3, audit=shared,
+                      probes=probes) == expect, name
+        assert shared.rows == own.rows, name
+    # scoring leaves the shared set as it was built
+    assert probes == mrr_ae_probes(reviews, lexicon, k=12, seed=3)
+    for k, seed, pool in ((11, 3, reviews), (12, 4, reviews), (12, 3, reviews[:29])):
+        with pytest.raises(ValueError, match="another pool, k or seed"):
+            mrr_ae(model, pool, lexicon, k=k, seed=seed, probes=probes)
 
 
 def test_mrr_random_baseline_values():

@@ -12,14 +12,15 @@ from rexeval import models
 from rexeval.autodiff import Tape, log_softmax
 from rexeval.corpus import build_corpus, generate_world, render_review
 from rexeval.lexicon import BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, UNK_ID, extract_aspect
-from rexeval.models import (EOS_TOKEN, KINDS, OracleModel, RandomScorer,
+from rexeval.models import (CHUNK_ROWS, EOS_TOKEN, KINDS, OracleModel, RandomScorer,
                             RecurrentArch, RecurrentModel, TransformerArch,
                             TransformerModel, UniformScorer, UnigramModel,
                             _sum_target_logprobs, clamp_rating, strip_reserved)
 from rexeval.nn import save_checkpoint
 from rexeval.training import TrainConfig, make_batch, padded_ids, train_model
 
-from testkit import generate, log_likelihood, model_from_checkpoint, perplexity, predict_rating
+from testkit import (full_pass_log_likelihoods, generate, log_likelihood,
+                     model_from_checkpoint, perplexity, predict_rating)
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +195,11 @@ def test_the_batched_methods_are_the_one_model_interface(tiny_corpus, lexicon, m
 
 def test_batched_scoring_equals_single_scoring(tiny_corpus, fresh_transformer,
                                                fresh_recurrent):
+    # Scores are a pure function of the request list. That a text scores
+    # the same bits alone, in any chunk and in any order holds for these
+    # 16-wide fixtures only: at other widths a product can round a row
+    # differently with its row count and offset (see the shared-prefix
+    # tests below for the contract that holds at every width).
     requests = [(r.user, r.item, list(r.tokens))
                 for r in tiny_corpus.test + tiny_corpus.validation]
     # long texts pad the short ones in a chunk past 8 keys, where numpy's
@@ -401,6 +407,72 @@ def test_make_batch_layout(tiny_corpus):
 
 def test_strip_reserved():
     assert strip_reserved(["<bos>", "nice", "<eos>", "<pad>"]) == ["nice"]
+
+
+# ----------------------------------------------------------------------
+# shared-prefix scoring against the full-pass reference
+
+
+@pytest.fixture(scope="module")
+def wide_models(tiny_corpus, lexicon):
+    """Both transformer variants and the GRU at the default width (64) over
+    a vocabulary of 68, not a multiple of 8: at that output width a
+    product's rows round differently with the number of rows it holds and
+    their offset."""
+    assert len(tiny_corpus.vocab) == 68
+    return (TransformerModel(TransformerArch(), tiny_corpus.vocab, 10, 8, seed=11),
+            TransformerModel(TransformerArch(use_aspect=True), tiny_corpus.vocab, 10, 8,
+                             seed=12, lexicon=lexicon),
+            RecurrentModel(RecurrentArch(), tiny_corpus.vocab, 10, 8, seed=13))
+
+
+def test_shared_prefix_scoring_equals_full_passes(tiny_corpus, lexicon, wide_models):
+    base = [(r.user, r.item, r.tokens) for _, r in tiny_corpus.all_reviews()]
+    user, item, _ = base[0]
+    # the same texts with their aspect terms dropped name no aspect, so the
+    # conditioned model scores them under the UNK prefix
+    unnamed = [(u, i, tuple(w for w in t if not lexicon.is_aspect(w))) for u, i, t in base]
+    unnamed = [(u, i, t) for u, i, t in unnamed if t]
+    cases = {
+        "mixed prefixes and repeats": (base + unnamed[:30] + base[::3], CHUNK_ROWS),
+        "one prefix over several chunks": ([(user, item, t) for _, _, t in base], 7),
+        "one-word texts": ([(u, i, t[:1]) for u, i, t in base[:20]], CHUNK_ROWS),
+        "one distinct prefix": ([(user, item, base[5][2])], CHUNK_ROWS),
+        "a last chunk of one row": (base[:CHUNK_ROWS + 1], CHUNK_ROWS),
+        "a last chunk of one row, small chunks": (unnamed[:17], 8),
+    }
+    cond = wide_models[1]
+    named = {cond._aspect_id(None, t) for _, _, t in cases["mixed prefixes and repeats"][0]}
+    assert UNK_ID in named and len(named) > 2
+    for model in wide_models:
+        for label, (requests, chunk_size) in cases.items():
+            expect = full_pass_log_likelihoods(model, requests, chunk_size)
+            assert model.log_likelihood_many(requests, chunk_size=chunk_size) == expect, \
+                (model.kind, model.conditions_on_aspect, label)
+    assert wide_models[2]._shared_prefixes(*[np.zeros(1, dtype=np.int64)] * 3) is None
+
+
+def test_scoring_validates_before_any_forward_pass(wide_models, monkeypatch):
+    users, items = 10, 8
+    good = (0, 0, ("the", "food"))
+    for model in wide_models:
+        bad = [([good, (users, 0, good[2])], "cold-start user"),
+               ([good, (0, items, good[2])], "cold-start item"),
+               ([good, (0, 0, ())], "cannot score an empty text")]
+        if model.word_capacity is not None:
+            over = ("the",) * (model.word_capacity + 1)
+            bad.append(([good, (0, 0, over)], "33 words exceeds positional capacity"))
+            at_capacity = [(0, 0, over[1:])]
+            assert model.log_likelihood_many(at_capacity) == full_pass_log_likelihoods(
+                model, at_capacity)
+        for requests, message in bad:
+            # any forward pass would raise something else first
+            monkeypatch.setattr(model, "_run", None)
+            with pytest.raises(ValueError, match=message):
+                model.log_likelihood_many(requests)
+            monkeypatch.undo()
+        assert model.log_likelihood_many([]) == []
+    assert wide_models[2].word_capacity is None
 
 
 # ----------------------------------------------------------------------

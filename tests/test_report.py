@@ -1,6 +1,8 @@
 """Report serialization, table formatting, and audit-log verification."""
 
 import math
+import re
+import shutil
 
 import pytest
 
@@ -122,6 +124,9 @@ def _full_audit_report(tmp_path):
                   {"instance": "1:0", "squared_error": 4.0}])
     cells["rmse"] = _result("rmse", math.sqrt(2.5), 2, direction=LOWER)
 
+    _write_audit(audit / "beta" / "air.tsv",
+                 [{"instance": f"{j}:0", "ppl_original": 2.0, "ppl_negated": 1.0,
+                   "flipped": j < 1} for j in range(2)])
     rows = [ModelRow("alpha", False, "", cells),
             ModelRow("beta", False, "", {"air": _result("air", 50.0, 2)})]
     report = EvaluationReport("cfg", "fp", {}, {}, None, rows)
@@ -131,10 +136,9 @@ def _full_audit_report(tmp_path):
 def test_verify_against_audit_recomputes_every_cell(tmp_path):
     report, audit = _full_audit_report(tmp_path)
     checked = verify_against_audit(report, audit)
-    assert len(checked) == 9                   # beta has no logs and is skipped
-    assert all(model == "alpha" for model, _, _, _ in checked)
-    for _, key, reported, recomputed in checked:
-        assert reported == report.row("alpha").cells[key].value
+    assert [model for model, _, _, _ in checked] == ["alpha"] * 9 + ["beta"]
+    for model, key, reported, recomputed in checked:
+        assert reported == report.row(model).cells[key].value
         assert recomputed == pytest.approx(reported)
 
 
@@ -150,10 +154,21 @@ def test_verify_against_audit_detects_tampering(tmp_path):
         verify_against_audit(report, audit)
 
 
+def test_verify_against_audit_needs_every_log_of_an_audited_run(tmp_path):
+    report, audit = _full_audit_report(tmp_path)
+    (audit / "beta" / "air.tsv").unlink()
+    with pytest.raises(AuditMismatch, match=re.escape(f"no audit log at {audit / 'beta' / 'air.tsv'}")):
+        verify_against_audit(report, audit)
+    # a run made without audit logs has nothing to verify
+    shutil.rmtree(audit)
+    assert verify_against_audit(report, audit) == []
+
+
 def test_verify_against_audit_cell_selection(tmp_path):
     report, audit = _full_audit_report(tmp_path)
     checked = verify_against_audit(report, audit, cells=[("alpha", "air")])
     assert [(m, k) for m, k, _, _ in checked] == [("alpha", "air")]
+    (audit / "beta" / "air.tsv").unlink()
     with pytest.raises(AuditMismatch, match="no audit log"):
         verify_against_audit(report, audit, cells=[("beta", "air")])
     with pytest.raises(AuditMismatch, match="not found in report"):

@@ -2,9 +2,11 @@
 
 The one-pair model calls (`predict_rating`, `generate`, `log_likelihood`,
 `perplexity`) are the batched interface over a one-element request list.
-The rest are conveniences over the library: finite-difference gradient
-checks, parameter counts, single-text regressor predictions, token
-cosines, and rebuilding a model from a checkpoint file.
+`full_pass_log_likelihoods` is the reference the batched scoring of the
+trainable models is checked against. The rest are conveniences over the
+library: finite-difference gradient checks, parameter counts,
+single-text regressor predictions, token cosines, and rebuilding a model
+from a checkpoint file.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from collections.abc import Callable
 
 import numpy as np
 
-from rexeval.models import model_from_parameters
+from rexeval.autodiff import Tape, log_softmax
+from rexeval.models import CHUNK_ROWS, _sum_target_logprobs, model_from_parameters
 from rexeval.nn import ParamStore, load_checkpoint
+from rexeval.training import length_order, padded_ids
 
 
 def predict_rating(model, user: int, item: int, aspect: str | None = None) -> float:
@@ -32,6 +36,28 @@ def log_likelihood(model, user: int, item: int, tokens) -> float:
 
 def perplexity(model, user: int, item: int, tokens) -> float:
     return model.perplexity_many([(user, item, tokens)])[0]
+
+
+def full_pass_log_likelihoods(model, requests, chunk_size: int = CHUNK_ROWS) -> list[float]:
+    """Reference scoring of a trainable model: the requests are cut into
+    the chunks `log_likelihood_many` cuts, and each chunk runs its own
+    prefixes, BOS and words in one forward pass, with nothing shared
+    between chunks and every text encoded where it is used."""
+    order = length_order([len(tokens) for _, _, tokens in requests])
+    out = [0.0] * len(requests)
+    for start in range(0, len(order), chunk_size):
+        rows = order[start:start + chunk_size]
+        texts = [requests[j][2] for j in rows]
+        input_ids, target_ids, pad = padded_ids(
+            [model.vocab.encode(tokens, append_eos=False) for tokens in texts])
+        logits, _, _ = model._run(
+            Tape(grad=False), np.array([requests[j][0] for j in rows]),
+            np.array([requests[j][1] for j in rows]),
+            np.array([model._aspect_id(None, tokens) for tokens in texts]), input_ids)
+        for j, ll in zip(rows, _sum_target_logprobs(log_softmax(logits.value), target_ids,
+                                                    pad)):
+            out[j] = ll
+    return out
 
 
 def grad_check(loss_fn: Callable[[], tuple[float, dict[str, np.ndarray]]],
