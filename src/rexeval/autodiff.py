@@ -251,11 +251,10 @@ class Tape:
     and backward() raises.
     """
 
-    def __init__(self, *, grad: bool = True, check_finite: bool = False):
+    def __init__(self, *, grad: bool = True):
         self._steps: list[tuple[GradSlot, object]] = []
         self._param_nodes: dict[str, Node] = {}
         self.grad = grad
-        self.check_finite = check_finite
         self._consumed = False
 
     # ------------------------------------------------------------------
@@ -263,8 +262,6 @@ class Tape:
 
     def _record(self, value, op, backward) -> Node:
         value = np.asarray(value, dtype=np.float64)
-        if self.check_finite and not np.all(np.isfinite(value)):
-            raise FloatingPointError(f"non-finite values produced by op '{op}'")
         node = Node(value, op)
         if self.grad:
             self._steps.append((node.slot, backward))

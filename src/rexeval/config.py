@@ -3,9 +3,11 @@
 Sections: [corpus] for the synthetic generator (or an external TSV),
 [seeds] for the three named seed streams, [metrics] for evaluation
 knobs, [output] for the run directory, and one [model:NAME] section per
-roster entry. The lineage hash covers exactly the sections that shape
-artifacts on disk (corpus spec, corpus/model seeds, model roster), so
-evaluation-only overrides never orphan a corpus or checkpoint.
+roster entry. A settings section's keys are the fields of its class
+(`SECTIONS`), as a model section's are its kind's options. The lineage
+hash covers exactly the sections that shape artifacts on disk (corpus
+spec, corpus/model seeds, model roster), so evaluation-only overrides
+never orphan a corpus or checkpoint.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ class CorpusSpec:
     splits: tuple[float, float, float] = (0.8, 0.1, 0.1)
     lexicon_path: str | None = None
     external_path: str | None = None  # pre-built TSV; skips generation
+
+    def __post_init__(self):
+        if len(self.splits) != 3:
+            raise ValueError("splits: expected three ratios")
 
 
 @dataclass(frozen=True)
@@ -163,67 +169,51 @@ def _parse_value(section: str, key: str, raw: str, kind):
         raise ValueError(f"[{section}] {key}: cannot parse '{raw}'") from None
 
 
+# each settings section: the fields its keys set, with their defaults, and
+# the INI key of each field that is spelled differently from it
+SECTIONS = {
+    "corpus": ({f.name: f.default for f in dataclasses.fields(CorpusSpec)},
+               {"lexicon_path": "lexicon", "external_path": "path"}),
+    "seeds": ({f.name: f.default for f in dataclasses.fields(Seeds)}, {}),
+    "metrics": ({f.name: f.default for f in dataclasses.fields(MetricSettings)}, {}),
+    "output": ({"out_dir": RunConfig.out_dir}, {"out_dir": "dir"}),
+}
+
+
+def _read_section(parser, section: str) -> dict:
+    """A settings section's values by field name, each parsed as the type
+    of the field's default: a tuple takes items separated by commas or
+    spaces, and a field whose default is None takes text, empty for none."""
+    if not parser.has_section(section):
+        return {}
+    defaults, keys = SECTIONS[section]
+    fields = {keys.get(name, name): name for name in defaults}
+    values = {}
+    for key, raw in parser[section].items():
+        if key not in fields:
+            raise ValueError(f"[{section}] unknown key '{key}'")
+        default = defaults[fields[key]]
+        if default is None:
+            value = raw.strip() or None
+        elif isinstance(default, tuple):
+            value = tuple(_parse_value(section, key, part, type(default[0]))
+                          for part in raw.replace(",", " ").split())
+        else:
+            value = _parse_value(section, key, raw, type(default))
+        values[fields[key]] = value
+    return values
+
+
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh, source=str(path))
-
-    corpus_kwargs: dict = {}
-    if parser.has_section("corpus"):
-        section = parser["corpus"]
-        for key in section:
-            if key in ("users", "items", "aspects", "reviews_per_user"):
-                corpus_kwargs[key] = _parse_value("corpus", key, section[key], int)
-            elif key in ("affinity_gain", "offtopic_rate"):
-                corpus_kwargs[key] = _parse_value("corpus", key, section[key], float)
-            elif key == "splits":
-                parts = section[key].split()
-                if len(parts) != 3:
-                    raise ValueError("[corpus] splits: expected three ratios")
-                corpus_kwargs["splits"] = tuple(
-                    _parse_value("corpus", key, p, float) for p in parts)
-            elif key == "lexicon":
-                corpus_kwargs["lexicon_path"] = section[key].strip() or None
-            elif key == "path":
-                corpus_kwargs["external_path"] = section[key].strip() or None
-            else:
-                raise ValueError(f"[corpus] unknown key '{key}'")
-
-    seed_kwargs: dict = {}
-    if parser.has_section("seeds"):
-        for key in parser["seeds"]:
-            if key not in ("corpus", "model", "eval"):
-                raise ValueError(f"[seeds] unknown key '{key}'")
-            seed_kwargs[key] = _parse_value("seeds", key, parser["seeds"][key], int)
-
-    metric_kwargs: dict = {}
-    if parser.has_section("metrics"):
-        section = parser["metrics"]
-        for key in section:
-            if key == "metrics":
-                metric_kwargs["metrics"] = tuple(section[key].replace(",", " ").split())
-            elif key in ("k", "n_explanations", "embed_dim"):
-                metric_kwargs[key] = _parse_value("metrics", key, section[key], int)
-            elif key == "cnll_weight":
-                metric_kwargs[key] = _parse_value("metrics", key, section[key], float)
-            elif key in ("air_mode", "tlae_mode"):
-                metric_kwargs[key] = section[key].strip()
-            elif key == "audit":
-                metric_kwargs[key] = _parse_value("metrics", key, section[key], bool)
-            else:
-                raise ValueError(f"[metrics] unknown key '{key}'")
-
-    out_dir = "runs/out"
-    if parser.has_section("output"):
-        for key in parser["output"]:
-            if key != "dir":
-                raise ValueError(f"[output] unknown key '{key}'")
-            out_dir = parser["output"]["dir"].strip()
+    settings = {section: _read_section(parser, section) for section in SECTIONS}
 
     models: list[ModelSpec] = []
     for section_name in parser.sections():
         if not section_name.startswith("model:"):
-            if section_name not in ("corpus", "seeds", "metrics", "output"):
+            if section_name not in SECTIONS:
                 raise ValueError(f"unknown section [{section_name}]")
             continue
         name = section_name[len("model:"):].strip()
@@ -248,11 +238,11 @@ def load_config(path) -> RunConfig:
         models.append(ModelSpec(name, kind, tuple(sorted(options)), note))
 
     return RunConfig(
-        corpus=CorpusSpec(**corpus_kwargs),
-        seeds=Seeds(**seed_kwargs),
-        metrics=MetricSettings(**metric_kwargs),
+        corpus=CorpusSpec(**settings["corpus"]),
+        seeds=Seeds(**settings["seeds"]),
+        metrics=MetricSettings(**settings["metrics"]),
         models=tuple(models) if models else RunConfig().models,
-        out_dir=out_dir,
+        **settings["output"],
     )
 
 

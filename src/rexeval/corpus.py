@@ -163,23 +163,19 @@ def _pick(rng: np.random.Generator, options) -> str:
     return options[int(rng.integers(len(options)))]
 
 
-def render_review(world: SyntheticWorld, user: int, item: int,
-                  noise_seed: int | None = None) -> Review:
+def render_review(world: SyntheticWorld, user: int, item: int) -> Review:
     """Deterministic template text for one (user, item) pair.
 
-    The default noise seed is derived from the world seed and the pair,
-    so a review is reproducible from the world alone; this is what lets
-    the oracle model regenerate corpus text exactly.
+    The noise seed is derived from the world seed and the pair, so a
+    review is reproducible from the world alone; this is what lets the
+    oracle model regenerate corpus text exactly.
     """
     if not 0 <= user < world.num_users:
         raise ValueError(f"unknown user id {user}")
     if not 0 <= item < world.num_items:
         raise ValueError(f"unknown item id {item}")
     lex = world.lexicon
-    if noise_seed is None:
-        rng = np.random.default_rng([world.seed, 0x5EED, user, item])
-    else:
-        rng = np.random.default_rng([world.seed, 0x5EED, noise_seed])
+    rng = np.random.default_rng([world.seed, 0x5EED, user, item])
     rating = rating_for(world, user, item)
     polarity = polarity_for(rating)
 
@@ -263,10 +259,8 @@ def build_corpus(world: SyntheticWorld, reviews_per_user: int,
 def _repair_item_coverage(splits: dict[str, list[Review]]) -> None:
     """Swap reviews between splits until every held-out item is in train."""
     train_items: dict[int, int] = {}
-    train_users: dict[int, int] = {}
     for r in splits["train"]:
         train_items[r.item] = train_items.get(r.item, 0) + 1
-        train_users[r.user] = train_users.get(r.user, 0) + 1
     for name in ("validation", "test"):
         held = splits[name]
         for i, review in enumerate(held):

@@ -24,12 +24,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import Tape
-from .lexicon import (PAD_ID, UNK_ID, RESERVED_TOKENS, Lexicon, Vocab,
+from .lexicon import (UNK_ID, RESERVED_TOKENS, Lexicon, Vocab,
                       classify_polarity, extract_aspect)
 from .models import clamp_rating, strip_reserved
-from .nn import ParamStore, clip_global_norm
+from .nn import ParamStore
 from .perturb import negate_sentiment, sample_distinct, substitute_aspect
-from .training import DivergenceError
+from .training import TrainConfig, optimize, padded_ids
 
 HIGHER = "higher"
 LOWER = "lower"
@@ -278,19 +278,15 @@ class AuxRegressor:
         return tape.affine(h, tape.param(store, "head.w2"), tape.param(store, "head.b2"))
 
     def _encode(self, texts) -> tuple[np.ndarray, np.ndarray]:
+        """Word ids and pad mask of texts without their reserved tokens."""
         ids = []
         for tokens in texts:
-            tokens = [t for t in tokens if t not in RESERVED_TOKENS]
-            if not tokens:
+            row = [self.vocab.token_to_id(t) for t in tokens if t not in RESERVED_TOKENS]
+            if not row:
                 raise ValueError("cannot score empty text")
-            ids.append([self.vocab.token_to_id(t) for t in tokens])
-        T = max(len(row) for row in ids)
-        input_ids = np.full((len(ids), T), PAD_ID, dtype=np.int64)
-        pad = np.ones((len(ids), T), dtype=bool)
-        for b, row in enumerate(ids):
-            input_ids[b, :len(row)] = row
-            pad[b, :len(row)] = False
-        return input_ids, pad
+            ids.append(row)
+        input_ids, _, pad = padded_ids(ids)
+        return input_ids[:, 1:], pad[:, 1:]  # without the BOS column
 
     def predict_many(self, texts, chunk_size: int = 256) -> np.ndarray:
         out = np.empty(len(texts), dtype=np.float64)
@@ -306,8 +302,9 @@ def train_aux_regressor(corpus, *, embed_dim: int = 32, hidden_dim: int = 32,
                         epochs: int = 12, lr: float = 3e-3, batch_size: int = 64,
                         patience: int = 3, clip_norm: float = 5.0, seed: int = 0,
                         log=None, ratings=None) -> AuxRegressor:
-    """Fit the text-only regressor on the train split, selecting the epoch
-    with the best validation MSE.
+    """Fit the text-only regressor on the train split through the models'
+    optimiser loop (`training.optimize`), selecting the epoch with the best
+    validation MSE.
 
     `ratings` optionally overrides the train-split targets (same order);
     used by label-permutation controls.
@@ -326,39 +323,27 @@ def train_aux_regressor(corpus, *, embed_dim: int = 32, hidden_dim: int = 32,
     # saturated at init and validation selection sees progress immediately
     reg.store["head.b2"][:] = float(train_targets.mean())
     rng = np.random.default_rng([seed, 0xA0C, 1])
-    best = np.inf
-    best_state = reg.store.state_copy()
-    flat = 0
-    for epoch in range(1, epochs + 1):
+
+    def batches():
         order = rng.permutation(len(train_texts))
-        try:
-            for start in range(0, len(train_texts), batch_size):
-                rows = order[start:start + batch_size]
-                input_ids, pad = reg._encode([train_texts[j] for j in rows])
-                tape = Tape()
-                pred = reg._run(tape, input_ids, pad)
-                loss = tape.squared_error(pred, train_targets[rows].reshape(-1, 1))
-                tape.backward(loss)
-                grads, norm = clip_global_norm(tape.param_grads(reg.store), clip_norm)
-                if not np.isfinite(norm):
-                    raise FloatingPointError("non-finite gradient norm")
-                reg.store.adam_step(grads, lr)
-        except FloatingPointError as exc:
-            raise DivergenceError(
-                f"regressor diverged in epoch {epoch}: {exc}", epoch - 1) from exc
+        for start in range(0, len(train_texts), batch_size):
+            rows = order[start:start + batch_size]
+            input_ids, pad = reg._encode([train_texts[j] for j in rows])
+            yield input_ids, pad, train_targets[rows].reshape(-1, 1)
+
+    def loss(tape, batch):
+        input_ids, pad, targets = batch
+        return tape.squared_error(reg._run(tape, input_ids, pad), targets)
+
+    def validate(epoch):
         val_mse = _mse(reg.predict_many(val_texts), val_targets)
         if log is not None:
             log(f"regressor epoch {epoch}: val mse {val_mse:.4f}")
-        if val_mse < best:
-            best = val_mse
-            best_state = reg.store.state_copy()
-            flat = 0
-        else:
-            flat += 1
-            if flat >= patience:
-                break
-    reg.store.load_state(best_state)
-    reg.validation_mse = best
+        return val_mse, val_mse
+
+    config = TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr, clip_norm=clip_norm,
+                         patience=patience, seed=seed)
+    _, reg.validation_mse = optimize(reg.store, config, batches, loss, validate, "regressor")
     return reg
 
 
@@ -377,32 +362,49 @@ def _mse(predicted, gold) -> float:
     return total / len(predicted)
 
 
+def per_generation(instances, column: str, rows_of, audit) -> tuple[float, int, int]:
+    """Add up one audit column over (user, item, generated, other) instances.
+
+    Reserved tokens are dropped from each generated text, and a text left
+    empty is excluded and counted. `rows_of(kept)` gives the audit fields
+    of each kept (words, other) pair, in order; the `column` field of each
+    is added in instance order. Returns (total, count, excluded).
+    """
+    kept = []
+    excluded = 0
+    for user, item, generated, other in instances:
+        words = [t for t in generated if t not in RESERVED_TOKENS]
+        if words:
+            kept.append((f"{user}:{item}", words, other))
+        else:
+            excluded += 1
+    if not kept:
+        raise ValueError("all generations empty")
+    total = 0.0
+    rows = rows_of([(words, other) for _, words, other in kept])
+    for (instance, _, _), fields in zip(kept, rows):
+        total += fields[column]
+        if audit is not None:
+            audit(instance=instance, **fields)
+    return total, len(kept), excluded
+
+
 def tlae(regressor: AuxRegressor, generations, *, target: str = "model-rating",
          name: str = "tlae", audit=None) -> MetricResult:
     """MSE between the regressor's reading of each generated text and the
     target rating; empty generations are excluded and counted."""
     if not generations:
         raise ValueError("no generations to score")
-    kept = []
-    excluded = 0
-    for user, item, tokens, target_rating in generations:
-        words = [t for t in tokens if t not in RESERVED_TOKENS]
-        if not words:
-            excluded += 1
-            continue
-        kept.append((user, item, words, float(target_rating)))
-    if not kept:
-        raise ValueError("all generations empty")
-    preds = regressor.predict_many([words for _, _, words, _ in kept])
-    total = 0.0
-    for j, (user, item, _, target_rating) in enumerate(kept):
-        d = float(preds[j]) - target_rating
-        total += d * d
-        if audit is not None:
-            audit(instance=f"{user}:{item}", regressor_rating=float(preds[j]),
-                  target_rating=target_rating, squared_error=d * d)
-    return MetricResult(name, total / len(kept), len(kept), excluded, LOWER,
-                        {"target": target})
+
+    def rows_of(kept):
+        preds = regressor.predict_many([words for words, _ in kept])
+        for pred, (_, rating) in zip(preds.tolist(), kept):
+            d = pred - float(rating)
+            yield {"regressor_rating": pred, "target_rating": float(rating),
+                   "squared_error": d * d}
+
+    total, count, excluded = per_generation(generations, "squared_error", rows_of, audit)
+    return MetricResult(name, total / count, count, excluded, LOWER, {"target": target})
 
 
 # ----------------------------------------------------------------------
@@ -422,21 +424,10 @@ def entail_metric(instances, lexicon: Lexicon, audit=None) -> MetricResult:
     empty generations are excluded and counted."""
     if not instances:
         raise ValueError("no instances to score")
-    hits = 0
-    count = 0
-    excluded = 0
-    for user, item, generated, reference in instances:
-        words = [t for t in generated if t not in RESERVED_TOKENS]
-        if not words:
-            excluded += 1
-            continue
-        ok = entail_proxy(words, list(reference), lexicon)
-        hits += ok
-        count += 1
-        if audit is not None:
-            audit(instance=f"{user}:{item}", entailed=ok)
-    if count == 0:
-        raise ValueError("all generations empty")
+    hits, count, excluded = per_generation(
+        instances, "entailed", lambda kept: (
+            {"entailed": entail_proxy(words, list(reference), lexicon)}
+            for words, reference in kept), audit)
     return MetricResult("entail", 100.0 * hits / count, count, excluded, HIGHER, {})
 
 
@@ -553,21 +544,10 @@ def gm_f1_metric(instances, table: EmbeddingTable, audit=None) -> MetricResult:
     """Mean greedy-match F1 over (user, item, generated, reference) instances."""
     if not instances:
         raise ValueError("no instances to score")
-    total = 0.0
-    count = 0
-    excluded = 0
-    for user, item, generated, reference in instances:
-        words = [t for t in generated if t not in RESERVED_TOKENS]
-        if not words:
-            excluded += 1
-            continue
-        precision, recall, f1 = greedy_match_f1(words, reference, table)
-        total += f1
-        count += 1
-        if audit is not None:
-            audit(instance=f"{user}:{item}", precision=precision, recall=recall, f1=f1)
-    if count == 0:
-        raise ValueError("all generations empty")
+    total, count, excluded = per_generation(
+        instances, "f1", lambda kept: (
+            dict(zip(("precision", "recall", "f1"), greedy_match_f1(words, reference, table)))
+            for words, reference in kept), audit)
     return MetricResult("gm_f1", total / count, count, excluded, HIGHER, {})
 
 
@@ -661,23 +641,11 @@ def cnll_metric(instances, lm: BigramLM, weight: float = 0.5, audit=None) -> Met
     """Mean conditioned NLL over (user, item, generated, reference) instances."""
     if not instances:
         raise ValueError("no instances to score")
-    total = 0.0
-    count = 0
-    excluded = 0
-    for user, item, generated, reference in instances:
-        words = [t for t in generated if t not in RESERVED_TOKENS]
-        if not words:
-            excluded += 1
-            continue
-        score = cond_nll_score(words, list(reference), lm, weight)
-        total += score
-        count += 1
-        if audit is not None:
-            audit(instance=f"{user}:{item}", score=score)
-    if count == 0:
-        raise ValueError("all generations empty")
-    return MetricResult("cnll", total / count, count, excluded, LOWER,
-                        {"weight": weight})
+    total, count, excluded = per_generation(
+        instances, "score", lambda kept: (
+            {"score": cond_nll_score(words, list(reference), lm, weight)}
+            for words, reference in kept), audit)
+    return MetricResult("cnll", total / count, count, excluded, LOWER, {"weight": weight})
 
 
 # ----------------------------------------------------------------------

@@ -110,35 +110,6 @@ def _sum_target_logprobs(lp: np.ndarray, target_ids, pad) -> list[float]:
     return np.cumsum(picked, axis=1)[:, -1].tolist()
 
 
-def _greedy_decode(vocab: Vocab, start, step, n: int, max_len: int) -> list[list[str]]:
-    """Greedy explanations for n sequences decoded side by side.
-
-    `start()` runs the prefix and BOS of all n rows and returns (logits of
-    the first word, state); `step(state, keep, ids)` drops the state rows
-    where the boolean `keep` is False (None keeps all), feeds one word id
-    per remaining row, and returns (logits of the next word, state).
-    Logits are (rows, V). A row stops at EOS or after max_len - 1 words;
-    either way its tokens end with the EOS marker.
-    """
-    words: list[list[int]] = [[] for _ in range(n)]
-    if n and max_len > 1:
-        logits, state = start()
-        alive = np.arange(n)
-        while True:
-            dist = log_softmax(logits)
-            dist[:, PAD_ID] = -np.inf
-            dist[:, BOS_ID] = -np.inf
-            nxt = np.argmax(dist, axis=1)
-            going = nxt != EOS_ID
-            alive, nxt = alive[going], nxt[going]
-            for row, wid in zip(alive.tolist(), nxt.tolist()):
-                words[row].append(wid)
-            if not alive.size or len(words[alive[0]]) >= max_len - 1:
-                break
-            logits, state = step(state, None if going.all() else going, nxt)
-    return [[vocab.id_to_token(w) for w in ids] + [EOS_TOKEN] for ids in words]
-
-
 # ----------------------------------------------------------------------
 # trainable models
 
@@ -314,19 +285,35 @@ class NeuralRecommender(ExplainableRecommender):
         return texts
 
     def _decode_chunk(self, users, items, aspects, max_len: int) -> list[list[str]]:
-        def start():
-            bos = np.full((len(users), 1), BOS_ID, dtype=np.int64)
+        """Greedy explanations for the rows of one chunk, decoded side by side.
+
+        The first pass runs the prefix and BOS of every row; each later one
+        feeds one word per row still decoding, continuing from the cached
+        state without the rows that stopped. A row stops at EOS or after
+        max_len - 1 words; either way its tokens end with the EOS marker.
+        """
+        n = len(users)
+        words: list[list[int]] = [[] for _ in range(n)]
+        if n and max_len > 1:
+            bos = np.full((n, 1), BOS_ID, dtype=np.int64)
             logits, _, state = self._run(Tape(grad=False), users, items, aspects, bos)
-            return logits.value[:, -1], state
-
-        def step(state, keep, ids):
-            if keep is not None:
-                state = self._keep_rows(state, keep)
-            logits, _, state = self._run(Tape(grad=False), None, None, None, ids[:, None],
-                                         past=state)
-            return logits.value[:, -1], state
-
-        return _greedy_decode(self.vocab, start, step, len(users), max_len)
+            alive = np.arange(n)
+            while True:
+                dist = log_softmax(logits.value[:, -1])
+                dist[:, PAD_ID] = -np.inf
+                dist[:, BOS_ID] = -np.inf
+                nxt = np.argmax(dist, axis=1)
+                going = nxt != EOS_ID
+                alive, nxt = alive[going], nxt[going]
+                for row, wid in zip(alive.tolist(), nxt.tolist()):
+                    words[row].append(wid)
+                if not alive.size or len(words[alive[0]]) >= max_len - 1:
+                    break
+                if not going.all():
+                    state = self._keep_rows(state, going)
+                logits, _, state = self._run(Tape(grad=False), None, None, None, nxt[:, None],
+                                             past=state)
+        return [[self.vocab.id_to_token(w) for w in ids] + [EOS_TOKEN] for ids in words]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Minibatch training for the joint text-plus-rating objective.
 
 The loss is mean token cross-entropy plus a weighted rating MSE. Epochs
-draw length-bucketed batches from a seeded generator, gradients are
+draw length-bucketed batches from a seeded generator. `optimize` is the
+one optimiser loop, which the TLAE regressor shares: gradients are
 clipped by global norm, and the parameters giving the best validation
-joint loss are restored at the end, with early stopping after a patience
-of flat epochs.
+score are restored at the end, with early stopping after a patience of
+flat epochs.
 """
 
 from __future__ import annotations
@@ -160,6 +161,54 @@ def joint_loss(model, reviews, vocab, rating_weight: float,
     return nll_mean + rating_weight * mse_mean, nll_mean, mse_mean
 
 
+def optimize(store, config: TrainConfig, batches, loss, validate,
+             what: str = "training") -> tuple[list, float]:
+    """Adam on the parameters in `store`, with gradients clipped by global
+    norm, for up to `config.epochs` epochs of one step per batch of
+    `batches()`.
+
+    `loss(tape, batch)` records a batch's scalar loss on `tape`, and
+    `validate(epoch)` returns the epoch's validation score (lower is
+    better) and its history entry. Training stops after `config.patience`
+    epochs without a better score, and the parameters of the best one are
+    restored. A non-finite loss, gradient norm or score raises
+    DivergenceError. Returns the history entries and the best score.
+    """
+    best = np.inf
+    best_state = store.state_copy()
+    flat_epochs = 0
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        try:
+            for batch in batches():
+                tape = Tape()
+                total = loss(tape, batch)
+                if not np.isfinite(total.value):
+                    raise FloatingPointError("non-finite loss")
+                tape.backward(total)
+                grads, norm = clip_global_norm(tape.param_grads(store), config.clip_norm)
+                if not np.isfinite(norm):
+                    raise FloatingPointError("non-finite gradient norm")
+                store.adam_step(grads, config.lr)
+            score, entry = validate(epoch)
+            if not np.isfinite(score):
+                raise FloatingPointError("non-finite validation loss")
+        except FloatingPointError as exc:
+            raise DivergenceError(
+                f"{what} diverged in epoch {epoch}: {exc}", epoch - 1) from exc
+        history.append(entry)
+        if score < best:
+            best = score
+            best_state = store.state_copy()
+            flat_epochs = 0
+        else:
+            flat_epochs += 1
+            if flat_epochs >= config.patience:
+                break
+    store.load_state(best_state)
+    return history, best
+
+
 def train_model(model, corpus, config: TrainConfig, log=None) -> list[dict]:
     """Optimize in place; returns the per-epoch history."""
     train = corpus.train
@@ -168,61 +217,37 @@ def train_model(model, corpus, config: TrainConfig, log=None) -> list[dict]:
     vocab = corpus.vocab
     lengths = [len(r.tokens) for r in train]
     rng = np.random.default_rng([config.seed, 0x7E41])
-    best_val = np.inf
-    best_state = model.store.state_copy()
-    flat_epochs = 0
-    history: list[dict] = []
-    for epoch in range(1, config.epochs + 1):
-        nll_sum = 0.0
-        mse_sum = 0.0
-        positions = 0
-        seen = 0
-        try:
-            for rows in epoch_batches(lengths, config.batch_size, rng):
-                chunk = [train[j] for j in rows]
-                batch = make_batch(chunk, vocab)
-                tape = Tape()
-                nll, mse = model.loss_nodes(tape, batch)
-                total = tape.add(nll, tape.scale(mse, config.rating_weight))
-                if not np.isfinite(total.value):
-                    raise FloatingPointError("non-finite loss")
-                tape.backward(total)
-                grads = tape.param_grads(model.store)
-                grads, norm = clip_global_norm(grads, config.clip_norm)
-                if not np.isfinite(norm):
-                    raise FloatingPointError("non-finite gradient norm")
-                model.store.adam_step(grads, config.lr)
-                n = batch.scored_positions
-                nll_sum += float(nll.value) * n
-                mse_sum += float(mse.value) * len(chunk)
-                positions += n
-                seen += len(chunk)
-            val_joint, val_nll, val_mse = joint_loss(
-                model, corpus.validation, vocab, config.rating_weight)
-            if not np.isfinite(val_joint):
-                raise FloatingPointError("non-finite validation loss")
-        except FloatingPointError as exc:
-            raise DivergenceError(
-                f"training diverged in epoch {epoch}: {exc}", epoch - 1) from exc
+    # this epoch's token-weighted nll, review-weighted mse, positions, reviews
+    seen = [0.0, 0.0, 0, 0]
+
+    def batches():
+        for rows in epoch_batches(lengths, config.batch_size, rng):
+            yield make_batch([train[j] for j in rows], vocab)
+
+    def loss(tape, batch):
+        nll, mse = model.loss_nodes(tape, batch)
+        n = batch.scored_positions
+        seen[0] += float(nll.value) * n
+        seen[1] += float(mse.value) * len(batch.ratings)
+        seen[2] += n
+        seen[3] += len(batch.ratings)
+        return tape.add(nll, tape.scale(mse, config.rating_weight))
+
+    def validate(epoch):
+        val_joint, val_nll, val_mse = joint_loss(
+            model, corpus.validation, vocab, config.rating_weight)
         entry = {
             "epoch": epoch,
-            "train_nll": nll_sum / positions,
-            "train_mse": mse_sum / seen,
+            "train_nll": seen[0] / seen[2],
+            "train_mse": seen[1] / seen[3],
             "val_joint": val_joint,
             "val_nll": val_nll,
             "val_mse": val_mse,
         }
-        history.append(entry)
+        seen[:] = [0.0, 0.0, 0, 0]
         if log is not None:
             log(f"epoch {epoch}: train nll {entry['train_nll']:.4f} "
                 f"mse {entry['train_mse']:.4f} | val joint {val_joint:.4f}")
-        if val_joint < best_val:
-            best_val = val_joint
-            best_state = model.store.state_copy()
-            flat_epochs = 0
-        else:
-            flat_epochs += 1
-            if flat_epochs >= config.patience:
-                break
-    model.store.load_state(best_state)
-    return history
+        return val_joint, entry
+
+    return optimize(model.store, config, batches, loss, validate)[0]

@@ -134,6 +134,39 @@ def test_load_config_defaults_and_output_section(tmp_path):
     assert config.corpus == CorpusSpec()
 
 
+def test_load_config_reads_every_settings_field(tmp_path):
+    # every field is set off its default, so a field added to a settings
+    # class fails here until the INI below sets it and the reader parses it
+    wanted = {
+        "corpus": CorpusSpec(users=21, items=13, aspects=4, reviews_per_user=9,
+                             affinity_gain=1.5, offtopic_rate=0.125, splits=(0.6, 0.2, 0.2),
+                             lexicon_path="my/lexicon.txt", external_path="my/corpus.tsv"),
+        "seeds": Seeds(corpus=1, model=2, eval=3),
+        "metrics": MetricSettings(metrics=("rmse", "air", "cnll"), k=7, n_explanations=11,
+                                  air_mode="both", tlae_mode="gold-rating", cnll_weight=0.25,
+                                  embed_dim=8, audit=True),
+    }
+    keys = {"lexicon_path": "lexicon", "external_path": "path"}  # INI spellings
+    lines = []
+    for section, settings in wanted.items():
+        lines.append(f"[{section}]")
+        for field in dataclasses.fields(settings):
+            value = getattr(settings, field.name)
+            assert value != field.default, f"[{section}] {field.name} is at its default"
+            text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            lines.append(f"{keys.get(field.name, field.name)} = {text}")
+    lines += ["[output]", "dir = elsewhere/run"]
+    path = tmp_path / "every.ini"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = load_config(path)
+    assert (config.corpus, config.seeds, config.metrics) == tuple(wanted.values())
+    assert config.out_dir == "elsewhere/run"
+
+    # tuples also split on spaces, and an empty path means none
+    path.write_text("[corpus]\nsplits = 0.5 0.25 0.25\nlexicon =\n", encoding="utf-8")
+    assert load_config(path).corpus == CorpusSpec(splits=(0.5, 0.25, 0.25))
+
+
 @pytest.mark.parametrize("ini, message", [
     ("[corpus]\nusers = twenty\n", "cannot parse"),
     ("[corpus]\nbogus = 1\n", "unknown key"),

@@ -21,6 +21,7 @@ from rexeval.metrics import (HIGHER, LOWER, AuditWriter, AuxRegressor,
 from rexeval.models import (KINDS, RandomScorer, RecurrentArch, RecurrentModel,
                             TransformerArch, TransformerModel, UniformScorer)
 from rexeval.perturb import sample_distinct, substitute_aspect
+from rexeval.training import DivergenceError
 
 from testkit import cosine, regressor_predict
 
@@ -296,6 +297,16 @@ def test_regressor_training_input_validation(small_corpus):
         train_aux_regressor(small_corpus, ratings=[1.0, 2.0])
     with pytest.raises(ValueError, match="empty train split"):
         train_aux_regressor(dataclasses.replace(small_corpus, train=[]))
+
+
+def test_regressor_training_raises_on_a_non_finite_validation_mse(small_corpus, monkeypatch):
+    # NaN passes np.clip, so a diverged regressor reads NaN on validation
+    monkeypatch.setattr(AuxRegressor, "predict_many",
+                        lambda self, texts, chunk_size=256: np.full(len(texts), np.nan))
+    with pytest.raises(DivergenceError, match="regressor diverged in epoch 1: "
+                                              "non-finite validation loss") as err:
+        train_aux_regressor(small_corpus, embed_dim=8, hidden_dim=8, epochs=2)
+    assert err.value.last_finite_epoch == 0
 
 
 def test_tlae_matches_external_recomputation(small_corpus):
