@@ -8,8 +8,8 @@ normalised input, attention's inputs and weights, a ReLU or tanh's own
 output, the cross-entropy's log-probabilities). A node's value is not
 part of its step, so a value no backward reads (a residual sum, the
 pre-ReLU output of an affine, a concatenation, the logits) is freed as
-soon as the forward pass drops its node. `select` and `slice_axis`
-keep only a shape, and `broadcast` returns a view.
+soon as the forward pass drops its node. `index` keeps only a shape
+and, like `broadcast`, returns a view.
 
 backward() consumes the tape: it pops each step as that step's backward
 runs, so the closures and cached activations of later layers are freed
@@ -23,8 +23,8 @@ the same forward functions and return the same bits.
 The value-level primitive set is fixed: affine map (matrix product plus
 bias), embedding lookup, elementwise nonlinearity, scaled-dot attention,
 GRU cell step, layer normalization, fused softmax cross-entropy, and mean
-squared error. Structural helpers (add, scale, concat, select,
-slice_axis, stack, broadcast) only rearrange values; models are composed
+squared error. Structural helpers (add, scale, concat, index, stack,
+broadcast) only rearrange values; models are composed
 from these pieces and nothing else.
 
 Forward math lives in free functions that the tape ops call, so
@@ -237,10 +237,6 @@ class Node:
     def grad(self):
         return self.slot.grad
 
-    @property
-    def shape(self):
-        return self.value.shape
-
 
 class Tape:
     """Ordered record of one forward pass, consumed by backward().
@@ -363,15 +359,12 @@ class Tape:
         return self._record(out, "embedding", backward)
 
     def nonlin(self, x: Node, kind: str) -> Node:
-        """tanh, sigmoid or relu; each backward reads only the output (ReLU's
-        mask out > 0 equals x > 0, NaN, signed zeros and infinities included)."""
+        """tanh or relu; each backward reads only the output (ReLU's mask
+        out > 0 equals x > 0, NaN, signed zeros and infinities included)."""
         xv = x.value
         if kind == "tanh":
             out = np.tanh(xv)
             dfn = lambda g: g * (1.0 - out * out)
-        elif kind == "sigmoid":
-            out = sigmoid(xv)
-            dfn = lambda g: g * out * (1.0 - out)
         elif kind == "relu":
             out = np.maximum(xv, 0.0)
             dfn = lambda g: g * (out > 0)
@@ -470,33 +463,17 @@ class Tape:
 
         return self._record(out, "concat", backward)
 
-    def select(self, x: Node, index: int, axis: int) -> Node:
-        """Take one slice along an axis, dropping that axis."""
-        out = np.take(x.value, index, axis=axis)
+    def index(self, x: Node, key) -> Node:
+        """x.value[key] for a basic numpy index (ints and slices)."""
+        out = x.value[key]
         xs = x.slot
 
         def backward(g):
             gx = np.zeros(xs.shape)
-            idx = [slice(None)] * len(xs.shape)
-            idx[axis] = index
-            gx[tuple(idx)] = g
+            gx[key] = g
             return [(xs, gx)]
 
-        return self._record(out, "select", backward)
-
-    def slice_axis(self, x: Node, start: int, stop: int, axis: int) -> Node:
-        idx = [slice(None)] * x.value.ndim
-        idx[axis] = slice(start, stop)
-        idx = tuple(idx)
-        out = x.value[idx]
-        xs = x.slot
-
-        def backward(g):
-            gx = np.zeros(xs.shape)
-            gx[idx] = g
-            return [(xs, gx)]
-
-        return self._record(out, "slice", backward)
+        return self._record(out, "index", backward)
 
     def stack(self, nodes: list[Node], axis: int) -> Node:
         out = np.stack([n.value for n in nodes], axis=axis)

@@ -11,24 +11,8 @@ import configparser
 import sys
 
 from .config import AIR_MODES, TLAE_MODES, RunConfig, apply_overrides, load_config
-from .pipeline import (
-    StageError,
-    run_pipeline,
-    stage_evaluate,
-    stage_gen_corpus,
-    stage_generate,
-    stage_report,
-    stage_train,
-)
+from .pipeline import STAGES, StageError, run_pipeline
 from .report import format_table
-
-_STAGE_COMMANDS = {
-    "gen-corpus": stage_gen_corpus,
-    "train": stage_train,
-    "generate": stage_generate,
-    "evaluate": stage_evaluate,
-    "report": stage_report,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,14 +83,10 @@ def main(argv=None) -> int:
         return 1
     log = None if args.quiet else (lambda message: print(message, file=sys.stderr))
     try:
-        if args.command == "run-all":
-            report = run_pipeline(config, log)
-            print(format_table(report), end="")
-        elif args.command == "report":
-            report = stage_report(config, log)
-            print(format_table(report), end="")
-        else:
-            _STAGE_COMMANDS[args.command](config, log)
+        stage = run_pipeline if args.command == "run-all" else STAGES[args.command]
+        result = stage(config, log)
+        if args.command in ("run-all", "report"):
+            print(format_table(result), end="")
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

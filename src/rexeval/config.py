@@ -79,6 +79,10 @@ class MetricSettings:
             raise ValueError("k must be >= 1")
         if self.n_explanations < 1:
             raise ValueError("n_explanations must be >= 1")
+        if not 0.0 <= self.cnll_weight <= 1.0:
+            raise ValueError("cnll_weight must be in [0, 1]")
+        if self.embed_dim < 1:
+            raise ValueError("embed_dim must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -147,12 +151,6 @@ class RunConfig:
             return self.models
         by_name = {spec.name: spec for spec in self.models}
         return tuple(by_name[name] for name in self.selected)
-
-    def model(self, name: str) -> ModelSpec:
-        for spec in self.models:
-            if spec.name == name:
-                return spec
-        raise KeyError(f"no model named '{name}' in the roster")
 
 
 def _parse_value(section: str, key: str, raw: str, kind):

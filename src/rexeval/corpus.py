@@ -24,8 +24,6 @@ from .lexicon import (
     POLARITIES,
     POSITIVE,
     Vocab,
-    classify_polarity,
-    extract_aspect,
     load_lexicon,
 )
 
@@ -362,11 +360,3 @@ def load_world(path, lexicon: Lexicon | None = None) -> SyntheticWorld:
                           seed=int(payload["seed"]),
                           affinity_gain=float(payload["affinity_gain"]),
                           offtopic_rate=float(payload["offtopic_rate"]))
-
-
-__all__ = [
-    "Review", "SyntheticWorld", "Corpus", "generate_world", "affinity",
-    "rating_for", "polarity_for", "render_review", "build_corpus",
-    "save_corpus", "load_corpus", "save_world", "load_world",
-    "extract_aspect", "classify_polarity",
-]

@@ -159,9 +159,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self._id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_id
-
     def token_to_id(self, token: str) -> int:
         return self._token_to_id.get(token, UNK_ID)
 
@@ -177,12 +174,3 @@ class Vocab:
         if append_eos:
             ids.append(EOS_ID)
         return np.asarray(ids, dtype=np.int64)
-
-    def decode(self, ids, strip_reserved: bool = True) -> list[str]:
-        out = []
-        for tid in ids:
-            tok = self._id_to_token[int(tid)]
-            if strip_reserved and tok in RESERVED_TOKENS:
-                continue
-            out.append(tok)
-        return out

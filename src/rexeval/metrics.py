@@ -197,26 +197,20 @@ def mrr_ae_probes(reviews, lexicon: Lexicon, *, k: int = 100, seed: int = 0) -> 
     return MrrProbes(k, seed, pools, requests)
 
 
-def mrr_ae(model, reviews, lexicon: Lexicon, *, k: int = 100, seed: int = 0,
-           audit=None, probes: MrrProbes | None = None) -> MetricResult:
+def mrr_ae(model, probes: MrrProbes, *, audit=None) -> MetricResult:
     """Mean reciprocal rank (x100) of each gold review ranked by perplexity
-    against k candidates carrying the gold aspect (`mrr_ae_probes`).
+    against the k candidates carrying its aspect that `mrr_ae_probes` drew.
 
     The gold takes the worst rank among ties. Audit rows name the best
     impostor: the pool index of the lowest-perplexity candidate (the
     first drawn among equals) and its perplexity. All texts are scored in
-    one `perplexity_many` call. `probes`, the probe set of the same
-    reviews, k and seed, lets several models share one; without it the
-    set is built here.
+    one `perplexity_many` call, so several models can share one probe set.
     """
-    if probes is None:
-        probes = mrr_ae_probes(reviews, lexicon, k=k, seed=seed)
-    elif (probes.k, probes.seed, len(probes.pools)) != (k, seed, len(reviews)):
-        raise ValueError("probes were built for another pool, k or seed")
     ppls = model.perplexity_many(probes.requests)
     rr_sum = 0.0
     start = 0
-    for gold, chosen in zip(reviews, probes.pools):
+    for chosen in probes.pools:
+        user, item, _ = probes.requests[start]
         ppl_gold = ppls[start]
         others = ppls[start + 1:start + 1 + len(chosen)]
         start += 1 + len(chosen)
@@ -224,19 +218,14 @@ def mrr_ae(model, reviews, lexicon: Lexicon, *, k: int = 100, seed: int = 0,
         rr_sum += 1.0 / rank
         if audit is not None:
             best = min(range(len(others)), key=others.__getitem__)
-            audit(instance=f"{gold.user}:{gold.item}", rank=rank,
+            audit(instance=f"{user}:{item}", rank=rank,
                   reciprocal_rank=1.0 / rank, ppl_gold=ppl_gold,
                   n_candidates=len(chosen), best_impostor=chosen[best],
                   ppl_best_impostor=others[best])
-    value = 100.0 * (rr_sum / len(reviews))
-    return MetricResult("mrr_ae", value, len(reviews), 0, HIGHER,
-                        {"k": k, "seed": seed,
+    value = 100.0 * (rr_sum / len(probes.pools))
+    return MetricResult("mrr_ae", value, len(probes.pools), 0, HIGHER,
+                        {"k": probes.k, "seed": probes.seed,
                          "candidate_exclusion": "textual-duplicates-only"})
-
-
-def mrr_random_baseline(k: int) -> float:
-    """Expected MRR (x100) of a uniformly random ranker over k+1 texts."""
-    return 100.0 * sum(1.0 / r for r in range(1, k + 2)) / (k + 1)
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +261,7 @@ class AuxRegressor:
         query = tape.broadcast(tape.param(store, "query"),
                                (input_ids.shape[0], 1, self.embed_dim))
         mask = (~pad)[:, None, :]
-        pooled = tape.select(tape.attention(query, emb, emb, mask, 1), 0, axis=1)
+        pooled = tape.index(tape.attention(query, emb, emb, mask, 1), np.s_[:, 0])
         h = tape.nonlin(tape.affine(pooled, tape.param(store, "head.w1"),
                                     tape.param(store, "head.b1")), "tanh")
         return tape.affine(h, tape.param(store, "head.w2"), tape.param(store, "head.b2"))
@@ -593,17 +582,6 @@ class BigramLM:
     def bigram_prob(self, prev: int, tid: int) -> float:
         return (self._bigram[prev, tid] + self.alpha) / (self._context[prev] + self.alpha * self.vocab_size)
 
-    def nll(self, tokens) -> float:
-        """Mean negative log-probability of the tokens under this model alone."""
-        tokens = list(tokens)
-        if not tokens:
-            raise ValueError("cannot score empty text")
-        ids = [self.vocab.token_to_id(t) for t in tokens]
-        total = -math.log(self.unigram_prob(ids[0]))
-        for prev, tid in zip(ids[:-1], ids[1:]):
-            total += -math.log(self.bigram_prob(prev, tid))
-        return total / len(ids)
-
 
 def cond_nll_score(generated, reference, lm: BigramLM, weight: float = 0.5) -> float:
     """Mean NLL of the generated text under the corpus bigram model
@@ -745,8 +723,7 @@ CELLS = (
          "AIR-gen↑", "{:.2f}", lambda rows: 100.0 * (1.0 - _mean(rows, "flipped")),
          modes=("air_mode", ("generated", "both")), scores_model=True, reads_gens=True),
     Cell("mrr_ae", "mrr_ae",
-         lambda c, a: mrr_ae(c.model, c.pool, c.lexicon, k=c.settings.k, seed=c.seed, audit=a,
-                             probes=c.helpers["mrr_probes"]),
+         lambda c, a: mrr_ae(c.model, c.helpers["mrr_probes"], audit=a),
          "MRR-AE↑", "{:.2f}", lambda rows: 100.0 * _mean(rows, "reciprocal_rank"),
          scores_model=True, helper="mrr_probes"),
     Cell("tlae", "tlae",

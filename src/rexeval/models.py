@@ -169,16 +169,19 @@ class NeuralRecommender(ExplainableRecommender):
         mse = tape.squared_error(rating, batch.ratings.reshape(-1, 1))
         return nll, mse
 
-    def _aspect_id(self, aspect: str | None, tokens=None) -> int:
-        """Aspect id the prefix conditions on: the given aspect, else the
-        one a text names, else UNK; always UNK for unconditioned models."""
+    def _aspect_id(self, tokens) -> int:
+        """Aspect id the prefix of a scored text conditions on: the first
+        aspect the text names, else UNK; always UNK for unconditioned
+        models."""
         if not self.conditions_on_aspect:
             return UNK_ID
-        if aspect is None and tokens is not None:
-            aspect = extract_aspect(tokens, self.lexicon)
+        aspect = extract_aspect(tokens, self.lexicon)
         return self.vocab.token_to_id(aspect) if aspect is not None else UNK_ID
 
     def _decode_aspect_id(self, aspect: str | None) -> int:
+        """Aspect id of a (user, item, aspect) request: its aspect for an
+        aspect-conditioned model, which needs one, and UNK for a model
+        that does not condition on aspects, which takes None."""
         if self.conditions_on_aspect:
             if aspect is None:
                 raise ValueError("aspect-conditioned model needs a conditioning aspect")
@@ -225,7 +228,7 @@ class NeuralRecommender(ExplainableRecommender):
             found = encoded.get(key)
             if found is None:
                 found = encoded[key] = (self.vocab.encode(key, append_eos=False),
-                                        self._aspect_id(None, key))
+                                        self._aspect_id(key))
             return found
 
         users, items, aspects = self._prefixes(requests, lambda tokens: text(tokens)[1])
@@ -264,7 +267,7 @@ class NeuralRecommender(ExplainableRecommender):
         them: over the batch, a (B, d) product can round differently from
         the (1, d) one in the last bit (gemm against gemv).
         """
-        users, items, aspects = self._prefixes(list(requests), self._aspect_id)
+        users, items, aspects = self._prefixes(list(requests), self._decode_aspect_id)
         bos = np.full((len(users), 1), BOS_ID, dtype=np.int64)
         _, head_in, _ = self._run(Tape(grad=False), users, items, aspects, bos)
         tape = Tape(grad=False)
@@ -441,9 +444,9 @@ class TransformerModel(NeuralRecommender):
         if past is not None:
             logits = tape.affine(xf, tape.param(store, "out.w"), tape.param(store, "out.b"))
             return logits, None, kv
-        words = tape.slice_axis(xf, self.prefix_len, L, axis=1)
+        words = tape.index(xf, np.s_[:, self.prefix_len:L])
         logits = tape.affine(words, tape.param(store, "out.w"), tape.param(store, "out.b"))
-        return logits, tape.select(xf, 1, axis=1), kv
+        return logits, tape.index(xf, np.s_[:, 1]), kv
 
     def _keep_rows(self, kv, keep):
         return [(k[keep], v[keep]) for k, v in kv]
@@ -531,7 +534,7 @@ class RecurrentModel(NeuralRecommender):
                        ("gru.wz", "gru.bz", "gru.wr", "gru.br", "gru.wn", "gru.bn")]
         states = []
         for t in range(input_ids.shape[1]):
-            x_t = tape.select(emb, t, axis=1)
+            x_t = tape.index(emb, np.s_[:, t])
             h = tape.gru_cell(x_t, h, *gate_params)
             states.append(h)
         hseq = tape.stack(states, axis=1)
@@ -611,25 +614,6 @@ class RandomScorer(ExplainableRecommender):
     def log_likelihood_many(self, requests) -> list[float]:
         return [float(np.log(_unit(self.seed, "ll", user, item, " ".join(tokens))))
                 for user, item, tokens in _nonempty(requests)]
-
-
-class UniformScorer(ExplainableRecommender):
-    """Assigns every token probability 1/V; perplexity is exactly V."""
-
-    def __init__(self, vocab_size: int):
-        if vocab_size < 1:
-            raise ValueError("vocab size must be positive")
-        self.vocab_size = vocab_size
-
-    def predict_rating_many(self, requests) -> list[float]:
-        return [3.0 for _ in requests]
-
-    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
-        return [[EOS_TOKEN] for _ in requests]
-
-    def log_likelihood_many(self, requests) -> list[float]:
-        log_v = float(np.log(self.vocab_size))
-        return [-(len(tokens) + 1) * log_v for _, _, tokens in _nonempty(requests)]
 
 
 class UnigramModel(ExplainableRecommender):

@@ -15,16 +15,11 @@ import numpy as np
 
 from .lexicon import Lexicon
 
-NEGATION = "sentiment-negation"
-SUBSTITUTION = "aspect-substitution"
-
 
 @dataclass(frozen=True)
 class PerturbedPair:
     original: tuple[str, ...]
     perturbed: tuple[str, ...]
-    kind: str
-    touched: tuple[int, ...]  # positions in `original` that were edited
 
 
 def negate_sentiment(tokens, lexicon: Lexicon) -> PerturbedPair | None:
@@ -41,21 +36,20 @@ def negate_sentiment(tokens, lexicon: Lexicon) -> PerturbedPair | None:
     if not tokens:
         raise ValueError("cannot perturb empty text")
     out: list[str] = []
-    touched: list[int] = []
-    for idx, tok in enumerate(tokens):
+    found = False
+    for tok in tokens:
         if lexicon.is_opinion(tok):
+            found = True
             if out and out[-1] == lexicon.negator:
                 out.pop()
                 out.append(tok)
-                touched.append(idx - 1)
             else:
                 out.append(lexicon.antonym(tok))
-                touched.append(idx)
         else:
             out.append(tok)
-    if not touched:
+    if not found:
         return None
-    return PerturbedPair(tuple(tokens), tuple(out), NEGATION, tuple(touched))
+    return PerturbedPair(tuple(tokens), tuple(out))
 
 
 def substitute_aspect(tokens, target_aspect: str, lexicon: Lexicon) -> PerturbedPair | None:
@@ -63,7 +57,7 @@ def substitute_aspect(tokens, target_aspect: str, lexicon: Lexicon) -> Perturbed
 
     Unperturbable (None) when the text mentions no aspect at all. A
     text already about the target aspect is a fixed point: returned
-    with zero touched positions.
+    unchanged.
     """
     if not lexicon.is_aspect(target_aspect):
         raise ValueError(f"'{target_aspect}' is not in the aspect lexicon")
@@ -71,19 +65,16 @@ def substitute_aspect(tokens, target_aspect: str, lexicon: Lexicon) -> Perturbed
     if not tokens:
         raise ValueError("cannot perturb empty text")
     out: list[str] = []
-    touched: list[int] = []
     found = False
-    for idx, tok in enumerate(tokens):
+    for tok in tokens:
         if lexicon.is_aspect(tok):
             found = True
-            if tok != target_aspect:
-                touched.append(idx)
             out.append(target_aspect)
         else:
             out.append(tok)
     if not found:
         return None
-    return PerturbedPair(tuple(tokens), tuple(out), SUBSTITUTION, tuple(touched))
+    return PerturbedPair(tuple(tokens), tuple(out))
 
 
 def sample_distinct(rng: np.random.Generator, n: int, k: int, excluded) -> list[int]:

@@ -45,8 +45,6 @@ REPORT_JSON = "report.json"
 REPORT_TXT = "report.txt"
 TIMING_FILE = "timing.txt"
 
-STAGES = ("gen-corpus", "train", "generate", "evaluate", "report")
-
 
 class StageError(RuntimeError):
     """Pipeline failure attributed to the stage that detected it."""
@@ -445,6 +443,16 @@ def _peak_rss_mb(usage) -> float:
     return usage.ru_maxrss / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
 
 
+# every stage, in run order, by its command name
+STAGES = {
+    "gen-corpus": stage_gen_corpus,
+    "train": stage_train,
+    "generate": stage_generate,
+    "evaluate": stage_evaluate,
+    "report": stage_report,
+}
+
+
 def run_pipeline(config: RunConfig, log=None) -> EvaluationReport:
     """All five stages in order, plus a timing sidecar with the wall
     seconds of the whole run and, per stage, its seconds, the process's
@@ -455,8 +463,7 @@ def run_pipeline(config: RunConfig, log=None) -> EvaluationReport:
     started = time.perf_counter()
     lines = []
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for name, stage in zip(STAGES, (stage_gen_corpus, stage_train, stage_generate,
-                                    stage_evaluate, stage_report)):
+    for name, stage in STAGES.items():
         stage_started = time.perf_counter()
         report = stage(config, log)
         seconds = time.perf_counter() - stage_started

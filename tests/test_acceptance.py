@@ -14,15 +14,15 @@ from rexeval.cli import main
 from rexeval.config import ModelSpec, RunConfig
 from rexeval.lexicon import NEGATIVE, Vocab, classify_polarity
 from rexeval.metrics import (AuditWriter, EmbeddingTable, air, entail_metric,
-                             greedy_match_f1, mrr_ae, mrr_random_baseline,
-                             rmse, rmse_metric)
-from rexeval.models import RandomScorer, UniformScorer, UnigramModel
+                             greedy_match_f1, mrr_ae, mrr_ae_probes, rmse, rmse_metric)
+from rexeval.models import RandomScorer, UnigramModel
 from rexeval.perturb import negate_sentiment, substitute_aspect
 from rexeval.pipeline import run_pipeline
 
 from test_autodiff import GRAD_CASES, max_grad_error
 from test_harness import MICRO_INI
-from testkit import generate, perplexity, predict_rating
+from testkit import (UniformScorer, generate, mrr_random_baseline, perplexity,
+                     predict_rating)
 
 
 def _verdict(capsys, number: int, name: str, ok: bool, detail: str) -> None:
@@ -60,7 +60,7 @@ def test_criterion_2_uniform_scorer_perplexity_law(capsys):
 def test_criterion_3_random_scorer_sits_at_chance(big_corpus, lexicon, capsys):
     scorer = RandomScorer(seed=55)
     invariance = air(scorer, big_corpus.test, lexicon)
-    ranking = mrr_ae(scorer, big_corpus.test[:10000], lexicon, k=100, seed=99)
+    ranking = mrr_ae(scorer, mrr_ae_probes(big_corpus.test[:10000], lexicon, k=100, seed=99))
     baseline = mrr_random_baseline(100)
     ok = (invariance.count >= 5000 and abs(invariance.value - 50.0) <= 2.0
           and ranking.count >= 10000 and abs(ranking.value - baseline) <= 0.5)
@@ -154,7 +154,7 @@ def test_criterion_6_metrics_match_brute_force_exactly(small_corpus, lexicon, ca
             ppls.append(perplexity(scorer, gold.user, gold.item, tokens))
         rank = 1 + sum(p < ppl_gold for p in ppls) + sum(p == ppl_gold for p in ppls)
         rr_sum += 1.0 / rank
-    mrr_ok = mrr_ae(scorer, fixture, lexicon, k=9, seed=0).value \
+    mrr_ok = mrr_ae(scorer, mrr_ae_probes(fixture, lexicon, k=9, seed=0)).value \
         == 100.0 * (rr_sum / len(fixture))
 
     vocab = Vocab.from_texts([["ink", "oak", "fig", "ash", "elm"]])
@@ -213,8 +213,9 @@ def test_criterion_7_squaring_probabilities_changes_nothing(sanity_corpus, lexic
 
     reviews = sanity_corpus.train[:120]
     rank_base, rank_sq = AuditWriter(), AuditWriter()
-    mrr_base = mrr_ae(base, reviews, lexicon, k=50, seed=5, audit=rank_base)
-    mrr_sq = mrr_ae(squared, reviews, lexicon, k=50, seed=5, audit=rank_sq)
+    probes = mrr_ae_probes(reviews, lexicon, k=50, seed=5)
+    mrr_base = mrr_ae(base, probes, audit=rank_base)
+    mrr_sq = mrr_ae(squared, probes, audit=rank_sq)
     ranks_equal = [row["rank"] for row in rank_base.rows] \
         == [row["rank"] for row in rank_sq.rows]
 

@@ -143,8 +143,8 @@ def _case_structural(rng, store):
     def build(t):
         x = t.concat([t.param(store, "a"), t.param(store, "b")], axis=0)
         y = t.add(x, t.broadcast(t.param(store, "v"), (4, 3)))
-        z = t.stack([t.select(y, 0, axis=0), t.select(y, 2, axis=0)], axis=0)
-        w = t.slice_axis(y, 1, 3, axis=0)
+        z = t.stack([t.index(y, 0), t.index(y, 2)], axis=0)
+        w = t.index(y, np.s_[1:3, :])
         return t.squared_error(t.add(z, t.scale(w, 0.5)), target)
 
     return _loss_fn(store, build)
@@ -155,7 +155,6 @@ GRAD_CASES = (
     ("affine_no_bias", _case_affine_no_bias),
     ("embedding", _case_embedding),
     ("tanh", _nonlin_case("tanh")),
-    ("sigmoid", _nonlin_case("sigmoid")),
     ("relu", _nonlin_case("relu")),
     ("attention_masked", _case_attention),
     ("attention_full", _case_attention_full),
@@ -208,7 +207,6 @@ def test_nonlin_values_and_unknown_kind():
     x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     t = Tape()
     np.testing.assert_allclose(t.nonlin(t.leaf(x), "tanh").value, np.tanh(x))
-    np.testing.assert_allclose(t.nonlin(t.leaf(x), "sigmoid").value, 1 / (1 + np.exp(-x)))
     np.testing.assert_array_equal(t.nonlin(t.leaf(x), "relu").value,
                                   np.maximum(x, 0.0))
     with pytest.raises(ValueError, match="unknown nonlinearity"):

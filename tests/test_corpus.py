@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rexeval.corpus import (Review, affinity, build_corpus, generate_world,
                             load_corpus, load_world, polarity_for, rating_for,
                             render_review, save_corpus, save_world)
-from rexeval.lexicon import NEGATIVE, NEUTRAL, POSITIVE
+from rexeval.lexicon import NEGATIVE, NEUTRAL, POSITIVE, UNK_ID
 
 
 def test_generate_world_validation(lexicon):
@@ -110,7 +110,7 @@ def test_held_out_users_and_items_appear_in_train(small_corpus):
 def test_vocab_covers_train_split(small_corpus):
     for r in small_corpus.train:
         for tok in r.tokens:
-            assert tok in small_corpus.vocab
+            assert small_corpus.vocab.token_to_id(tok) != UNK_ID
 
 
 def test_build_corpus_is_deterministic(lexicon):

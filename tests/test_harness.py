@@ -115,9 +115,10 @@ def test_load_config_full_ini(micro_config):
     assert config.metrics.audit is True
     assert config.out_dir == "runs/out"
     assert [m.name for m in config.models] == ["oracle", "random", "tiny"]
-    assert config.model("oracle").note == "reads the generator state"
-    assert not config.model("random").trainable
-    tiny = config.model("tiny")
+    specs = {spec.name: spec for spec in config.models}
+    assert specs["oracle"].note == "reads the generator state"
+    assert not specs["random"].trainable
+    tiny = specs["tiny"]
     assert tiny.trainable
     assert tiny.option_dict["embed_dim"] == 16
     assert tiny.option_dict["lr"] == 3e-3
@@ -192,6 +193,17 @@ def test_load_config_rejections(tmp_path, ini, message):
     path.write_text(ini, encoding="utf-8")
     with pytest.raises(ValueError, match=message):
         load_config(path)
+
+
+def test_load_config_rejects_metric_settings_the_evaluate_stage_cannot_use(tmp_path):
+    path = tmp_path / "metrics.ini"
+    for key, value in (("cnll_weight", "1.5"), ("cnll_weight", "-0.25"),
+                       ("cnll_weight", "nan"), ("embed_dim", "0")):
+        path.write_text(f"[metrics]\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            load_config(path)
+    path.write_text("[metrics]\ncnll_weight = 1.0\nembed_dim = 1\n", encoding="utf-8")
+    assert load_config(path).metrics == MetricSettings(cnll_weight=1.0, embed_dim=1)
 
 
 def test_spec_validation():

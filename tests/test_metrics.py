@@ -14,16 +14,16 @@ from rexeval.metrics import (HIGHER, LOWER, AuditWriter, AuxRegressor,
                              BigramLM, EmbeddingTable, MetricResult, air,
                              cnll_metric, cond_nll_score, entail_metric,
                              entail_proxy, gm_f1_metric, greedy_match_f1,
-                             mrr_ae, mrr_ae_probes, mrr_random_baseline, rmse,
-                             rmse_metric,
+                             mrr_ae, mrr_ae_probes, rmse, rmse_metric,
                              tlae, train_aux_regressor,
                              train_cooccurrence_embeddings)
 from rexeval.models import (KINDS, RandomScorer, RecurrentArch, RecurrentModel,
-                            TransformerArch, TransformerModel, UniformScorer)
+                            TransformerArch, TransformerModel)
 from rexeval.perturb import sample_distinct, substitute_aspect
 from rexeval.training import DivergenceError
 
-from testkit import cosine, regressor_predict
+from testkit import (UniformScorer, bigram_nll, cosine, mrr_random_baseline,
+                     regressor_predict)
 
 
 class _ScriptedScorer:
@@ -124,8 +124,8 @@ def test_air_exclusions_and_errors(small_corpus, lexicon):
 def test_mrr_worst_tie_rank_under_uniform_scorer(small_corpus, lexicon):
     reviews = small_corpus.test[:12]
     writer = AuditWriter()
-    result = mrr_ae(UniformScorer(len(small_corpus.vocab)), reviews, lexicon,
-                    k=1, seed=0, audit=writer)
+    result = mrr_ae(UniformScorer(len(small_corpus.vocab)),
+                    mrr_ae_probes(reviews, lexicon, k=1, seed=0), audit=writer)
     # every candidate ties with the gold, which then takes rank 2
     assert result.value == 50.0
     assert result.count == 12
@@ -136,15 +136,15 @@ def test_mrr_worst_tie_rank_under_uniform_scorer(small_corpus, lexicon):
 def test_mrr_determinism_and_errors(small_corpus, lexicon):
     reviews = small_corpus.test[:20]
     scorer = RandomScorer(seed=6)
-    a = mrr_ae(scorer, reviews, lexicon, k=5, seed=2)
-    b = mrr_ae(scorer, reviews, lexicon, k=5, seed=2)
+    a = mrr_ae(scorer, mrr_ae_probes(reviews, lexicon, k=5, seed=2))
+    b = mrr_ae(scorer, mrr_ae_probes(reviews, lexicon, k=5, seed=2))
     assert a.value == b.value
     with pytest.raises(ValueError, match="k must be"):
-        mrr_ae(scorer, reviews, lexicon, k=0)
+        mrr_ae_probes(reviews, lexicon, k=0)
     with pytest.raises(ValueError, match="not enough distinct"):
-        mrr_ae(scorer, reviews, lexicon, k=len(reviews))
+        mrr_ae_probes(reviews, lexicon, k=len(reviews))
     with pytest.raises(ValueError, match="empty review pool"):
-        mrr_ae(scorer, [], lexicon, k=1)
+        mrr_ae_probes([], lexicon, k=1)
 
 
 def per_gold_mrr_ae(model, reviews, lexicon, *, k, seed):
@@ -205,8 +205,11 @@ def test_batched_mrr_ae_equals_per_gold_reference(small_corpus, lexicon,
         for reviews, k in cases:
             expect, rows, _ = per_gold_mrr_ae(model, reviews, lexicon, k=k, seed=4)
             writer = AuditWriter()
-            assert mrr_ae(model, reviews, lexicon, k=k, seed=4, audit=writer) == expect
+            probes = mrr_ae_probes(reviews, lexicon, k=k, seed=4)
+            assert mrr_ae(model, probes, audit=writer) == expect
             assert [(r["rank"], r["ppl_gold"]) for r in writer.rows] == rows
+            assert [r["instance"] for r in writer.rows] == [f"{g.user}:{g.item}"
+                                                            for g in reviews]
     assert [r["n_candidates"] for r in writer.rows] == [20] * 30
 
 
@@ -222,7 +225,7 @@ def test_mrr_audit_names_the_lowest_perplexity_impostor(small_corpus, lexicon,
         golds = {r.text for r in reviews}
         scorer = _ScriptedScorer(scripted)
         writer = AuditWriter()
-        mrr_ae(scorer, reviews, lexicon, k=k, seed=1, audit=writer)
+        mrr_ae(scorer, mrr_ae_probes(reviews, lexicon, k=k, seed=1), audit=writer)
         _, rows, pools = per_gold_mrr_ae(scorer, reviews, lexicon, k=k, seed=1)
         for row, (rank, ppl_gold), pool in zip(writer.rows, rows, pools):
             lowest = min(ppl for _, ppl in pool)
@@ -239,15 +242,11 @@ def test_mrr_ae_from_shared_probes_equals_its_own(small_corpus, lexicon):
     for name, options in kinds:
         model = KINDS[name].build(options, small_corpus, lexicon, 5)
         own, shared = AuditWriter(), AuditWriter()
-        expect = mrr_ae(model, reviews, lexicon, k=12, seed=3, audit=own)
-        assert mrr_ae(model, reviews, lexicon, k=12, seed=3, audit=shared,
-                      probes=probes) == expect, name
+        expect = mrr_ae(model, mrr_ae_probes(reviews, lexicon, k=12, seed=3), audit=own)
+        assert mrr_ae(model, probes, audit=shared) == expect, name
         assert shared.rows == own.rows, name
     # scoring leaves the shared set as it was built
     assert probes == mrr_ae_probes(reviews, lexicon, k=12, seed=3)
-    for k, seed, pool in ((11, 3, reviews), (12, 4, reviews), (12, 3, reviews[:29])):
-        with pytest.raises(ValueError, match="another pool, k or seed"):
-            mrr_ae(model, pool, lexicon, k=k, seed=seed, probes=probes)
 
 
 def test_mrr_random_baseline_values():
@@ -505,11 +504,9 @@ def test_bigram_lm_hand_counts():
     assert lm.bigram_prob(a, b) == (1 + 0.5) / (1 + 0.5 * V)
     assert lm.bigram_prob(b, b) == 0.5 / (1 + 0.5 * V)
     expected = -(math.log(lm.unigram_prob(a)) + math.log(lm.bigram_prob(a, b))) / 2
-    assert lm.nll(["a", "b"]) == pytest.approx(expected, rel=1e-15)
+    assert bigram_nll(lm, ["a", "b"]) == pytest.approx(expected, rel=1e-15)
     with pytest.raises(ValueError, match="alpha"):
         _toy_lm(alpha=0.0)
-    with pytest.raises(ValueError, match="empty"):
-        lm.nll([])
 
 
 def test_cond_nll_interpolates_with_the_reference():
@@ -520,8 +517,8 @@ def test_cond_nll_interpolates_with_the_reference():
                  lm.vocab.token_to_id("a"), lm.vocab.token_to_id("b")))) / 2
     assert cond_nll_score(["a", "b"], ["a", "b"], lm) == pytest.approx(hand, rel=1e-15)
     # no shared context token: identical to the corpus model, bitwise
-    assert cond_nll_score(["a", "a"], ["b", "b"], lm) == lm.nll(["a", "a"])
-    assert cond_nll_score(["a", "b"], ["a", "b"], lm, weight=0.0) == lm.nll(["a", "b"])
+    assert cond_nll_score(["a", "a"], ["b", "b"], lm) == bigram_nll(lm, ["a", "a"])
+    assert cond_nll_score(["a", "b"], ["a", "b"], lm, weight=0.0) == bigram_nll(lm, ["a", "b"])
     with pytest.raises(ValueError, match="weight"):
         cond_nll_score(["a"], ["a"], lm, weight=1.5)
     with pytest.raises(ValueError, match="generated"):

@@ -14,12 +14,12 @@ from rexeval.corpus import build_corpus, generate_world, render_review
 from rexeval.lexicon import BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, UNK_ID, extract_aspect
 from rexeval.models import (CHUNK_ROWS, EOS_TOKEN, KINDS, OracleModel, RandomScorer,
                             RecurrentArch, RecurrentModel, TransformerArch,
-                            TransformerModel, UniformScorer, UnigramModel,
+                            TransformerModel, UnigramModel,
                             _sum_target_logprobs, clamp_rating, strip_reserved)
 from rexeval.nn import save_checkpoint
 from rexeval.training import TrainConfig, make_batch, padded_ids, train_model
 
-from testkit import (full_pass_log_likelihoods, generate, log_likelihood,
+from testkit import (UniformScorer, full_pass_log_likelihoods, generate, log_likelihood,
                      model_from_checkpoint, perplexity, predict_rating)
 
 
@@ -100,7 +100,7 @@ def test_random_scorer_generation(tiny_corpus):
     assert out == generate(scorer, 3, 4)
     assert out[-1] == EOS_TOKEN
     assert 3 <= len(out) - 1 <= 8
-    assert all(w in tiny_corpus.vocab for w in out[:-1])
+    assert all(tiny_corpus.vocab.token_to_id(w) != UNK_ID for w in out[:-1])
     assert len(generate(scorer, 3, 4, max_len=3)) <= 3
     with pytest.raises(ValueError, match="needs a vocabulary"):
         generate(RandomScorer(seed=1), 0, 0)
@@ -289,7 +289,7 @@ def test_conditioning_changes_scores(tiny_corpus, lexicon):
     # the aspect is read off the text, so texts naming different aspects
     # are scored under different conditioning prefixes
     def token_log_probs(tokens):
-        aspect_id = cond._aspect_id(None, tokens)  # what scoring conditions on
+        aspect_id = cond._aspect_id(tokens)  # what scoring conditions on
         assert aspect_id == cond.vocab.token_to_id(tokens[-1])
         return one_pair_pass(cond, 1, 1, aspect_id,
                              [cond.vocab.token_to_id(t) for t in tokens])[0]
@@ -442,7 +442,7 @@ def test_shared_prefix_scoring_equals_full_passes(tiny_corpus, lexicon, wide_mod
         "a last chunk of one row, small chunks": (unnamed[:17], 8),
     }
     cond = wide_models[1]
-    named = {cond._aspect_id(None, t) for _, _, t in cases["mixed prefixes and repeats"][0]}
+    named = {cond._aspect_id(t) for _, _, t in cases["mixed prefixes and repeats"][0]}
     assert UNK_ID in named and len(named) > 2
     for model in wide_models:
         for label, (requests, chunk_size) in cases.items():
@@ -651,6 +651,24 @@ def test_generate_many_validates_before_decoding(tiny_corpus, lexicon, fresh_tra
             model.generate_many(requests)
         monkeypatch.undo()
         assert model.generate_many([]) == []
+
+
+def test_ratings_take_the_aspects_decoding_takes(tiny_corpus, lexicon, fresh_transformer,
+                                                 fresh_recurrent, monkeypatch):
+    """A rating request's aspect is checked as a decoding request's is: an
+    aspect-conditioned model needs one, any other model takes None."""
+    cond = TransformerModel(
+        TransformerArch(embed_dim=16, ffn_dim=32, layers=1, heads=2, use_aspect=True),
+        tiny_corpus.vocab, 10, 8, seed=7, lexicon=lexicon)
+    bad = [(cond, [(0, 0, "food"), (0, 1, None)], "needs a conditioning aspect"),
+           (fresh_transformer, [(0, 0, None), (0, 1, "food")], "does not condition"),
+           (fresh_recurrent, [(0, 0, None), (0, 1, "food")], "does not condition")]
+    for model, requests, message in bad:
+        # any forward pass would raise something else first
+        monkeypatch.setattr(model, "_run", None)
+        with pytest.raises(ValueError, match=message):
+            model.predict_rating_many(requests)
+        monkeypatch.undo()
 
 
 def test_base_generate_many_is_per_pair_generate(tiny_corpus):

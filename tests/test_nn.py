@@ -22,7 +22,6 @@ def test_store_basics():
     store.add_ones("o", (2,))
     assert store.names() == ["a", "z", "o"]
     assert num_values(store) == 6 + 4 + 2
-    assert "a" in store and "missing" not in store
     assert store["a"] is a
     with pytest.raises(ValueError, match="duplicate parameter"):
         store.add("a", np.zeros(1))

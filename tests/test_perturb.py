@@ -6,28 +6,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rexeval.lexicon import NEGATIVE, NEUTRAL, POSITIVE, classify_polarity
-from rexeval.perturb import (NEGATION, SUBSTITUTION, negate_sentiment,
-                             sample_distinct, substitute_aspect)
+from rexeval.perturb import negate_sentiment, sample_distinct, substitute_aspect
 
 
 def test_negate_swaps_antonyms(lexicon):
     pair = negate_sentiment(["the", "food", "was", "great"], lexicon)
     assert pair.perturbed == ("the", "food", "was", "terrible")
-    assert pair.kind == NEGATION
-    assert pair.touched == (3,)
     assert pair.original == ("the", "food", "was", "great")
 
 
 def test_negate_drops_negator_instead_of_double_negating(lexicon):
     pair = negate_sentiment(["not", "great", "service"], lexicon)
     assert pair.perturbed == ("great", "service")
-    assert pair.touched == (0,)  # the negator's position
 
 
 def test_negate_touches_every_opinion(lexicon):
     pair = negate_sentiment(["great", "food", "terrible", "staff"], lexicon)
     assert pair.perturbed == ("terrible", "food", "great", "staff")
-    assert pair.touched == (0, 2)
 
 
 def test_negate_unperturbable_and_empty(lexicon):
@@ -69,14 +64,11 @@ def test_negation_is_a_class_involution_without_negators(lexicon, data):
 def test_substitute_replaces_every_aspect(lexicon):
     pair = substitute_aspect(["good", "food", "bad", "service"], "price", lexicon)
     assert pair.perturbed == ("good", "price", "bad", "price")
-    assert pair.kind == SUBSTITUTION
-    assert pair.touched == (1, 3)
 
 
 def test_substitute_fixed_point_and_unperturbable(lexicon):
     pair = substitute_aspect(["great", "food"], "food", lexicon)
     assert pair.perturbed == pair.original == ("great", "food")
-    assert pair.touched == ()
     assert substitute_aspect(["simply", "great"], "food", lexicon) is None
     with pytest.raises(ValueError, match="not in the aspect lexicon"):
         substitute_aspect(["great", "food"], "sausage", lexicon)

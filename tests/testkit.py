@@ -3,20 +3,24 @@
 The one-pair model calls (`predict_rating`, `generate`, `log_likelihood`,
 `perplexity`) are the batched interface over a one-element request list.
 `full_pass_log_likelihoods` is the reference the batched scoring of the
-trainable models is checked against. The rest are conveniences over the
-library: finite-difference gradient checks, parameter counts,
-single-text regressor predictions, token cosines, and rebuilding a model
-from a checkpoint file.
+trainable models is checked against. `UniformScorer` and
+`mrr_random_baseline` are the chance references that metric values are
+compared with. The rest are conveniences over the library:
+finite-difference gradient checks, parameter counts, single-text
+regressor predictions, a text's bigram NLL, token cosines, and
+rebuilding a model from a checkpoint file.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
 
 from rexeval.autodiff import Tape, log_softmax
-from rexeval.models import CHUNK_ROWS, _sum_target_logprobs, model_from_parameters
+from rexeval.models import (CHUNK_ROWS, EOS_TOKEN, ExplainableRecommender, _nonempty,
+                            _sum_target_logprobs, model_from_parameters)
 from rexeval.nn import ParamStore, load_checkpoint
 from rexeval.training import length_order, padded_ids
 
@@ -53,11 +57,35 @@ def full_pass_log_likelihoods(model, requests, chunk_size: int = CHUNK_ROWS) -> 
         logits, _, _ = model._run(
             Tape(grad=False), np.array([requests[j][0] for j in rows]),
             np.array([requests[j][1] for j in rows]),
-            np.array([model._aspect_id(None, tokens) for tokens in texts]), input_ids)
+            np.array([model._aspect_id(tokens) for tokens in texts]), input_ids)
         for j, ll in zip(rows, _sum_target_logprobs(log_softmax(logits.value), target_ids,
                                                     pad)):
             out[j] = ll
     return out
+
+
+class UniformScorer(ExplainableRecommender):
+    """Assigns every token probability 1/V; perplexity is exactly V."""
+
+    def __init__(self, vocab_size: int):
+        if vocab_size < 1:
+            raise ValueError("vocab size must be positive")
+        self.vocab_size = vocab_size
+
+    def predict_rating_many(self, requests) -> list[float]:
+        return [3.0 for _ in requests]
+
+    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
+        return [[EOS_TOKEN] for _ in requests]
+
+    def log_likelihood_many(self, requests) -> list[float]:
+        log_v = float(np.log(self.vocab_size))
+        return [-(len(tokens) + 1) * log_v for _, _, tokens in _nonempty(requests)]
+
+
+def mrr_random_baseline(k: int) -> float:
+    """Expected MRR (x100) of a uniformly random ranker over k+1 texts."""
+    return 100.0 * sum(1.0 / r for r in range(1, k + 2)) / (k + 1)
 
 
 def grad_check(loss_fn: Callable[[], tuple[float, dict[str, np.ndarray]]],
@@ -101,6 +129,16 @@ def num_values(store: ParamStore) -> int:
 def regressor_predict(regressor, tokens) -> float:
     """The text-only regressor's rating of one text."""
     return float(regressor.predict_many([list(tokens)])[0])
+
+
+def bigram_nll(lm, tokens) -> float:
+    """Mean negative log-probability of a text under a `BigramLM` alone,
+    the score CNLL gives a text that shares no context with its reference."""
+    ids = [lm.vocab.token_to_id(t) for t in tokens]
+    total = -math.log(lm.unigram_prob(ids[0]))
+    for prev, tid in zip(ids[:-1], ids[1:]):
+        total += -math.log(lm.bigram_prob(prev, tid))
+    return total / len(ids)
 
 
 def cosine(table, a: str, b: str) -> float:
