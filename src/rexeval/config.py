@@ -18,6 +18,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 
+from .corpus import DEFAULT_AFFINITY_GAIN, DEFAULT_OFFTOPIC_RATE
 from .metrics import METRIC_NAMES
 from .models import KINDS
 
@@ -36,8 +37,8 @@ class CorpusSpec:
     items: int = 100
     aspects: int = 8
     reviews_per_user: int = 40
-    affinity_gain: float = 2.4
-    offtopic_rate: float = 0.25
+    affinity_gain: float = DEFAULT_AFFINITY_GAIN
+    offtopic_rate: float = DEFAULT_OFFTOPIC_RATE
     splits: tuple[float, float, float] = (0.8, 0.1, 0.1)
     lexicon_path: str | None = None
     external_path: str | None = None  # pre-built TSV; skips generation

@@ -24,8 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import Tape
-from .lexicon import (UNK_ID, RESERVED_TOKENS, Lexicon, Vocab,
-                      classify_polarity, extract_aspect)
+from .lexicon import UNK_ID, Lexicon, Vocab, classify_polarity, extract_aspect
 from .models import clamp_rating, strip_reserved
 from .nn import ParamStore
 from .perturb import negate_sentiment, sample_distinct, substitute_aspect
@@ -158,6 +157,22 @@ class MrrProbes(NamedTuple):
     requests: list[tuple]
 
 
+def mrr_ae_eligible(reviews, k: int) -> list[int]:
+    """Each gold's number of eligible candidates: the review pool less the
+    texts identical to the gold text. Raises ValueError unless every gold
+    has at least k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not reviews:
+        raise ValueError("empty review pool")
+    dups = Counter(review.text for review in reviews)
+    eligible = [len(reviews) - dups[review.text] for review in reviews]
+    for count in eligible:
+        if count < k:
+            raise ValueError(f"not enough distinct candidates: {count} < k={k}")
+    return eligible
+
+
 def mrr_ae_probes(reviews, lexicon: Lexicon, *, k: int = 100, seed: int = 0) -> MrrProbes:
     """Every gold's candidates and the texts MRR-AE scores for them.
 
@@ -166,20 +181,13 @@ def mrr_ae_probes(reviews, lexicon: Lexicon, *, k: int = 100, seed: int = 0) -> 
     Candidates without any aspect term are used unchanged, and each
     (candidate, aspect) rewrite is computed once.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not reviews:
-        raise ValueError("empty review pool")
+    eligible = mrr_ae_eligible(reviews, k)
     texts = [review.text for review in reviews]
-    dups = Counter(texts)
     rewrites: dict[tuple[int, str], tuple[str, ...]] = {}
     pools = []
     requests = []
     for idx, gold in enumerate(reviews):
-        eligible = len(reviews) - dups[texts[idx]]
-        if eligible < k:
-            raise ValueError(f"not enough distinct candidates: {eligible} < k={k}")
-        if eligible == k:
+        if eligible[idx] == k:
             chosen = [j for j in range(len(reviews)) if texts[j] != texts[idx]]
         else:
             rng = np.random.default_rng([seed, 0x3A3, idx])
@@ -268,12 +276,9 @@ class AuxRegressor:
 
     def _encode(self, texts) -> tuple[np.ndarray, np.ndarray]:
         """Word ids and pad mask of texts without their reserved tokens."""
-        ids = []
-        for tokens in texts:
-            row = [self.vocab.token_to_id(t) for t in tokens if t not in RESERVED_TOKENS]
-            if not row:
-                raise ValueError("cannot score empty text")
-            ids.append(row)
+        ids = [self.vocab.encode(strip_reserved(tokens), append_eos=False) for tokens in texts]
+        if not all(len(row) for row in ids):
+            raise ValueError("cannot score empty text")
         input_ids, _, pad = padded_ids(ids)
         return input_ids[:, 1:], pad[:, 1:]  # without the BOS column
 
@@ -362,7 +367,7 @@ def per_generation(instances, column: str, rows_of, audit) -> tuple[float, int, 
     kept = []
     excluded = 0
     for user, item, generated, other in instances:
-        words = [t for t in generated if t not in RESERVED_TOKENS]
+        words = strip_reserved(generated)
         if words:
             kept.append((f"{user}:{item}", words, other))
         else:
@@ -509,10 +514,9 @@ def train_cooccurrence_embeddings(corpus, dim: int = 32, window: int = 2) -> Emb
 def greedy_match_f1(generated, reference, table: EmbeddingTable) -> tuple[float, float, float]:
     """Greedy token matching by cosine: precision over generated tokens,
     recall over reference tokens, and their harmonic mean."""
-    to_id = table.vocab.token_to_id
-    gen_ids = [to_id(t) for t in generated]
-    ref_ids = [to_id(t) for t in reference]
-    if not gen_ids or not ref_ids:
+    gen_ids = table.vocab.encode(generated, append_eos=False)
+    ref_ids = table.vocab.encode(reference, append_eos=False)
+    if not len(gen_ids) or not len(ref_ids):
         raise ValueError("cannot match empty text")
     cos = table.cosine_matrix(gen_ids, ref_ids)
     # the best matches are added one at a time, in token order
@@ -599,11 +603,11 @@ def cond_nll_score(generated, reference, lm: BigramLM, weight: float = 0.5) -> f
         raise ValueError("cannot score empty generated text")
     if not reference:
         raise ValueError("cannot score empty reference text")
-    ref_ids = [lm.vocab.token_to_id(t) for t in reference]
+    ref_ids = lm.vocab.encode(reference, append_eos=False).tolist()
     ref_counts: dict[int, Counter] = {}
     for prev, nxt in zip(ref_ids[:-1], ref_ids[1:]):
         ref_counts.setdefault(prev, Counter())[nxt] += 1
-    ids = [lm.vocab.token_to_id(t) for t in generated]
+    ids = lm.vocab.encode(generated, append_eos=False).tolist()
     total = -math.log(lm.unigram_prob(ids[0]))
     for prev, tid in zip(ids[:-1], ids[1:]):
         p = lm.bigram_prob(prev, tid)

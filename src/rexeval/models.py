@@ -650,8 +650,8 @@ class UnigramModel(ExplainableRecommender):
                 for _, _, tokens in _nonempty(requests)]
 
 
-def model_from_parameters(store: ParamStore, header: dict, vocab: Vocab, lexicon=None,
-                          source="checkpoint"):
+def model_from_parameters(header: dict, params: dict[str, np.ndarray], vocab: Vocab,
+                          lexicon=None, source="checkpoint"):
     """Rebuild a trained model from a loaded checkpoint; errors name `source`."""
     desc = header.get("model")
     if not desc:
@@ -665,10 +665,10 @@ def model_from_parameters(store: ParamStore, header: dict, vocab: Vocab, lexicon
     model = kind.model(arch, vocab, desc["num_users"], desc["num_items"],
                        seed=header["seed"], lexicon=lexicon)
     try:
-        model.store.load_state({name: store[name] for name in store.names()})
+        model.store.load_state(params)
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
-    model.store.step = store.step
+    model.store.step = int(header["step"])
     return model
 
 

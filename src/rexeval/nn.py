@@ -1,28 +1,28 @@
 """Parameter storage, Adam, gradient clipping, checkpoint io.
 
-Checkpoints (format `rexeval-checkpoint-v2`) are text: a magic line, a
-JSON header (seed, step, config hash, optional model description), then
-one line per parameter: its name, its shape, and the base64 of its flat
-values as little-endian IEEE-754 float64 bytes, in C order. The bytes are
-the binary64 bit patterns themselves and base64 is a lossless encoding of
-bytes, so no value passes through a decimal or hex conversion: every bit
-pattern, including signed zeros, subnormals, infinities and NaN payloads,
-reads back bit for bit, which the determinism contract relies on. Fixing
-the byte order makes a file read the same on any host. Encoding and
-decoding are one `binascii` call plus one array copy per parameter.
-Files in the earlier hex-float format (v1) are rejected with a message to
-rerun the train stage; checkpoints are regenerable from the run's config.
+A checkpoint (format `rexeval-checkpoint-v3`) is a magic line, a JSON
+header line (seed, step, config hash, optional model description, and
+each parameter's name and shape in store order), then one `.npy` array
+(`numpy.lib.format`) of every value as little-endian IEEE-754 float64,
+the parameters one after another, each in C order. The array holds the
+binary64 bit patterns themselves, so no value passes through a decimal
+conversion: every bit pattern, including signed zeros, subnormals,
+infinities and NaN payloads, reads back bit for bit, which the
+determinism contract relies on. Fixing the byte order makes a file read
+the same on any host. Loading reads the array once and hands out views
+of it by name. Files in the earlier formats (v1 hex floats, v2 base64
+lines) are rejected with a message to rerun the train stage;
+checkpoints are regenerable from the run's config.
 """
 
 from __future__ import annotations
 
-import binascii
 import json
 import math
 
 import numpy as np
 
-CHECKPOINT_MAGIC = "rexeval-checkpoint-v2"
+CHECKPOINT_MAGIC = "rexeval-checkpoint-v3"
 _WIRE_DTYPE = np.dtype("<f8")
 INIT_SCALE = 0.08
 
@@ -138,58 +138,44 @@ def save_checkpoint(path, store: ParamStore, seed: int, config_hash: str,
     header = {"seed": int(seed), "step": int(store.step), "config_hash": config_hash}
     if extra:
         header.update(extra)
-    chunks = [f"{CHECKPOINT_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode("utf-8")]
-    for name in store.names():
-        p = store[name]
-        shape = ",".join(str(d) for d in p.shape)
-        raw = np.ascontiguousarray(p, dtype=_WIRE_DTYPE).tobytes()
-        # b2a_base64 ends the line with its newline
-        chunks += [f"{name} {shape} ".encode("utf-8"), binascii.b2a_base64(raw)]
+    header["parameters"] = [[name, list(store[name].shape)] for name in store.names()]
+    values = np.concatenate([store[name].ravel() for name in store.names()], dtype=_WIRE_DTYPE)
     with open(path, "wb") as fh:
-        fh.writelines(chunks)
+        fh.write(f"{CHECKPOINT_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode("utf-8"))
+        np.lib.format.write_array(fh, values, allow_pickle=False)
 
 
-def load_checkpoint(path) -> tuple[ParamStore, dict]:
+def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and each parameter by name, in store order: views of the
+    one value array. Errors name the file, and the parameter at fault."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    # walk the lines in place: no per-line copy of the value text
-    view = memoryview(data)
-
-    def line_end(start: int) -> int:
-        end = data.find(b"\n", start)
-        return len(data) if end < 0 else end
-
-    magic_end = line_end(0)
-    magic = data[:magic_end].decode("utf-8", errors="replace")
-    if magic != CHECKPOINT_MAGIC:
-        if magic.startswith("rexeval-checkpoint-"):
-            raise ValueError(f"{path}: checkpoint format {magic} is no longer read "
-                             f"(this version reads {CHECKPOINT_MAGIC}); rerun the train "
-                             "stage to rewrite it")
-        raise ValueError(f"{path}: not a checkpoint file")
-    header_end = line_end(magic_end + 1)
-    header = json.loads(data[magic_end + 1:header_end])
-    store = ParamStore()
-    start = header_end + 1
-    while start < len(data):
-        end = line_end(start)
-        if end > start:
-            # name and shape are short; the values stay one uncopied slice
-            name_end = data.find(b" ", start, end)
-            shape_end = data.find(b" ", name_end + 1, end) if name_end >= 0 else -1
-            name = data[start:max(name_end, start)].decode("utf-8", errors="replace")
-            if name_end < 0 or shape_end < 0:
-                raise ValueError(f"{path}: parameter '{name}': expected 'name shape values'")
-            shape = tuple(int(d) for d in data[name_end + 1:shape_end].split(b",") if d)
-            try:
-                raw = binascii.a2b_base64(view[shape_end + 1:end])
-            except binascii.Error as exc:
-                raise ValueError(f"{path}: parameter '{name}': bad base64 ({exc})") from exc
-            need = math.prod(shape)
-            if len(raw) != 8 * need:
-                raise ValueError(f"{path}: parameter '{name}' holds {len(raw) / 8:g} values "
-                                 f"but its shape {shape} needs {need}")
-            store.add(name, np.frombuffer(raw, dtype=_WIRE_DTYPE).reshape(shape))
-        start = end + 1
-    store.step = int(header["step"])
-    return store, header
+        magic = fh.readline().rstrip(b"\n").decode("utf-8", errors="replace")
+        if magic != CHECKPOINT_MAGIC:
+            if magic.startswith("rexeval-checkpoint-"):
+                raise ValueError(f"{path}: checkpoint format {magic} is no longer read "
+                                 f"(this version reads {CHECKPOINT_MAGIC}); rerun the train "
+                                 "stage to rewrite it")
+            raise ValueError(f"{path}: not a checkpoint file")
+        try:
+            header = json.loads(fh.readline())
+            values = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:  # a cut or corrupt header or array
+            raise ValueError(f"{path}: unreadable checkpoint: {exc}") from None
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the value array")
+    if values.dtype != _WIRE_DTYPE or values.ndim != 1:
+        raise ValueError(f"{path}: value array is {values.dtype.str} of shape {values.shape}, "
+                         f"not one flat {_WIRE_DTYPE.str} array")
+    params = {}
+    offset = 0
+    for name, shape in header["parameters"]:
+        end = offset + math.prod(shape)
+        if end > values.size:
+            raise ValueError(f"{path}: parameter '{name}' of shape {tuple(shape)} needs "
+                             f"values up to {end} but the array holds {values.size}")
+        params[name] = values[offset:end].reshape(shape)
+        offset = end
+    if offset != values.size:
+        raise ValueError(f"{path}: the array holds {values.size} values but the header's "
+                         f"parameters take {offset}")
+    return header, params

@@ -27,7 +27,7 @@ from pathlib import Path
 from .config import RunConfig, lineage_hash
 from .corpus import build_corpus, generate_world, load_corpus, load_world, save_corpus, save_world
 from .lexicon import load_lexicon
-from .metrics import HELPERS, AuditWriter, CellInputs, selected_cells
+from .metrics import HELPERS, AuditWriter, CellInputs, mrr_ae_eligible, selected_cells
 from .models import KINDS, model_from_parameters
 from .nn import load_checkpoint, save_checkpoint
 from .report import EvaluationReport, ModelRow, format_table
@@ -182,11 +182,11 @@ def _materialize_models(config: RunConfig, corpus, lexicon, stage: str) -> dict:
         if not path.exists():
             raise StageError(stage, f"missing checkpoint for '{spec.name}'; "
                                     "run the train stage first")
-        store, header = load_checkpoint(path)
+        header, params = load_checkpoint(path)
         if header.get("config_hash") != expected:
             raise StageError(stage, f"checkpoint for '{spec.name}' was trained under "
                                     "a different configuration; rerun the train stage")
-        models[spec.name] = model_from_parameters(store, header, corpus.vocab, lexicon,
+        models[spec.name] = model_from_parameters(header, params, corpus.vocab, lexicon,
                                                   source=path)
     return models
 
@@ -236,6 +236,9 @@ def stage_train(config: RunConfig, log=None) -> dict:
     histories: dict[str, list] = {}
     with _stage("train"):
         corpus, lexicon, _ = _load_corpus_artifacts(config, "train")
+        if "mrr_ae" in config.metrics.metrics:
+            # a k the evaluation pool cannot supply fails before any training
+            mrr_ae_eligible(_evaluation_pool(config, corpus), config.metrics.k)
         ckpt_dir = out / CKPT_DIR
         log_dir = out / TRAIN_LOG_DIR
         ckpt_dir.mkdir(exist_ok=True)

@@ -647,6 +647,30 @@ def test_stage_order_and_tamper_guards(micro_ini, tmp_path, capsys):
     assert "missing checkpoint for 'tiny'" in capsys.readouterr().err
 
 
+def test_an_mrr_ae_k_the_pool_cannot_supply_fails_before_training(micro_ini, tmp_path,
+                                                                 capsys):
+    out = tmp_path / "big_k"
+    assert _cli("run-all", "--config", micro_ini, "--out", out, "--quiet",
+                "--k", "5000") == 1
+    assert ("[train] ValueError: not enough distinct candidates"
+            in capsys.readouterr().err)
+    assert not list(out.glob("checkpoints/*.ckpt"))
+    assert not (out / "gens").exists()
+
+
+def test_a_checkpoint_in_an_earlier_format_asks_for_the_train_stage(micro_ini, runall_dir,
+                                                                    tmp_path, capsys):
+    target = tmp_path / "v2"
+    shutil.copytree(runall_dir, target)
+    ckpt = target / "checkpoints" / "tiny.ckpt"
+    # the head of a file the base64 writer produced
+    ckpt.write_bytes(b'rexeval-checkpoint-v2\n{"config_hash": "h", "seed": 0, "step": 0}\n'
+                     b"w 1,2 AAAAAAAA8D8AAAAAAAAEwA==\n")
+    assert _cli("generate", "--config", micro_ini, "--out", target, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "rerun the train stage" in err
+
+
 @pytest.fixture
 def heap_policy_unset():
     """fix_heap_policy as if no stage of this process had run yet."""

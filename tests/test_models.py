@@ -1,7 +1,6 @@
 """Model contracts: scoring laws, batching, generation, checkpoints."""
 
 import dataclasses
-import math
 import re
 
 import numpy as np
@@ -16,7 +15,7 @@ from rexeval.models import (CHUNK_ROWS, EOS_TOKEN, KINDS, OracleModel, RandomSco
                             RecurrentArch, RecurrentModel, TransformerArch,
                             TransformerModel, UnigramModel,
                             _sum_target_logprobs, clamp_rating, strip_reserved)
-from rexeval.nn import save_checkpoint
+from rexeval.nn import ParamStore, load_checkpoint, save_checkpoint
 from rexeval.training import TrainConfig, make_batch, padded_ids, train_model
 
 from testkit import (UniformScorer, full_pass_log_likelihoods, generate, log_likelihood,
@@ -341,26 +340,28 @@ def test_truncated_or_padded_checkpoint_is_rejected(tmp_path, tiny_corpus,
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, fresh_transformer.store, seed=1, config_hash="h",
                     extra={"model": fresh_transformer.architecture_header()})
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    header, params = load_checkpoint(path)
     last = fresh_transformer.store.names()[-1]
-    assert lines[-1].startswith(f"{last} ")
+    assert list(params)[-1] == last
 
-    path.write_text("".join(lines[:-1]), encoding="utf-8")
+    def resave(changed: dict) -> None:
+        store = ParamStore()
+        for name, values in changed.items():
+            store.add(name, values)
+        save_checkpoint(path, store, seed=1, config_hash="h", extra={"model": header["model"]})
+
+    resave({name: values for name, values in params.items() if name != last})
     with pytest.raises(ValueError, match=f"missing parameter '{last}'") as err:
         model_from_checkpoint(path, tiny_corpus.vocab)
     assert str(path) in str(err.value)
 
-    path.write_text("".join(lines + [lines[-1].replace(last, "extra.w", 1)]),
-                    encoding="utf-8")
+    resave({**params, "extra.w": params[last]})
     with pytest.raises(ValueError, match="unexpected parameter 'extra.w'"):
         model_from_checkpoint(path, tiny_corpus.vocab)
 
     # the same values under a flattened shape
-    idx = next(j for j in range(2, len(lines)) if "," in lines[j].split(" ")[1])
-    name, shape, values = lines[idx].split(" ")
-    size = math.prod(int(d) for d in shape.split(","))
-    lines[idx] = f"{name} {size} {values}"
-    path.write_text("".join(lines), encoding="utf-8")
+    name = next(name for name, values in params.items() if values.ndim > 1)
+    resave({**params, name: params[name].reshape(-1)})
     with pytest.raises(ValueError, match=re.escape(f"shape mismatch for '{name}'")):
         model_from_checkpoint(path, tiny_corpus.vocab)
 

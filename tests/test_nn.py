@@ -1,7 +1,7 @@
 """Parameter store, Adam, clipping, and checkpoint round-trips."""
 
-import base64
-import struct
+import io
+import json
 
 import numpy as np
 import pytest
@@ -96,10 +96,17 @@ def test_a_loaded_store_allocates_no_adam_moments(tmp_path):
     store.add_zeros("b", (3,))
     path = tmp_path / "store.ckpt"
     save_checkpoint(path, store, seed=0, config_hash="h")
-    loaded, _ = load_checkpoint(path)
+    _, params = load_checkpoint(path)
+    # a rebuilt model's store: the same names, loaded from the checkpoint
+    loaded = ParamStore()
+    loaded.add_zeros("w", (2, 3))
+    loaded.add_zeros("b", (3,))
+    loaded.load_state(params)
+    np.testing.assert_array_equal(loaded["w"], store["w"])
     assert loaded._m == {} and loaded._v == {}
     loaded.adam_step({"w": np.ones((2, 3))}, lr=1e-3)
     assert list(loaded._m) == list(loaded._v) == ["w"]
+    assert (params["w"] == store["w"]).all()  # the store holds its own copy
 
 
 def test_adam_validates_inputs():
@@ -158,13 +165,12 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, store, seed=42, config_hash="abc123",
                     extra={"model": {"kind": "demo"}})
-    loaded, header = load_checkpoint(path)
+    header, loaded = load_checkpoint(path)
     assert header["seed"] == 42
     assert header["step"] == 17
     assert header["config_hash"] == "abc123"
     assert header["model"] == {"kind": "demo"}
-    assert loaded.step == 17
-    assert loaded.names() == store.names()
+    assert list(loaded) == store.names()
     for name in store.names():
         np.testing.assert_array_equal(loaded[name], store[name])
         assert loaded[name].shape == store[name].shape
@@ -192,7 +198,7 @@ def _round_trip_bits(tmp_path, bits, shape=None) -> np.ndarray:
     store.add("p", values.reshape(shape or values.shape))
     path = tmp_path / "bits.ckpt"
     save_checkpoint(path, store, seed=0, config_hash="h")
-    loaded, _ = load_checkpoint(path)
+    _, loaded = load_checkpoint(path)
     assert loaded["p"].shape == store["p"].shape
     return loaded["p"].reshape(-1).view(np.uint64)
 
@@ -214,20 +220,37 @@ def test_checkpoint_keeps_non_finite_values(tmp_path):
     store.add("odd", np.array([np.inf, -np.inf, np.nan, -0.0, 5e-324, 1.5]))
     path = tmp_path / "odd.ckpt"
     save_checkpoint(path, store, seed=0, config_hash="h")
-    loaded, _ = load_checkpoint(path)
+    _, loaded = load_checkpoint(path)
     np.testing.assert_array_equal(loaded["odd"], store["odd"])
     assert np.signbit(loaded["odd"][3])
 
 
-def test_checkpoint_values_are_base64_of_little_endian_doubles(tmp_path):
+def _split_checkpoint(path) -> tuple[bytes, dict, bytes]:
+    """A checkpoint's magic line, JSON header and `.npy` bytes."""
+    magic, header, array = path.read_bytes().split(b"\n", 2)
+    return magic, json.loads(header), array
+
+
+def _write_checkpoint(path, magic: bytes, header: dict, array: bytes) -> None:
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode("utf-8") + b"\n" + array)
+
+
+def test_checkpoint_is_a_v3_header_and_one_little_endian_array(tmp_path):
     store = ParamStore()
     store.add("w", np.array([[1.0, -2.5]]))
+    store.add("b", np.array([0.5]))
     path = tmp_path / "w.ckpt"
     save_checkpoint(path, store, seed=0, config_hash="h")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == CHECKPOINT_MAGIC == "rexeval-checkpoint-v2"
-    expect = base64.b64encode(struct.pack("<2d", 1.0, -2.5)).decode("ascii")
-    assert lines[2] == f"w 1,2 {expect}"
+    magic, header, array = _split_checkpoint(path)
+    assert magic.decode("ascii") == CHECKPOINT_MAGIC == "rexeval-checkpoint-v3"
+    assert header == {"config_hash": "h", "seed": 0, "step": 0,
+                      "parameters": [["w", [1, 2]], ["b", [1]]]}
+    values = np.lib.format.read_array(io.BytesIO(array), allow_pickle=False)
+    assert values.dtype.str == "<f8" and values.shape == (3,)
+    assert values.tobytes() == np.array([1.0, -2.5, 0.5], dtype="<f8").tobytes()
+    # the loaded parameters are views of that one array
+    _, params = load_checkpoint(path)
+    assert params["w"].base is params["b"].base is not None
 
 
 def test_checkpoint_rejects_the_hex_float_format(tmp_path):
@@ -239,19 +262,66 @@ def test_checkpoint_rejects_the_hex_float_format(tmp_path):
     assert str(path) in str(err.value) and "rerun the train stage" in str(err.value)
 
 
+def test_checkpoint_rejects_the_base64_format(tmp_path):
+    path = tmp_path / "v2.ckpt"
+    # the bytes the base64 writer produced for w = [[1, -2.5]], b = [0.5]
+    path.write_bytes(b'rexeval-checkpoint-v2\n{"config_hash": "h", "model": {"kind": "demo"}, '
+                     b'"seed": 0, "step": 3}\nw 1,2 AAAAAAAA8D8AAAAAAAAEwA==\n'
+                     b'b 1 AAAAAAAA4D8=\n')
+    with pytest.raises(ValueError, match="rexeval-checkpoint-v2") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value) and "rerun the train stage" in str(err.value)
+
+
 def test_checkpoint_rejects_a_value_count_that_does_not_match_the_shape(tmp_path):
     store = ParamStore()
     store.add("ok", np.zeros(2))
     store.add("w", np.arange(6.0).reshape(2, 3))
     path = tmp_path / "bad.ckpt"
     save_checkpoint(path, store, seed=0, config_hash="h")
-    text = path.read_text(encoding="utf-8")
-    for bad_shape in ("2,2", "7", "2,3,1,2"):
-        path.write_text(text.replace("w 2,3 ", f"w {bad_shape} "), encoding="utf-8")
+    magic, header, array = _split_checkpoint(path)
+    # shapes adding up to more values than the array holds name the parameter
+    for bad_shape in ([7], [2, 3, 1, 2]):
+        header["parameters"][1][1] = bad_shape
+        _write_checkpoint(path, magic, header, array)
         with pytest.raises(ValueError, match="parameter 'w'") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
-    # a truncated value line is caught the same way
-    path.write_text(text.replace("w 2,3 ", "w 2,3 AAAA"), encoding="utf-8")
-    with pytest.raises(ValueError, match="parameter 'w'"):
+    # and shapes adding up to fewer are caught as well
+    header["parameters"][1][1] = [2, 2]
+    _write_checkpoint(path, magic, header, array)
+    with pytest.raises(ValueError, match="holds 8 values but the header's parameters take 6"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_cut_or_padded_array(tmp_path):
+    store = ParamStore()
+    store.add("w", np.arange(6.0).reshape(2, 3))
+    path = tmp_path / "cut.ckpt"
+    save_checkpoint(path, store, seed=0, config_hash="h")
+    intact = path.read_bytes()
+    # cut inside the values, inside the array's header, inside the JSON header
+    for cut in (8, 1, 47, 60, len(intact) - 30):
+        path.write_bytes(intact[:-cut])
+        with pytest.raises(ValueError, match="unreadable checkpoint") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+    path.write_bytes(intact + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_checkpoint_rejects_any_dtype_but_little_endian_doubles(tmp_path):
+    store = ParamStore()
+    store.add("w", np.arange(6.0).reshape(2, 3))
+    path = tmp_path / "dtype.ckpt"
+    save_checkpoint(path, store, seed=0, config_hash="h")
+    magic, header, _ = _split_checkpoint(path)
+    for dtype in (">f8", "<f4", "<i8"):
+        buffer = io.BytesIO()
+        np.lib.format.write_array(buffer, np.arange(6).astype(dtype))
+        _write_checkpoint(path, magic, header, buffer.getvalue())
+        with pytest.raises(ValueError, match=f"value array is {dtype}") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)

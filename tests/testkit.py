@@ -149,5 +149,5 @@ def cosine(table, a: str, b: str) -> float:
 
 def model_from_checkpoint(path, vocab, lexicon=None):
     """Rebuild a trained model from a checkpoint file; errors name the file."""
-    store, header = load_checkpoint(path)
-    return model_from_parameters(store, header, vocab, lexicon, source=path)
+    header, params = load_checkpoint(path)
+    return model_from_parameters(header, params, vocab, lexicon, source=path)
