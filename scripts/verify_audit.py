@@ -15,13 +15,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))  # run from a checkout, installed or not
 
-from rexeval.pipeline import AUDIT_DIR, REPORT_JSON  # noqa: E402
+from rexeval.pipeline import AUDIT_DIR, RESULTS_FILE  # noqa: E402
 from rexeval.report import AuditMismatch, EvaluationReport, verify_against_audit  # noqa: E402
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("run_dir", help="run directory holding report.json and audit/")
+    parser.add_argument("run_dir", help="run directory holding results.json and audit/")
     parser.add_argument("cells", nargs="*", metavar="MODEL:CELL",
                         help="specific cells to check, e.g. oracle:mrr_ae")
     args = parser.parse_args(argv)
@@ -31,9 +31,9 @@ def main(argv=None) -> int:
         return 2
 
     run = Path(args.run_dir)
-    report_path = run / REPORT_JSON
+    report_path = run / RESULTS_FILE
     if not report_path.exists():
-        print(f"error: no {REPORT_JSON} in {run}", file=sys.stderr)
+        print(f"error: no {RESULTS_FILE} in {run}", file=sys.stderr)
         return 1
     report = EvaluationReport.load(report_path)
     try:

@@ -274,15 +274,14 @@ class Tape:
             self._param_nodes[name] = node
         return node
 
-    def param_grads(self, store) -> dict[str, np.ndarray]:
-        """Gradients for every store parameter; zeros where unreachable."""
-        out = {}
+    def param_grads(self, store) -> np.ndarray:
+        """The gradient of every store parameter as one flat vector of the
+        store's layout; zeros where a parameter is unreachable."""
+        out = np.zeros_like(store.values)
         for name in store.names():
             node = self._param_nodes.get(name)
-            if node is None or node.grad is None:
-                out[name] = np.zeros_like(store[name])
-            else:
-                out[name] = node.grad
+            if node is not None and node.grad is not None:
+                store.view(out, name)[...] = node.grad
         return out
 
     def backward(self, loss: Node) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import hashlib
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -650,9 +651,11 @@ class UnigramModel(ExplainableRecommender):
                 for _, _, tokens in _nonempty(requests)]
 
 
-def model_from_parameters(header: dict, params: dict[str, np.ndarray], vocab: Vocab,
+def model_from_parameters(header: dict, values: np.ndarray, vocab: Vocab,
                           lexicon=None, source="checkpoint"):
-    """Rebuild a trained model from a loaded checkpoint; errors name `source`."""
+    """Rebuild a trained model from a loaded checkpoint's header and value
+    array; errors name `source` and the first parameter that differs from
+    the model's layout."""
     desc = header.get("model")
     if not desc:
         raise ValueError(f"{source}: checkpoint lacks a model description")
@@ -664,10 +667,14 @@ def model_from_parameters(header: dict, params: dict[str, np.ndarray], vocab: Vo
     arch = kind.arch(**{f.name: desc[f.name] for f in dataclasses.fields(kind.arch)})
     model = kind.model(arch, vocab, desc["num_users"], desc["num_items"],
                        seed=header["seed"], lexicon=lexicon)
-    try:
-        model.store.load_state(params)
-    except ValueError as exc:
-        raise ValueError(f"{source}: {exc}") from None
+    for want, have in itertools.zip_longest(model.store.layout(), header["parameters"]):
+        if want != have:
+            raise ValueError(f"{source}: " + (
+                f"missing parameter '{want[0]}'" if have is None else
+                f"unexpected parameter '{have[0]}'" if want is None else
+                f"parameter '{have[0]}' of shape {tuple(have[1])} where the model has "
+                f"'{want[0]}' of shape {tuple(want[1])}"))
+    model.store.values[...] = values
     model.store.step = int(header["step"])
     return model
 

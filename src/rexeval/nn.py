@@ -1,18 +1,22 @@
 """Parameter storage, Adam, gradient clipping, checkpoint io.
 
+A `ParamStore` keeps every parameter in one flat float64 vector, `values`,
+under a layout that gives each name an offset and a shape, in `add` order.
+The gradient `Tape.param_grads` returns, the two Adam moments, training's
+best-epoch snapshot and a checkpoint's value array are flat vectors of
+that same layout, so each of clipping, an Adam step, a snapshot, a
+restore and a load is one pass over one vector.
+
 A checkpoint (format `rexeval-checkpoint-v3`) is a magic line, a JSON
 header line (seed, step, config hash, optional model description, and
-each parameter's name and shape in store order), then one `.npy` array
-(`numpy.lib.format`) of every value as little-endian IEEE-754 float64,
-the parameters one after another, each in C order. The array holds the
-binary64 bit patterns themselves, so no value passes through a decimal
-conversion: every bit pattern, including signed zeros, subnormals,
-infinities and NaN payloads, reads back bit for bit, which the
-determinism contract relies on. Fixing the byte order makes a file read
-the same on any host. Loading reads the array once and hands out views
-of it by name. Files in the earlier formats (v1 hex floats, v2 base64
-lines) are rejected with a message to rerun the train stage;
-checkpoints are regenerable from the run's config.
+`parameters`: the layout as each name and shape in order), then one
+`.npy` array (`numpy.lib.format`) of `values` as little-endian IEEE-754
+float64. The array holds the bit patterns themselves, so every value,
+signed zeros, subnormals, infinities and NaN payloads included, reads
+back bit for bit on any host, which the determinism contract relies on.
+Files in the earlier formats (v1 hex floats, v2 base64 lines) are
+rejected with a message to rerun the train stage; checkpoints are
+regenerable from the run's config.
 """
 
 from __future__ import annotations
@@ -28,21 +32,28 @@ INIT_SCALE = 0.08
 
 
 class ParamStore:
-    """Named float64 parameters; Adam moments are allocated at a first update."""
+    """Named float64 parameters in one flat vector, `values`.
+
+    `store[name]` is a view into `values`. `add` appends by reallocating
+    `values`, so a view taken before a later `add` no longer writes
+    through: build the whole store before reading parameters from it.
+    The Adam moments are allocated at the first update.
+    """
 
     def __init__(self):
-        self._params: dict[str, np.ndarray] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
-        self._buffers = (np.empty(0), np.empty(0))
+        self.values = np.empty(0)
+        self._slots: dict[str, tuple[int, int, tuple[int, ...]]] = {}  # start, end, shape
+        self._moments: tuple[np.ndarray, np.ndarray] | None = None
         self.step = 0
 
     def add(self, name: str, values: np.ndarray) -> np.ndarray:
-        if name in self._params:
+        if name in self._slots:
             raise ValueError(f"duplicate parameter name '{name}'")
-        arr = np.array(values, dtype=np.float64)
-        self._params[name] = arr
-        return arr
+        arr = np.asarray(values, dtype=np.float64)
+        start = self.values.size
+        self.values = np.concatenate([self.values, arr.ravel()])
+        self._slots[name] = (start, self.values.size, arr.shape)
+        return self[name]
 
     def add_uniform(self, name: str, shape: tuple[int, ...], rng: np.random.Generator,
                     scale: float = INIT_SCALE) -> np.ndarray:
@@ -54,83 +65,54 @@ class ParamStore:
     def add_ones(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         return self.add(name, np.ones(shape))
 
+    def view(self, flat: np.ndarray, name: str) -> np.ndarray:
+        """Parameter `name`'s part of a flat vector of this store's layout."""
+        start, end, shape = self._slots[name]
+        return flat[start:end].reshape(shape)
+
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._params[name]
+        return self.view(self.values, name)
 
     def names(self) -> list[str]:
-        return list(self._params)
+        return list(self._slots)
 
-    def state_copy(self) -> dict[str, np.ndarray]:
-        return {name: p.copy() for name, p in self._params.items()}
+    def layout(self) -> list[list]:
+        """Each parameter's [name, shape list] in order: a checkpoint's `parameters`."""
+        return [[name, list(shape)] for name, (_, _, shape) in self._slots.items()]
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Overwrite every parameter; `state` holds exactly this store's names."""
-        missing = [name for name in self._params if name not in state]
-        extra = [name for name in state if name not in self._params]
-        if missing or extra:
-            raise ValueError(f"missing parameter '{missing[0]}'" if missing
-                             else f"unexpected parameter '{extra[0]}'")
-        for name, values in state.items():
-            p = self._params[name]
-            if p.shape != values.shape:
-                raise ValueError(f"shape mismatch for '{name}': {p.shape} vs {values.shape}")
-            p[...] = values
-
-    def adam_step(self, grads: dict[str, np.ndarray], lr: float,
+    def adam_step(self, grads: np.ndarray, lr: float,
                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-        """Bias-corrected Adam update for every parameter with a gradient."""
+        """Bias-corrected Adam update of `values` by a flat gradient."""
         if lr <= 0 or not (0 < beta1 < 1) or not (0 < beta2 < 1) or eps <= 0:
             raise ValueError("adam hyperparameters out of range")
+        if grads.shape != self.values.shape:
+            raise ValueError(f"gradient shape mismatch: {grads.shape} vs {self.values.shape}")
+        if self._moments is None:  # first update: the moments start at zero
+            self._moments = (np.zeros_like(self.values), np.zeros_like(self.values))
+        m, v = self._moments
         self.step += 1
         bc1 = 1.0 - beta1 ** self.step
         bc2 = 1.0 - beta2 ** self.step
-        for name, g in grads.items():
-            p = self._params[name]
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape mismatch for '{name}': {g.shape} vs {p.shape}")
-            m = self._m.get(name)
-            if m is None:  # first update: the moments start at zero
-                m = self._m[name] = np.zeros_like(p)
-                self._v[name] = np.zeros_like(p)
-            v = self._v[name]
-            a, b = self._scratch(p.size)
-            a, b = a.reshape(p.shape), b.reshape(p.shape)
-            # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g;
-            # p -= lr (m / bc1) / (sqrt(v / bc2) + eps), each operation in
-            # the order and association of the formula, so only the
-            # temporaries are saved.
-            np.multiply(g, 1.0 - beta1, out=a)
-            m *= beta1
-            m += a
-            np.multiply(g, g, out=a)
-            a *= 1.0 - beta2
-            v *= beta2
-            v += a
-            np.divide(m, bc1, out=a)
-            a *= lr
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += eps
-            a /= b
-            p -= a
-
-    def _scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two flat buffers of `size` values, kept between Adam steps."""
-        if self._buffers[0].size < size:
-            self._buffers = (np.empty(size), np.empty(size))
-        return self._buffers[0][:size], self._buffers[1][:size]
+        # each operation in the order and association of the formula
+        m *= beta1
+        m += (1.0 - beta1) * grads
+        v *= beta2
+        v += (1.0 - beta2) * (grads * grads)
+        self.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
+def clip_global_norm(store: ParamStore, grads: np.ndarray, max_norm: float) -> float:
+    """The joint L2 norm of a flat gradient, which is scaled in place so
+    that norm is at most max_norm. Squares are summed one parameter at a
+    time in store order."""
     total = 0.0
-    for g in grads.values():
+    for name in store.names():
+        g = store.view(grads, name)
         total += float((g * g).sum())
     norm = float(np.sqrt(total))
-    if norm <= max_norm or norm == 0.0:
-        return grads, norm
-    factor = max_norm / norm
-    return {name: g * factor for name, g in grads.items()}, norm
+    if norm > max_norm:
+        grads *= max_norm / norm
+    return norm
 
 
 def save_checkpoint(path, store: ParamStore, seed: int, config_hash: str,
@@ -138,16 +120,16 @@ def save_checkpoint(path, store: ParamStore, seed: int, config_hash: str,
     header = {"seed": int(seed), "step": int(store.step), "config_hash": config_hash}
     if extra:
         header.update(extra)
-    header["parameters"] = [[name, list(store[name].shape)] for name in store.names()]
-    values = np.concatenate([store[name].ravel() for name in store.names()], dtype=_WIRE_DTYPE)
+    header["parameters"] = store.layout()
     with open(path, "wb") as fh:
         fh.write(f"{CHECKPOINT_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode("utf-8"))
-        np.lib.format.write_array(fh, values, allow_pickle=False)
+        np.lib.format.write_array(fh, store.values.astype(_WIRE_DTYPE, copy=False),
+                                  allow_pickle=False)
 
 
-def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """The header and each parameter by name, in store order: views of the
-    one value array. Errors name the file, and the parameter at fault."""
+def load_checkpoint(path) -> tuple[dict, np.ndarray]:
+    """The header and the flat value array, whose size the header's
+    `parameters` add up to. Errors name the file, and the entry at fault."""
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n").decode("utf-8", errors="replace")
         if magic != CHECKPOINT_MAGIC:
@@ -166,16 +148,22 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     if values.dtype != _WIRE_DTYPE or values.ndim != 1:
         raise ValueError(f"{path}: value array is {values.dtype.str} of shape {values.shape}, "
                          f"not one flat {_WIRE_DTYPE.str} array")
-    params = {}
-    offset = 0
-    for name, shape in header["parameters"]:
-        end = offset + math.prod(shape)
+    parameters = header.get("parameters") if isinstance(header, dict) else None
+    if not isinstance(parameters, list):
+        raise ValueError(f"{path}: the header has no 'parameters' list")
+    end = 0
+    for entry in parameters:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and isinstance(entry[1], list)
+                and all(type(d) is int and d >= 0 for d in entry[1])):
+            raise ValueError(f"{path}: header parameter {json.dumps(entry)} is not a name and "
+                             "a list of non-negative integer dimensions")
+        name, shape = entry
+        end += math.prod(shape)
         if end > values.size:
             raise ValueError(f"{path}: parameter '{name}' of shape {tuple(shape)} needs "
                              f"values up to {end} but the array holds {values.size}")
-        params[name] = values[offset:end].reshape(shape)
-        offset = end
-    if offset != values.size:
+    if end != values.size:
         raise ValueError(f"{path}: the array holds {values.size} values but the header's "
-                         f"parameters take {offset}")
-    return header, params
+                         f"parameters take {end}")
+    return header, values

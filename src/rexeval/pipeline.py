@@ -41,7 +41,6 @@ TRAIN_LOG_DIR = "train_logs"
 GEN_DIR = "gens"
 AUDIT_DIR = "audit"
 RESULTS_FILE = "results.json"
-REPORT_JSON = "report.json"
 REPORT_TXT = "report.txt"
 TIMING_FILE = "timing.txt"
 
@@ -182,11 +181,11 @@ def _materialize_models(config: RunConfig, corpus, lexicon, stage: str) -> dict:
         if not path.exists():
             raise StageError(stage, f"missing checkpoint for '{spec.name}'; "
                                     "run the train stage first")
-        header, params = load_checkpoint(path)
+        header, values = load_checkpoint(path)
         if header.get("config_hash") != expected:
             raise StageError(stage, f"checkpoint for '{spec.name}' was trained under "
                                     "a different configuration; rerun the train stage")
-        models[spec.name] = model_from_parameters(header, params, corpus.vocab, lexicon,
+        models[spec.name] = model_from_parameters(header, values, corpus.vocab, lexicon,
                                                   source=path)
     return models
 
@@ -433,10 +432,9 @@ def stage_report(config: RunConfig, log=None) -> EvaluationReport:
             raise StageError("report", "results.json belongs to a different configuration; "
                                        "rerun the evaluate stage")
         report.training = _training_summaries(config, report)
-        report.save(out / REPORT_JSON)
         (out / REPORT_TXT).write_text(format_table(report), encoding="utf-8")
     if log:
-        log(f"[report] wrote {REPORT_JSON} and {REPORT_TXT}")
+        log(f"[report] wrote {REPORT_TXT}")
     return report
 
 

@@ -175,7 +175,7 @@ def optimize(store, config: TrainConfig, batches, loss, validate,
     DivergenceError. Returns the history entries and the best score.
     """
     best = np.inf
-    best_state = store.state_copy()
+    best_values = store.values.copy()
     flat_epochs = 0
     history = []
     for epoch in range(1, config.epochs + 1):
@@ -186,7 +186,8 @@ def optimize(store, config: TrainConfig, batches, loss, validate,
                 if not np.isfinite(total.value):
                     raise FloatingPointError("non-finite loss")
                 tape.backward(total)
-                grads, norm = clip_global_norm(tape.param_grads(store), config.clip_norm)
+                grads = tape.param_grads(store)
+                norm = clip_global_norm(store, grads, config.clip_norm)
                 if not np.isfinite(norm):
                     raise FloatingPointError("non-finite gradient norm")
                 store.adam_step(grads, config.lr)
@@ -199,13 +200,13 @@ def optimize(store, config: TrainConfig, batches, loss, validate,
         history.append(entry)
         if score < best:
             best = score
-            best_state = store.state_copy()
+            np.copyto(best_values, store.values)
             flat_epochs = 0
         else:
             flat_epochs += 1
             if flat_epochs >= config.patience:
                 break
-    store.load_state(best_state)
+    np.copyto(store.values, best_values)
     return history, best
 
 

@@ -498,9 +498,9 @@ def test_verify_audit_names_the_line_of_a_malformed_audit(runall_dir, tmp_path):
 
     run = tmp_path / "unknown_cell"
     shutil.copytree(runall_dir, run)
-    report = json.loads((run / "report.json").read_text(encoding="utf-8"))
+    report = json.loads((run / "results.json").read_text(encoding="utf-8"))
     report["rows"][0]["cells"]["novel"] = report["rows"][0]["cells"]["air"]
-    (run / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    (run / "results.json").write_text(json.dumps(report), encoding="utf-8")
     done = subprocess.run([sys.executable, str(VERIFY_AUDIT), str(run)],
                           capture_output=True, text=True, check=False, env=env)
     assert done.returncode == 1, done.stdout + done.stderr
@@ -524,9 +524,9 @@ def test_artifact_layout_and_meta(runall_dir, micro_config):
                               "vocab": meta["counts"]["vocab"]}
     for rel in ("world.json", "checkpoints/tiny.ckpt", "train_logs/tiny.json",
                 "gens/oracle.tsv", "gens/random.tsv", "gens/tiny.tsv",
-                "audit/tiny/tlae_gold.tsv", "results.json",
-                "report.json", "report.txt"):
+                "audit/tiny/tlae_gold.tsv", "results.json", "report.txt"):
         assert (runall_dir / rel).exists(), rel
+    assert not (runall_dir / "report.json").exists()  # results.json holds the same bytes
     report = EvaluationReport.load(runall_dir / "results.json")
     assert report.config_hash == lineage_hash(micro_config)
     assert [row.model for row in report.rows] == ["oracle", "random", "tiny"]

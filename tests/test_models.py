@@ -1,6 +1,7 @@
 """Model contracts: scoring laws, batching, generation, checkpoints."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -340,30 +341,32 @@ def test_truncated_or_padded_checkpoint_is_rejected(tmp_path, tiny_corpus,
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, fresh_transformer.store, seed=1, config_hash="h",
                     extra={"model": fresh_transformer.architecture_header()})
-    header, params = load_checkpoint(path)
-    last = fresh_transformer.store.names()[-1]
-    assert list(params)[-1] == last
+    header, _ = load_checkpoint(path)
+    assert header["parameters"] == fresh_transformer.store.layout()
+    names = fresh_transformer.store.names()
+    params = {name: fresh_transformer.store[name] for name in names}
+    first, second, last = names[0], names[1], names[-1]
 
-    def resave(changed: dict) -> None:
+    def rejected(changed: dict, message: str) -> None:
         store = ParamStore()
         for name, values in changed.items():
             store.add(name, values)
         save_checkpoint(path, store, seed=1, config_hash="h", extra={"model": header["model"]})
+        with pytest.raises(ValueError, match=message) as err:
+            model_from_checkpoint(path, tiny_corpus.vocab)
+        assert str(path) in str(err.value)
 
-    resave({name: values for name, values in params.items() if name != last})
-    with pytest.raises(ValueError, match=f"missing parameter '{last}'") as err:
-        model_from_checkpoint(path, tiny_corpus.vocab)
-    assert str(path) in str(err.value)
-
-    resave({**params, "extra.w": params[last]})
-    with pytest.raises(ValueError, match="unexpected parameter 'extra.w'"):
-        model_from_checkpoint(path, tiny_corpus.vocab)
-
-    # the same values under a flattened shape
+    rejected({name: values for name, values in params.items() if name != last},
+             f"missing parameter '{last}'")
+    rejected({**params, "extra.w": params[last]}, "unexpected parameter 'extra.w'")
+    # the same values under a flattened shape, and two parameters in another order
     name = next(name for name, values in params.items() if values.ndim > 1)
-    resave({**params, name: params[name].reshape(-1)})
-    with pytest.raises(ValueError, match=re.escape(f"shape mismatch for '{name}'")):
-        model_from_checkpoint(path, tiny_corpus.vocab)
+    shape = params[name].shape
+    rejected({**params, name: params[name].reshape(-1)},
+             re.escape(f"parameter '{name}' of shape {(math.prod(shape),)} where the model "
+                       f"has '{name}' of shape {shape}"))
+    swapped = {second: params[second], first: params[first]}
+    rejected({**swapped, **params}, f"parameter '{second}' .* where the model has '{first}'")
 
 
 def test_every_option_a_kind_takes_reaches_the_model(tiny_corpus, lexicon):

@@ -9,20 +9,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rexeval.autodiff import softmax_xent_forward
+from rexeval.lexicon import Vocab
+from rexeval.models import TransformerArch, TransformerModel, model_from_parameters
 from rexeval.nn import (CHECKPOINT_MAGIC, ParamStore, clip_global_norm, load_checkpoint,
                         save_checkpoint)
 
-from testkit import grad_check, num_values
+from testkit import grad_check
 
 
 def test_store_basics():
     store = ParamStore()
-    a = store.add("a", np.ones((2, 3)))
+    store.add("a", np.ones((2, 3)))
     store.add_zeros("z", (4,))
-    store.add_ones("o", (2,))
+    o = store.add_ones("o", (2,))
     assert store.names() == ["a", "z", "o"]
-    assert num_values(store) == 6 + 4 + 2
-    assert store["a"] is a
+    assert store.layout() == [["a", [2, 3]], ["z", [4]], ["o", [2]]]
+    assert store.values.tolist() == [1.0] * 6 + [0.0] * 4 + [1.0] * 2
+    # each parameter is a view of the one flat vector, writing through
+    store["a"][1, 2] = 7.0
+    o[0] = -3.0
+    assert store.values[5] == 7.0 and store.values[10] == -3.0
+    np.testing.assert_array_equal(store.view(store.values, "z"), store["z"])
     with pytest.raises(ValueError, match="duplicate parameter"):
         store.add("a", np.zeros(1))
 
@@ -32,18 +39,6 @@ def test_add_uniform_respects_scale():
     vals = store.add_uniform("w", (50, 50), np.random.default_rng(0), scale=0.08)
     assert np.abs(vals).max() <= 0.08
     assert np.abs(vals).max() > 0.01  # not degenerate
-
-
-def test_state_copy_is_independent():
-    store = ParamStore()
-    store.add("a", np.ones(3))
-    snap = store.state_copy()
-    store["a"][:] = 9.0
-    np.testing.assert_array_equal(snap["a"], np.ones(3))
-    store.load_state(snap)
-    np.testing.assert_array_equal(store["a"], np.ones(3))
-    with pytest.raises(ValueError, match="shape mismatch"):
-        store.load_state({"a": np.ones(4)})
 
 
 def test_adam_matches_reference_updates():
@@ -57,7 +52,7 @@ def test_adam_matches_reference_updates():
     ref = p0.copy()
     for step in range(1, 4):
         g = rng.normal(size=(3, 2))
-        store.adam_step({"p": g}, lr)
+        store.adam_step(g.reshape(-1), lr)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         ref = ref - lr * (m / (1 - b1 ** step)) / (np.sqrt(v / (1 - b2 ** step)) + eps)
@@ -67,8 +62,6 @@ def test_adam_matches_reference_updates():
 
 def test_adam_step_equals_the_fresh_array_formula_bitwise():
     rng = np.random.default_rng(4)
-    # a large parameter before a small one, so the scratch buffers are
-    # reused at another size
     shapes = {"big": (7, 5), "small": (3,), "mid": (2, 2, 2)}
     store = ParamStore()
     ref = {}
@@ -80,7 +73,10 @@ def test_adam_step_equals_the_fresh_array_formula_bitwise():
         grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
                  for name, shape in shapes.items()}
         grads["small"][0] = -0.0
-        store.adam_step(grads, lr)
+        flat = np.empty_like(store.values)
+        for name, g in grads.items():
+            store.view(flat, name)[...] = g
+        store.adam_step(flat, lr)
         bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
         for name, g in grads.items():
             p, m, v = ref[name]
@@ -91,59 +87,81 @@ def test_adam_step_equals_the_fresh_array_formula_bitwise():
 
 
 def test_a_loaded_store_allocates_no_adam_moments(tmp_path):
-    store = ParamStore()
-    store.add("w", np.arange(6.0).reshape(2, 3))
-    store.add_zeros("b", (3,))
-    path = tmp_path / "store.ckpt"
-    save_checkpoint(path, store, seed=0, config_hash="h")
-    _, params = load_checkpoint(path)
-    # a rebuilt model's store: the same names, loaded from the checkpoint
-    loaded = ParamStore()
-    loaded.add_zeros("w", (2, 3))
-    loaded.add_zeros("b", (3,))
-    loaded.load_state(params)
-    np.testing.assert_array_equal(loaded["w"], store["w"])
-    assert loaded._m == {} and loaded._v == {}
-    loaded.adam_step({"w": np.ones((2, 3))}, lr=1e-3)
-    assert list(loaded._m) == list(loaded._v) == ["w"]
-    assert (params["w"] == store["w"]).all()  # the store holds its own copy
+    vocab = Vocab(["good", "food"])
+    model = TransformerModel(TransformerArch(embed_dim=8, ffn_dim=8, layers=1, heads=1),
+                             vocab, 3, 2, seed=5)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model.store, seed=5, config_hash="h",
+                    extra={"model": model.architecture_header()})
+    header, values = load_checkpoint(path)
+    loaded = model_from_parameters(header, values, vocab, source=path).store
+    assert (loaded.values.view(np.uint64) == model.store.values.view(np.uint64)).all()
+    assert loaded._moments is None
+    loaded.adam_step(np.ones_like(loaded.values), lr=1e-3)
+    assert [m.shape for m in loaded._moments] == [loaded.values.shape] * 2
+    # the store holds its own copy: the step left the loaded array as it was
+    assert not np.shares_memory(loaded.values, values)
+    assert (values == model.store.values).all()
 
 
 def test_adam_validates_inputs():
     store = ParamStore()
     store.add("p", np.zeros(2))
     with pytest.raises(ValueError, match="gradient shape mismatch"):
-        store.adam_step({"p": np.zeros(3)}, lr=1e-3)
+        store.adam_step(np.zeros(3), lr=1e-3)
     for bad in (dict(lr=0.0), dict(lr=1e-3, beta1=1.0), dict(lr=1e-3, beta2=0.0),
                 dict(lr=1e-3, eps=0.0)):
         with pytest.raises(ValueError, match="out of range"):
-            store.adam_step({"p": np.zeros(2)}, **bad)
+            store.adam_step(np.zeros(2), **bad)
 
 
 def test_clip_global_norm():
-    grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    kept, norm = clip_global_norm(grads, max_norm=10.0)
-    assert norm == 5.0
-    assert kept is grads
-    clipped, norm = clip_global_norm(grads, max_norm=2.5)
-    assert norm == 5.0
-    np.testing.assert_allclose(clipped["a"], [1.5])
-    np.testing.assert_allclose(clipped["b"], [2.0])
-    zeros = {"a": np.zeros(3)}
-    same, norm = clip_global_norm(zeros, max_norm=1.0)
-    assert norm == 0.0 and same is zeros
+    store = ParamStore()
+    store.add_zeros("a", (1,))
+    store.add_zeros("b", (1,))
+    grads = np.array([3.0, 4.0])
+    assert clip_global_norm(store, grads, max_norm=10.0) == 5.0
+    assert grads.tolist() == [3.0, 4.0]
+    assert clip_global_norm(store, grads, max_norm=2.5) == 5.0
+    np.testing.assert_allclose(grads, [1.5, 2.0])
+    zeros = np.zeros(2)
+    assert clip_global_norm(store, zeros, max_norm=1.0) == 0.0
+    assert zeros.tolist() == [0.0, 0.0]
+
+
+def test_clip_global_norm_equals_a_loop_over_names_bitwise():
+    rng = np.random.default_rng(6)
+    shapes = {"w": (37, 11), "b": (11,), "gain": (3, 5, 7), "one": (1,)}
+    store = ParamStore()
+    for name, shape in shapes.items():
+        store.add_zeros(name, shape)
+    for max_norm in (1e-3, 1e3):
+        grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-4, 4)
+                 for name, shape in shapes.items()}
+        flat = np.empty_like(store.values)
+        for name, g in grads.items():
+            store.view(flat, name)[...] = g
+        # the reference: one separate array per name, summed in store order
+        total = 0.0
+        for g in grads.values():
+            total += float((g * g).sum())
+        norm = float(np.sqrt(total))
+        assert clip_global_norm(store, flat, max_norm) == norm
+        factor = max_norm / norm if norm > max_norm else 1.0
+        for name, g in grads.items():
+            assert (store.view(flat, name).view(np.uint64) == (g * factor).view(np.uint64)).all()
 
 
 def test_grad_check_guards():
     store = ParamStore()
     store.add("p", np.ones(1))
     with pytest.raises(ValueError, match="epsilon"):
-        grad_check(lambda: (0.0, {}), store, epsilon=1e-2)
+        grad_check(lambda: (0.0, np.zeros(1)), store, epsilon=1e-2)
     state = {"n": 0}
 
     def jittery():
         state["n"] += 1
-        return float(state["n"]), {"p": np.zeros(1)}
+        return float(state["n"]), np.zeros(1)
 
     with pytest.raises(ValueError, match="not deterministic"):
         grad_check(jittery, store)
@@ -170,10 +188,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert header["step"] == 17
     assert header["config_hash"] == "abc123"
     assert header["model"] == {"kind": "demo"}
-    assert list(loaded) == store.names()
-    for name in store.names():
-        np.testing.assert_array_equal(loaded[name], store[name])
-        assert loaded[name].shape == store[name].shape
+    assert header["parameters"] == store.layout() == [["w", [4, 3]], ["edge", [5]]]
+    assert (loaded.view(np.uint64) == store.values.view(np.uint64)).all()
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
@@ -198,9 +214,9 @@ def _round_trip_bits(tmp_path, bits, shape=None) -> np.ndarray:
     store.add("p", values.reshape(shape or values.shape))
     path = tmp_path / "bits.ckpt"
     save_checkpoint(path, store, seed=0, config_hash="h")
-    _, loaded = load_checkpoint(path)
-    assert loaded["p"].shape == store["p"].shape
-    return loaded["p"].reshape(-1).view(np.uint64)
+    header, loaded = load_checkpoint(path)
+    assert header["parameters"] == [["p", list(store["p"].shape)]]
+    return loaded.view(np.uint64)
 
 
 def test_checkpoint_round_trip_keeps_edge_bit_patterns(tmp_path):
@@ -221,8 +237,8 @@ def test_checkpoint_keeps_non_finite_values(tmp_path):
     path = tmp_path / "odd.ckpt"
     save_checkpoint(path, store, seed=0, config_hash="h")
     _, loaded = load_checkpoint(path)
-    np.testing.assert_array_equal(loaded["odd"], store["odd"])
-    assert np.signbit(loaded["odd"][3])
+    np.testing.assert_array_equal(loaded, store["odd"])
+    assert np.signbit(loaded[3])
 
 
 def _split_checkpoint(path) -> tuple[bytes, dict, bytes]:
@@ -248,9 +264,9 @@ def test_checkpoint_is_a_v3_header_and_one_little_endian_array(tmp_path):
     values = np.lib.format.read_array(io.BytesIO(array), allow_pickle=False)
     assert values.dtype.str == "<f8" and values.shape == (3,)
     assert values.tobytes() == np.array([1.0, -2.5, 0.5], dtype="<f8").tobytes()
-    # the loaded parameters are views of that one array
-    _, params = load_checkpoint(path)
-    assert params["w"].base is params["b"].base is not None
+    # loading returns that one array
+    _, loaded = load_checkpoint(path)
+    assert loaded.tobytes() == values.tobytes()
 
 
 def test_checkpoint_rejects_the_hex_float_format(tmp_path):
@@ -323,5 +339,26 @@ def test_checkpoint_rejects_any_dtype_but_little_endian_doubles(tmp_path):
         np.lib.format.write_array(buffer, np.arange(6).astype(dtype))
         _write_checkpoint(path, magic, header, buffer.getvalue())
         with pytest.raises(ValueError, match=f"value array is {dtype}") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+
+def test_checkpoint_rejects_a_malformed_parameters_header(tmp_path):
+    store = ParamStore()
+    store.add("ok", np.zeros(2))
+    store.add("w", np.arange(6.0).reshape(2, 3))
+    path = tmp_path / "header.ckpt"
+    save_checkpoint(path, store, seed=0, config_hash="h")
+    magic, header, array = _split_checkpoint(path)
+    del header["parameters"]
+    _write_checkpoint(path, magic, header, array)
+    with pytest.raises(ValueError, match="no 'parameters' list") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+    for bad in (["w", 6], ["w", [-1, 6]], ["w", [2.0, 3]], ["w", [True, 6]],
+                ["w"], [6, [6]], "w"):
+        header["parameters"] = [["ok", [2]], bad]
+        _write_checkpoint(path, magic, header, array)
+        with pytest.raises(ValueError, match="non-negative integer dimensions") as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)

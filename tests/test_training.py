@@ -8,6 +8,7 @@ import pytest
 from rexeval import training
 from rexeval.autodiff import Tape
 from rexeval.models import TransformerArch, TransformerModel
+from rexeval.nn import ParamStore
 from rexeval.training import (BUCKET_WINDOW, TrainConfig, epoch_batches, joint_loss,
                               length_order, make_batch, train_model)
 
@@ -143,6 +144,29 @@ def test_training_improves_and_restores_best_state(setup):
         assert set(entry) == {"epoch", "train_nll", "train_mse", "val_joint",
                               "val_nll", "val_mse"}
         assert all(np.isfinite(v) for v in entry.values())
+
+
+def test_optimize_restores_the_best_epochs_values_bitwise():
+    store = ParamStore()
+    store.add("w", np.array([[1.0, -2.0], [0.5, 3.0]]))
+    store.add("b", np.array([0.25]))
+    scores = iter([3.0, 1.0, 2.0, 5.0])
+    seen = []
+
+    def loss(tape, batch):
+        return tape.add(tape.squared_error(tape.param(store, "w"), np.zeros((2, 2))),
+                        tape.squared_error(tape.param(store, "b"), np.ones(1)))
+
+    def validate(epoch):
+        seen.append(store.values.copy())
+        return next(scores), {"epoch": epoch}
+
+    history, best = training.optimize(store, TrainConfig(epochs=4, patience=4, lr=0.1),
+                                      lambda: [None, None], loss, validate)
+    assert best == 1.0 and [entry["epoch"] for entry in history] == [1, 2, 3, 4]
+    # the epochs after the best one moved every value, and the snapshot kept none of it
+    assert (seen[3] != seen[1]).all()
+    assert (store.values.view(np.uint64) == seen[1].view(np.uint64)).all()
 
 
 def test_training_is_deterministic(setup):

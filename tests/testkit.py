@@ -88,13 +88,14 @@ def mrr_random_baseline(k: int) -> float:
     return 100.0 * sum(1.0 / r for r in range(1, k + 2)) / (k + 1)
 
 
-def grad_check(loss_fn: Callable[[], tuple[float, dict[str, np.ndarray]]],
+def grad_check(loss_fn: Callable[[], tuple[float, np.ndarray]],
                store: ParamStore, epsilon: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     loss_fn rebuilds the forward pass from the current store contents and
-    returns (loss, grads). It must be deterministic; a second baseline
-    call is compared bit for bit to catch hidden randomness.
+    returns (loss, its flat gradient in the store's layout). It must be
+    deterministic; a second baseline call is compared bit for bit to
+    catch hidden randomness.
     """
     if not (1e-6 <= epsilon <= 1e-3):
         raise ValueError(f"epsilon {epsilon} outside [1e-6, 1e-3]")
@@ -103,27 +104,19 @@ def grad_check(loss_fn: Callable[[], tuple[float, dict[str, np.ndarray]]],
     if loss_a != loss_b:
         raise ValueError("loss_fn is not deterministic between calls")
     worst = 0.0
-    for name in store.names():
-        p = store[name]
-        ga = grads[name]
-        flat = p.reshape(-1)
-        gflat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            up, _ = loss_fn()
-            flat[i] = orig - epsilon
-            down, _ = loss_fn()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * epsilon)
-            analytic = gflat[i]
-            denom = max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, abs(analytic - numeric) / denom)
+    flat = store.values
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + epsilon
+        up, _ = loss_fn()
+        flat[i] = orig - epsilon
+        down, _ = loss_fn()
+        flat[i] = orig
+        numeric = (up - down) / (2.0 * epsilon)
+        analytic = grads[i]
+        denom = max(abs(analytic), abs(numeric), 1e-8)
+        worst = max(worst, abs(analytic - numeric) / denom)
     return worst
-
-
-def num_values(store: ParamStore) -> int:
-    return sum(store[name].size for name in store.names())
 
 
 def regressor_predict(regressor, tokens) -> float:
@@ -149,5 +142,5 @@ def cosine(table, a: str, b: str) -> float:
 
 def model_from_checkpoint(path, vocab, lexicon=None):
     """Rebuild a trained model from a checkpoint file; errors name the file."""
-    header, params = load_checkpoint(path)
-    return model_from_parameters(header, params, vocab, lexicon, source=path)
+    header, values = load_checkpoint(path)
+    return model_from_parameters(header, values, vocab, lexicon, source=path)
