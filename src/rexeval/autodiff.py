@@ -1,4 +1,15 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode automatic differentiation over numpy arrays.
+
+A tape computes in the dtype of the values it is given: a store's
+parameters set it (`nn.ParamStore`), float32 for the trainable models and
+float64 for the finite-difference checks and the TLAE regressor. No op
+promotes a float32 value to float64, and every gradient slot keeps its
+node's dtype. The losses are the float64 boundary: `softmax_xent` takes
+its log-softmax over float64 copies of the logits and `squared_error`
+its difference in float64, both return float64 scalars, and their
+backward hands the gradient back in the input's dtype. `log_softmax`
+always returns float64, so the log-probabilities that leave a model
+(scores, the decoder's argmax) are float64 too.
 
 A Tape records one forward pass as an ordered list of steps. A step is
 a node's gradient slot plus its backward closure, and it holds only
@@ -15,10 +26,13 @@ backward() consumes the tape: it pops each step as that step's backward
 runs, so the closures and cached activations of later layers are freed
 while the gradients of earlier layers are built, and a tape is
 differentiated once. Gradients land in the slots, which `Node.grad`
-reads, so the nodes a caller still holds keep their gradients. An
-inference tape (`Tape(grad=False)`) records no steps at all, so each
-intermediate is freed as soon as the caller drops its node. Both run
-the same forward functions and return the same bits.
+reads, so the nodes a caller still holds keep their gradients. The
+gradients of a store's parameters accumulate straight into their slices
+of one flat vector of the store's layout and dtype, which
+`Tape.param_grads` returns without a copy. An inference tape
+(`Tape(grad=False)`) records no steps at all, so each intermediate is
+freed as soon as the caller drops its node. Both run the same forward
+functions and return the same bits.
 
 The value-level primitive set is fixed: affine map (matrix product plus
 bias), embedding lookup, elementwise nonlinearity, scaled-dot attention,
@@ -29,14 +43,40 @@ from these pieces and nothing else.
 
 Forward math lives in free functions that the tape ops call, so
 recording and inference tapes share a single implementation.
+
+No forward product runs on one row: OpenBLAS takes its gemv path there,
+which rounds differently from the gemm path a row takes among others,
+so `matmul` runs a one-row product as two rows. Together with
+`row_width` for a product whose width the caller picks, this keeps a
+row's bits independent of the rows it is batched with.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 LN_EPS = 1e-5
 MASKED_SCORE = -1e30
+# Product widths that are a multiple of this round every row alike however
+# many rows the product holds (measured for float32 and float64 on
+# OpenBLAS 0.3.31, Haswell kernels, at inner sizes 16-256; widths such
+# as 68 or 89 do not).
+ROW_ALIGN = 16
+
+
+def row_width(n: int) -> int:
+    """`n` rounded up to a multiple of ROW_ALIGN."""
+    return -(-n // ROW_ALIGN) * ROW_ALIGN
+
+
+def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x (M, K) @ w (K, N), with a one-row x run as two rows so that the
+    row takes the same BLAS path it takes among other rows."""
+    if x.shape[0] == 1:
+        return (np.concatenate([x, x]) @ w)[:1]
+    return x @ w
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -51,6 +91,8 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-probabilities over the last axis, in float64 whatever x's dtype."""
+    x = np.asarray(x, dtype=np.float64)
     s = x - x.max(axis=-1, keepdims=True)
     return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
 
@@ -76,7 +118,7 @@ def attention_forward(q, k, v, mask, n_heads):
     qh = q.reshape(B, Lq, n_heads, dh).transpose(0, 2, 1, 3)
     kh = k.reshape(B, Lk, n_heads, dh).transpose(0, 2, 1, 3)
     vh = v.reshape(B, Lk, n_heads, dh).transpose(0, 2, 1, 3)
-    scores = (kh @ qh.transpose(0, 1, 3, 2)) / np.sqrt(dh)
+    scores = (kh @ qh.transpose(0, 1, 3, 2)) / math.sqrt(dh)
     if mask is not None:
         scores = np.where(mask.transpose(0, 2, 1)[:, None], scores, MASKED_SCORE)
     weights = softmax(scores, axis=-2)
@@ -93,8 +135,8 @@ def attention_backward(g, cache):
     gv = weights @ gh
     # softmax backward: columns of the keys-major `weights` are distributions.
     gs = weights * (gw - (weights * gw).sum(axis=-2, keepdims=True))
-    gq = (gs.transpose(0, 1, 3, 2) @ kh) / np.sqrt(dh)
-    gk = (gs @ qh) / np.sqrt(dh)
+    gq = (gs.transpose(0, 1, 3, 2) @ kh) / math.sqrt(dh)
+    gk = (gs @ qh) / math.sqrt(dh)
     D = H * dh
     return (gq.transpose(0, 2, 1, 3).reshape(B, Lq, D),
             gk.transpose(0, 2, 1, 3).reshape(B, Lk, D),
@@ -137,10 +179,10 @@ def layer_norm_backward(g, gain, cache):
 def gru_forward(x, h, wz, bz, wr, br, wn, bn):
     """One GRU step. x: (B, Din), h: (B, H) -> new hidden (B, H)."""
     xh = np.concatenate([x, h], axis=1)
-    z = sigmoid(xh @ wz + bz)
-    r = sigmoid(xh @ wr + br)
+    z = sigmoid(matmul(xh, wz) + bz)
+    r = sigmoid(matmul(xh, wr) + br)
     xrh = np.concatenate([x, r * h], axis=1)
-    n = np.tanh(xrh @ wn + bn)
+    n = np.tanh(matmul(xrh, wn) + bn)
     out = (1.0 - z) * n + z * h
     return out, (xh, xrh, z, r, n)
 
@@ -179,6 +221,7 @@ def softmax_xent_forward(logits, targets, pad_mask=None):
 
     logits: (..., V) float, targets: (...) int, pad_mask: (...) bool with
     True marking padding (excluded from the mean). Returns (loss, cache).
+    The log-softmax and the loss are float64 whatever the logits' dtype.
     """
     lv = np.asarray(logits, dtype=np.float64)
     V = lv.shape[-1]
@@ -200,38 +243,41 @@ def softmax_xent_forward(logits, targets, pad_mask=None):
     nll = -logp[np.arange(t.shape[0]), np.where(keep, t, 0)]
     count = int(keep.sum())
     loss = float(nll[keep].sum() / count)
-    return loss, (logp, t, keep, count, lv.shape)
+    return loss, (logp, t, keep, count, lv.shape, np.asarray(logits).dtype)
 
 
 def softmax_xent_backward(g, cache):
-    logp, t, keep, count, shape = cache
+    """The logits' gradient, computed in float64 and returned in their dtype."""
+    logp, t, keep, count, shape, dtype = cache
     probs = np.exp(logp)
     probs[np.arange(t.shape[0]), np.where(keep, t, 0)] -= 1.0
     probs[~keep] = 0.0
-    return (probs * (g / count)).reshape(shape)
+    probs *= g / count
+    return probs.astype(dtype, copy=False).reshape(shape)
 
 
 class GradSlot:
     """Where backward accumulates one node's gradient. It keeps the shape
-    of the node's value but not the value, so a recorded step that holds
-    slots holds no activations."""
+    and dtype of the node's value but not the value, so a recorded step
+    that holds slots holds no activations."""
 
-    __slots__ = ("grad", "shape")
+    __slots__ = ("grad", "shape", "dtype")
 
-    def __init__(self, shape: tuple[int, ...]):
+    def __init__(self, shape: tuple[int, ...], dtype: np.dtype):
         self.grad = None
         self.shape = shape
+        self.dtype = dtype
 
 
 class Node:
-    """One tape entry: a float64 array plus the slot of its gradient."""
+    """One tape entry: an array plus the slot of its gradient."""
 
     __slots__ = ("value", "op", "slot")
 
     def __init__(self, value: np.ndarray, op: str):
         self.value = value
         self.op = op
-        self.slot = GradSlot(value.shape)
+        self.slot = GradSlot(value.shape, value.dtype)
 
     @property
     def grad(self):
@@ -250,6 +296,8 @@ class Tape:
     def __init__(self, *, grad: bool = True):
         self._steps: list[tuple[GradSlot, object]] = []
         self._param_nodes: dict[str, Node] = {}
+        self._store = None  # the store whose parameters this tape reads
+        self._grads = None  # their flat gradient, on a recording tape
         self.grad = grad
         self._consumed = False
 
@@ -257,32 +305,42 @@ class Tape:
     # bookkeeping
 
     def _record(self, value, op, backward) -> Node:
-        value = np.asarray(value, dtype=np.float64)
-        node = Node(value, op)
+        node = Node(np.asarray(value), op)
         if self.grad:
             self._steps.append((node.slot, backward))
         return node
 
     def leaf(self, values, op: str = "leaf") -> Node:
-        return self._record(np.asarray(values, dtype=np.float64), op, None)
+        """Fixed float values, in their own dtype."""
+        return self._record(values, op, None)
 
     def param(self, store, name: str) -> Node:
-        """Wrap a named parameter as a leaf, one node per name per tape."""
+        """Wrap a named parameter as a leaf, one node per name per tape. On
+        a recording tape the node's gradient is its slice of the flat
+        gradient, which starts at zero."""
         node = self._param_nodes.get(name)
         if node is None:
+            if self._store is None:
+                self._store = store
+                if self.grad:
+                    self._grads = np.zeros_like(store.values)
+            elif store is not self._store:
+                raise ValueError("a tape reads the parameters of one store")
             node = self._record(store[name], f"param:{name}", None)
+            if self.grad:
+                node.slot.grad = store.view(self._grads, name)
             self._param_nodes[name] = node
         return node
 
     def param_grads(self, store) -> np.ndarray:
         """The gradient of every store parameter as one flat vector of the
-        store's layout; zeros where a parameter is unreachable."""
-        out = np.zeros_like(store.values)
-        for name in store.names():
-            node = self._param_nodes.get(name)
-            if node is not None and node.grad is not None:
-                store.view(out, name)[...] = node.grad
-        return out
+        store's layout and dtype, zero where a parameter is unreachable:
+        the vector backward accumulated into, not a copy."""
+        if self._grads is None:
+            return np.zeros_like(store.values)
+        if store is not self._store:
+            raise ValueError("param_grads of a store this tape did not read")
+        return self._grads
 
     def backward(self, loss: Node) -> None:
         """Accumulate d(loss)/d(node) into each reached node's `.grad`,
@@ -300,9 +358,7 @@ class Tape:
             raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
         if not any(slot is loss.slot for slot, _ in steps):
             raise RuntimeError("loss node was not recorded on this tape")
-        for slot, _ in steps:
-            slot.grad = None
-        loss.slot.grad = np.ones((), dtype=np.float64)
+        loss.slot.grad = np.ones((), dtype=loss.slot.dtype)
         self._consumed = True
         while steps:
             slot, bw = steps.pop()
@@ -312,21 +368,29 @@ class Tape:
                 if parent.grad is None:
                     # g + 0.0 has the bits of zeros + g, signed zeros included,
                     # and never aliases g
-                    parent.grad = np.add(g, 0.0, out=np.empty(parent.shape))
-                else:
+                    parent.grad = np.add(g, 0.0, out=np.empty(parent.shape, parent.dtype))
+                else:  # a parameter's grad is its zeroed slice of the flat gradient
                     parent.grad += g
 
     # ------------------------------------------------------------------
     # value primitives
 
-    def affine(self, x: Node, w: Node, b: Node | None = None) -> Node:
-        """x (..., Din) @ w (Din, Dout) + b (Dout)."""
+    def affine(self, x: Node, w: Node, b: Node | None = None, *, align: bool = False) -> Node:
+        """x (..., Din) @ w (Din, Dout) + b (Dout). With `align` the product
+        runs at width `row_width(Dout)`, on zero columns past Dout, so each
+        row's bits do not depend on the rows it is batched with."""
         xv, wv = x.value, w.value
         if xv.shape[-1] != wv.shape[0]:
             raise ValueError(f"affine shape mismatch: {xv.shape} @ {wv.shape}")
         lead = xv.shape[:-1]
         x2 = xv.reshape(-1, xv.shape[-1])
-        out = x2 @ wv
+        n = wv.shape[1]
+        if align and row_width(n) != n:
+            wide = np.zeros((wv.shape[0], row_width(n)), dtype=wv.dtype)
+            wide[:, :n] = wv
+            out = matmul(x2, wide)[:, :n]
+        else:
+            out = matmul(x2, wv)
         if b is not None:
             out = out + b.value
         out = out.reshape(*lead, wv.shape[1])
@@ -351,7 +415,7 @@ class Tape:
         ts = table.slot
 
         def backward(g):
-            gt = np.zeros(ts.shape)
+            gt = np.zeros(ts.shape, ts.dtype)
             np.add.at(gt, ids.reshape(-1), g.reshape(-1, ts.shape[1]))
             return [(ts, gt)]
 
@@ -417,6 +481,8 @@ class Tape:
         return self._record(np.float64(loss), "softmax_xent", backward)
 
     def squared_error(self, pred: Node, target) -> Node:
+        """Mean squared error, taken in float64; the gradient returns in
+        pred's dtype."""
         tv = np.asarray(target, dtype=np.float64)
         pv = pred.value
         if pv.shape != tv.shape:
@@ -428,7 +494,8 @@ class Tape:
         ps = pred.slot
 
         def backward(g):
-            return [(ps, (2.0 / diff.size) * diff.reshape(ps.shape) * g)]
+            gp = (2.0 / diff.size) * diff.reshape(ps.shape) * g
+            return [(ps, gp.astype(ps.dtype, copy=False))]
 
         return self._record(np.float64(loss), "squared_error", backward)
 
@@ -468,7 +535,7 @@ class Tape:
         xs = x.slot
 
         def backward(g):
-            gx = np.zeros(xs.shape)
+            gx = np.zeros(xs.shape, xs.dtype)
             gx[key] = g
             return [(xs, gx)]
 

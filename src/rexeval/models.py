@@ -8,7 +8,10 @@ only quantity the ranking metrics consume, so any object implementing
 the interface can be evaluated.
 
 Trainable models are composed purely from the tape primitives in
-`autodiff`. Training records each batch on a tape that backward
+`autodiff` and compute in float32 (`NeuralRecommender.dtype`). What
+leaves them is float64: log-likelihoods are sums of float64
+log-probabilities, and ratings are float64 copies of the rating head's
+output. Training records each batch on a tape that backward
 consumes; inference (scoring, ratings, decoding) runs the same ops on a
 fresh inference tape per pass (`Tape(grad=False)`), which records no
 steps, so a pass keeps no intermediate it no longer reads and
@@ -132,6 +135,7 @@ class NeuralRecommender(ExplainableRecommender):
 
     kind: str
     word_capacity: int | None = None  # most words a scored text may hold; None: no limit
+    dtype = np.dtype(np.float32)  # of the parameter store, hence of all compute
 
     def __init__(self, arch, vocab: Vocab, num_users: int, num_items: int, seed: int,
                  lexicon=None):
@@ -159,8 +163,9 @@ class NeuralRecommender(ExplainableRecommender):
         """Raw (B, 1) rating from the head input rows."""
         store = self.store
         r = tape.nonlin(tape.affine(h, tape.param(store, "rate.w1"),
-                                    tape.param(store, "rate.b1")), "tanh")
-        return tape.affine(r, tape.param(store, "rate.w2"), tape.param(store, "rate.b2"))
+                                    tape.param(store, "rate.b1"), align=True), "tanh")
+        return tape.affine(r, tape.param(store, "rate.w2"), tape.param(store, "rate.b2"),
+                           align=True)
 
     def loss_nodes(self, tape: Tape, batch: Batch):
         logits, head_in, _ = self._run(tape, batch.users, batch.items,
@@ -214,10 +219,11 @@ class NeuralRecommender(ExplainableRecommender):
         chunked in `length_order` of token count, so a chunk holds texts of
         similar length and pads little. `_shared_prefixes` may run the
         prefix work of the whole call before the first chunk. Right-padding
-        never reaches a scored position. A row's bits can depend on how
-        many rows its products hold and where it sits among them, but the
-        chunks are a pure function of the request list, and so are the
-        scores.
+        never reaches a scored position. No product runs on one row and the
+        output projection runs at an aligned width (`autodiff.matmul`,
+        `autodiff.row_width`), so on the measured BLAS a text scores the
+        same bits in any chunk; the chunks are a pure function of the
+        request list in any case.
         """
         requests = _nonempty(requests)
         if not requests:
@@ -260,20 +266,14 @@ class NeuralRecommender(ExplainableRecommender):
         return None
 
     def predict_rating_many(self, requests) -> list[float]:
-        """Ratings of (user, item, aspect) requests from one prefix pass.
-
-        The trunk runs the prefix and BOS of every request as one batch: a
-        row's values do not depend on the other rows. The two products of
-        the rating head run one row at a time, as a one-row batch runs
-        them: over the batch, a (B, d) product can round differently from
-        the (1, d) one in the last bit (gemm against gemv).
-        """
+        """Ratings of (user, item, aspect) requests from one prefix pass
+        and one rating-head pass over every request: a row's values do not
+        depend on the other rows (see `log_likelihood_many`)."""
         users, items, aspects = self._prefixes(list(requests), self._decode_aspect_id)
         bos = np.full((len(users), 1), BOS_ID, dtype=np.int64)
-        _, head_in, _ = self._run(Tape(grad=False), users, items, aspects, bos)
         tape = Tape(grad=False)
-        return [clamp_rating(float(self._rating_head(tape, tape.leaf(row[None])).value[0, 0]))
-                for row in head_in.value]
+        _, head_in, _ = self._run(tape, users, items, aspects, bos)
+        return [clamp_rating(r) for r in self._rating_head(tape, head_in).value[:, 0].tolist()]
 
     def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
         """Greedy decoding in request order, CHUNK_ROWS requests at a time,
@@ -354,7 +354,7 @@ class TransformerModel(NeuralRecommender):
 
         d = arch.embed_dim
         rng = np.random.default_rng([seed, 0x7F0])
-        store = ParamStore()
+        store = ParamStore(self.dtype)
         store.add_uniform("user.emb", (num_users, d), rng)
         store.add_uniform("item.emb", (num_items, d), rng)
         store.add_uniform("word.emb", (len(vocab), d), rng)
@@ -443,10 +443,12 @@ class TransformerModel(NeuralRecommender):
                                         tape.param(store, p + "ffn.b2")))
         xf = tape.layer_norm(x, tape.param(store, "final.gain"), tape.param(store, "final.bias"))
         if past is not None:
-            logits = tape.affine(xf, tape.param(store, "out.w"), tape.param(store, "out.b"))
+            logits = tape.affine(xf, tape.param(store, "out.w"), tape.param(store, "out.b"),
+                                 align=True)
             return logits, None, kv
         words = tape.index(xf, np.s_[:, self.prefix_len:L])
-        logits = tape.affine(words, tape.param(store, "out.w"), tape.param(store, "out.b"))
+        logits = tape.affine(words, tape.param(store, "out.w"), tape.param(store, "out.b"),
+                             align=True)
         return logits, tape.index(xf, np.s_[:, 1]), kv
 
     def _keep_rows(self, kv, keep):
@@ -495,7 +497,7 @@ class RecurrentModel(NeuralRecommender):
         super().__init__(arch, vocab, num_users, num_items, seed, lexicon)
         d, H = arch.embed_dim, arch.hidden_dim
         rng = np.random.default_rng([seed, 0x6F0])
-        store = ParamStore()
+        store = ParamStore(self.dtype)
         store.add_uniform("user.emb", (num_users, d), rng)
         store.add_uniform("item.emb", (num_items, d), rng)
         store.add_uniform("word.emb", (len(vocab), d), rng)
@@ -539,7 +541,8 @@ class RecurrentModel(NeuralRecommender):
             h = tape.gru_cell(x_t, h, *gate_params)
             states.append(h)
         hseq = tape.stack(states, axis=1)
-        logits = tape.affine(hseq, tape.param(store, "out.w"), tape.param(store, "out.b"))
+        logits = tape.affine(hseq, tape.param(store, "out.w"), tape.param(store, "out.b"),
+                             align=True)
         return logits, ui, h.value
 
     def _keep_rows(self, h, keep):
@@ -655,7 +658,7 @@ def model_from_parameters(header: dict, values: np.ndarray, vocab: Vocab,
                           lexicon=None, source="checkpoint"):
     """Rebuild a trained model from a loaded checkpoint's header and value
     array; errors name `source` and the first parameter that differs from
-    the model's layout."""
+    the model's layout, or the array's dtype when it is not the model's."""
     desc = header.get("model")
     if not desc:
         raise ValueError(f"{source}: checkpoint lacks a model description")
@@ -674,6 +677,9 @@ def model_from_parameters(header: dict, values: np.ndarray, vocab: Vocab,
                 f"unexpected parameter '{have[0]}'" if want is None else
                 f"parameter '{have[0]}' of shape {tuple(have[1])} where the model has "
                 f"'{want[0]}' of shape {tuple(want[1])}"))
+    if values.dtype != model.store.dtype:
+        raise ValueError(f"{source}: value array is {values.dtype.str} but a "
+                         f"'{desc['kind']}' model computes in {model.store.dtype.str}")
     model.store.values[...] = values
     model.store.step = int(header["step"])
     return model

@@ -1,22 +1,26 @@
 """Parameter storage, Adam, gradient clipping, checkpoint io.
 
-A `ParamStore` keeps every parameter in one flat float64 vector, `values`,
-under a layout that gives each name an offset and a shape, in `add` order.
-The gradient `Tape.param_grads` returns, the two Adam moments, training's
-best-epoch snapshot and a checkpoint's value array are flat vectors of
-that same layout, so each of clipping, an Adam step, a snapshot, a
+A `ParamStore` keeps every parameter in one flat vector, `values`, under
+a layout that gives each name an offset and a shape, in `add` order. The
+store's dtype is the one place a model's compute precision is set: the
+trainable models build float32 stores, everything else float64 ones, and
+a Tape computes in the dtype of the values it is given. The gradient
+`Tape.param_grads` returns, the two Adam moments, training's best-epoch
+snapshot and a checkpoint's value array are flat vectors of that same
+layout and dtype, so each of clipping, an Adam step, a snapshot, a
 restore and a load is one pass over one vector.
 
-A checkpoint (format `rexeval-checkpoint-v3`) is a magic line, a JSON
+A checkpoint (format `rexeval-checkpoint-v4`) is a magic line, a JSON
 header line (seed, step, config hash, optional model description, and
 `parameters`: the layout as each name and shape in order), then one
 `.npy` array (`numpy.lib.format`) of `values` as little-endian IEEE-754
-float64. The array holds the bit patterns themselves, so every value,
-signed zeros, subnormals, infinities and NaN payloads included, reads
-back bit for bit on any host, which the determinism contract relies on.
-Files in the earlier formats (v1 hex floats, v2 base64 lines) are
-rejected with a message to rerun the train stage; checkpoints are
-regenerable from the run's config.
+in the store's own dtype (`<f4` or `<f8`). The array holds the bit
+patterns themselves, so every value, signed zeros, subnormals,
+infinities and NaN payloads included, reads back bit for bit on any
+host, which the determinism contract relies on. Files in the earlier
+formats (v1 hex floats, v2 base64 lines, v3 float64 arrays) are rejected
+with a message to rerun the train stage; checkpoints are regenerable
+from the run's config.
 """
 
 from __future__ import annotations
@@ -26,22 +30,24 @@ import math
 
 import numpy as np
 
-CHECKPOINT_MAGIC = "rexeval-checkpoint-v3"
-_WIRE_DTYPE = np.dtype("<f8")
+CHECKPOINT_MAGIC = "rexeval-checkpoint-v4"
+_WIRE_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
 INIT_SCALE = 0.08
 
 
 class ParamStore:
-    """Named float64 parameters in one flat vector, `values`.
+    """Named parameters of one dtype in one flat vector, `values`.
 
     `store[name]` is a view into `values`. `add` appends by reallocating
     `values`, so a view taken before a later `add` no longer writes
     through: build the whole store before reading parameters from it.
-    The Adam moments are allocated at the first update.
+    Added values are rounded to the store's dtype. The Adam moments are
+    allocated at the first update, in that dtype.
     """
 
-    def __init__(self):
-        self.values = np.empty(0)
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
+        self.values = np.empty(0, dtype=self.dtype)
         self._slots: dict[str, tuple[int, int, tuple[int, ...]]] = {}  # start, end, shape
         self._moments: tuple[np.ndarray, np.ndarray] | None = None
         self.step = 0
@@ -49,7 +55,7 @@ class ParamStore:
     def add(self, name: str, values: np.ndarray) -> np.ndarray:
         if name in self._slots:
             raise ValueError(f"duplicate parameter name '{name}'")
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.asarray(values, dtype=self.dtype)
         start = self.values.size
         self.values = np.concatenate([self.values, arr.ravel()])
         self._slots[name] = (start, self.values.size, arr.shape)
@@ -123,13 +129,14 @@ def save_checkpoint(path, store: ParamStore, seed: int, config_hash: str,
     header["parameters"] = store.layout()
     with open(path, "wb") as fh:
         fh.write(f"{CHECKPOINT_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode("utf-8"))
-        np.lib.format.write_array(fh, store.values.astype(_WIRE_DTYPE, copy=False),
-                                  allow_pickle=False)
+        np.lib.format.write_array(fh, store.values.astype(store.dtype.newbyteorder("<"),
+                                                          copy=False), allow_pickle=False)
 
 
 def load_checkpoint(path) -> tuple[dict, np.ndarray]:
     """The header and the flat value array, whose size the header's
-    `parameters` add up to. Errors name the file, and the entry at fault."""
+    `parameters` add up to, in the dtype it was saved in. Errors name the
+    file, and the entry at fault."""
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n").decode("utf-8", errors="replace")
         if magic != CHECKPOINT_MAGIC:
@@ -145,9 +152,9 @@ def load_checkpoint(path) -> tuple[dict, np.ndarray]:
             raise ValueError(f"{path}: unreadable checkpoint: {exc}") from None
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the value array")
-    if values.dtype != _WIRE_DTYPE or values.ndim != 1:
+    if values.dtype not in _WIRE_DTYPES or values.ndim != 1:
         raise ValueError(f"{path}: value array is {values.dtype.str} of shape {values.shape}, "
-                         f"not one flat {_WIRE_DTYPE.str} array")
+                         f"not one flat {' or '.join(d.str for d in _WIRE_DTYPES)} array")
     parameters = header.get("parameters") if isinstance(header, dict) else None
     if not isinstance(parameters, list):
         raise ValueError(f"{path}: the header has no 'parameters' list")

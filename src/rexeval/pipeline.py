@@ -4,11 +4,12 @@ Five stages, each resumable from the run directory alone: gen-corpus,
 train, generate, evaluate, report. Every stage revalidates the lineage
 hash stored in meta.json, so artifacts produced under one configuration
 abort any stage invoked under another instead of silently mixing runs.
-All artifacts are written deterministically (seeded generators, exact
-float64 bytes in checkpoints, repr floats elsewhere, sorted keys);
-wall-clock timing, peak memory and page faults go to a sidecar file that
-is not part of the run's identity. The first stage a process enters fixes
-glibc's heap policy for the rest of the process (`fix_heap_policy`).
+All artifacts are written deterministically (seeded generators, the
+exact bytes of each parameter store in checkpoints, repr floats
+elsewhere, sorted keys); wall-clock timing, peak memory and page faults
+go to a sidecar file that is not part of the run's identity. The first
+stage a process enters fixes glibc's heap policy for the rest of the
+process (`fix_heap_policy`).
 """
 
 from __future__ import annotations

@@ -669,6 +669,12 @@ def test_a_checkpoint_in_an_earlier_format_asks_for_the_train_stage(micro_ini, r
     assert _cli("generate", "--config", micro_ini, "--out", target, "--quiet") == 1
     err = capsys.readouterr().err
     assert str(ckpt) in err and "rerun the train stage" in err
+    # a float64 v3 file: the current file under the v3 magic line
+    current = (runall_dir / "checkpoints" / "tiny.ckpt").read_bytes()
+    ckpt.write_bytes(current.replace(b"rexeval-checkpoint-v4\n", b"rexeval-checkpoint-v3\n", 1))
+    assert _cli("generate", "--config", micro_ini, "--out", target, "--quiet") == 1
+    err = capsys.readouterr().err
+    assert "rexeval-checkpoint-v3" in err and str(ckpt) in err and "rerun the train stage" in err
 
 
 @pytest.fixture

@@ -11,12 +11,13 @@ import scipy.stats
 from rexeval import models
 from rexeval.autodiff import Tape, log_softmax
 from rexeval.corpus import build_corpus, generate_world, render_review
-from rexeval.lexicon import BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, UNK_ID, extract_aspect
+from rexeval.lexicon import (BOS_ID, EOS_ID, PAD_ID, RESERVED_TOKENS, UNK_ID, Vocab,
+                             extract_aspect)
 from rexeval.models import (CHUNK_ROWS, EOS_TOKEN, KINDS, OracleModel, RandomScorer,
                             RecurrentArch, RecurrentModel, TransformerArch,
                             TransformerModel, UnigramModel,
                             _sum_target_logprobs, clamp_rating, strip_reserved)
-from rexeval.nn import ParamStore, load_checkpoint, save_checkpoint
+from rexeval.nn import ParamStore, clip_global_norm, load_checkpoint, save_checkpoint
 from rexeval.training import TrainConfig, make_batch, padded_ids, train_model
 
 from testkit import (UniformScorer, full_pass_log_likelihoods, generate, log_likelihood,
@@ -195,11 +196,8 @@ def test_the_batched_methods_are_the_one_model_interface(tiny_corpus, lexicon, m
 
 def test_batched_scoring_equals_single_scoring(tiny_corpus, fresh_transformer,
                                                fresh_recurrent):
-    # Scores are a pure function of the request list. That a text scores
-    # the same bits alone, in any chunk and in any order holds for these
-    # 16-wide fixtures only: at other widths a product can round a row
-    # differently with its row count and offset (see the shared-prefix
-    # tests below for the contract that holds at every width).
+    # A text scores the same bits alone, in any chunk and in any order
+    # (the default widths are checked below, at several vocabularies).
     requests = [(r.user, r.item, list(r.tokens))
                 for r in tiny_corpus.test + tiny_corpus.validation]
     # long texts pad the short ones in a chunk past 8 keys, where numpy's
@@ -214,6 +212,34 @@ def test_batched_scoring_equals_single_scoring(tiny_corpus, fresh_transformer,
         assert chunked == single
         shuffled = model.log_likelihood_many([requests[j] for j in order], chunk_size=5)
         assert shuffled == [single[j] for j in order]
+
+
+@pytest.mark.parametrize("width", [64, 68, 89, 96])
+def test_a_text_scores_the_same_bits_in_any_chunk(tiny_corpus, lexicon, width):
+    # At the default model widths and vocabularies of 64 and 96 (multiples
+    # of 16) and 68 and 89 (not), no product of scoring runs on one row and
+    # the output projection runs at an aligned width, so a row's bits do
+    # not depend on the rows it is scored with.
+    n = width - len(RESERVED_TOKENS)
+    vocab = Vocab((tiny_corpus.vocab.tokens() + [f"filler{j}" for j in range(n)])[:n])
+    assert len(vocab) == width
+    rng = np.random.default_rng(width)
+    words = vocab.tokens()
+    requests = [(int(rng.integers(10)), int(rng.integers(8)),
+                 tuple(words[j] for j in rng.integers(len(words), size=rng.integers(1, 26))))
+                for _ in range(150)]
+    requests += requests[:10]  # repeats
+    for model in (TransformerModel(TransformerArch(), vocab, 10, 8, seed=11),
+                  TransformerModel(TransformerArch(use_aspect=True), vocab, 10, 8, seed=12,
+                                   lexicon=lexicon),
+                  RecurrentModel(RecurrentArch(), vocab, 10, 8, seed=13)):
+        alone = [log_likelihood(model, u, i, t) for u, i, t in requests]
+        assert model.log_likelihood_many(requests) == alone, model.kind
+        for chunk_size in (1, 7, 64, len(requests)):
+            order = rng.permutation(len(requests))
+            assert model.log_likelihood_many([requests[j] for j in order],
+                                             chunk_size=chunk_size) == \
+                [alone[j] for j in order], (model.kind, chunk_size)
 
 
 def test_token_log_probs_are_distributions(fresh_transformer, fresh_recurrent):
@@ -347,8 +373,8 @@ def test_truncated_or_padded_checkpoint_is_rejected(tmp_path, tiny_corpus,
     params = {name: fresh_transformer.store[name] for name in names}
     first, second, last = names[0], names[1], names[-1]
 
-    def rejected(changed: dict, message: str) -> None:
-        store = ParamStore()
+    def rejected(changed: dict, message: str, dtype=fresh_transformer.store.dtype) -> None:
+        store = ParamStore(dtype)
         for name, values in changed.items():
             store.add(name, values)
         save_checkpoint(path, store, seed=1, config_hash="h", extra={"model": header["model"]})
@@ -367,6 +393,9 @@ def test_truncated_or_padded_checkpoint_is_rejected(tmp_path, tiny_corpus,
                        f"has '{name}' of shape {shape}"))
     swapped = {second: params[second], first: params[first]}
     rejected({**swapped, **params}, f"parameter '{second}' .* where the model has '{first}'")
+    # the model's layout, in another dtype than the model computes in
+    rejected(params, "value array is <f8 but a 'transformer' model computes in <f4",
+             dtype=np.float64)
 
 
 def test_every_option_a_kind_takes_reaches_the_model(tiny_corpus, lexicon):
@@ -407,6 +436,54 @@ def test_make_batch_layout(tiny_corpus):
     assert batch.scored_positions == sum(len(r.tokens) + 1 for r in reviews)
     with pytest.raises(ValueError, match="empty batch"):
         make_batch([], tiny_corpus.vocab)
+
+
+def test_no_compute_drifts_back_to_float64(tiny_corpus, lexicon, monkeypatch):
+    # every node a training step or an inference pass records, and every
+    # gradient, stays float32; only the scalar losses are float64. A numpy
+    # promotion (a float64 scalar in a float32 product) would show here.
+    nodes = []
+    record = Tape._record
+
+    def recording(self, value, op, backward):
+        nodes.append(record(self, value, op, backward))
+        return nodes[-1]
+
+    monkeypatch.setattr(Tape, "_record", recording)
+    arch = dict(embed_dim=16, ffn_dim=32, layers=1, heads=2)
+    reviews = tiny_corpus.train[:8]
+    batch = make_batch(reviews, tiny_corpus.vocab)
+    for model in (TransformerModel(TransformerArch(**arch), tiny_corpus.vocab, 10, 8, seed=7),
+                  TransformerModel(TransformerArch(**arch, use_aspect=True), tiny_corpus.vocab,
+                                   10, 8, seed=7, lexicon=lexicon),
+                  RecurrentModel(RecurrentArch(embed_dim=16, hidden_dim=24),
+                                 tiny_corpus.vocab, 10, 8, seed=7)):
+        nodes.clear()
+        tape = Tape()
+        nll, mse = model.loss_nodes(tape, batch)
+        tape.backward(tape.add(nll, tape.scale(mse, 0.5)))
+        grads = tape.param_grads(model.store)
+        clip_global_norm(model.store, grads, 5.0)
+        model.store.adam_step(grads, 1e-3)
+        losses = [n for n in nodes if n.value.shape == ()]
+        assert {(n.op, n.value.dtype.name) for n in losses} == {
+            (op, "float64") for op in ("softmax_xent", "squared_error", "scale", "add")}
+        trained = [n for n in nodes if n.value.shape != ()]
+        slots = [n.slot.grad for n in trained if n.slot.grad is not None]
+        assert len(slots) > len(model.store.names())
+        nodes.clear()
+        asked = [(r.user, r.item, r.aspect if model.conditions_on_aspect else None)
+                 for r in reviews]
+        model.log_likelihood_many([(r.user, r.item, r.tokens) for r in reviews])
+        model.generate_many(asked)
+        model.predict_rating_many(asked)
+        assert {n.op for n in nodes} >= {"affine", "embedding"}
+        drift = {(n.op, n.value.dtype.name) for n in trained + nodes
+                 if n.value.dtype != np.float32}
+        assert drift == set(), model.kind
+        assert {g.dtype.name for g in slots} == {"float32"}
+        assert {a.dtype.name for a in (grads, model.store.values, *model.store._moments)} \
+            == {"float32"}
 
 
 def test_strip_reserved():
@@ -493,8 +570,9 @@ def one_pair_pass(model, user, item, aspect_id, word_ids):
                                     np.array([[BOS_ID] + list(word_ids)], dtype=np.int64))
     store = model.store
     r = tape.nonlin(tape.affine(head_in, tape.param(store, "rate.w1"),
-                                tape.param(store, "rate.b1")), "tanh")
-    rating = tape.affine(r, tape.param(store, "rate.w2"), tape.param(store, "rate.b2"))
+                                tape.param(store, "rate.b1"), align=True), "tanh")
+    rating = tape.affine(r, tape.param(store, "rate.w2"), tape.param(store, "rate.b2"),
+                         align=True)
     return log_softmax(logits.value[0]), float(rating.value[0, 0])
 
 

@@ -95,7 +95,8 @@ def test_a_loaded_store_allocates_no_adam_moments(tmp_path):
                     extra={"model": model.architecture_header()})
     header, values = load_checkpoint(path)
     loaded = model_from_parameters(header, values, vocab, source=path).store
-    assert (loaded.values.view(np.uint64) == model.store.values.view(np.uint64)).all()
+    assert loaded.values.dtype == model.store.values.dtype == np.float32
+    assert loaded.values.tobytes() == model.store.values.tobytes()
     assert loaded._moments is None
     loaded.adam_step(np.ones_like(loaded.values), lr=1e-3)
     assert [m.shape for m in loaded._moments] == [loaded.values.shape] * 2
@@ -251,22 +252,36 @@ def _write_checkpoint(path, magic: bytes, header: dict, array: bytes) -> None:
     path.write_bytes(magic + b"\n" + json.dumps(header).encode("utf-8") + b"\n" + array)
 
 
-def test_checkpoint_is_a_v3_header_and_one_little_endian_array(tmp_path):
+def test_checkpoint_is_a_v4_header_and_one_little_endian_array(tmp_path):
+    for dtype in ("<f8", "<f4"):
+        store = ParamStore(dtype)
+        store.add("w", np.array([[1.0, -2.5]]))
+        store.add("b", np.array([0.5]))
+        path = tmp_path / "w.ckpt"
+        save_checkpoint(path, store, seed=0, config_hash="h")
+        magic, header, array = _split_checkpoint(path)
+        assert magic.decode("ascii") == CHECKPOINT_MAGIC == "rexeval-checkpoint-v4"
+        assert header == {"config_hash": "h", "seed": 0, "step": 0,
+                          "parameters": [["w", [1, 2]], ["b", [1]]]}
+        # the array holds the store's values in the store's own dtype
+        values = np.lib.format.read_array(io.BytesIO(array), allow_pickle=False)
+        assert values.dtype.str == dtype and values.shape == (3,)
+        assert values.tobytes() == np.array([1.0, -2.5, 0.5], dtype=dtype).tobytes()
+        # loading returns that one array
+        _, loaded = load_checkpoint(path)
+        assert loaded.dtype.str == dtype and loaded.tobytes() == values.tobytes()
+
+
+def test_checkpoint_rejects_the_float64_only_v3_format(tmp_path):
     store = ParamStore()
     store.add("w", np.array([[1.0, -2.5]]))
-    store.add("b", np.array([0.5]))
-    path = tmp_path / "w.ckpt"
+    path = tmp_path / "v3.ckpt"
     save_checkpoint(path, store, seed=0, config_hash="h")
-    magic, header, array = _split_checkpoint(path)
-    assert magic.decode("ascii") == CHECKPOINT_MAGIC == "rexeval-checkpoint-v3"
-    assert header == {"config_hash": "h", "seed": 0, "step": 0,
-                      "parameters": [["w", [1, 2]], ["b", [1]]]}
-    values = np.lib.format.read_array(io.BytesIO(array), allow_pickle=False)
-    assert values.dtype.str == "<f8" and values.shape == (3,)
-    assert values.tobytes() == np.array([1.0, -2.5, 0.5], dtype="<f8").tobytes()
-    # loading returns that one array
-    _, loaded = load_checkpoint(path)
-    assert loaded.tobytes() == values.tobytes()
+    _, header, array = _split_checkpoint(path)
+    _write_checkpoint(path, b"rexeval-checkpoint-v3", header, array)
+    with pytest.raises(ValueError, match="rexeval-checkpoint-v3") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value) and "rerun the train stage" in str(err.value)
 
 
 def test_checkpoint_rejects_the_hex_float_format(tmp_path):
@@ -328,13 +343,13 @@ def test_checkpoint_rejects_a_cut_or_padded_array(tmp_path):
     assert str(path) in str(err.value)
 
 
-def test_checkpoint_rejects_any_dtype_but_little_endian_doubles(tmp_path):
+def test_checkpoint_rejects_any_dtype_but_little_endian_floats(tmp_path):
     store = ParamStore()
     store.add("w", np.arange(6.0).reshape(2, 3))
     path = tmp_path / "dtype.ckpt"
     save_checkpoint(path, store, seed=0, config_hash="h")
     magic, header, _ = _split_checkpoint(path)
-    for dtype in (">f8", "<f4", "<i8"):
+    for dtype in (">f8", ">f4", "<f2", "<i8"):
         buffer = io.BytesIO()
         np.lib.format.write_array(buffer, np.arange(6).astype(dtype))
         _write_checkpoint(path, magic, header, buffer.getvalue())
