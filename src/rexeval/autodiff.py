@@ -310,9 +310,9 @@ class Tape:
             self._steps.append((node.slot, backward))
         return node
 
-    def leaf(self, values, op: str = "leaf") -> Node:
+    def leaf(self, values) -> Node:
         """Fixed float values, in their own dtype."""
-        return self._record(values, op, None)
+        return self._record(values, "leaf", None)
 
     def param(self, store, name: str) -> Node:
         """Wrap a named parameter as a leaf, one node per name per tape. On

@@ -133,11 +133,9 @@ def classify_polarity(tokens, lexicon: Lexicon) -> str:
 class Vocab:
     """Token/id bijection with the four reserved ids first."""
 
-    def __init__(self, tokens=()):
+    def __init__(self):
         self._id_to_token: list[str] = list(RESERVED_TOKENS)
         self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(RESERVED_TOKENS)}
-        for tok in tokens:
-            self.add(tok)
 
     @classmethod
     def from_texts(cls, texts) -> "Vocab":

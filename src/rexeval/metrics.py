@@ -32,6 +32,13 @@ from .training import TrainConfig, optimize, padded_ids
 
 HIGHER = "higher"
 LOWER = "lower"
+AIR_MIN_RATING = 4
+# the TLAE regressor's hidden width, training, and texts per inference pass
+REGRESSOR_HIDDEN = 32
+REGRESSOR_TRAINING = TrainConfig(epochs=12, batch_size=64, lr=3e-3, clip_norm=5.0, patience=3)
+REGRESSOR_CHUNK = 256
+EMBEDDING_WINDOW = 2
+BIGRAM_ALPHA = 0.1
 
 
 @dataclass(frozen=True)
@@ -101,16 +108,17 @@ class AuditWriter:
 # faithfulness: sentiment-negation invariance
 
 
-def air(model, reviews, lexicon: Lexicon, *, texts=None, min_rating: int = 4,
-        source: str = "ground-truth", name: str = "air", audit=None) -> MetricResult:
-    """Percentage of positive reviews whose sentiment-negated rewrite does
-    NOT receive strictly lower perplexity; ties count as invariant."""
+def air(model, reviews, lexicon: Lexicon, *, texts=None, source: str = "ground-truth",
+        name: str = "air", audit=None) -> MetricResult:
+    """Percentage of positive reviews (rated AIR_MIN_RATING or more) whose
+    sentiment-negated rewrite does NOT receive strictly lower perplexity;
+    ties count as invariant."""
     if texts is not None and len(texts) != len(reviews):
         raise ValueError("texts must align with reviews")
     pool = []
     excluded = 0
     for idx, review in enumerate(reviews):
-        if review.rating < min_rating:
+        if review.rating < AIR_MIN_RATING:
             continue
         tokens = list(texts[idx]) if texts is not None else list(review.tokens)
         if not tokens:
@@ -139,7 +147,7 @@ def air(model, reviews, lexicon: Lexicon, *, texts=None, min_rating: int = 4,
                   ppl_negated=ppl_neg, flipped=is_flipped)
     value = 100.0 * (1.0 - flipped / len(pool))
     return MetricResult(name, value, len(pool), excluded, HIGHER,
-                        {"min_rating": min_rating, "source": source})
+                        {"min_rating": AIR_MIN_RATING, "source": source})
 
 
 # ----------------------------------------------------------------------
@@ -157,42 +165,53 @@ class MrrProbes(NamedTuple):
     requests: list[tuple]
 
 
-def mrr_ae_eligible(reviews, k: int) -> list[int]:
-    """Each gold's number of eligible candidates: the review pool less the
-    texts identical to the gold text. Raises ValueError unless every gold
-    has at least k."""
+def _exclusions(reviews, lexicon: Lexicon, k: int) -> tuple[list, list, list[int]]:
+    """(candidate keys, gold keys, eligible counts) of an MRR-AE pool. A
+    candidate key is the text with its aspect terms blanked (None); a gold
+    key is that, or None if the text names an aspect not its own. Aspect
+    rewrites replace every aspect term, so a candidate scores as exactly
+    the gold text when its key is the gold key."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not reviews:
         raise ValueError("empty review pool")
-    dups = Counter(review.text for review in reviews)
-    eligible = [len(reviews) - dups[review.text] for review in reviews]
+    blanked = [tuple(None if lexicon.is_aspect(t) else t for t in r.tokens) for r in reviews]
+    golds = [key if all(t == r.aspect for t, b in zip(r.tokens, key) if b is None) else None
+             for r, key in zip(reviews, blanked)]
+    counts = Counter(blanked)
+    eligible = [len(reviews) - counts[key] for key in golds]
     for count in eligible:
         if count < k:
             raise ValueError(f"not enough distinct candidates: {count} < k={k}")
-    return eligible
+    return blanked, golds, eligible
 
 
-def mrr_ae_probes(reviews, lexicon: Lexicon, *, k: int = 100, seed: int = 0) -> MrrProbes:
+def mrr_ae_eligible(reviews, lexicon: Lexicon, k: int) -> list[int]:
+    """Each gold's number of eligible candidates: the pool less those whose
+    rewrite into the gold's aspect (themselves, if they name none) is the
+    gold text. Raises ValueError unless every gold has at least k."""
+    return _exclusions(reviews, lexicon, k)[2]
+
+
+def mrr_ae_probes(reviews, lexicon: Lexicon, *, k: int, seed: int) -> MrrProbes:
     """Every gold's candidates and the texts MRR-AE scores for them.
 
-    Candidates are drawn from the same review pool excluding only texts
-    identical to the gold text, with one seeded generator per gold.
-    Candidates without any aspect term are used unchanged, and each
-    (candidate, aspect) rewrite is computed once.
+    Candidates are drawn from the review pool, with one seeded generator
+    per gold, less those `mrr_ae_eligible` excludes. Candidates without
+    any aspect term are used unchanged, and each (candidate, aspect)
+    rewrite is computed once.
     """
-    eligible = mrr_ae_eligible(reviews, k)
-    texts = [review.text for review in reviews]
+    blanked, golds, eligible = _exclusions(reviews, lexicon, k)
     rewrites: dict[tuple[int, str], tuple[str, ...]] = {}
     pools = []
     requests = []
     for idx, gold in enumerate(reviews):
         if eligible[idx] == k:
-            chosen = [j for j in range(len(reviews)) if texts[j] != texts[idx]]
+            chosen = [j for j in range(len(reviews)) if blanked[j] != golds[idx]]
         else:
             rng = np.random.default_rng([seed, 0x3A3, idx])
             chosen = sample_distinct(rng, len(reviews), k,
-                                     lambda j: texts[j] == texts[idx])
+                                     lambda j: blanked[j] == golds[idx])
         pools.append(chosen)
         requests.append((gold.user, gold.item, gold.tokens))
         for j in chosen:
@@ -233,7 +252,7 @@ def mrr_ae(model, probes: MrrProbes, *, audit=None) -> MetricResult:
     value = 100.0 * (rr_sum / len(probes.pools))
     return MetricResult("mrr_ae", value, len(probes.pools), 0, HIGHER,
                         {"k": probes.k, "seed": probes.seed,
-                         "candidate_exclusion": "textual-duplicates-only"})
+                         "candidate_exclusion": "rewrites-equal-to-gold"})
 
 
 # ----------------------------------------------------------------------
@@ -248,17 +267,16 @@ class AuxRegressor:
     cannot depend on who wrote the review or about what item.
     """
 
-    def __init__(self, vocab: Vocab, embed_dim: int = 32, hidden_dim: int = 32,
-                 seed: int = 0):
+    def __init__(self, vocab: Vocab, embed_dim: int, seed: int):
         self.vocab = vocab
         self.embed_dim = embed_dim
         rng = np.random.default_rng([seed, 0xA0C])
         store = ParamStore()
         store.add_uniform("word.emb", (len(vocab), embed_dim), rng)
         store.add_uniform("query", (embed_dim,), rng)
-        store.add_uniform("head.w1", (embed_dim, hidden_dim), rng)
-        store.add_zeros("head.b1", (hidden_dim,))
-        store.add_uniform("head.w2", (hidden_dim, 1), rng)
+        store.add_uniform("head.w1", (embed_dim, REGRESSOR_HIDDEN), rng)
+        store.add_zeros("head.b1", (REGRESSOR_HIDDEN,))
+        store.add_uniform("head.w2", (REGRESSOR_HIDDEN, 1), rng)
         store.add_zeros("head.b2", (1,))
         self.store = store
         self.validation_mse: float | None = None
@@ -282,35 +300,25 @@ class AuxRegressor:
         input_ids, _, pad = padded_ids(ids)
         return input_ids[:, 1:], pad[:, 1:]  # without the BOS column
 
-    def predict_many(self, texts, chunk_size: int = 256) -> np.ndarray:
+    def predict_many(self, texts) -> np.ndarray:
         out = np.empty(len(texts), dtype=np.float64)
-        for start in range(0, len(texts), chunk_size):
-            chunk = texts[start:start + chunk_size]
+        for start in range(0, len(texts), REGRESSOR_CHUNK):
+            chunk = texts[start:start + REGRESSOR_CHUNK]
             input_ids, pad = self._encode(chunk)
             raw = self._run(Tape(grad=False), input_ids, pad).value[:, 0]
             out[start:start + len(chunk)] = np.clip(raw, 1.0, 5.0)
         return out
 
 
-def train_aux_regressor(corpus, *, embed_dim: int = 32, hidden_dim: int = 32,
-                        epochs: int = 12, lr: float = 3e-3, batch_size: int = 64,
-                        patience: int = 3, clip_norm: float = 5.0, seed: int = 0,
-                        log=None, ratings=None) -> AuxRegressor:
+def train_aux_regressor(corpus, *, embed_dim: int, seed: int, log=None) -> AuxRegressor:
     """Fit the text-only regressor on the train split through the models'
-    optimiser loop (`training.optimize`), selecting the epoch with the best
-    validation MSE.
-
-    `ratings` optionally overrides the train-split targets (same order);
-    used by label-permutation controls.
-    """
+    optimiser loop (`training.optimize`) with REGRESSOR_TRAINING, selecting
+    the epoch with the best validation MSE."""
     if not corpus.train:
         raise ValueError("empty train split")
-    reg = AuxRegressor(corpus.vocab, embed_dim, hidden_dim, seed)
+    reg = AuxRegressor(corpus.vocab, embed_dim, seed)
     train_texts = [list(r.tokens) for r in corpus.train]
-    train_targets = np.array([r.rating for r in corpus.train], dtype=np.float64) \
-        if ratings is None else np.asarray(ratings, dtype=np.float64)
-    if train_targets.shape[0] != len(train_texts):
-        raise ValueError("ratings must align with the train split")
+    train_targets = np.array([r.rating for r in corpus.train], dtype=np.float64)
     val_texts = [list(r.tokens) for r in corpus.validation]
     val_targets = [float(r.rating) for r in corpus.validation]
     # center the head at the mean target so the [1, 5] clamp is not
@@ -320,8 +328,8 @@ def train_aux_regressor(corpus, *, embed_dim: int = 32, hidden_dim: int = 32,
 
     def batches():
         order = rng.permutation(len(train_texts))
-        for start in range(0, len(train_texts), batch_size):
-            rows = order[start:start + batch_size]
+        for start in range(0, len(train_texts), REGRESSOR_TRAINING.batch_size):
+            rows = order[start:start + REGRESSOR_TRAINING.batch_size]
             input_ids, pad = reg._encode([train_texts[j] for j in rows])
             yield input_ids, pad, train_targets[rows].reshape(-1, 1)
 
@@ -335,9 +343,8 @@ def train_aux_regressor(corpus, *, embed_dim: int = 32, hidden_dim: int = 32,
             log(f"regressor epoch {epoch}: val mse {val_mse:.4f}")
         return val_mse, val_mse
 
-    config = TrainConfig(epochs=epochs, batch_size=batch_size, lr=lr, clip_norm=clip_norm,
-                         patience=patience, seed=seed)
-    _, reg.validation_mse = optimize(reg.store, config, batches, loss, validate, "regressor")
+    _, reg.validation_mse = optimize(reg.store, REGRESSOR_TRAINING, batches, loss, validate,
+                                     "regressor")
     return reg
 
 
@@ -472,23 +479,21 @@ class EmbeddingTable:
         return block
 
 
-def train_cooccurrence_embeddings(corpus, dim: int = 32, window: int = 2) -> EmbeddingTable:
+def train_cooccurrence_embeddings(corpus, dim: int) -> EmbeddingTable:
     """PPMI co-occurrence factorization over the train split.
 
-    Counts are collected in a +-window around each token, the positive
-    PMI matrix is factorized by SVD, and each component is
+    Counts are collected in a +-EMBEDDING_WINDOW window around each token,
+    the positive PMI matrix is factorized by SVD, and each component is
     sign-normalized so the decomposition is reproducible. The UNK row
     is a constant vector so unseen tokens still have a direction.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
     vocab = corpus.vocab
     V = len(vocab)
     counts = np.zeros((V, V), dtype=np.float64)
     for review in corpus.train:
         ids = vocab.encode(review.tokens, append_eos=False)
         for pos, tid in enumerate(ids):
-            lo = max(0, pos - window)
+            lo = max(0, pos - EMBEDDING_WINDOW)
             for ctx in ids[lo:pos]:
                 counts[tid, ctx] += 1
                 counts[ctx, tid] += 1
@@ -549,21 +554,18 @@ def gm_f1_metric(instances, table: EmbeddingTable, audit=None) -> MetricResult:
 
 
 class BigramLM:
-    """Add-alpha bigram language model over the corpus vocabulary."""
+    """Add-BIGRAM_ALPHA bigram language model over the corpus vocabulary."""
 
-    def __init__(self, vocab: Vocab, counts: np.ndarray, unigram: np.ndarray,
-                 alpha: float):
+    def __init__(self, vocab: Vocab, counts: np.ndarray, unigram: np.ndarray):
         self.vocab = vocab
-        self.alpha = alpha
         self._bigram = counts
         self._context = counts.sum(axis=1)
         self._unigram = unigram
         self._uni_total = float(unigram.sum())
+        self._alpha_mass = BIGRAM_ALPHA * self.vocab_size  # what smoothing adds to a total
 
     @classmethod
-    def fit(cls, corpus, alpha: float = 0.1) -> "BigramLM":
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+    def fit(cls, corpus) -> "BigramLM":
         vocab = corpus.vocab
         V = len(vocab)
         counts = np.zeros((V, V), dtype=np.float64)
@@ -574,20 +576,20 @@ class BigramLM:
                 unigram[tid] += 1
             for prev, nxt in zip(ids[:-1], ids[1:]):
                 counts[prev, nxt] += 1
-        return cls(vocab, counts, unigram, alpha)
+        return cls(vocab, counts, unigram)
 
     @property
     def vocab_size(self) -> int:
         return len(self.vocab)
 
     def unigram_prob(self, tid: int) -> float:
-        return (self._unigram[tid] + self.alpha) / (self._uni_total + self.alpha * self.vocab_size)
+        return (self._unigram[tid] + BIGRAM_ALPHA) / (self._uni_total + self._alpha_mass)
 
     def bigram_prob(self, prev: int, tid: int) -> float:
-        return (self._bigram[prev, tid] + self.alpha) / (self._context[prev] + self.alpha * self.vocab_size)
+        return (self._bigram[prev, tid] + BIGRAM_ALPHA) / (self._context[prev] + self._alpha_mass)
 
 
-def cond_nll_score(generated, reference, lm: BigramLM, weight: float = 0.5) -> float:
+def cond_nll_score(generated, reference, lm: BigramLM, weight: float) -> float:
     """Mean NLL of the generated text under the corpus bigram model
     interpolated with the reference's own bigram statistics.
 
@@ -619,7 +621,7 @@ def cond_nll_score(generated, reference, lm: BigramLM, weight: float = 0.5) -> f
     return total / len(ids)
 
 
-def cnll_metric(instances, lm: BigramLM, weight: float = 0.5, audit=None) -> MetricResult:
+def cnll_metric(instances, lm: BigramLM, weight: float, audit=None) -> MetricResult:
     """Mean conditioned NLL over (user, item, generated, reference) instances."""
     if not instances:
         raise ValueError("no instances to score")

@@ -78,7 +78,7 @@ class ExplainableRecommender(abc.ABC):
         aspect is None for models that do not condition on one."""
 
     @abc.abstractmethod
-    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
+    def generate_many(self, requests) -> list[list[str]]:
         """Explanation tokens per (user, item, aspect) request, each ending
         with the EOS marker."""
 
@@ -211,7 +211,7 @@ class NeuralRecommender(ExplainableRecommender):
             users[b], items[b], aspects[b] = user, item, aspect_id(x)
         return users, items, aspects
 
-    def log_likelihood_many(self, requests, chunk_size: int = CHUNK_ROWS) -> list[float]:
+    def log_likelihood_many(self, requests) -> list[float]:
         """Batched scoring in request order.
 
         Every request is checked first, and each distinct text is encoded,
@@ -246,8 +246,8 @@ class NeuralRecommender(ExplainableRecommender):
         past_of = self._shared_prefixes(users, items, aspects)
         order = length_order(lengths)
         out = np.empty(len(requests))
-        for start in range(0, len(order), chunk_size):
-            rows = order[start:start + chunk_size]
+        for start in range(0, len(order), CHUNK_ROWS):
+            rows = order[start:start + CHUNK_ROWS]
             input_ids, target_ids, pad = padded_ids([text(requests[j][2])[0] for j in rows])
             out[rows] = self._ll_chunk(users[rows], items[rows], aspects[rows], input_ids,
                                        target_ids, pad,
@@ -275,20 +275,19 @@ class NeuralRecommender(ExplainableRecommender):
         _, head_in, _ = self._run(tape, users, items, aspects, bos)
         return [clamp_rating(r) for r in self._rating_head(tape, head_in).value[:, 0].tolist()]
 
-    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
+    def generate_many(self, requests) -> list[list[str]]:
         """Greedy decoding in request order, CHUNK_ROWS requests at a time,
         carrying each architecture's state (K/V cache or GRU state) between
         steps; a row's tokens do not depend on the other rows decoded with
         it. All requests are validated before any forward pass."""
         users, items, aspects = self._prefixes(list(requests), self._decode_aspect_id)
-        max_len = max_len or self.arch.max_len
         texts = []
         for lo in range(0, len(users), CHUNK_ROWS):
             rows = slice(lo, lo + CHUNK_ROWS)
-            texts += self._decode_chunk(users[rows], items[rows], aspects[rows], max_len)
+            texts += self._decode_chunk(users[rows], items[rows], aspects[rows])
         return texts
 
-    def _decode_chunk(self, users, items, aspects, max_len: int) -> list[list[str]]:
+    def _decode_chunk(self, users, items, aspects) -> list[list[str]]:
         """Greedy explanations for the rows of one chunk, decoded side by side.
 
         The first pass runs the prefix and BOS of every row; each later one
@@ -298,7 +297,7 @@ class NeuralRecommender(ExplainableRecommender):
         """
         n = len(users)
         words: list[list[int]] = [[] for _ in range(n)]
-        if n and max_len > 1:
+        if n and self.arch.max_len > 1:
             bos = np.full((n, 1), BOS_ID, dtype=np.int64)
             logits, _, state = self._run(Tape(grad=False), users, items, aspects, bos)
             alive = np.arange(n)
@@ -311,7 +310,7 @@ class NeuralRecommender(ExplainableRecommender):
                 alive, nxt = alive[going], nxt[going]
                 for row, wid in zip(alive.tolist(), nxt.tolist()):
                     words[row].append(wid)
-                if not alive.size or len(words[alive[0]]) >= max_len - 1:
+                if not alive.size or len(words[alive[0]]) >= self.arch.max_len - 1:
                     break
                 if not going.all():
                     state = self._keep_rows(state, going)
@@ -580,7 +579,7 @@ class OracleModel(ExplainableRecommender):
     def predict_rating_many(self, requests) -> list[float]:
         return [float(self._gold(user, item).rating) for user, item, _ in requests]
 
-    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
+    def generate_many(self, requests) -> list[list[str]]:
         return [list(self._gold(user, item).tokens) + [EOS_TOKEN] for user, item, _ in requests]
 
     def log_likelihood_many(self, requests) -> list[float]:
@@ -597,21 +596,19 @@ class OracleModel(ExplainableRecommender):
 class RandomScorer(ExplainableRecommender):
     """Seeded i.i.d. scores per (user, item, text); pure, hence memoized."""
 
-    def __init__(self, seed: int, vocab: Vocab | None = None):
+    def __init__(self, seed: int, vocab: Vocab):
         self.seed = seed
         self.vocab = vocab
 
     def predict_rating_many(self, requests) -> list[float]:
         return [1.0 + 4.0 * _unit(self.seed, "rating", user, item) for user, item, _ in requests]
 
-    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
-        if self.vocab is None:
-            raise ValueError("random generation needs a vocabulary")
+    def generate_many(self, requests) -> list[list[str]]:
         words = self.vocab.tokens()
         texts = []
         for user, item, _ in requests:
             rng = np.random.default_rng([self.seed, user, item])
-            n = min(int(rng.integers(3, 9)), (max_len or 24) - 1)
+            n = int(rng.integers(3, 9))
             texts.append([words[int(rng.integers(len(words)))] for _ in range(n)] + [EOS_TOKEN])
         return texts
 
@@ -642,7 +639,7 @@ class UnigramModel(ExplainableRecommender):
     def predict_rating_many(self, requests) -> list[float]:
         return [clamp_rating(self.mean_rating) for _ in requests]
 
-    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
+    def generate_many(self, requests) -> list[list[str]]:
         """The most probable word that is not reserved, then EOS."""
         ranked = np.argsort(-self.log_probs)
         best = [self.vocab.id_to_token(int(tid))

@@ -32,7 +32,8 @@ import numpy as np
 
 CHECKPOINT_MAGIC = "rexeval-checkpoint-v4"
 _WIRE_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
-INIT_SCALE = 0.08
+INIT_SCALE = 0.08  # half-width of the uniform initialisation
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class ParamStore:
@@ -61,9 +62,9 @@ class ParamStore:
         self._slots[name] = (start, self.values.size, arr.shape)
         return self[name]
 
-    def add_uniform(self, name: str, shape: tuple[int, ...], rng: np.random.Generator,
-                    scale: float = INIT_SCALE) -> np.ndarray:
-        return self.add(name, rng.uniform(-scale, scale, size=shape))
+    def add_uniform(self, name: str, shape: tuple[int, ...],
+                    rng: np.random.Generator) -> np.ndarray:
+        return self.add(name, rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape))
 
     def add_zeros(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         return self.add(name, np.zeros(shape))
@@ -86,25 +87,24 @@ class ParamStore:
         """Each parameter's [name, shape list] in order: a checkpoint's `parameters`."""
         return [[name, list(shape)] for name, (_, _, shape) in self._slots.items()]
 
-    def adam_step(self, grads: np.ndarray, lr: float,
-                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    def adam_step(self, grads: np.ndarray, lr: float) -> None:
         """Bias-corrected Adam update of `values` by a flat gradient."""
-        if lr <= 0 or not (0 < beta1 < 1) or not (0 < beta2 < 1) or eps <= 0:
-            raise ValueError("adam hyperparameters out of range")
+        if lr <= 0:
+            raise ValueError(f"adam learning rate {lr} out of range")
         if grads.shape != self.values.shape:
             raise ValueError(f"gradient shape mismatch: {grads.shape} vs {self.values.shape}")
         if self._moments is None:  # first update: the moments start at zero
             self._moments = (np.zeros_like(self.values), np.zeros_like(self.values))
         m, v = self._moments
         self.step += 1
-        bc1 = 1.0 - beta1 ** self.step
-        bc2 = 1.0 - beta2 ** self.step
+        bc1 = 1.0 - ADAM_BETA1 ** self.step
+        bc2 = 1.0 - ADAM_BETA2 ** self.step
         # each operation in the order and association of the formula
-        m *= beta1
-        m += (1.0 - beta1) * grads
-        v *= beta2
-        v += (1.0 - beta2) * (grads * grads)
-        self.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grads
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (grads * grads)
+        self.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def clip_global_norm(store: ParamStore, grads: np.ndarray, max_norm: float) -> float:

@@ -238,7 +238,7 @@ def stage_train(config: RunConfig, log=None) -> dict:
         corpus, lexicon, _ = _load_corpus_artifacts(config, "train")
         if "mrr_ae" in config.metrics.metrics:
             # a k the evaluation pool cannot supply fails before any training
-            mrr_ae_eligible(_evaluation_pool(config, corpus), config.metrics.k)
+            mrr_ae_eligible(_evaluation_pool(config, corpus), lexicon, config.metrics.k)
         ckpt_dir = out / CKPT_DIR
         log_dir = out / TRAIN_LOG_DIR
         ckpt_dir.mkdir(exist_ok=True)

@@ -15,6 +15,8 @@ from pathlib import Path
 
 from .metrics import CELLS, CELLS_BY_KEY, HIGHER, MetricResult
 
+AUDIT_TOL = 1e-9  # largest relative gap between a cell and its audit recomputation
+
 
 @dataclass
 class ModelRow:
@@ -196,8 +198,8 @@ def _recompute(cell, name: str, rows: list[dict], path: Path) -> tuple[float, li
         raise
 
 
-def verify_against_audit(report: EvaluationReport, audit_dir, cells=None,
-                         tol: float = 1e-9) -> list[tuple[str, str, float, float]]:
+def verify_against_audit(report: EvaluationReport, audit_dir,
+                         cells=None) -> list[tuple[str, str, float, float]]:
     """Recompute report cells from per-instance audit logs.
 
     `cells` optionally restricts the check to (model, column-key) pairs;
@@ -205,7 +207,7 @@ def verify_against_audit(report: EvaluationReport, audit_dir, cells=None,
     audit log, and a run without audit logs verifies nothing. Returns the
     checked (model, key, reported, recomputed) tuples and raises
     AuditMismatch on a checked cell without its log, any disagreement
-    beyond `tol` (relative to the reported magnitude) or any
+    beyond AUDIT_TOL (relative to the reported magnitude) or any
     instance-count mismatch.
     """
     audit_dir = Path(audit_dir)
@@ -230,7 +232,7 @@ def verify_against_audit(report: EvaluationReport, audit_dir, cells=None,
                     f"{row.model}/{key}: audit has {len(rows)} instances, "
                     f"report says {cell.count}")
             recomputed, unexplained = _recompute(CELLS_BY_KEY[key], cell.name, rows, path)
-            if abs(recomputed - cell.value) > tol * max(1.0, abs(cell.value)):
+            if abs(recomputed - cell.value) > AUDIT_TOL * max(1.0, abs(cell.value)):
                 raise AuditMismatch(
                     f"{row.model}/{key}: reported {cell.value!r} but audit "
                     f"recomputes to {recomputed!r}")

@@ -23,6 +23,7 @@ from .nn import clip_global_norm
 # wide enough that a batch pads little, narrow enough that batch contents
 # still vary from epoch to epoch.
 BUCKET_WINDOW = 8
+VALIDATION_CHUNK = 64  # reviews per validation forward pass
 
 
 class DivergenceError(RuntimeError):
@@ -134,8 +135,7 @@ def epoch_batches(lengths, batch_size: int, rng) -> list[np.ndarray]:
     return [batches[k] for k in rng.permutation(len(batches))]
 
 
-def joint_loss(model, reviews, vocab, rating_weight: float,
-               batch_size: int = 64) -> tuple[float, float, float]:
+def joint_loss(model, reviews, vocab, rating_weight: float) -> tuple[float, float, float]:
     """(joint, nll, mse) over the reviews; nll is token-weighted across chunks.
 
     Reviews are chunked in `length_order`, so a chunk pads little.
@@ -148,8 +148,8 @@ def joint_loss(model, reviews, vocab, rating_weight: float,
     mse_sum = 0.0
     positions = 0
     order = length_order([len(r.tokens) for r in reviews])
-    for start in range(0, len(order), batch_size):
-        chunk = [reviews[j] for j in order[start:start + batch_size]]
+    for start in range(0, len(order), VALIDATION_CHUNK):
+        chunk = [reviews[j] for j in order[start:start + VALIDATION_CHUNK]]
         batch = make_batch(chunk, vocab)
         nll, mse = model.loss_nodes(Tape(grad=False), batch)
         n = batch.scored_positions

@@ -58,7 +58,7 @@ def test_criterion_2_uniform_scorer_perplexity_law(capsys):
 
 
 def test_criterion_3_random_scorer_sits_at_chance(big_corpus, lexicon, capsys):
-    scorer = RandomScorer(seed=55)
+    scorer = RandomScorer(55, big_corpus.vocab)
     invariance = air(scorer, big_corpus.test, lexicon)
     ranking = mrr_ae(scorer, mrr_ae_probes(big_corpus.test[:10000], lexicon, k=100, seed=99))
     baseline = mrr_random_baseline(100)
@@ -123,7 +123,7 @@ def test_criterion_5_trained_models_beat_their_baselines(
 
 
 def test_criterion_6_metrics_match_brute_force_exactly(small_corpus, lexicon, capsys):
-    scorer = RandomScorer(seed=13)
+    scorer = RandomScorer(13, small_corpus.vocab)
 
     positives = [r for r in small_corpus.test if r.rating >= 4
                  and negate_sentiment(list(r.tokens), lexicon) is not None][:10]
@@ -202,7 +202,7 @@ class _SquaredPerplexity:
 
 
 def test_criterion_7_squaring_probabilities_changes_nothing(sanity_corpus, lexicon, capsys):
-    base = RandomScorer(seed=77)
+    base = RandomScorer(77, sanity_corpus.vocab)
     squared = _SquaredPerplexity(base)
 
     audit_base, audit_sq = AuditWriter(), AuditWriter()

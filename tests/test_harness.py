@@ -610,7 +610,7 @@ def test_evaluate_errors_name_the_model_and_cell(micro_ini, runall_dir, tmp_path
     target = tmp_path / "mute"
     shutil.copytree(runall_dir, target)
     monkeypatch.setattr(TransformerModel, "generate_many",
-                        lambda self, requests, max_len=None: [[EOS_TOKEN] for _ in requests])
+                        lambda self, requests: [[EOS_TOKEN] for _ in requests])
     assert _cli("generate", "--config", micro_ini, "--out", target, "--quiet",
                 "--models", "tiny") == 0
     assert _cli("evaluate", "--config", micro_ini, "--out", target, "--quiet",
@@ -776,3 +776,24 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+def test_perfbench_spans_install_resolves_every_name_it_wraps():
+    # `install` looks up each name it wraps in the rexeval modules and
+    # classes of this checkout, so a renamed one raises. The scoring entry
+    # point is wrapped only on a class that defines it, so that one is
+    # checked by hand. A process of its own keeps the wrappers out of the
+    # other tests.
+    code = ("from rexeval import models, pipeline\n"
+            "import spans\n"
+            "before = models.ExplainableRecommender.perplexity_many\n"
+            "spans.install(spans.Recorder('check'))\n"
+            "assert models.ExplainableRecommender.perplexity_many is not before\n"
+            "print('installed')\n")
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(Path(rexeval.__file__).parents[1]), str(root / "perfbench")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=False, env=env)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == "installed\n"

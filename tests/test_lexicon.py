@@ -106,7 +106,8 @@ def test_vocab_reserved_layout():
 
 
 def test_vocab_add_and_lookup():
-    vocab = Vocab(["b", "a"])
+    vocab = Vocab()
+    assert (vocab.add("b"), vocab.add("a")) == (4, 5)
     assert vocab.add("b") == vocab.token_to_id("b") == 4
     assert vocab.token_to_id("a") == 5
     assert vocab.token_to_id("missing") == UNK_ID
@@ -119,7 +120,7 @@ def test_vocab_from_texts_keeps_first_occurrence_order():
 
 
 def test_encode_decode_round_trip():
-    vocab = Vocab(["hello", "world"])
+    vocab = Vocab.from_texts([["hello", "world"]])
     ids = vocab.encode(["hello", "world", "unknown"])
     assert list(ids) == [4, 5, UNK_ID, EOS_ID]
     assert [vocab.id_to_token(i) for i in ids] == ["hello", "world", "<unk>", "<eos>"]
@@ -129,5 +130,5 @@ def test_encode_decode_round_trip():
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.text(alphabet="abcdef", min_size=1, max_size=4), max_size=10))
 def test_encode_decode_identity_for_known_tokens(tokens):
-    vocab = Vocab(tokens)
+    vocab = Vocab.from_texts([tokens])
     assert [vocab.id_to_token(i) for i in vocab.encode(tokens, append_eos=False)] == tokens

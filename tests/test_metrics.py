@@ -3,22 +3,21 @@
 import dataclasses
 import math
 import zlib
-from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from rexeval.lexicon import NEGATIVE, RESERVED_TOKENS, UNK_ID, Vocab, classify_polarity
-from rexeval.metrics import (HIGHER, LOWER, AuditWriter, AuxRegressor,
+from rexeval.metrics import (BIGRAM_ALPHA, HIGHER, LOWER, AuditWriter, AuxRegressor,
                              BigramLM, EmbeddingTable, MetricResult, air,
                              cnll_metric, cond_nll_score, entail_metric,
                              entail_proxy, gm_f1_metric, greedy_match_f1,
-                             mrr_ae, mrr_ae_probes, rmse, rmse_metric,
+                             mrr_ae, mrr_ae_eligible, mrr_ae_probes, rmse, rmse_metric,
                              tlae, train_aux_regressor,
                              train_cooccurrence_embeddings)
-from rexeval.models import (KINDS, RandomScorer, RecurrentArch, RecurrentModel,
-                            TransformerArch, TransformerModel)
+from rexeval.models import (KINDS, OracleModel, RandomScorer, RecurrentArch,
+                            RecurrentModel, TransformerArch, TransformerModel)
 from rexeval.perturb import sample_distinct, substitute_aspect
 from rexeval.training import DivergenceError
 
@@ -114,7 +113,7 @@ def test_air_exclusions_and_errors(small_corpus, lexicon):
     with pytest.raises(ValueError, match="align"):
         air(scorer, reviews, lexicon, texts=texts[:-1])
     with pytest.raises(ValueError, match="empty AIR pool"):
-        air(scorer, reviews, lexicon, min_rating=6)
+        air(scorer, [r for r in reviews if r.rating < 4], lexicon)
 
 
 # ----------------------------------------------------------------------
@@ -135,16 +134,16 @@ def test_mrr_worst_tie_rank_under_uniform_scorer(small_corpus, lexicon):
 
 def test_mrr_determinism_and_errors(small_corpus, lexicon):
     reviews = small_corpus.test[:20]
-    scorer = RandomScorer(seed=6)
+    scorer = RandomScorer(6, small_corpus.vocab)
     a = mrr_ae(scorer, mrr_ae_probes(reviews, lexicon, k=5, seed=2))
     b = mrr_ae(scorer, mrr_ae_probes(reviews, lexicon, k=5, seed=2))
     assert a.value == b.value
     with pytest.raises(ValueError, match="k must be"):
-        mrr_ae_probes(reviews, lexicon, k=0)
+        mrr_ae_probes(reviews, lexicon, k=0, seed=0)
     with pytest.raises(ValueError, match="not enough distinct"):
-        mrr_ae_probes(reviews, lexicon, k=len(reviews))
+        mrr_ae_probes(reviews, lexicon, k=len(reviews), seed=0)
     with pytest.raises(ValueError, match="empty review pool"):
-        mrr_ae_probes([], lexicon, k=1)
+        mrr_ae_probes([], lexicon, k=1, seed=0)
 
 
 def per_gold_mrr_ae(model, reviews, lexicon, *, k, seed):
@@ -153,23 +152,19 @@ def per_gold_mrr_ae(model, reviews, lexicon, *, k, seed):
     Returns the result, one (rank, ppl_gold) pair per gold, and each
     gold's candidate pool indices with their perplexities.
     """
-    texts = [review.text for review in reviews]
-    dups = Counter(texts)
     rr_sum = 0.0
     rows, pools = [], []
     for idx, gold in enumerate(reviews):
-        eligible = len(reviews) - dups[texts[idx]]
+        scored = [rewritten(review, gold.aspect, lexicon) for review in reviews]
+        eligible = sum(text != gold.tokens for text in scored)
         if eligible == k:
-            chosen = [j for j in range(len(reviews)) if texts[j] != texts[idx]]
+            chosen = [j for j in range(len(reviews)) if scored[j] != gold.tokens]
         else:
             rng = np.random.default_rng([seed, 0x3A3, idx])
             chosen = sample_distinct(rng, len(reviews), k,
-                                     lambda j: texts[j] == texts[idx])
+                                     lambda j: scored[j] == gold.tokens)
         requests = [(gold.user, gold.item, gold.tokens)]
-        for j in chosen:
-            pair = substitute_aspect(reviews[j].tokens, gold.aspect, lexicon)
-            requests.append((gold.user, gold.item,
-                             pair.perturbed if pair is not None else reviews[j].tokens))
+        requests += [(gold.user, gold.item, scored[j]) for j in chosen]
         ppls = model.perplexity_many(requests)
         ppl_gold = ppls[0]
         rank = 1 + sum(p < ppl_gold for p in ppls[1:]) + sum(p == ppl_gold for p in ppls[1:])
@@ -178,8 +173,36 @@ def per_gold_mrr_ae(model, reviews, lexicon, *, k, seed):
         pools.append(list(zip(chosen, ppls[1:])))
     result = MetricResult("mrr_ae", 100.0 * (rr_sum / len(reviews)), len(reviews), 0,
                           HIGHER, {"k": k, "seed": seed,
-                                   "candidate_exclusion": "textual-duplicates-only"})
+                                   "candidate_exclusion": "rewrites-equal-to-gold"})
     return result, rows, pools
+
+
+def rewritten(review, aspect, lexicon) -> tuple:
+    """The text MRR-AE scores for a candidate review under a gold of `aspect`."""
+    pair = substitute_aspect(review.tokens, aspect, lexicon)
+    return pair.perturbed if pair is not None else review.tokens
+
+
+def test_mrr_ae_excludes_a_candidate_whose_rewrite_is_the_gold_text(small_corpus, lexicon):
+    pool = small_corpus.validation
+    # two reviews of the pool differ only in their aspect term: each one's
+    # rewrite into the other's aspect is the other's text
+    collisions = [(g, j) for g, gold in enumerate(pool) for j, other in enumerate(pool)
+                  if other.tokens != gold.tokens
+                  and rewritten(other, gold.aspect, lexicon) == gold.tokens]
+    assert len(collisions) == 2 and len({r.text for r in pool}) == len(pool)
+    k = len(pool) - 2  # the colliding golds have just k candidates left
+    probes = mrr_ae_probes(pool, lexicon, k=k, seed=0)
+    for g, j in collisions:
+        assert j not in probes.pools[g]
+        assert len(probes.pools[g]) == k
+    assert mrr_ae(OracleModel(small_corpus.world), probes).value == 100.0
+    expect = [len(pool) - 2 if any(g == idx for g, _ in collisions) else len(pool) - 1
+              for idx in range(len(pool))]
+    assert mrr_ae_eligible(pool, lexicon, k) == expect
+    # k + 1 candidates exist for the colliding golds only with their collision
+    with pytest.raises(ValueError, match=f"not enough distinct candidates: {k} < k={k + 1}"):
+        mrr_ae_eligible(pool, lexicon, k + 1)
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +284,7 @@ def test_mrr_random_baseline_values():
 
 
 def test_regressor_predicts_from_text_alone(small_corpus):
-    reg = AuxRegressor(small_corpus.vocab, embed_dim=16, hidden_dim=16, seed=3)
+    reg = AuxRegressor(small_corpus.vocab, embed_dim=16, seed=3)
     tokens = list(small_corpus.test[0].tokens)
     single = regressor_predict(reg, tokens)
     assert 1.0 <= single <= 5.0
@@ -274,8 +297,7 @@ def test_regressor_predicts_from_text_alone(small_corpus):
 
 def test_regressor_training_learns_the_rating_signal(small_corpus):
     lines = []
-    reg = train_aux_regressor(small_corpus, embed_dim=16, hidden_dim=16,
-                              seed=5, log=lines.append)
+    reg = train_aux_regressor(small_corpus, embed_dim=16, seed=5, log=lines.append)
     val_ratings = [float(r.rating) for r in small_corpus.validation]
     mean_train = float(np.mean([r.rating for r in small_corpus.train]))
     baseline = float(np.mean([(v - mean_train) ** 2 for v in val_ratings]))
@@ -285,31 +307,30 @@ def test_regressor_training_learns_the_rating_signal(small_corpus):
 
     # permuting the labels removes the signal the regressor just found
     rng = np.random.default_rng(8)
-    permuted = rng.permutation([r.rating for r in small_corpus.train])
-    control = train_aux_regressor(small_corpus, embed_dim=16, hidden_dim=16,
-                                  seed=5, ratings=permuted)
+    permuted = rng.permutation([r.rating for r in small_corpus.train]).tolist()
+    shuffled = dataclasses.replace(small_corpus, train=[
+        dataclasses.replace(r, rating=rating) for r, rating in zip(small_corpus.train, permuted)])
+    control = train_aux_regressor(shuffled, embed_dim=16, seed=5)
     assert control.validation_mse > reg.validation_mse
 
 
 def test_regressor_training_input_validation(small_corpus):
-    with pytest.raises(ValueError, match="align"):
-        train_aux_regressor(small_corpus, ratings=[1.0, 2.0])
     with pytest.raises(ValueError, match="empty train split"):
-        train_aux_regressor(dataclasses.replace(small_corpus, train=[]))
+        train_aux_regressor(dataclasses.replace(small_corpus, train=[]), embed_dim=16, seed=0)
 
 
 def test_regressor_training_raises_on_a_non_finite_validation_mse(small_corpus, monkeypatch):
     # NaN passes np.clip, so a diverged regressor reads NaN on validation
     monkeypatch.setattr(AuxRegressor, "predict_many",
-                        lambda self, texts, chunk_size=256: np.full(len(texts), np.nan))
+                        lambda self, texts: np.full(len(texts), np.nan))
     with pytest.raises(DivergenceError, match="regressor diverged in epoch 1: "
                                               "non-finite validation loss") as err:
-        train_aux_regressor(small_corpus, embed_dim=8, hidden_dim=8, epochs=2)
+        train_aux_regressor(small_corpus, embed_dim=8, seed=0)
     assert err.value.last_finite_epoch == 0
 
 
 def test_tlae_matches_external_recomputation(small_corpus):
-    reg = AuxRegressor(small_corpus.vocab, embed_dim=16, hidden_dim=16, seed=3)
+    reg = AuxRegressor(small_corpus.vocab, embed_dim=16, seed=3)
     gens = [(r.user, r.item, list(r.tokens) + ["<eos>"], float(r.rating))
             for r in small_corpus.test[:8]]
     gens.append((0, 0, ["<eos>"], 3.0))  # empty after stripping
@@ -477,36 +498,33 @@ def test_cooccurrence_embeddings(small_corpus):
     assert table.vocab.token_to_id("zzzz") == UNK_ID
     assert cosine(table, "zzzz", "qqqq") == pytest.approx(1.0)
     assert np.linalg.norm(table.vectors[table.vocab.token_to_id("food")]) > 0.0
-    with pytest.raises(ValueError, match="window"):
-        train_cooccurrence_embeddings(small_corpus, window=0)
     bare = SimpleNamespace(vocab=small_corpus.vocab, train=[])
     with pytest.raises(ValueError, match="no co-occurrences"):
-        train_cooccurrence_embeddings(bare)
+        train_cooccurrence_embeddings(bare, dim=16)
 
 
 # ----------------------------------------------------------------------
 # reference-conditioned bigram NLL
 
 
-def _toy_lm(alpha=0.5):
+def _toy_lm():
     vocab = Vocab.from_texts([["a", "b"]])
     train = [SimpleNamespace(tokens=("a", "b", "a"))]
-    return BigramLM.fit(SimpleNamespace(vocab=vocab, train=train), alpha=alpha)
+    return BigramLM.fit(SimpleNamespace(vocab=vocab, train=train))
 
 
 def test_bigram_lm_hand_counts():
-    lm = _toy_lm(alpha=0.5)
+    lm = _toy_lm()
     V = lm.vocab_size
     a = lm.vocab.token_to_id("a")
     b = lm.vocab.token_to_id("b")
-    assert lm.unigram_prob(a) == (2 + 0.5) / (3 + 0.5 * V)
-    assert lm.unigram_prob(b) == (1 + 0.5) / (3 + 0.5 * V)
-    assert lm.bigram_prob(a, b) == (1 + 0.5) / (1 + 0.5 * V)
-    assert lm.bigram_prob(b, b) == 0.5 / (1 + 0.5 * V)
+    alpha = BIGRAM_ALPHA
+    assert lm.unigram_prob(a) == (2 + alpha) / (3 + alpha * V)
+    assert lm.unigram_prob(b) == (1 + alpha) / (3 + alpha * V)
+    assert lm.bigram_prob(a, b) == (1 + alpha) / (1 + alpha * V)
+    assert lm.bigram_prob(b, b) == alpha / (1 + alpha * V)
     expected = -(math.log(lm.unigram_prob(a)) + math.log(lm.bigram_prob(a, b))) / 2
     assert bigram_nll(lm, ["a", "b"]) == pytest.approx(expected, rel=1e-15)
-    with pytest.raises(ValueError, match="alpha"):
-        _toy_lm(alpha=0.0)
 
 
 def test_cond_nll_interpolates_with_the_reference():
@@ -515,16 +533,16 @@ def test_cond_nll_interpolates_with_the_reference():
     hand = -(math.log(lm.unigram_prob(lm.vocab.token_to_id("a")))
              + math.log(0.5 * 1.0 + 0.5 * lm.bigram_prob(
                  lm.vocab.token_to_id("a"), lm.vocab.token_to_id("b")))) / 2
-    assert cond_nll_score(["a", "b"], ["a", "b"], lm) == pytest.approx(hand, rel=1e-15)
+    assert cond_nll_score(["a", "b"], ["a", "b"], lm, 0.5) == pytest.approx(hand, rel=1e-15)
     # no shared context token: identical to the corpus model, bitwise
-    assert cond_nll_score(["a", "a"], ["b", "b"], lm) == bigram_nll(lm, ["a", "a"])
+    assert cond_nll_score(["a", "a"], ["b", "b"], lm, 0.5) == bigram_nll(lm, ["a", "a"])
     assert cond_nll_score(["a", "b"], ["a", "b"], lm, weight=0.0) == bigram_nll(lm, ["a", "b"])
     with pytest.raises(ValueError, match="weight"):
         cond_nll_score(["a"], ["a"], lm, weight=1.5)
     with pytest.raises(ValueError, match="generated"):
-        cond_nll_score([], ["a"], lm)
+        cond_nll_score([], ["a"], lm, 0.5)
     with pytest.raises(ValueError, match="reference"):
-        cond_nll_score(["a"], [], lm)
+        cond_nll_score(["a"], [], lm, 0.5)
 
 
 def test_cnll_metric_aggregates():

@@ -65,7 +65,7 @@ def test_uniform_scorer_contract():
 
 
 def test_perplexity_is_exp_of_mean_negative_ll():
-    scorer = RandomScorer(seed=3)
+    scorer = RandomScorer(3, Vocab())
     tokens = ["alpha", "beta", "gamma"]
     ll = log_likelihood(scorer, 4, 5, tokens)
     assert perplexity(scorer, 4, 5, tokens) == float(np.exp(-ll / 4))
@@ -74,7 +74,7 @@ def test_perplexity_is_exp_of_mean_negative_ll():
 
 
 def test_empty_text_is_rejected_everywhere():
-    scorer = RandomScorer(seed=3)
+    scorer = RandomScorer(3, Vocab())
     with pytest.raises(ValueError, match="empty"):
         log_likelihood(scorer, 0, 0, [])
     with pytest.raises(ValueError, match="empty"):
@@ -84,7 +84,7 @@ def test_empty_text_is_rejected_everywhere():
 
 
 def test_random_scorer_is_deterministic_and_uniform():
-    scorer = RandomScorer(seed=11)
+    scorer = RandomScorer(11, Vocab())
     assert log_likelihood(scorer, 1, 2, ["x"]) == log_likelihood(scorer, 1, 2, ["x"])
     assert log_likelihood(scorer, 1, 2, ["x"]) != log_likelihood(scorer, 1, 3, ["x"])
     # exp(ll) should look uniform on (0, 1)
@@ -96,15 +96,12 @@ def test_random_scorer_is_deterministic_and_uniform():
 
 
 def test_random_scorer_generation(tiny_corpus):
-    scorer = RandomScorer(seed=11, vocab=tiny_corpus.vocab)
+    scorer = RandomScorer(11, tiny_corpus.vocab)
     out = generate(scorer, 3, 4)
     assert out == generate(scorer, 3, 4)
     assert out[-1] == EOS_TOKEN
     assert 3 <= len(out) - 1 <= 8
     assert all(tiny_corpus.vocab.token_to_id(w) != UNK_ID for w in out[:-1])
-    assert len(generate(scorer, 3, 4, max_len=3)) <= 3
-    with pytest.raises(ValueError, match="needs a vocabulary"):
-        generate(RandomScorer(seed=1), 0, 0)
     assert 1.0 <= predict_rating(scorer, 3, 4) <= 5.0
 
 
@@ -208,10 +205,16 @@ def test_batched_scoring_equals_single_scoring(tiny_corpus, fresh_transformer,
         batched = model.log_likelihood_many(requests)
         single = [log_likelihood(model, u, i, t) for u, i, t in requests]
         assert batched == single
-        chunked = model.log_likelihood_many(requests, chunk_size=3)
-        assert chunked == single
-        shuffled = model.log_likelihood_many([requests[j] for j in order], chunk_size=5)
-        assert shuffled == [single[j] for j in order]
+        assert scored_in_calls(model, requests, 3) == single
+        assert scored_in_calls(model, [requests[j] for j in order], 5) == \
+            [single[j] for j in order]
+
+
+def scored_in_calls(model, requests, size: int) -> list[float]:
+    """The log-likelihoods of the requests from separate
+    `log_likelihood_many` calls over consecutive sub-lists of `size`."""
+    return [ll for lo in range(0, len(requests), size)
+            for ll in model.log_likelihood_many(requests[lo:lo + size])]
 
 
 @pytest.mark.parametrize("width", [64, 68, 89, 96])
@@ -221,7 +224,8 @@ def test_a_text_scores_the_same_bits_in_any_chunk(tiny_corpus, lexicon, width):
     # the output projection runs at an aligned width, so a row's bits do
     # not depend on the rows it is scored with.
     n = width - len(RESERVED_TOKENS)
-    vocab = Vocab((tiny_corpus.vocab.tokens() + [f"filler{j}" for j in range(n)])[:n])
+    filled = tiny_corpus.vocab.tokens() + [f"filler{j}" for j in range(n)]
+    vocab = Vocab.from_texts([filled[:n]])
     assert len(vocab) == width
     rng = np.random.default_rng(width)
     words = vocab.tokens()
@@ -235,11 +239,10 @@ def test_a_text_scores_the_same_bits_in_any_chunk(tiny_corpus, lexicon, width):
                   RecurrentModel(RecurrentArch(), vocab, 10, 8, seed=13)):
         alone = [log_likelihood(model, u, i, t) for u, i, t in requests]
         assert model.log_likelihood_many(requests) == alone, model.kind
-        for chunk_size in (1, 7, 64, len(requests)):
+        for size in (1, 7, 64, len(requests)):
             order = rng.permutation(len(requests))
-            assert model.log_likelihood_many([requests[j] for j in order],
-                                             chunk_size=chunk_size) == \
-                [alone[j] for j in order], (model.kind, chunk_size)
+            assert scored_in_calls(model, [requests[j] for j in order], size) == \
+                [alone[j] for j in order], (model.kind, size)
 
 
 def test_token_log_probs_are_distributions(fresh_transformer, fresh_recurrent):
@@ -285,7 +288,7 @@ def test_generation_shape_and_stopping(fresh_transformer, fresh_recurrent):
         # an untrained model may emit <unk>, but never padding, BOS, or a
         # mid-sequence EOS
         assert all(t not in ("<pad>", "<bos>", "<eos>") for t in out[:-1])
-        short = generate(model, 2, 3, max_len=2)
+        short = generate(with_max_len(model, 2), 2, 3)
         assert len(short) <= 2 and short[-1] == EOS_TOKEN
 
 
@@ -352,7 +355,7 @@ def test_model_from_checkpoint_validation(tmp_path, tiny_corpus, fresh_transform
     save_checkpoint(full, fresh_transformer.store, seed=1, config_hash="h",
                     extra={"model": fresh_transformer.architecture_header()})
     with pytest.raises(ValueError, match="vocab size"):
-        model_from_checkpoint(full, Vocab(["a"]))
+        model_from_checkpoint(full, Vocab.from_texts([["a"]]))
 
     weird = tmp_path / "weird.ckpt"
     desc = dict(fresh_transformer.architecture_header(), kind="convnet")
@@ -515,20 +518,22 @@ def test_shared_prefix_scoring_equals_full_passes(tiny_corpus, lexicon, wide_mod
     unnamed = [(u, i, tuple(w for w in t if not lexicon.is_aspect(w))) for u, i, t in base]
     unnamed = [(u, i, t) for u, i, t in unnamed if t]
     cases = {
-        "mixed prefixes and repeats": (base + unnamed[:30] + base[::3], CHUNK_ROWS),
-        "one prefix over several chunks": ([(user, item, t) for _, _, t in base], 7),
-        "one-word texts": ([(u, i, t[:1]) for u, i, t in base[:20]], CHUNK_ROWS),
-        "one distinct prefix": ([(user, item, base[5][2])], CHUNK_ROWS),
-        "a last chunk of one row": (base[:CHUNK_ROWS + 1], CHUNK_ROWS),
-        "a last chunk of one row, small chunks": (unnamed[:17], 8),
+        "mixed prefixes and repeats": base + unnamed[:30] + base[::3],
+        "one prefix over several chunks": [(user, item, t) for _, _, t in base * 3],
+        "one-word texts": [(u, i, t[:1]) for u, i, t in base[:20]],
+        "one distinct prefix": [(user, item, base[5][2])],
+        "a last chunk of one row": (base * 2)[:CHUNK_ROWS + 1],
+        "a last chunk of one row, texts naming no aspect":
+            (unnamed * 3)[:2 * CHUNK_ROWS + 1],
     }
+    assert len(base) < CHUNK_ROWS and len(unnamed) * 3 > 2 * CHUNK_ROWS
     cond = wide_models[1]
-    named = {cond._aspect_id(t) for _, _, t in cases["mixed prefixes and repeats"][0]}
+    named = {cond._aspect_id(t) for _, _, t in cases["mixed prefixes and repeats"]}
     assert UNK_ID in named and len(named) > 2
     for model in wide_models:
-        for label, (requests, chunk_size) in cases.items():
-            expect = full_pass_log_likelihoods(model, requests, chunk_size)
-            assert model.log_likelihood_many(requests, chunk_size=chunk_size) == expect, \
+        for label, requests in cases.items():
+            assert model.log_likelihood_many(requests) == \
+                full_pass_log_likelihoods(model, requests), \
                 (model.kind, model.conditions_on_aspect, label)
     assert wide_models[2]._shared_prefixes(*[np.zeros(1, dtype=np.int64)] * 3) is None
 
@@ -582,13 +587,12 @@ def _prefix_aspect_id(model, aspect):
     return UNK_ID
 
 
-def full_prefix_generate(model, user, item, aspect=None, max_len=None):
+def full_prefix_generate(model, user, item, aspect=None):
     """Reference greedy decoder: one forward pass over BOS and every word
     so far for each new word, one pair at a time."""
     aspect_id = _prefix_aspect_id(model, aspect)
-    max_len = max_len or model.arch.max_len
     words: list[int] = []
-    while len(words) < max_len - 1:
+    while len(words) < model.arch.max_len - 1:
         logp, _ = one_pair_pass(model, user, item, aspect_id, words)
         dist = logp[-1].copy()
         dist[PAD_ID] = -np.inf
@@ -598,6 +602,19 @@ def full_prefix_generate(model, user, item, aspect=None, max_len=None):
             break
         words.append(nxt)
     return [model.vocab.id_to_token(w) for w in words] + [EOS_TOKEN]
+
+
+def with_max_len(model, max_len: int):
+    """A trainable model of the same kind and sizes built with `max_len`,
+    holding `model`'s parameters; a transformer's position table keeps the
+    rows its smaller capacity has."""
+    arch = dataclasses.replace(model.arch, max_len=max_len)
+    short = type(model)(arch, model.vocab, model.num_users, model.num_items, model.seed,
+                        model.lexicon)
+    for name in short.store.names():
+        target = short.store[name]
+        target[...] = model.store[name][tuple(slice(0, n) for n in target.shape)]
+    return short
 
 
 @pytest.fixture(scope="module")
@@ -627,10 +644,10 @@ def test_batched_decoding_equals_full_prefix_decoding(
     for model, requests in cases:
         if not model.conditions_on_aspect:
             requests = [(u, i, None) for u, i, _ in requests]
-        for max_len in (1, 2, None):
-            expect = [full_prefix_generate(model, u, i, a, max_len) for u, i, a in requests]
-            assert model.generate_many(requests, max_len=max_len) == expect
-            if max_len is None:
+        for decoder in (with_max_len(model, 1), with_max_len(model, 2), model):
+            expect = [full_prefix_generate(decoder, u, i, a) for u, i, a in requests]
+            assert decoder.generate_many(requests) == expect
+            if decoder is model:
                 lengths.update(len(tokens) for tokens in expect)
         u, i, a = requests[0]
         assert generate(model, u, i, aspect=a) == full_prefix_generate(model, u, i, a)
@@ -648,12 +665,12 @@ def test_chunked_decoding_equals_one_batch(monkeypatch, tiny_corpus, sanity_corp
     lengths = set()
     for model, requests in cases:
         assert len(requests) > models.CHUNK_ROWS
-        for max_len in (1, 2, None):
-            chunked = model.generate_many(requests, max_len=max_len)
+        for decoder in (with_max_len(model, 1), with_max_len(model, 2), model):
+            chunked = decoder.generate_many(requests)
             with monkeypatch.context() as patch:
                 patch.setattr(models, "CHUNK_ROWS", len(requests))
-                assert model.generate_many(requests, max_len=max_len) == chunked
-            if max_len is None:
+                assert decoder.generate_many(requests) == chunked
+            if decoder is model:
                 lengths.update(len(tokens) for tokens in chunked)
     assert len(lengths) > 2  # rows stopped at mixed lengths
 
@@ -757,9 +774,8 @@ def test_base_generate_many_is_per_pair_generate(tiny_corpus):
     requests = [(r.user, r.item, r.aspect) for r in tiny_corpus.test]
     for model in (OracleModel(tiny_corpus.world), RandomScorer(5, tiny_corpus.vocab),
                   UnigramModel.fit(tiny_corpus), UniformScorer(7)):
-        for max_len in (None, 3):
-            assert model.generate_many(requests, max_len=max_len) == [
-                generate(model, u, i, aspect=a, max_len=max_len) for u, i, a in requests]
+        assert model.generate_many(requests) == [
+            generate(model, u, i, aspect=a) for u, i, a in requests]
         assert model.generate_many([]) == []
 
 

@@ -39,9 +39,19 @@ def test_train_config_validation():
 def test_joint_loss_is_chunking_invariant(setup):
     corpus, fresh = setup
     model = fresh()
-    whole = joint_loss(model, corpus.validation, corpus.vocab, 1.0, batch_size=64)
-    parts = joint_loss(model, corpus.validation, corpus.vocab, 1.0, batch_size=3)
-    # token-weighted accumulation makes the nll independent of chunking
+    reviews = corpus.validation
+    whole = joint_loss(model, reviews, corpus.vocab, 1.0)
+    # token-weighted accumulation makes the nll independent of chunking:
+    # calls over sub-lists of 3 combine to the loss of one call
+    nll_sum = mse_sum = 0.0
+    for start in range(0, len(reviews), 3):
+        part = reviews[start:start + 3]
+        _, nll, mse = joint_loss(model, part, corpus.vocab, 1.0)
+        nll_sum += nll * make_batch(part, corpus.vocab).scored_positions
+        mse_sum += mse * len(part)
+    positions = make_batch(reviews, corpus.vocab).scored_positions
+    parts = (nll_sum / positions + mse_sum / len(reviews), nll_sum / positions,
+             mse_sum / len(reviews))
     np.testing.assert_allclose(parts, whole, rtol=1e-12)
 
 
@@ -59,7 +69,7 @@ def test_joint_loss_in_length_order_equals_review_order(setup):
         positions += batch.scored_positions
     reference = (nll_sum / positions + 0.5 * mse_sum / len(reviews),
                  nll_sum / positions, mse_sum / len(reviews))
-    ordered = joint_loss(model, reviews, corpus.vocab, 0.5, batch_size=8)
+    ordered = joint_loss(model, reviews, corpus.vocab, 0.5)
     np.testing.assert_allclose(ordered, reference, rtol=1e-12)
 
 

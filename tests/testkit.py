@@ -29,9 +29,8 @@ def predict_rating(model, user: int, item: int, aspect: str | None = None) -> fl
     return model.predict_rating_many([(user, item, aspect)])[0]
 
 
-def generate(model, user: int, item: int, aspect: str | None = None,
-             max_len: int | None = None) -> list[str]:
-    return model.generate_many([(user, item, aspect)], max_len=max_len)[0]
+def generate(model, user: int, item: int, aspect: str | None = None) -> list[str]:
+    return model.generate_many([(user, item, aspect)])[0]
 
 
 def log_likelihood(model, user: int, item: int, tokens) -> float:
@@ -42,15 +41,15 @@ def perplexity(model, user: int, item: int, tokens) -> float:
     return model.perplexity_many([(user, item, tokens)])[0]
 
 
-def full_pass_log_likelihoods(model, requests, chunk_size: int = CHUNK_ROWS) -> list[float]:
+def full_pass_log_likelihoods(model, requests) -> list[float]:
     """Reference scoring of a trainable model: the requests are cut into
     the chunks `log_likelihood_many` cuts, and each chunk runs its own
     prefixes, BOS and words in one forward pass, with nothing shared
     between chunks and every text encoded where it is used."""
     order = length_order([len(tokens) for _, _, tokens in requests])
     out = [0.0] * len(requests)
-    for start in range(0, len(order), chunk_size):
-        rows = order[start:start + chunk_size]
+    for start in range(0, len(order), CHUNK_ROWS):
+        rows = order[start:start + CHUNK_ROWS]
         texts = [requests[j][2] for j in rows]
         input_ids, target_ids, pad = padded_ids(
             [model.vocab.encode(tokens, append_eos=False) for tokens in texts])
@@ -75,7 +74,7 @@ class UniformScorer(ExplainableRecommender):
     def predict_rating_many(self, requests) -> list[float]:
         return [3.0 for _ in requests]
 
-    def generate_many(self, requests, max_len: int | None = None) -> list[list[str]]:
+    def generate_many(self, requests) -> list[list[str]]:
         return [[EOS_TOKEN] for _ in requests]
 
     def log_likelihood_many(self, requests) -> list[float]:
