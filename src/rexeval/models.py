@@ -121,16 +121,16 @@ def _sum_target_logprobs(lp: np.ndarray, target_ids, pad) -> list[float]:
 class NeuralRecommender(ExplainableRecommender):
     """Inference shared by the trainable models.
 
-    Each architecture supplies its parameters, `_run` and `_keep_rows`.
-    `_run(tape, users, items, aspect_ids, input_ids, past=None)` returns
-    (logits, head input, state): without `past` it runs the
-    (user, item[, aspect]) prefix and then `input_ids`, and the head input
-    is the node the rating head reads; with `past`, the state of an
+    Each architecture supplies its parameters and `_run(tape, users,
+    items, aspect_ids, input_ids, past=None)`, which returns (logits,
+    head input, state). Without `past` it runs the (user, item[, aspect])
+    prefix and then `input_ids`, which may hold no words, and the head
+    input is the node the rating head reads. With `past`, the state of an
     earlier call, it continues that sequence and the head input is None.
-    `_keep_rows(state, keep)` drops the state rows where `keep` is False.
-    An architecture whose scoring can share prefix work across chunks
-    overrides `_shared_prefixes`. `kind` names the architecture in
-    checkpoint headers and in `KINDS`.
+    A state is a tuple of arrays with one row per request (a transformer's
+    keys and values per layer, a GRU's hidden state), so this class
+    gathers, drops and concatenates its rows itself. `kind` names the
+    architecture in checkpoint headers and in `KINDS`.
     """
 
     kind: str
@@ -153,11 +153,7 @@ class NeuralRecommender(ExplainableRecommender):
 
     @abc.abstractmethod
     def _run(self, tape: Tape, users, items, aspect_ids, input_ids, past=None):
-        """(logits (B, W, V), head input or None, state)."""
-
-    @abc.abstractmethod
-    def _keep_rows(self, state, keep: np.ndarray):
-        """The decoding state without the rows where `keep` is False."""
+        """(logits (B, W, V), head input or None, state tuple)."""
 
     def _rating_head(self, tape: Tape, h):
         """Raw (B, 1) rating from the head input rows."""
@@ -211,19 +207,36 @@ class NeuralRecommender(ExplainableRecommender):
             users[b], items[b], aspects[b] = user, item, aspect_id(x)
         return users, items, aspects
 
+    def _shared_prefixes(self, users, items, aspects):
+        """Runs each distinct (user, item, aspect id) prefix once through
+        `_run`, with no words and CHUNK_ROWS prefixes at a time so the
+        working set stays bounded. Returns (which, head inputs, state):
+        request row j has the prefix of row `which[j]` of the other two."""
+        distinct, which = np.unique(np.stack([users, items, aspects], axis=1), axis=0,
+                                    return_inverse=True)
+        heads, states = [], []
+        for lo in range(0, len(distinct), CHUNK_ROWS):
+            p = distinct[lo:lo + CHUNK_ROWS]
+            _, head_in, state = self._run(Tape(grad=False), p[:, 0], p[:, 1], p[:, 2],
+                                          np.empty((len(p), 0), dtype=np.int64))
+            heads.append(head_in.value)
+            states.append(state)
+        return (which.reshape(-1), np.concatenate(heads),
+                tuple(np.concatenate(rows) for rows in zip(*states)))
+
     def log_likelihood_many(self, requests) -> list[float]:
         """Batched scoring in request order.
 
         Every request is checked first, and each distinct text is encoded,
-        and the aspect it names read, once per call. Requests are then
-        chunked in `length_order` of token count, so a chunk holds texts of
-        similar length and pads little. `_shared_prefixes` may run the
-        prefix work of the whole call before the first chunk. Right-padding
-        never reaches a scored position. No product runs on one row and the
-        output projection runs at an aligned width (`autodiff.matmul`,
-        `autodiff.row_width`), so on the measured BLAS a text scores the
-        same bits in any chunk; the chunks are a pure function of the
-        request list in any case.
+        and the aspect it names read, once per call. `_shared_prefixes`
+        then runs the prefixes of the whole call, and requests are chunked
+        in `length_order` of token count, so a chunk holds texts of similar
+        length and pads little; each chunk continues from its rows'
+        gathered prefix state. Right-padding never reaches a scored
+        position. No product runs on one row and the output projection
+        runs at an aligned width (`autodiff.matmul`, `autodiff.row_width`),
+        so on the measured BLAS a text scores the same bits in any chunk;
+        the chunks are a pure function of the request list in any case.
         """
         requests = _nonempty(requests)
         if not requests:
@@ -243,37 +256,34 @@ class NeuralRecommender(ExplainableRecommender):
         longest = max(lengths)
         if self.word_capacity is not None and longest > self.word_capacity:
             raise ValueError(f"text of {longest} words exceeds positional capacity")
-        past_of = self._shared_prefixes(users, items, aspects)
+        which, _, state = self._shared_prefixes(users, items, aspects)
         order = length_order(lengths)
         out = np.empty(len(requests))
         for start in range(0, len(order), CHUNK_ROWS):
             rows = order[start:start + CHUNK_ROWS]
             input_ids, target_ids, pad = padded_ids([text(requests[j][2])[0] for j in rows])
-            out[rows] = self._ll_chunk(users[rows], items[rows], aspects[rows], input_ids,
-                                       target_ids, pad,
-                                       None if past_of is None else past_of(rows))
+            out[rows] = self._ll_chunk(input_ids, target_ids, pad,
+                                       tuple(a[which[rows]] for a in state))
         return out.tolist()
 
-    def _ll_chunk(self, users, items, aspects, input_ids, target_ids, pad, past) -> list[float]:
+    def _ll_chunk(self, input_ids, target_ids, pad, past) -> list[float]:
         # a method of its own, so one chunk's logits are freed before the next
-        # chunk's are built; with `past`, `_run` reads no prefix ids
-        logits, _, _ = self._run(Tape(grad=False), users, items, aspects, input_ids, past=past)
+        # chunk's are built
+        logits, _, _ = self._run(Tape(grad=False), None, None, None, input_ids, past=past)
         return _sum_target_logprobs(log_softmax(logits.value), target_ids, pad)
 
-    def _shared_prefixes(self, users, items, aspects):
-        """None, or a function from request rows to the `past` that scoring
-        continues from instead of running those rows' prefixes."""
-        return None
-
     def predict_rating_many(self, requests) -> list[float]:
-        """Ratings of (user, item, aspect) requests from one prefix pass
-        and one rating-head pass over every request: a row's values do not
-        depend on the other rows (see `log_likelihood_many`)."""
+        """Ratings of (user, item, aspect) requests: the rating head runs
+        once over every request, on the head inputs of the no-word prefix
+        pass (`_shared_prefixes`); a row's values do not depend on the
+        other rows (see `log_likelihood_many`)."""
         users, items, aspects = self._prefixes(list(requests), self._decode_aspect_id)
-        bos = np.full((len(users), 1), BOS_ID, dtype=np.int64)
+        if not len(users):
+            return []
+        which, heads, _ = self._shared_prefixes(users, items, aspects)
         tape = Tape(grad=False)
-        _, head_in, _ = self._run(tape, users, items, aspects, bos)
-        return [clamp_rating(r) for r in self._rating_head(tape, head_in).value[:, 0].tolist()]
+        rating = self._rating_head(tape, tape.leaf(heads[which]))
+        return [clamp_rating(r) for r in rating.value[:, 0].tolist()]
 
     def generate_many(self, requests) -> list[list[str]]:
         """Greedy decoding in request order, CHUNK_ROWS requests at a time,
@@ -313,7 +323,7 @@ class NeuralRecommender(ExplainableRecommender):
                 if not alive.size or len(words[alive[0]]) >= self.arch.max_len - 1:
                     break
                 if not going.all():
-                    state = self._keep_rows(state, going)
+                    state = tuple(a[going] for a in state)
                 logits, _, state = self._run(Tape(grad=False), None, None, None, nxt[:, None],
                                              past=state)
         return [[self.vocab.id_to_token(w) for w in ids] + [EOS_TOKEN] for ids in words]
@@ -393,15 +403,15 @@ class TransformerModel(NeuralRecommender):
     def _run(self, tape: Tape, users, items, aspect_ids, input_ids, past=None):
         """Forward pass; returns (logits, item representation, kv).
 
-        `kv` holds one (keys, values) pair per layer for every position run
-        so far. Without `past` the positions are the prefix then
-        `input_ids`. With `past`, the `kv` of an earlier call, only
-        `input_ids` are run: they continue that sequence and attend over
-        the cached keys and values. The rating head reads the final
-        representation at the item position, so it is None then.
+        `kv` holds the keys and then the values of each layer, (B, L, D)
+        each, for every position run so far. Without `past` the positions
+        are the prefix then `input_ids`. With `past`, the `kv` of an
+        earlier call, only `input_ids` are run: they continue that sequence
+        and attend over the cached keys and values. The rating head reads
+        the final representation at the item position, so it is None then.
         """
         B, W = input_ids.shape
-        start = 0 if past is None else past[0][0].shape[1]
+        start = 0 if past is None else past[0].shape[1]
         L = (self.prefix_len if past is None else start) + W
         if L - self.prefix_len - 1 > self.word_capacity:
             raise ValueError(f"text of {L - self.prefix_len - 1} words exceeds "
@@ -419,7 +429,7 @@ class TransformerModel(NeuralRecommender):
         pos = tape.embedding(tape.param(store, "pos.emb"), np.arange(start, L))
         x = tape.add(x, tape.broadcast(pos, (B, L - start, self.arch.embed_dim)))
         mask = self._mask(L)[:, start:]
-        kv = []
+        kv = ()
         for layer in range(self.arch.layers):
             p = f"l{layer}."
             a_in = tape.layer_norm(x, tape.param(store, p + "ln1.gain"),
@@ -428,9 +438,9 @@ class TransformerModel(NeuralRecommender):
             k = tape.affine(a_in, tape.param(store, p + "wk"), tape.param(store, p + "bk"))
             v = tape.affine(a_in, tape.param(store, p + "wv"), tape.param(store, p + "bv"))
             if past is not None:
-                k = tape.concat([tape.leaf(past[layer][0]), k], axis=1)
-                v = tape.concat([tape.leaf(past[layer][1]), v], axis=1)
-            kv.append((k.value, v.value))
+                k = tape.concat([tape.leaf(past[2 * layer]), k], axis=1)
+                v = tape.concat([tape.leaf(past[2 * layer + 1]), v], axis=1)
+            kv += (k.value, v.value)
             att = tape.attention(q, k, v, mask, self.arch.heads)
             x = tape.add(x, tape.affine(att, tape.param(store, p + "wo"),
                                         tape.param(store, p + "bo")))
@@ -449,29 +459,6 @@ class TransformerModel(NeuralRecommender):
         logits = tape.affine(words, tape.param(store, "out.w"), tape.param(store, "out.b"),
                              align=True)
         return logits, tape.index(xf, np.s_[:, 1]), kv
-
-    def _keep_rows(self, kv, keep):
-        return [(k[keep], v[keep]) for k, v in kv]
-
-    def _shared_prefixes(self, users, items, aspects):
-        """Runs each distinct (user, item, aspect id) prefix once, with no
-        words and CHUNK_ROWS prefixes at a time so the working set stays
-        bounded; the `past` of request rows gathers their prefixes' keys
-        and values."""
-        distinct, which = np.unique(np.stack([users, items, aspects], axis=1), axis=0,
-                                    return_inverse=True)
-        parts = [self._run(Tape(grad=False), p[:, 0], p[:, 1], p[:, 2],
-                           np.empty((len(p), 0), dtype=np.int64))[2]
-                 for p in (distinct[lo:lo + CHUNK_ROWS]
-                           for lo in range(0, len(distinct), CHUNK_ROWS))]
-        kv = [[np.concatenate([part[layer][i] for part in parts]) for i in (0, 1)]
-              for layer in range(self.arch.layers)]
-
-        def past(rows):
-            picked = which.reshape(-1)[rows]
-            return [(k[picked], v[picked]) for k, v in kv]
-
-        return past
 
 
 @dataclass(frozen=True)
@@ -514,12 +501,13 @@ class RecurrentModel(NeuralRecommender):
         self.store = store
 
     def _run(self, tape: Tape, users, items, aspect_ids, input_ids, past=None):
-        """Forward pass; returns (logits, [user; item], last hidden state).
+        """Forward pass; returns (logits, [user; item], (last hidden state,)).
 
         Without `past` the recurrence starts from the [user; item] state,
-        which the rating head also reads. With `past`, the last state of an
-        earlier call, it continues that sequence, and the head input is
-        None. The GRU does not condition on aspects.
+        which the rating head also reads; given no words, the logits are
+        None and that initial state is the one returned. With `past`, the
+        state of an earlier call, it continues that sequence, and the head
+        input is None. The GRU does not condition on aspects.
         """
         store = self.store
         if past is None:
@@ -530,7 +518,7 @@ class RecurrentModel(NeuralRecommender):
                                         tape.param(store, "init.b")), "tanh")
         else:
             ui = None
-            h = tape.leaf(past)
+            h = tape.leaf(past[0])
         emb = tape.embedding(tape.param(store, "word.emb"), input_ids)
         gate_params = [tape.param(store, n) for n in
                        ("gru.wz", "gru.bz", "gru.wr", "gru.br", "gru.wn", "gru.bn")]
@@ -539,13 +527,12 @@ class RecurrentModel(NeuralRecommender):
             x_t = tape.index(emb, np.s_[:, t])
             h = tape.gru_cell(x_t, h, *gate_params)
             states.append(h)
+        if not states:
+            return None, ui, (h.value,)
         hseq = tape.stack(states, axis=1)
         logits = tape.affine(hseq, tape.param(store, "out.w"), tape.param(store, "out.b"),
                              align=True)
-        return logits, ui, h.value
-
-    def _keep_rows(self, h, keep):
-        return h[keep]
+        return logits, ui, (h.value,)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Model contracts: scoring laws, batching, generation, checkpoints."""
 
 import dataclasses
+import itertools
 import math
 import re
 
@@ -21,7 +22,7 @@ from rexeval.nn import ParamStore, clip_global_norm, load_checkpoint, save_check
 from rexeval.training import TrainConfig, make_batch, padded_ids, train_model
 
 from testkit import (UniformScorer, full_pass_log_likelihoods, generate, log_likelihood,
-                     model_from_checkpoint, perplexity, predict_rating)
+                     model_from_checkpoint, perplexity, predict_rating, prefix_bos_ratings)
 
 
 @pytest.fixture(scope="module")
@@ -217,26 +218,33 @@ def scored_in_calls(model, requests, size: int) -> list[float]:
             for ll in model.log_likelihood_many(requests[lo:lo + size])]
 
 
+def default_width_models(corpus, lexicon, width: int):
+    """Both transformer variants and the GRU at the default widths over a
+    vocabulary of `width` tokens: the corpus's words, then fillers."""
+    n = width - len(RESERVED_TOKENS)
+    filled = corpus.vocab.tokens() + [f"filler{j}" for j in range(n)]
+    vocab = Vocab.from_texts([filled[:n]])
+    assert len(vocab) == width
+    return (TransformerModel(TransformerArch(), vocab, 10, 8, seed=11),
+            TransformerModel(TransformerArch(use_aspect=True), vocab, 10, 8, seed=12,
+                             lexicon=lexicon),
+            RecurrentModel(RecurrentArch(), vocab, 10, 8, seed=13))
+
+
 @pytest.mark.parametrize("width", [64, 68, 89, 96])
 def test_a_text_scores_the_same_bits_in_any_chunk(tiny_corpus, lexicon, width):
     # At the default model widths and vocabularies of 64 and 96 (multiples
     # of 16) and 68 and 89 (not), no product of scoring runs on one row and
     # the output projection runs at an aligned width, so a row's bits do
     # not depend on the rows it is scored with.
-    n = width - len(RESERVED_TOKENS)
-    filled = tiny_corpus.vocab.tokens() + [f"filler{j}" for j in range(n)]
-    vocab = Vocab.from_texts([filled[:n]])
-    assert len(vocab) == width
+    roster = default_width_models(tiny_corpus, lexicon, width)
     rng = np.random.default_rng(width)
-    words = vocab.tokens()
+    words = roster[0].vocab.tokens()
     requests = [(int(rng.integers(10)), int(rng.integers(8)),
                  tuple(words[j] for j in rng.integers(len(words), size=rng.integers(1, 26))))
                 for _ in range(150)]
     requests += requests[:10]  # repeats
-    for model in (TransformerModel(TransformerArch(), vocab, 10, 8, seed=11),
-                  TransformerModel(TransformerArch(use_aspect=True), vocab, 10, 8, seed=12,
-                                   lexicon=lexicon),
-                  RecurrentModel(RecurrentArch(), vocab, 10, 8, seed=13)):
+    for model in roster:
         alone = [log_likelihood(model, u, i, t) for u, i, t in requests]
         assert model.log_likelihood_many(requests) == alone, model.kind
         for size in (1, 7, 64, len(requests)):
@@ -535,7 +543,6 @@ def test_shared_prefix_scoring_equals_full_passes(tiny_corpus, lexicon, wide_mod
             assert model.log_likelihood_many(requests) == \
                 full_pass_log_likelihoods(model, requests), \
                 (model.kind, model.conditions_on_aspect, label)
-    assert wide_models[2]._shared_prefixes(*[np.zeros(1, dtype=np.int64)] * 3) is None
 
 
 def test_scoring_validates_before_any_forward_pass(wide_models, monkeypatch):
@@ -700,6 +707,22 @@ def test_batched_ratings_equal_one_pair_ratings(
     assert fresh_transformer.predict_rating_many([]) == []
     with pytest.raises(ValueError, match="cold-start item"):
         fresh_recurrent.predict_rating_many([(0, 0, None), (0, 8, None)])
+
+
+@pytest.mark.parametrize("width", [68, 96])
+def test_prefix_pass_ratings_equal_prefix_and_bos_ratings(tiny_corpus, lexicon, width):
+    # the rating head reads the no-word prefix pass, which the parent read
+    # from a pass over each prefix and BOS
+    for model in default_width_models(tiny_corpus, lexicon, width):
+        aspects = [r.aspect if model.conditions_on_aspect else None
+                   for r in tiny_corpus.test + tiny_corpus.validation]
+        requests = [(u, i, a) for (u, i), a in zip(itertools.product(range(10), range(8)),
+                                                    itertools.cycle(aspects))]
+        requests += requests[::-7]  # repeated and reordered pairs
+        # the distinct prefixes fill more than one prefix pass
+        assert len({(u, i) for u, i, _ in requests}) > CHUNK_ROWS
+        assert model.predict_rating_many(requests) == prefix_bos_ratings(model, requests), \
+            (model.kind, model.conditions_on_aspect, width)
 
 
 def test_base_predict_rating_many_is_per_pair_predict_rating(tiny_corpus):

@@ -2,8 +2,9 @@
 
 The one-pair model calls (`predict_rating`, `generate`, `log_likelihood`,
 `perplexity`) are the batched interface over a one-element request list.
-`full_pass_log_likelihoods` is the reference the batched scoring of the
-trainable models is checked against. `UniformScorer` and
+`full_pass_log_likelihoods` and `prefix_bos_ratings` are the references
+the batched scoring and ratings of the trainable models are checked
+against. `UniformScorer` and
 `mrr_random_baseline` are the chance references that metric values are
 compared with. The rest are conveniences over the library:
 finite-difference gradient checks, parameter counts, single-text
@@ -19,8 +20,9 @@ from collections.abc import Callable
 import numpy as np
 
 from rexeval.autodiff import Tape, log_softmax
+from rexeval.lexicon import BOS_ID
 from rexeval.models import (CHUNK_ROWS, EOS_TOKEN, ExplainableRecommender, _nonempty,
-                            _sum_target_logprobs, model_from_parameters)
+                            _sum_target_logprobs, clamp_rating, model_from_parameters)
 from rexeval.nn import ParamStore, load_checkpoint
 from rexeval.training import length_order, padded_ids
 
@@ -61,6 +63,17 @@ def full_pass_log_likelihoods(model, requests) -> list[float]:
                                                     pad)):
             out[j] = ll
     return out
+
+
+def prefix_bos_ratings(model, requests) -> list[float]:
+    """Reference ratings of a trainable model for (user, item, aspect)
+    requests: one forward pass over every request's prefix and BOS, and
+    the rating head over the head inputs it gives."""
+    users, items, aspects = model._prefixes(list(requests), model._decode_aspect_id)
+    bos = np.full((len(users), 1), BOS_ID, dtype=np.int64)
+    tape = Tape(grad=False)
+    _, head_in, _ = model._run(tape, users, items, aspects, bos)
+    return [clamp_rating(r) for r in model._rating_head(tape, head_in).value[:, 0].tolist()]
 
 
 class UniformScorer(ExplainableRecommender):
