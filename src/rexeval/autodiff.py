@@ -44,11 +44,12 @@ from these pieces and nothing else.
 Forward math lives in free functions that the tape ops call, so
 recording and inference tapes share a single implementation.
 
-No forward product runs on one row: OpenBLAS takes its gemv path there,
-which rounds differently from the gemm path a row takes among others,
-so `matmul` runs a one-row product as two rows. Together with
-`row_width` for a product whose width the caller picks, this keeps a
-row's bits independent of the rows it is batched with.
+No forward product runs on one row or one column: OpenBLAS takes its
+gemv path there, which rounds differently from the gemm path a row takes
+among others, so `matmul` runs a one-row product as two rows and a
+one-column product at an aligned width. Together with `row_width` for a
+product whose width the caller picks, and attention's keys-outer softmax,
+this keeps a row's bits independent of the rows it is batched with.
 """
 
 from __future__ import annotations
@@ -72,22 +73,21 @@ def row_width(n: int) -> int:
 
 
 def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x (M, K) @ w (K, N), with a one-row x run as two rows so that the
-    row takes the same BLAS path it takes among other rows."""
-    if x.shape[0] == 1:
-        return (np.concatenate([x, x]) @ w)[:1]
-    return x @ w
+    """x (..., M, K) @ w (..., K, N) off BLAS's gemv path, whose rows round
+    differently from the rows of a wider product: a one-row x runs as two
+    rows, and a one-column w at width ROW_ALIGN."""
+    rows, cols = x.shape[-2], w.shape[-1]
+    if rows == 1:
+        x = np.concatenate([x, x], axis=-2)
+    if cols == 1:
+        w = np.repeat(w, ROW_ALIGN, axis=-1)
+    return (x @ w)[..., :rows, :cols]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function without overflow: exp only ever sees -|x|."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
@@ -97,17 +97,25 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     return s - np.log(np.exp(s).sum(axis=-1, keepdims=True))
 
 
+def _sum_keys(x: np.ndarray) -> np.ndarray:
+    """x summed over its keys axis, 0, adding the keys one after another.
+    numpy does so over an outer axis; when the other axes hold one element
+    in all, the keys axis is its only loop and numpy would add it
+    pairwise, so that sum is accumulated instead."""
+    return x.sum(axis=0) if x[0].size > 1 else np.add.accumulate(x, axis=0)[-1]
+
+
 def attention_forward(q, k, v, mask, n_heads):
     """Scaled-dot attention as batched matrix products over (batch, head).
 
     q: (B, Lq, D), k/v: (B, Lk, D), mask: bool (B|1, Lq, Lk) with True
-    meaning the query may attend to the key, or None for full attention.
-    Returns (out (B, Lq, D), cache).
+    meaning the query may attend to the key. Returns (out (B, Lq, D), cache).
 
-    Scores and weights are kept keys-major, (B, H, Lk, Lq), so the softmax
-    sums over a slow axis: numpy then adds the keys one after another
-    instead of pairwise, and masked or padded keys, whose weight is
-    exactly zero, cannot change a row's value whatever the key count.
+    Scores and weights are laid out keys-outer, (Lk, B, H, Lq), and the
+    softmax reduces over that outermost axis (`_sum_keys`), adding the keys
+    one after another. Masked or padded keys, whose weight is exactly
+    zero, then cannot change a row's value whatever the key count, with
+    one query as with many.
     """
     B, Lq, D = q.shape
     Lk = k.shape[1]
@@ -118,25 +126,29 @@ def attention_forward(q, k, v, mask, n_heads):
     qh = q.reshape(B, Lq, n_heads, dh).transpose(0, 2, 1, 3)
     kh = k.reshape(B, Lk, n_heads, dh).transpose(0, 2, 1, 3)
     vh = v.reshape(B, Lk, n_heads, dh).transpose(0, 2, 1, 3)
-    scores = (kh @ qh.transpose(0, 1, 3, 2)) / math.sqrt(dh)
-    if mask is not None:
-        scores = np.where(mask.transpose(0, 2, 1)[:, None], scores, MASKED_SCORE)
-    weights = softmax(scores, axis=-2)
-    out = (weights.transpose(0, 1, 3, 2) @ vh).transpose(0, 2, 1, 3).reshape(B, Lq, D)
+    weights = np.divide(matmul(kh, qh.transpose(0, 1, 3, 2)).transpose(2, 0, 1, 3),
+                        math.sqrt(dh), order="C")
+    np.copyto(weights, MASKED_SCORE, where=~mask.transpose(2, 0, 1)[:, :, None])
+    weights -= weights.max(axis=0)
+    np.exp(weights, out=weights)
+    weights /= _sum_keys(weights)
+    out = matmul(weights.transpose(1, 2, 3, 0), vh).transpose(0, 2, 1, 3).reshape(B, Lq, D)
     return out, (qh, kh, vh, weights, dh)
 
 
 def attention_backward(g, cache):
+    """Gradients of attention_forward, with the keys-outer weights."""
     qh, kh, vh, weights, dh = cache
     B, H, Lq, _ = qh.shape
     Lk = kh.shape[2]
     gh = g.reshape(B, Lq, H, dh).transpose(0, 2, 1, 3)
-    gw = vh @ gh.transpose(0, 1, 3, 2)
-    gv = weights @ gh
-    # softmax backward: columns of the keys-major `weights` are distributions.
-    gs = weights * (gw - (weights * gw).sum(axis=-2, keepdims=True))
-    gq = (gs.transpose(0, 1, 3, 2) @ kh) / math.sqrt(dh)
-    gk = (gs @ qh) / math.sqrt(dh)
+    gw = np.empty_like(weights)
+    np.matmul(vh, gh.transpose(0, 1, 3, 2), out=gw.transpose(1, 2, 0, 3))
+    gv = weights.transpose(1, 2, 0, 3) @ gh
+    # softmax backward: each (batch, head, query) column is a distribution
+    gs = weights * (gw - _sum_keys(weights * gw))
+    gq = (gs.transpose(1, 2, 3, 0) @ kh) / math.sqrt(dh)
+    gk = (gs.transpose(1, 2, 0, 3) @ qh) / math.sqrt(dh)
     D = H * dh
     return (gq.transpose(0, 2, 1, 3).reshape(B, Lq, D),
             gk.transpose(0, 2, 1, 3).reshape(B, Lk, D),
@@ -216,7 +228,7 @@ def gru_backward(g, wz, wr, wn, cache):
     return dx, dh, dwz, dbz, dwr, dbr, dwn, dbn
 
 
-def softmax_xent_forward(logits, targets, pad_mask=None):
+def softmax_xent_forward(logits, targets, pad_mask):
     """Mean cross-entropy over non-padded positions.
 
     logits: (..., V) float, targets: (...) int, pad_mask: (...) bool with
@@ -229,10 +241,7 @@ def softmax_xent_forward(logits, targets, pad_mask=None):
     t = np.asarray(targets).reshape(-1)
     if t.shape[0] != flat.shape[0]:
         raise ValueError("targets do not match logits leading shape")
-    if pad_mask is None:
-        keep = np.ones(t.shape[0], dtype=bool)
-    else:
-        keep = ~np.asarray(pad_mask, dtype=bool).reshape(-1)
+    keep = ~np.asarray(pad_mask, dtype=bool).reshape(-1)
     if not keep.any():
         raise ValueError("empty target: all positions are padded")
     kept = t[keep]
@@ -375,7 +384,7 @@ class Tape:
     # ------------------------------------------------------------------
     # value primitives
 
-    def affine(self, x: Node, w: Node, b: Node | None = None, *, align: bool = False) -> Node:
+    def affine(self, x: Node, w: Node, b: Node, *, align: bool = False) -> Node:
         """x (..., Din) @ w (Din, Dout) + b (Dout). With `align` the product
         runs at width `row_width(Dout)`, on zero columns past Dout, so each
         row's bits do not depend on the rows it is batched with."""
@@ -391,17 +400,12 @@ class Tape:
             out = matmul(x2, wide)[:, :n]
         else:
             out = matmul(x2, wv)
-        if b is not None:
-            out = out + b.value
-        out = out.reshape(*lead, wv.shape[1])
-        xs, ws, bs = x.slot, w.slot, None if b is None else b.slot
+        out = (out + b.value).reshape(*lead, wv.shape[1])
+        xs, ws, bs = x.slot, w.slot, b.slot
 
         def backward(g):
             g2 = g.reshape(-1, g.shape[-1])
-            grads = [(xs, (g2 @ wv.T).reshape(xs.shape)), (ws, x2.T @ g2)]
-            if bs is not None:
-                grads.append((bs, g2.sum(axis=0)))
-            return grads
+            return [(xs, (g2 @ wv.T).reshape(xs.shape)), (ws, x2.T @ g2), (bs, g2.sum(axis=0))]
 
         return self._record(out, "affine", backward)
 
@@ -437,9 +441,10 @@ class Tape:
         return self._record(out, kind, lambda g: [(xs, dfn(g))])
 
     def attention(self, q: Node, k: Node, v: Node, mask, n_heads: int) -> Node:
-        if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-        out, cache = attention_forward(q.value, k.value, v.value, mask, n_heads)
+        """Scaled-dot attention (`attention_forward`); the scores and
+        weights it keeps for backward are laid out keys-outer."""
+        out, cache = attention_forward(q.value, k.value, v.value,
+                                       np.asarray(mask, dtype=bool), n_heads)
         qs, ks, vs = q.slot, k.slot, v.slot
 
         def backward(g):
@@ -471,7 +476,7 @@ class Tape:
 
         return self._record(out, "layer_norm", backward)
 
-    def softmax_xent(self, logits: Node, targets, pad_mask=None) -> Node:
+    def softmax_xent(self, logits: Node, targets, pad_mask) -> Node:
         loss, cache = softmax_xent_forward(logits.value, targets, pad_mask)
         ls = logits.slot
 

@@ -28,15 +28,14 @@ from .lexicon import UNK_ID, Lexicon, Vocab, classify_polarity, extract_aspect
 from .models import clamp_rating, strip_reserved
 from .nn import ParamStore
 from .perturb import negate_sentiment, sample_distinct, substitute_aspect
-from .training import TrainConfig, optimize, padded_ids
+from .training import CHUNK_ROWS, TrainConfig, optimize, padded_ids
 
 HIGHER = "higher"
 LOWER = "lower"
 AIR_MIN_RATING = 4
-# the TLAE regressor's hidden width, training, and texts per inference pass
+# the TLAE regressor's hidden width and training
 REGRESSOR_HIDDEN = 32
 REGRESSOR_TRAINING = TrainConfig(epochs=12, batch_size=64, lr=3e-3, clip_norm=5.0, patience=3)
-REGRESSOR_CHUNK = 256
 EMBEDDING_WINDOW = 2
 BIGRAM_ALPHA = 0.1
 
@@ -289,8 +288,9 @@ class AuxRegressor:
         mask = (~pad)[:, None, :]
         pooled = tape.index(tape.attention(query, emb, emb, mask, 1), np.s_[:, 0])
         h = tape.nonlin(tape.affine(pooled, tape.param(store, "head.w1"),
-                                    tape.param(store, "head.b1")), "tanh")
-        return tape.affine(h, tape.param(store, "head.w2"), tape.param(store, "head.b2"))
+                                    tape.param(store, "head.b1"), align=True), "tanh")
+        return tape.affine(h, tape.param(store, "head.w2"), tape.param(store, "head.b2"),
+                           align=True)
 
     def _encode(self, texts) -> tuple[np.ndarray, np.ndarray]:
         """Word ids and pad mask of texts without their reserved tokens."""
@@ -301,9 +301,11 @@ class AuxRegressor:
         return input_ids[:, 1:], pad[:, 1:]  # without the BOS column
 
     def predict_many(self, texts) -> np.ndarray:
+        """Readings in [1, 5], CHUNK_ROWS texts a pass; a text reads the same
+        bits alone or among any others (`autodiff.attention_forward`)."""
         out = np.empty(len(texts), dtype=np.float64)
-        for start in range(0, len(texts), REGRESSOR_CHUNK):
-            chunk = texts[start:start + REGRESSOR_CHUNK]
+        for start in range(0, len(texts), CHUNK_ROWS):
+            chunk = texts[start:start + CHUNK_ROWS]
             input_ids, pad = self._encode(chunk)
             raw = self._run(Tape(grad=False), input_ids, pad).value[:, 0]
             out[start:start + len(chunk)] = np.clip(raw, 1.0, 5.0)

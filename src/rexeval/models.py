@@ -33,12 +33,9 @@ import numpy as np
 from .autodiff import Tape, log_softmax
 from .lexicon import BOS_ID, EOS_ID, PAD_ID, UNK_ID, RESERVED_TOKENS, Vocab, extract_aspect
 from .nn import ParamStore
-from .training import Batch, TrainConfig, length_order, padded_ids
+from .training import CHUNK_ROWS, Batch, TrainConfig, length_order, padded_ids
 
 EOS_TOKEN = RESERVED_TOKENS[EOS_ID]
-# Rows one batched inference pass (scoring or decoding) runs at once: its
-# working set stays bounded whatever the number of requests.
-CHUNK_ROWS = 64
 
 
 def strip_reserved(tokens) -> list[str]:

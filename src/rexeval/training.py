@@ -23,7 +23,10 @@ from .nn import clip_global_norm
 # wide enough that a batch pads little, narrow enough that batch contents
 # still vary from epoch to epoch.
 BUCKET_WINDOW = 8
-VALIDATION_CHUNK = 64  # reviews per validation forward pass
+# Rows one batched inference pass runs at once (validation loss, scoring,
+# ratings, decoding, the TLAE regressor): its working set stays bounded
+# whatever the number of requests.
+CHUNK_ROWS = 64
 
 
 class DivergenceError(RuntimeError):
@@ -148,8 +151,8 @@ def joint_loss(model, reviews, vocab, rating_weight: float) -> tuple[float, floa
     mse_sum = 0.0
     positions = 0
     order = length_order([len(r.tokens) for r in reviews])
-    for start in range(0, len(order), VALIDATION_CHUNK):
-        chunk = [reviews[j] for j in order[start:start + VALIDATION_CHUNK]]
+    for start in range(0, len(order), CHUNK_ROWS):
+        chunk = [reviews[j] for j in order[start:start + CHUNK_ROWS]]
         batch = make_batch(chunk, vocab)
         nll, mse = model.loss_nodes(Tape(grad=False), batch)
         n = batch.scored_positions

@@ -14,12 +14,17 @@ import pytest
 
 from rexeval.autodiff import (LN_EPS, MASKED_SCORE, Tape, attention_backward,
                               attention_forward, gru_forward, layer_norm_backward,
-                              layer_norm_forward, log_softmax, sigmoid, softmax)
+                              layer_norm_forward, log_softmax, sigmoid)
 from rexeval.nn import ParamStore
 
 from testkit import grad_check
 
 TOL = 1e-4
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 # ----------------------------------------------------------------------
@@ -53,7 +58,7 @@ def _case_affine_no_bias(rng, store):
     store.add("w", rng.normal(size=(4, 2)))
     target = rng.normal(size=(3, 2))
     return _loss_fn(store, lambda t: t.squared_error(
-        t.affine(t.param(store, "x"), t.param(store, "w")), target))
+        t.affine(t.param(store, "x"), t.param(store, "w"), t.leaf(np.zeros(2))), target))
 
 
 def _case_embedding(rng, store):
@@ -93,7 +98,7 @@ def _case_attention_full(rng, store):
     target = rng.normal(size=(2, 2, 4))
     return _loss_fn(store, lambda t: t.squared_error(
         t.attention(t.param(store, "q"), t.param(store, "k"),
-                    t.param(store, "v"), None, n_heads=1), target))
+                    t.param(store, "v"), np.ones((1, 2, 5), dtype=bool), n_heads=1), target))
 
 
 def _case_gru(rng, store):
@@ -189,7 +194,7 @@ def test_affine_matches_matmul():
     out = t.affine(t.leaf(x), t.leaf(w), t.leaf(b))
     np.testing.assert_allclose(out.value, x @ w + b, rtol=1e-12)
     with pytest.raises(ValueError, match="shape mismatch"):
-        t.affine(t.leaf(x), t.leaf(rng.normal(size=(3, 5))))
+        t.affine(t.leaf(x), t.leaf(rng.normal(size=(3, 5))), t.leaf(b))
 
 
 def test_embedding_gathers_rows_and_validates_ids():
@@ -246,8 +251,7 @@ def _einsum_attention(q, k, v, mask, n_heads, g):
     kh = k.reshape(B, Lk, n_heads, dh)
     vh = v.reshape(B, Lk, n_heads, dh)
     scores = np.einsum("bqhd,bkhd->bhqk", qh, kh) / np.sqrt(dh)
-    if mask is not None:
-        scores = np.where(mask[:, None, :, :], scores, MASKED_SCORE)
+    scores = np.where(mask[:, None, :, :], scores, MASKED_SCORE)
     weights = softmax(scores)
     out = np.einsum("bhqk,bkhd->bqhd", weights, vh).reshape(B, Lq, D)
     gh = g.reshape(B, Lq, n_heads, dh)
@@ -265,7 +269,7 @@ def test_attention_matches_einsum_reference(case):
     B, Lq, Lk, D, H = 3, 6, 6, 8, 2
     mask = np.tril(np.ones((Lq, Lk), dtype=bool))[None]
     if case == "full":
-        mask = None
+        mask = np.ones((1, Lq, Lk), dtype=bool)
     elif case == "cached":
         # two new queries after six cached positions (Lq < Lk), as when a
         # K/V cache is continued; the first key is a visible prefix
@@ -286,7 +290,7 @@ def test_attention_matches_einsum_reference(case):
 def test_single_head_attention_matches_manual_softmax():
     rng = np.random.default_rng(3)
     q, k, v = (rng.normal(size=(1, 3, 4)) for _ in range(3))
-    out, _ = attention_forward(q, k, v, None, n_heads=1)
+    out, _ = attention_forward(q, k, v, np.ones((1, 3, 3), dtype=bool), n_heads=1)
     scores = q[0] @ k[0].T / np.sqrt(4)
     np.testing.assert_allclose(out[0], softmax(scores) @ v[0], rtol=1e-12)
 
@@ -309,7 +313,7 @@ def test_masked_keys_cannot_influence_output():
 def test_attention_rejects_indivisible_heads():
     x = np.zeros((1, 2, 5))
     with pytest.raises(ValueError, match="not divisible"):
-        attention_forward(x, x, x, None, n_heads=2)
+        attention_forward(x, x, x, np.ones((1, 2, 2), dtype=bool), n_heads=2)
 
 
 def test_gru_forward_matches_manual_formula():
@@ -376,8 +380,9 @@ def test_softmax_xent_matches_manual_mean():
     lp = log_softmax(logits)
     manual = -(lp[0, 0, 1] + lp[0, 1, 0] + lp[1, 0, 2]) / 3
     assert loss == pytest.approx(manual, rel=1e-12)
-    # no mask scores every position
-    full = float(Tape().softmax_xent(Tape().leaf(logits), targets).value)
+    # an all-False pad scores every position
+    full = float(Tape().softmax_xent(Tape().leaf(logits), targets,
+                                     np.zeros(targets.shape, dtype=bool)).value)
     assert full != loss
 
 
@@ -387,9 +392,9 @@ def test_softmax_xent_error_cases():
     with pytest.raises(ValueError, match="all positions are padded"):
         t.softmax_xent(logits, np.array([0, 1]), np.array([True, True]))
     with pytest.raises(ValueError, match="out of range"):
-        t.softmax_xent(logits, np.array([0, 3]))
+        t.softmax_xent(logits, np.array([0, 3]), np.array([False, False]))
     with pytest.raises(ValueError, match="do not match"):
-        t.softmax_xent(logits, np.array([0, 1, 2]))
+        t.softmax_xent(logits, np.array([0, 1, 2]), np.array([False, False, False]))
 
 
 def test_padded_targets_are_ignored_even_when_out_of_range():
@@ -478,7 +483,7 @@ def test_backward_consumes_the_tape_and_cannot_run_twice():
     store.add("w", rng.normal(size=(4, 3)))
     t = Tape()
     w = t.param(store, "w")
-    h = t.nonlin(t.affine(t.leaf(rng.normal(size=(5, 4))), w), "tanh")
+    h = t.nonlin(t.affine(t.leaf(rng.normal(size=(5, 4))), w, t.leaf(np.zeros(3))), "tanh")
     dropped = weakref.ref(h.value)  # an intermediate the caller no longer holds
     loss = t.squared_error(h, np.zeros((5, 3)))
     del h
@@ -495,8 +500,8 @@ def test_backward_consumes_the_tape_and_cannot_run_twice():
 def test_an_inference_tape_records_no_steps_and_refuses_backward():
     rng = np.random.default_rng(13)
     t = Tape(grad=False)
-    h = t.nonlin(t.affine(t.leaf(rng.normal(size=(5, 4))), t.leaf(rng.normal(size=(4, 3)))),
-                 "tanh")
+    h = t.nonlin(t.affine(t.leaf(rng.normal(size=(5, 4))), t.leaf(rng.normal(size=(4, 3))),
+                          t.leaf(np.zeros(3))), "tanh")
     dropped = weakref.ref(h.value)
     loss = t.squared_error(h, np.zeros((5, 3)))
     assert t._steps == []
@@ -530,8 +535,8 @@ def test_values_no_backward_reads_are_freed_before_backward():
     h = t.nonlin(pre, "relu")
     res = t.add(x, t.affine(h, t.param(store, "w2"), t.param(store, "b2")))
     y = t.layer_norm(res, t.param(store, "gain"), t.param(store, "bias"))
-    logits = t.affine(y, t.param(store, "out"))
-    loss = t.softmax_xent(logits, rng.integers(0, 5, size=(2, 3)))
+    logits = t.affine(y, t.param(store, "out"), t.leaf(np.zeros(5)))
+    loss = t.softmax_xent(logits, rng.integers(0, 5, size=(2, 3)), np.zeros((2, 3), dtype=bool))
     unread = {name: weakref.ref(_buffer(node.value)) for name, node in
               (("concat", cat), ("pre-relu", pre), ("residual", res), ("logits", logits))}
     read = {name: weakref.ref(_buffer(node.value)) for name, node in
@@ -569,7 +574,7 @@ def _op_cases(rng):
     pad = np.array([[False, False, True], [False, True, True]])
     return {
         "affine": lambda t: t.affine(t.leaf(x), t.leaf(w), t.leaf(b)),
-        "affine_no_bias": lambda t: t.affine(t.leaf(x), t.leaf(w)),
+        "affine_no_bias": lambda t: t.affine(t.leaf(x), t.leaf(w), t.leaf(np.zeros(5))),
         "attention": lambda t: t.attention(t.leaf(q), t.leaf(k), t.leaf(v), mask, 2),
         "layer_norm": lambda t: t.layer_norm(t.leaf(x), t.leaf(gain), t.leaf(bias)),
         "gru_cell": lambda t: t.gru_cell(t.leaf(xg), t.leaf(hg), *[t.leaf(p) for p in gates]),

@@ -295,6 +295,20 @@ def test_regressor_predicts_from_text_alone(small_corpus):
         regressor_predict(reg, ["<eos>"])
 
 
+def test_a_text_reads_the_same_bits_alone_and_among_others(small_corpus):
+    # the pooling query's softmax adds the keys one after another whatever
+    # the padding, neither attention product takes BLAS's gemv path, and
+    # the head runs at aligned widths, so a reading does not depend on the
+    # texts it is read with; texts of 1 to 40 words pad each other
+    reg = train_aux_regressor(small_corpus, embed_dim=32, seed=5)
+    texts = [list(r.tokens) for _, r in small_corpus.all_reviews()]
+    texts += [(t * 3)[:n] for n, t in enumerate(texts[:40], start=1)]
+    alone = [regressor_predict(reg, t) for t in texts]
+    assert reg.predict_many(texts).tolist() == alone
+    order = np.random.default_rng(5).permutation(len(texts))
+    assert reg.predict_many([texts[j] for j in order]).tolist() == [alone[j] for j in order]
+
+
 def test_regressor_training_learns_the_rating_signal(small_corpus):
     lines = []
     reg = train_aux_regressor(small_corpus, embed_dim=16, seed=5, log=lines.append)

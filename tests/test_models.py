@@ -711,8 +711,8 @@ def test_batched_ratings_equal_one_pair_ratings(
 
 @pytest.mark.parametrize("width", [68, 96])
 def test_prefix_pass_ratings_equal_prefix_and_bos_ratings(tiny_corpus, lexicon, width):
-    # the rating head reads the no-word prefix pass, which the parent read
-    # from a pass over each prefix and BOS
+    # the rating head reads the no-word prefix pass, and reads there what
+    # one pass over every request's prefix and BOS gives it
     for model in default_width_models(tiny_corpus, lexicon, width):
         aspects = [r.aspect if model.conditions_on_aspect else None
                    for r in tiny_corpus.test + tiny_corpus.validation]

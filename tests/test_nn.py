@@ -168,7 +168,7 @@ def test_grad_check_guards():
 
 def test_loss_helpers():
     logits = np.log(np.array([[0.25, 0.75], [0.5, 0.5]]))
-    loss, _ = softmax_xent_forward(logits, np.array([1, 0]))
+    loss, _ = softmax_xent_forward(logits, np.array([1, 0]), np.array([False, False]))
     assert loss == pytest.approx(-(np.log(0.75) + np.log(0.5)) / 2)
 
 
