@@ -44,12 +44,13 @@ from these pieces and nothing else.
 Forward math lives in free functions that the tape ops call, so
 recording and inference tapes share a single implementation.
 
-No forward product runs on one row or one column: OpenBLAS takes its
-gemv path there, which rounds differently from the gemm path a row takes
-among others, so `matmul` runs a one-row product as two rows and a
-one-column product at an aligned width. Together with `row_width` for a
-product whose width the caller picks, and attention's keys-outer softmax,
-this keeps a row's bits independent of the rows it is batched with.
+Every forward product runs through `matmul`, by one rule: on at least two
+rows, and at width `row_width(cols)`, on zero columns past its own. A
+one-row or one-column product would take OpenBLAS's gemv path, and a
+width such as 68 or 89 a gemm edge kernel, both of which round a row
+differently with the number of rows beside it. With attention's
+keys-outer softmax, the rule keeps a row's bits independent of the rows
+it is batched with.
 """
 
 from __future__ import annotations
@@ -73,14 +74,16 @@ def row_width(n: int) -> int:
 
 
 def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x (..., M, K) @ w (..., K, N) off BLAS's gemv path, whose rows round
-    differently from the rows of a wider product: a one-row x runs as two
-    rows, and a one-column w at width ROW_ALIGN."""
+    """x (..., M, K) @ w (..., K, N) by the one rule of every forward
+    product: a one-row x runs as two rows, and w at width `row_width(N)`,
+    on zero columns past N, so a row's bits do not depend on M."""
     rows, cols = x.shape[-2], w.shape[-1]
     if rows == 1:
         x = np.concatenate([x, x], axis=-2)
-    if cols == 1:
-        w = np.repeat(w, ROW_ALIGN, axis=-1)
+    if row_width(cols) != cols:
+        wide = np.zeros(w.shape[:-1] + (row_width(cols),), dtype=w.dtype)
+        wide[..., :cols] = w
+        w = wide
     return (x @ w)[..., :rows, :cols]
 
 
@@ -384,23 +387,16 @@ class Tape:
     # ------------------------------------------------------------------
     # value primitives
 
-    def affine(self, x: Node, w: Node, b: Node, *, align: bool = False) -> Node:
-        """x (..., Din) @ w (Din, Dout) + b (Dout). With `align` the product
-        runs at width `row_width(Dout)`, on zero columns past Dout, so each
-        row's bits do not depend on the rows it is batched with."""
+    def affine(self, x: Node, w: Node, b: Node) -> Node:
+        """x (..., Din) @ w (Din, Dout) + b (Dout); the product runs by
+        `matmul`'s rule, so each row's bits do not depend on the rows it
+        is batched with."""
         xv, wv = x.value, w.value
         if xv.shape[-1] != wv.shape[0]:
             raise ValueError(f"affine shape mismatch: {xv.shape} @ {wv.shape}")
         lead = xv.shape[:-1]
         x2 = xv.reshape(-1, xv.shape[-1])
-        n = wv.shape[1]
-        if align and row_width(n) != n:
-            wide = np.zeros((wv.shape[0], row_width(n)), dtype=wv.dtype)
-            wide[:, :n] = wv
-            out = matmul(x2, wide)[:, :n]
-        else:
-            out = matmul(x2, wv)
-        out = (out + b.value).reshape(*lead, wv.shape[1])
+        out = (matmul(x2, wv) + b.value).reshape(*lead, wv.shape[1])
         xs, ws, bs = x.slot, w.slot, b.slot
 
         def backward(g):

@@ -288,9 +288,8 @@ class AuxRegressor:
         mask = (~pad)[:, None, :]
         pooled = tape.index(tape.attention(query, emb, emb, mask, 1), np.s_[:, 0])
         h = tape.nonlin(tape.affine(pooled, tape.param(store, "head.w1"),
-                                    tape.param(store, "head.b1"), align=True), "tanh")
-        return tape.affine(h, tape.param(store, "head.w2"), tape.param(store, "head.b2"),
-                           align=True)
+                                    tape.param(store, "head.b1")), "tanh")
+        return tape.affine(h, tape.param(store, "head.w2"), tape.param(store, "head.b2"))
 
     def _encode(self, texts) -> tuple[np.ndarray, np.ndarray]:
         """Word ids and pad mask of texts without their reserved tokens."""

@@ -121,13 +121,15 @@ class NeuralRecommender(ExplainableRecommender):
     Each architecture supplies its parameters and `_run(tape, users,
     items, aspect_ids, input_ids, past=None)`, which returns (logits,
     head input, state). Without `past` it runs the (user, item[, aspect])
-    prefix and then `input_ids`, which may hold no words, and the head
-    input is the node the rating head reads. With `past`, the state of an
-    earlier call, it continues that sequence and the head input is None.
-    A state is a tuple of arrays with one row per request (a transformer's
-    keys and values per layer, a GRU's hidden state), so this class
-    gathers, drops and concatenates its rows itself. `kind` names the
-    architecture in checkpoint headers and in `KINDS`.
+    prefix and then `input_ids`, and the head input is the node the rating
+    head reads. With `past`, the state of an earlier call, it continues
+    that sequence and the head input is None. A state is a tuple of arrays
+    with one row per request (a transformer's keys and values per layer,
+    a GRU's hidden state), so this class gathers, drops and concatenates
+    its rows itself. Inference starts from `_shared_prefixes`, one no-word
+    pass over each distinct prefix of a call: ratings read its head
+    inputs, and scoring and decoding continue from its state. `kind`
+    names the architecture in checkpoint headers and in `KINDS`.
     """
 
     kind: str
@@ -150,15 +152,16 @@ class NeuralRecommender(ExplainableRecommender):
 
     @abc.abstractmethod
     def _run(self, tape: Tape, users, items, aspect_ids, input_ids, past=None):
-        """(logits (B, W, V), head input or None, state tuple)."""
+        """(logits (B, W, V), head input or None, state tuple). Outside
+        training only `_shared_prefixes` calls it without `past`; every
+        other inference pass continues from the state that one gives."""
 
     def _rating_head(self, tape: Tape, h):
         """Raw (B, 1) rating from the head input rows."""
         store = self.store
         r = tape.nonlin(tape.affine(h, tape.param(store, "rate.w1"),
-                                    tape.param(store, "rate.b1"), align=True), "tanh")
-        return tape.affine(r, tape.param(store, "rate.w2"), tape.param(store, "rate.b2"),
-                           align=True)
+                                    tape.param(store, "rate.b1")), "tanh")
+        return tape.affine(r, tape.param(store, "rate.w2"), tape.param(store, "rate.b2"))
 
     def loss_nodes(self, tape: Tape, batch: Batch):
         logits, head_in, _ = self._run(tape, batch.users, batch.items,
@@ -230,9 +233,9 @@ class NeuralRecommender(ExplainableRecommender):
         in `length_order` of token count, so a chunk holds texts of similar
         length and pads little; each chunk continues from its rows'
         gathered prefix state. Right-padding never reaches a scored
-        position. No product runs on one row and the output projection
-        runs at an aligned width (`autodiff.matmul`, `autodiff.row_width`),
-        so on the measured BLAS a text scores the same bits in any chunk;
+        position. Every product runs by `autodiff.matmul`'s rule, on two
+        rows or more and at an aligned width, so on the measured BLAS a
+        text scores the same bits in any chunk;
         the chunks are a pure function of the request list in any case.
         """
         requests = _nonempty(requests)
@@ -283,47 +286,48 @@ class NeuralRecommender(ExplainableRecommender):
         return [clamp_rating(r) for r in rating.value[:, 0].tolist()]
 
     def generate_many(self, requests) -> list[list[str]]:
-        """Greedy decoding in request order, CHUNK_ROWS requests at a time,
-        carrying each architecture's state (K/V cache or GRU state) between
-        steps; a row's tokens do not depend on the other rows decoded with
-        it. All requests are validated before any forward pass."""
+        """Greedy decoding in request order. All requests are validated
+        before any forward pass; `_shared_prefixes` then runs the prefixes
+        of the whole call, and each CHUNK_ROWS chunk of requests decodes
+        from its rows' gathered prefix state, so a row's tokens do not
+        depend on the other rows decoded with it."""
         users, items, aspects = self._prefixes(list(requests), self._decode_aspect_id)
+        if not len(users) or self.arch.max_len < 2:
+            return [[EOS_TOKEN] for _ in users]
+        which, _, state = self._shared_prefixes(users, items, aspects)
         texts = []
         for lo in range(0, len(users), CHUNK_ROWS):
-            rows = slice(lo, lo + CHUNK_ROWS)
-            texts += self._decode_chunk(users[rows], items[rows], aspects[rows])
+            texts += self._decode_chunk(tuple(a[which[lo:lo + CHUNK_ROWS]] for a in state))
         return texts
 
-    def _decode_chunk(self, users, items, aspects) -> list[list[str]]:
-        """Greedy explanations for the rows of one chunk, decoded side by side.
+    def _decode_chunk(self, past) -> list[list[str]]:
+        """Greedy explanations for the rows of one chunk's prefix state,
+        decoded side by side.
 
-        The first pass runs the prefix and BOS of every row; each later one
-        feeds one word per row still decoding, continuing from the cached
-        state without the rows that stopped. A row stops at EOS or after
-        max_len - 1 words; either way its tokens end with the EOS marker.
+        Each pass feeds one token per row still decoding, BOS first, and
+        continues from the state without the rows that stopped. A row
+        stops at EOS or after max_len - 1 words; either way its tokens end
+        with the EOS marker.
         """
-        n = len(users)
+        n = len(past[0])
         words: list[list[int]] = [[] for _ in range(n)]
-        if n and self.arch.max_len > 1:
-            bos = np.full((n, 1), BOS_ID, dtype=np.int64)
-            logits, _, state = self._run(Tape(grad=False), users, items, aspects, bos)
-            alive = np.arange(n)
-            while True:
-                dist = log_softmax(logits.value[:, -1])
-                dist[:, PAD_ID] = -np.inf
-                dist[:, BOS_ID] = -np.inf
-                nxt = np.argmax(dist, axis=1)
-                going = nxt != EOS_ID
-                alive, nxt = alive[going], nxt[going]
-                for row, wid in zip(alive.tolist(), nxt.tolist()):
-                    words[row].append(wid)
-                if not alive.size or len(words[alive[0]]) >= self.arch.max_len - 1:
-                    break
-                if not going.all():
-                    state = tuple(a[going] for a in state)
-                logits, _, state = self._run(Tape(grad=False), None, None, None, nxt[:, None],
-                                             past=state)
-        return [[self.vocab.id_to_token(w) for w in ids] + [EOS_TOKEN] for ids in words]
+        alive = np.arange(n)
+        nxt = np.full(n, BOS_ID, dtype=np.int64)
+        while True:
+            logits, _, past = self._run(Tape(grad=False), None, None, None, nxt[:, None],
+                                        past=past)
+            dist = log_softmax(logits.value[:, -1])
+            dist[:, PAD_ID] = -np.inf
+            dist[:, BOS_ID] = -np.inf
+            nxt = np.argmax(dist, axis=1)
+            going = nxt != EOS_ID
+            alive, nxt = alive[going], nxt[going]
+            for row, wid in zip(alive.tolist(), nxt.tolist()):
+                words[row].append(wid)
+            if not alive.size or len(words[alive[0]]) >= self.arch.max_len - 1:
+                return [[self.vocab.id_to_token(w) for w in ids] + [EOS_TOKEN] for ids in words]
+            if not going.all():
+                past = tuple(a[going] for a in past)
 
 
 @dataclass(frozen=True)
@@ -448,14 +452,11 @@ class TransformerModel(NeuralRecommender):
             x = tape.add(x, tape.affine(h, tape.param(store, p + "ffn.w2"),
                                         tape.param(store, p + "ffn.b2")))
         xf = tape.layer_norm(x, tape.param(store, "final.gain"), tape.param(store, "final.bias"))
+        out_w, out_b = tape.param(store, "out.w"), tape.param(store, "out.b")
         if past is not None:
-            logits = tape.affine(xf, tape.param(store, "out.w"), tape.param(store, "out.b"),
-                                 align=True)
-            return logits, None, kv
+            return tape.affine(xf, out_w, out_b), None, kv
         words = tape.index(xf, np.s_[:, self.prefix_len:L])
-        logits = tape.affine(words, tape.param(store, "out.w"), tape.param(store, "out.b"),
-                             align=True)
-        return logits, tape.index(xf, np.s_[:, 1]), kv
+        return tape.affine(words, out_w, out_b), tape.index(xf, np.s_[:, 1]), kv
 
 
 @dataclass(frozen=True)
@@ -527,8 +528,7 @@ class RecurrentModel(NeuralRecommender):
         if not states:
             return None, ui, (h.value,)
         hseq = tape.stack(states, axis=1)
-        logits = tape.affine(hseq, tape.param(store, "out.w"), tape.param(store, "out.b"),
-                             align=True)
+        logits = tape.affine(hseq, tape.param(store, "out.w"), tape.param(store, "out.b"))
         return logits, ui, (h.value,)
 
 

@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from rexeval.autodiff import (LN_EPS, MASKED_SCORE, Tape, attention_backward,
+from rexeval.autodiff import (LN_EPS, MASKED_SCORE, ROW_ALIGN, Tape, attention_backward,
                               attention_forward, gru_forward, layer_norm_backward,
                               layer_norm_forward, log_softmax, sigmoid)
 from rexeval.nn import ParamStore
@@ -43,14 +43,19 @@ def _loss_fn(store, build):
     return loss_fn
 
 
-def _case_affine(rng, store):
-    store.add("x", rng.normal(size=(2, 3, 4)))
-    store.add("w", rng.normal(size=(4, 5)))
-    store.add("b", rng.normal(size=(5,)))
-    target = rng.normal(size=(2, 3, 5))
-    return _loss_fn(store, lambda t: t.squared_error(
-        t.affine(t.param(store, "x"), t.param(store, "w"), t.param(store, "b")),
-        target))
+def _affine_case(width: int):
+    """An affine map to `width` outputs; widths that are not a multiple of
+    16 run on zero columns past their own (`autodiff.matmul`)."""
+    def build(rng, store):
+        store.add("x", rng.normal(size=(2, 3, 4)))
+        store.add("w", rng.normal(size=(4, width)))
+        store.add("b", rng.normal(size=(width,)))
+        target = rng.normal(size=(2, 3, width))
+        return _loss_fn(store, lambda t: t.squared_error(
+            t.affine(t.param(store, "x"), t.param(store, "w"), t.param(store, "b")),
+            target))
+
+    return build
 
 
 def _case_affine_no_bias(rng, store):
@@ -156,7 +161,8 @@ def _case_structural(rng, store):
 
 
 GRAD_CASES = (
-    ("affine", _case_affine),
+    ("affine", _affine_case(5)),
+    ("affine_68", _affine_case(68)),
     ("affine_no_bias", _case_affine_no_bias),
     ("embedding", _case_embedding),
     ("tanh", _nonlin_case("tanh")),
@@ -195,6 +201,28 @@ def test_affine_matches_matmul():
     np.testing.assert_allclose(out.value, x @ w + b, rtol=1e-12)
     with pytest.raises(ValueError, match="shape mismatch"):
         t.affine(t.leaf(x), t.leaf(rng.normal(size=(3, 5))), t.leaf(b))
+
+
+def test_a_row_keeps_its_bits_among_any_rows_at_aligned_widths():
+    # The platform assumption `autodiff.matmul`'s width rule rests on: at
+    # the widths it runs products at, multiples of ROW_ALIGN, BLAS rounds a
+    # row the same among 2, 3, 64 or 200 rows, wherever it sits. A BLAS
+    # build or kernel family that breaks it fails here, by name, and not
+    # only in the models' chunk-invariance tests.
+    rng = np.random.default_rng(16)
+    differ = []
+    for dtype in (np.float32, np.float64):
+        for inner in range(16, 257):
+            x = rng.normal(size=(200, inner)).astype(dtype)
+            for width in (ROW_ALIGN * m for m in (1, 2, 3, 4, 5, 6, 8, 16)):
+                w = rng.normal(size=(inner, width)).astype(dtype)
+                among_200 = x @ w
+                for rows in (2, 3, 64):
+                    for start in (0, 200 - rows):
+                        if (x[start:start + rows] @ w).tobytes() != \
+                                among_200[start:start + rows].tobytes():
+                            differ.append((dtype.__name__, inner, width, rows, start))
+    assert differ == []
 
 
 def test_embedding_gathers_rows_and_validates_ids():
@@ -572,8 +600,10 @@ def _op_cases(rng):
     logits = rng.normal(size=(2, 3, 7))
     targets = rng.integers(0, 7, size=(2, 3))
     pad = np.array([[False, False, True], [False, True, True]])
+    w68, b68 = rng.normal(size=(4, 68)), rng.normal(size=(68,))
     return {
         "affine": lambda t: t.affine(t.leaf(x), t.leaf(w), t.leaf(b)),
+        "affine_68": lambda t: t.affine(t.leaf(x), t.leaf(w68), t.leaf(b68)),
         "affine_no_bias": lambda t: t.affine(t.leaf(x), t.leaf(w), t.leaf(np.zeros(5))),
         "attention": lambda t: t.attention(t.leaf(q), t.leaf(k), t.leaf(v), mask, 2),
         "layer_norm": lambda t: t.layer_norm(t.leaf(x), t.leaf(gain), t.leaf(bias)),
@@ -582,8 +612,8 @@ def _op_cases(rng):
     }
 
 
-@pytest.mark.parametrize("op", ["affine", "affine_no_bias", "attention", "layer_norm",
-                                "gru_cell", "softmax_xent"])
+@pytest.mark.parametrize("op", ["affine", "affine_68", "affine_no_bias", "attention",
+                                "layer_norm", "gru_cell", "softmax_xent"])
 def test_each_op_returns_the_same_bits_on_an_inference_tape(op):
     build = _op_cases(np.random.default_rng(14))[op]
     recorded = build(Tape()).value

@@ -231,12 +231,13 @@ def default_width_models(corpus, lexicon, width: int):
             RecurrentModel(RecurrentArch(), vocab, 10, 8, seed=13))
 
 
-@pytest.mark.parametrize("width", [64, 68, 89, 96])
+@pytest.mark.parametrize("width", [64, 65, 68, 71, 89, 96])
 def test_a_text_scores_the_same_bits_in_any_chunk(tiny_corpus, lexicon, width):
     # At the default model widths and vocabularies of 64 and 96 (multiples
-    # of 16) and 68 and 89 (not), no product of scoring runs on one row and
-    # the output projection runs at an aligned width, so a row's bits do
-    # not depend on the rows it is scored with.
+    # of 16) and 65, 68, 71 and 89 (not), every product of scoring runs on
+    # two rows or more and at an aligned width (`autodiff.matmul`), so a
+    # row's bits do not depend on the rows it is scored with. With products
+    # run at their own width, 65, 68 and 71 fail here on OpenBLAS 0.3.31.
     roster = default_width_models(tiny_corpus, lexicon, width)
     rng = np.random.default_rng(width)
     words = roster[0].vocab.tokens()
@@ -582,9 +583,8 @@ def one_pair_pass(model, user, item, aspect_id, word_ids):
                                     np.array([[BOS_ID] + list(word_ids)], dtype=np.int64))
     store = model.store
     r = tape.nonlin(tape.affine(head_in, tape.param(store, "rate.w1"),
-                                tape.param(store, "rate.b1"), align=True), "tanh")
-    rating = tape.affine(r, tape.param(store, "rate.w2"), tape.param(store, "rate.b2"),
-                         align=True)
+                                tape.param(store, "rate.b1")), "tanh")
+    rating = tape.affine(r, tape.param(store, "rate.w2"), tape.param(store, "rate.b2"))
     return log_softmax(logits.value[0]), float(rating.value[0, 0])
 
 
@@ -660,6 +660,31 @@ def test_batched_decoding_equals_full_prefix_decoding(
         assert generate(model, u, i, aspect=a) == full_prefix_generate(model, u, i, a)
     # some batch had rows stop at different lengths, some at the length cap
     assert len(lengths) > 2 and max(lengths) == 24
+
+
+def test_a_repeated_prefix_decodes_as_alone(tiny_corpus, sanity_corpus, briefly_trained,
+                                            trained_conditional):
+    # A call that repeats one prefix decodes each row as the full-prefix
+    # reference does, in one call and in shuffled calls of 1, 7 and 64
+    # requests.
+    rng = np.random.default_rng(24)
+    cases = [(briefly_trained[0], tiny_corpus), (trained_conditional, sanity_corpus),
+             (briefly_trained[1], tiny_corpus)]
+    for model, corpus in cases:
+        asked = [(r.user, r.item, r.aspect if model.conditions_on_aspect else None)
+                 for r in corpus.test[:16]]
+        pool = asked + [asked[0]] * CHUNK_ROWS
+        requests = [pool[j] for j in rng.permutation(len(pool))]
+        reference = {request: full_prefix_generate(model, *request) for request in asked}
+        expect = [reference[request] for request in requests]
+        assert model.generate_many(requests) == expect, model.kind
+        for size in (1, 7, 64):
+            order = rng.permutation(len(requests))
+            shuffled = [requests[j] for j in order]
+            decoded = [tokens for lo in range(0, len(shuffled), size)
+                       for tokens in model.generate_many(shuffled[lo:lo + size])]
+            assert decoded == [expect[j] for j in order], (model.kind, size)
+    assert len({len(tokens) for tokens in expect}) > 1  # rows stop at mixed lengths
 
 
 def test_chunked_decoding_equals_one_batch(monkeypatch, tiny_corpus, sanity_corpus,
@@ -771,8 +796,8 @@ def test_generate_many_validates_before_decoding(tiny_corpus, lexicon, fresh_tra
         monkeypatch.setattr(model, "_run", None)
         with pytest.raises(ValueError, match=message):
             model.generate_many(requests)
+        assert model.generate_many([]) == []  # with no forward pass
         monkeypatch.undo()
-        assert model.generate_many([]) == []
 
 
 def test_ratings_take_the_aspects_decoding_takes(tiny_corpus, lexicon, fresh_transformer,
