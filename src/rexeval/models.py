@@ -1,11 +1,11 @@
 """Joint review-rating models sharing one batched interface.
 
-Every model answers three questions, each over a list of requests and in
-request order: the rating it predicts for each (user, item, aspect), the
-explanation text it generates for each, and how likely each (user, item,
-text) is under it. Perplexity is derived from the last one and is the
-only quantity the ranking metrics consume, so any object implementing
-the interface can be evaluated.
+Every model answers two questions, each over a list of requests and in
+request order: the rating it predicts for each (user, item, aspect)
+together with the explanation it writes for it, and how likely each
+(user, item, text) is under it. Perplexity is derived from the second
+and is the only quantity the ranking metrics consume, so any object
+implementing the interface can be evaluated.
 
 Trainable models are composed purely from the tape primitives in
 `autodiff` and compute in float32 (`NeuralRecommender.dtype`). What
@@ -64,20 +64,16 @@ def _nonempty(requests) -> list:
 
 
 class ExplainableRecommender(abc.ABC):
-    """Rating prediction, explanation generation and text scoring, each
-    answered for a list of requests, in request order."""
+    """Explanation (a rating with the text written for it) and text
+    scoring, each answered for a list of requests, in request order."""
 
     conditions_on_aspect = False
 
     @abc.abstractmethod
-    def predict_rating_many(self, requests) -> list[float]:
-        """Predicted rating in [1, 5] per (user, item, aspect) request; the
+    def explain_many(self, requests) -> list[tuple[float, list[str]]]:
+        """(rating, explanation tokens) per (user, item, aspect) request:
+        the rating in [1, 5], the tokens ending with the EOS marker. The
         aspect is None for models that do not condition on one."""
-
-    @abc.abstractmethod
-    def generate_many(self, requests) -> list[list[str]]:
-        """Explanation tokens per (user, item, aspect) request, each ending
-        with the EOS marker."""
 
     @abc.abstractmethod
     def log_likelihood_many(self, requests) -> list[float]:
@@ -272,33 +268,27 @@ class NeuralRecommender(ExplainableRecommender):
         logits, _, _ = self._run(Tape(grad=False), None, None, None, input_ids, past=past)
         return _sum_target_logprobs(log_softmax(logits.value), target_ids, pad)
 
-    def predict_rating_many(self, requests) -> list[float]:
-        """Ratings of (user, item, aspect) requests: the rating head runs
-        once over every request, on the head inputs of the no-word prefix
-        pass (`_shared_prefixes`); a row's values do not depend on the
-        other rows (see `log_likelihood_many`)."""
+    def explain_many(self, requests) -> list[tuple[float, list[str]]]:
+        """Ratings and greedy explanations in request order. All requests
+        are validated before any forward pass, and `_shared_prefixes` runs
+        the prefixes of the whole call once. The rating head runs once
+        over every request, on that pass's head inputs, and each
+        CHUNK_ROWS chunk of requests decodes from its rows' gathered
+        prefix state, so neither a row's rating nor its tokens depend on
+        the other rows (see `log_likelihood_many`)."""
         users, items, aspects = self._prefixes(list(requests), self._decode_aspect_id)
         if not len(users):
             return []
-        which, heads, _ = self._shared_prefixes(users, items, aspects)
+        which, heads, state = self._shared_prefixes(users, items, aspects)
         tape = Tape(grad=False)
         rating = self._rating_head(tape, tape.leaf(heads[which]))
-        return [clamp_rating(r) for r in rating.value[:, 0].tolist()]
-
-    def generate_many(self, requests) -> list[list[str]]:
-        """Greedy decoding in request order. All requests are validated
-        before any forward pass; `_shared_prefixes` then runs the prefixes
-        of the whole call, and each CHUNK_ROWS chunk of requests decodes
-        from its rows' gathered prefix state, so a row's tokens do not
-        depend on the other rows decoded with it."""
-        users, items, aspects = self._prefixes(list(requests), self._decode_aspect_id)
-        if not len(users) or self.arch.max_len < 2:
-            return [[EOS_TOKEN] for _ in users]
-        which, _, state = self._shared_prefixes(users, items, aspects)
-        texts = []
-        for lo in range(0, len(users), CHUNK_ROWS):
-            texts += self._decode_chunk(tuple(a[which[lo:lo + CHUNK_ROWS]] for a in state))
-        return texts
+        if self.arch.max_len < 2:
+            texts = [[EOS_TOKEN] for _ in users]
+        else:
+            texts = []
+            for lo in range(0, len(users), CHUNK_ROWS):
+                texts += self._decode_chunk(tuple(a[which[lo:lo + CHUNK_ROWS]] for a in state))
+        return [(clamp_rating(r), tokens) for r, tokens in zip(rating.value[:, 0].tolist(), texts)]
 
     def _decode_chunk(self, past) -> list[list[str]]:
         """Greedy explanations for the rows of one chunk's prefix state,
@@ -560,11 +550,9 @@ class OracleModel(ExplainableRecommender):
             self._cache[key] = review
         return review
 
-    def predict_rating_many(self, requests) -> list[float]:
-        return [float(self._gold(user, item).rating) for user, item, _ in requests]
-
-    def generate_many(self, requests) -> list[list[str]]:
-        return [list(self._gold(user, item).tokens) + [EOS_TOKEN] for user, item, _ in requests]
+    def explain_many(self, requests) -> list[tuple[float, list[str]]]:
+        return [(float(gold.rating), list(gold.tokens) + [EOS_TOKEN])
+                for gold in (self._gold(user, item) for user, item, _ in requests)]
 
     def log_likelihood_many(self, requests) -> list[float]:
         out = []
@@ -584,17 +572,15 @@ class RandomScorer(ExplainableRecommender):
         self.seed = seed
         self.vocab = vocab
 
-    def predict_rating_many(self, requests) -> list[float]:
-        return [1.0 + 4.0 * _unit(self.seed, "rating", user, item) for user, item, _ in requests]
-
-    def generate_many(self, requests) -> list[list[str]]:
+    def explain_many(self, requests) -> list[tuple[float, list[str]]]:
         words = self.vocab.tokens()
-        texts = []
+        out = []
         for user, item, _ in requests:
             rng = np.random.default_rng([self.seed, user, item])
             n = int(rng.integers(3, 9))
-            texts.append([words[int(rng.integers(len(words)))] for _ in range(n)] + [EOS_TOKEN])
-        return texts
+            out.append((1.0 + 4.0 * _unit(self.seed, "rating", user, item),
+                        [words[int(rng.integers(len(words)))] for _ in range(n)] + [EOS_TOKEN]))
+        return out
 
     def log_likelihood_many(self, requests) -> list[float]:
         return [float(np.log(_unit(self.seed, "ll", user, item, " ".join(tokens))))
@@ -620,15 +606,13 @@ class UnigramModel(ExplainableRecommender):
         mean_rating = float(np.mean([r.rating for r in corpus.train]))
         return cls(log_probs, mean_rating, vocab)
 
-    def predict_rating_many(self, requests) -> list[float]:
-        return [clamp_rating(self.mean_rating) for _ in requests]
-
-    def generate_many(self, requests) -> list[list[str]]:
-        """The most probable word that is not reserved, then EOS."""
+    def explain_many(self, requests) -> list[tuple[float, list[str]]]:
+        """The mean training rating, and the most probable word that is not
+        reserved, then EOS."""
         ranked = np.argsort(-self.log_probs)
         best = [self.vocab.id_to_token(int(tid))
                 for tid in ranked[ranked >= len(RESERVED_TOKENS)][:1]]
-        return [best + [EOS_TOKEN] for _ in requests]
+        return [(clamp_rating(self.mean_rating), best + [EOS_TOKEN]) for _ in requests]
 
     def log_likelihood_many(self, requests) -> list[float]:
         return [float(self.log_probs[self.vocab.encode(tokens, append_eos=True)].sum())

@@ -280,10 +280,8 @@ def stage_generate(config: RunConfig, log=None) -> dict:
             requests = [(review.user, review.item,
                          review.aspect if model.conditions_on_aspect else None)
                         for review in pool]
-            texts = model.generate_many(requests)
-            ratings = model.predict_rating_many(requests)
             rows = [(review.user, review.item, float(rating), tokens)
-                    for review, rating, tokens in zip(pool, ratings, texts)]
+                    for review, (rating, tokens) in zip(pool, model.explain_many(requests))]
             with open(gen_dir / f"{spec.name}.tsv", "w", encoding="utf-8") as fh:
                 fh.write(f"# config {lineage_hash(config)}\n")
                 for user, item, rating, tokens in rows:

@@ -16,7 +16,7 @@ import rexeval
 from rexeval.cli import main
 from rexeval.config import (CorpusSpec, MetricSettings, ModelSpec, RunConfig,
                             Seeds, apply_overrides, lineage_hash, load_config)
-from rexeval.models import EOS_TOKEN, TransformerModel
+from rexeval.models import EOS_TOKEN, NeuralRecommender, TransformerModel
 from rexeval import metrics, pipeline
 from rexeval.pipeline import model_seed
 from rexeval.report import EvaluationReport, verify_against_audit
@@ -609,14 +609,36 @@ def test_evaluate_errors_name_the_model_and_cell(micro_ini, runall_dir, tmp_path
                                                 capsys, monkeypatch):
     target = tmp_path / "mute"
     shutil.copytree(runall_dir, target)
-    monkeypatch.setattr(TransformerModel, "generate_many",
-                        lambda self, requests: [[EOS_TOKEN] for _ in requests])
+    monkeypatch.setattr(TransformerModel, "explain_many",
+                        lambda self, requests: [(3.0, [EOS_TOKEN]) for _ in requests])
     assert _cli("generate", "--config", micro_ini, "--out", target, "--quiet",
                 "--models", "tiny") == 0
     assert _cli("evaluate", "--config", micro_ini, "--out", target, "--quiet",
                 "--models", "tiny", "--metrics", "air entail", "--air-mode", "both") == 1
     assert ("[evaluate] model 'tiny', cell 'air_generated': ValueError: empty AIR pool"
             in capsys.readouterr().err)
+
+
+def test_generate_runs_one_prefix_pass_per_trainable_model(tmp_path, monkeypatch):
+    # a model's ratings and explanations come from one call, which runs
+    # the pool's prefixes once
+    ini = tmp_path / "two.ini"
+    ini.write_text(MICRO_INI + "\n[model:gru]\nkind = recurrent\nembed_dim = 16\n"
+                               "hidden_dim = 24\nepochs = 1\n", encoding="utf-8")
+    out = tmp_path / "run"
+    for stage in ("gen-corpus", "train"):
+        assert _cli(stage, "--config", ini, "--out", out, "--quiet") == 0
+    passes = []
+    original = NeuralRecommender._shared_prefixes
+
+    def counted(self, *args):
+        passes.append(self.kind)
+        return original(self, *args)
+
+    monkeypatch.setattr(NeuralRecommender, "_shared_prefixes", counted)
+    generations = pipeline.stage_generate(apply_overrides(load_config(ini), out_dir=out))
+    assert set(generations) == {"oracle", "random", "tiny", "gru"}
+    assert sorted(passes) == ["recurrent", "transformer"]
 
 
 # ----------------------------------------------------------------------

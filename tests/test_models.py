@@ -165,7 +165,7 @@ def _untrained_roster(corpus, lexicon) -> dict:
 
 def test_the_batched_methods_are_the_one_model_interface(tiny_corpus, lexicon, monkeypatch):
     assert models.ExplainableRecommender.__abstractmethods__ == {
-        "predict_rating_many", "generate_many", "log_likelihood_many"}
+        "explain_many", "log_likelihood_many"}
     one_pair = {"predict_rating", "generate", "log_likelihood", "perplexity", "token_log_probs"}
     for cls in vars(models).values():
         if isinstance(cls, type) and cls.__module__ == models.__name__:
@@ -175,8 +175,7 @@ def test_the_batched_methods_are_the_one_model_interface(tiny_corpus, lexicon, m
         asked = [(r.user, r.item, r.aspect if model.conditions_on_aspect else None)
                  for r in reviews]
         texts = [(r.user, r.item, r.tokens) for r in reviews]
-        for method, requests in ((model.predict_rating_many, asked),
-                                 (model.generate_many, asked),
+        for method, requests in ((model.explain_many, asked),
                                  (model.log_likelihood_many, texts)):
             assert method([]) == [], kind
             assert method(requests) == [method([request])[0] for request in requests], kind
@@ -487,8 +486,7 @@ def test_no_compute_drifts_back_to_float64(tiny_corpus, lexicon, monkeypatch):
         asked = [(r.user, r.item, r.aspect if model.conditions_on_aspect else None)
                  for r in reviews]
         model.log_likelihood_many([(r.user, r.item, r.tokens) for r in reviews])
-        model.generate_many(asked)
-        model.predict_rating_many(asked)
+        model.explain_many(asked)
         assert {n.op for n in nodes} >= {"affine", "embedding"}
         drift = {(n.op, n.value.dtype.name) for n in trained + nodes
                  if n.value.dtype != np.float32}
@@ -624,6 +622,14 @@ def with_max_len(model, max_len: int):
     return short
 
 
+def texts_of(model, requests) -> list[list[str]]:
+    return [tokens for _, tokens in model.explain_many(requests)]
+
+
+def ratings_of(model, requests) -> list[float]:
+    return [rating for rating, _ in model.explain_many(requests)]
+
+
 @pytest.fixture(scope="module")
 def briefly_trained(tiny_corpus):
     """A transformer and a GRU after ten short epochs: each stops its rows at
@@ -653,7 +659,7 @@ def test_batched_decoding_equals_full_prefix_decoding(
             requests = [(u, i, None) for u, i, _ in requests]
         for decoder in (with_max_len(model, 1), with_max_len(model, 2), model):
             expect = [full_prefix_generate(decoder, u, i, a) for u, i, a in requests]
-            assert decoder.generate_many(requests) == expect
+            assert texts_of(decoder, requests) == expect
             if decoder is model:
                 lengths.update(len(tokens) for tokens in expect)
         u, i, a = requests[0]
@@ -677,12 +683,12 @@ def test_a_repeated_prefix_decodes_as_alone(tiny_corpus, sanity_corpus, briefly_
         requests = [pool[j] for j in rng.permutation(len(pool))]
         reference = {request: full_prefix_generate(model, *request) for request in asked}
         expect = [reference[request] for request in requests]
-        assert model.generate_many(requests) == expect, model.kind
+        assert texts_of(model, requests) == expect, model.kind
         for size in (1, 7, 64):
             order = rng.permutation(len(requests))
             shuffled = [requests[j] for j in order]
             decoded = [tokens for lo in range(0, len(shuffled), size)
-                       for tokens in model.generate_many(shuffled[lo:lo + size])]
+                       for tokens in texts_of(model, shuffled[lo:lo + size])]
             assert decoded == [expect[j] for j in order], (model.kind, size)
     assert len({len(tokens) for tokens in expect}) > 1  # rows stop at mixed lengths
 
@@ -698,12 +704,12 @@ def test_chunked_decoding_equals_one_batch(monkeypatch, tiny_corpus, sanity_corp
     for model, requests in cases:
         assert len(requests) > models.CHUNK_ROWS
         for decoder in (with_max_len(model, 1), with_max_len(model, 2), model):
-            chunked = decoder.generate_many(requests)
+            chunked = decoder.explain_many(requests)
             with monkeypatch.context() as patch:
                 patch.setattr(models, "CHUNK_ROWS", len(requests))
-                assert decoder.generate_many(requests) == chunked
+                assert decoder.explain_many(requests) == chunked
             if decoder is model:
-                lengths.update(len(tokens) for tokens in chunked)
+                lengths.update(len(tokens) for _, tokens in chunked)
     assert len(lengths) > 2  # rows stopped at mixed lengths
 
 
@@ -725,13 +731,12 @@ def test_batched_ratings_equal_one_pair_ratings(
             requests = [(u, i, None) for u, i, _ in requests]
         expect = [clamp_rating(one_pair_pass(model, u, i, _prefix_aspect_id(model, a), [])[1])
                   for u, i, a in requests]
-        assert model.predict_rating_many(requests) == expect
-        assert model.predict_rating_many(requests[:1]) == expect[:1]
+        assert ratings_of(model, requests) == expect
+        assert ratings_of(model, requests[:1]) == expect[:1]
         u, i, a = requests[-1]
         assert predict_rating(model, u, i, aspect=a) == expect[-1]
-    assert fresh_transformer.predict_rating_many([]) == []
     with pytest.raises(ValueError, match="cold-start item"):
-        fresh_recurrent.predict_rating_many([(0, 0, None), (0, 8, None)])
+        fresh_recurrent.explain_many([(0, 0, None), (0, 8, None)])
 
 
 @pytest.mark.parametrize("width", [68, 96])
@@ -746,17 +751,8 @@ def test_prefix_pass_ratings_equal_prefix_and_bos_ratings(tiny_corpus, lexicon, 
         requests += requests[::-7]  # repeated and reordered pairs
         # the distinct prefixes fill more than one prefix pass
         assert len({(u, i) for u, i, _ in requests}) > CHUNK_ROWS
-        assert model.predict_rating_many(requests) == prefix_bos_ratings(model, requests), \
+        assert ratings_of(model, requests) == prefix_bos_ratings(model, requests), \
             (model.kind, model.conditions_on_aspect, width)
-
-
-def test_base_predict_rating_many_is_per_pair_predict_rating(tiny_corpus):
-    requests = [(r.user, r.item, None) for r in tiny_corpus.test]
-    for model in (OracleModel(tiny_corpus.world), RandomScorer(5, tiny_corpus.vocab),
-                  UnigramModel.fit(tiny_corpus), UniformScorer(7)):
-        assert model.predict_rating_many(requests) == [
-            predict_rating(model, u, i) for u, i, _ in requests]
-        assert model.predict_rating_many([]) == []
 
 
 def _sum_target_logprobs_reference(lp, word_ids) -> float:
@@ -779,31 +775,27 @@ def test_target_gather_equals_the_position_loop():
         assert all(type(x) is float for x in got)
 
 
-def test_generate_many_validates_before_decoding(tiny_corpus, lexicon, fresh_transformer,
-                                                 fresh_recurrent, monkeypatch):
-    cond = TransformerModel(
-        TransformerArch(embed_dim=16, ffn_dim=32, layers=1, heads=2, use_aspect=True),
-        tiny_corpus.vocab, 10, 8, seed=7, lexicon=lexicon)
+def test_explain_many_validates_before_any_pass(fresh_transformer, fresh_recurrent,
+                                                monkeypatch):
     bad = [(fresh_transformer, [(0, 0, None), (10, 0, None)], "cold-start user"),
-           (fresh_recurrent, [(0, 0, None), (0, 8, None)], "cold-start item"),
-           (cond, [(0, 0, "food"), (0, 1, None)], "needs a conditioning aspect"),
-           (fresh_transformer, [(0, 0, None), (0, 1, "food")], "does not condition"),
-           (fresh_recurrent, [(0, 0, None), (0, 1, "food")], "does not condition")]
+           (fresh_recurrent, [(0, 0, None), (0, 8, None)], "cold-start item")]
     for model, requests, message in bad:
         with pytest.raises(ValueError, match=message):
             generate(model, *requests[-1])
         # any forward pass would raise something else first
         monkeypatch.setattr(model, "_run", None)
         with pytest.raises(ValueError, match=message):
-            model.generate_many(requests)
-        assert model.generate_many([]) == []  # with no forward pass
+            model.explain_many(requests)
+        assert model.explain_many([]) == []  # with no forward pass
         monkeypatch.undo()
 
 
-def test_ratings_take_the_aspects_decoding_takes(tiny_corpus, lexicon, fresh_transformer,
+def test_ratings_take_the_aspects_decoding_takes(tiny_corpus, lexicon, sanity_corpus,
+                                                 trained_conditional, fresh_transformer,
                                                  fresh_recurrent, monkeypatch):
-    """A rating request's aspect is checked as a decoding request's is: an
-    aspect-conditioned model needs one, any other model takes None."""
+    """A request's aspect is checked once, before any forward pass: an
+    aspect-conditioned model needs one, any other model takes None. The
+    rating and the text of one pair both condition on that aspect."""
     cond = TransformerModel(
         TransformerArch(embed_dim=16, ffn_dim=32, layers=1, heads=2, use_aspect=True),
         tiny_corpus.vocab, 10, 8, seed=7, lexicon=lexicon)
@@ -811,20 +803,28 @@ def test_ratings_take_the_aspects_decoding_takes(tiny_corpus, lexicon, fresh_tra
            (fresh_transformer, [(0, 0, None), (0, 1, "food")], "does not condition"),
            (fresh_recurrent, [(0, 0, None), (0, 1, "food")], "does not condition")]
     for model, requests, message in bad:
-        # any forward pass would raise something else first
         monkeypatch.setattr(model, "_run", None)
         with pytest.raises(ValueError, match=message):
-            model.predict_rating_many(requests)
+            model.explain_many(requests)
         monkeypatch.undo()
+    # one (user, item) pair asked under every aspect, twice, in one call
+    model = trained_conditional
+    requests = [(2, 3, aspect) for aspect in sorted({r.aspect for r in sanity_corpus.train})] * 2
+    explained = model.explain_many(requests)
+    assert explained == [
+        (clamp_rating(one_pair_pass(model, u, i, _prefix_aspect_id(model, a), [])[1]),
+         full_prefix_generate(model, u, i, a)) for u, i, a in requests]
+    assert len({rating for rating, _ in explained}) > 1
 
 
-def test_base_generate_many_is_per_pair_generate(tiny_corpus):
+def test_base_explain_many_is_per_pair_explain(tiny_corpus):
     requests = [(r.user, r.item, r.aspect) for r in tiny_corpus.test]
     for model in (OracleModel(tiny_corpus.world), RandomScorer(5, tiny_corpus.vocab),
                   UnigramModel.fit(tiny_corpus), UniformScorer(7)):
-        assert model.generate_many(requests) == [
-            generate(model, u, i, aspect=a) for u, i, a in requests]
-        assert model.generate_many([]) == []
+        assert model.explain_many(requests) == [
+            (predict_rating(model, u, i, aspect=a), generate(model, u, i, aspect=a))
+            for u, i, a in requests]
+        assert model.explain_many([]) == []
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Helpers that only the tests use.
 
-The one-pair model calls (`predict_rating`, `generate`, `log_likelihood`,
-`perplexity`) are the batched interface over a one-element request list.
+The one-pair model calls (`predict_rating` and `generate`, the two halves
+of one explanation, `log_likelihood` and `perplexity`) are the batched
+interface over a one-element request list.
 `full_pass_log_likelihoods` and `prefix_bos_ratings` are the references
 the batched scoring and ratings of the trainable models are checked
 against. `UniformScorer` and
@@ -28,11 +29,11 @@ from rexeval.training import length_order, padded_ids
 
 
 def predict_rating(model, user: int, item: int, aspect: str | None = None) -> float:
-    return model.predict_rating_many([(user, item, aspect)])[0]
+    return model.explain_many([(user, item, aspect)])[0][0]
 
 
 def generate(model, user: int, item: int, aspect: str | None = None) -> list[str]:
-    return model.generate_many([(user, item, aspect)])[0]
+    return model.explain_many([(user, item, aspect)])[0][1]
 
 
 def log_likelihood(model, user: int, item: int, tokens) -> float:
@@ -84,11 +85,8 @@ class UniformScorer(ExplainableRecommender):
             raise ValueError("vocab size must be positive")
         self.vocab_size = vocab_size
 
-    def predict_rating_many(self, requests) -> list[float]:
-        return [3.0 for _ in requests]
-
-    def generate_many(self, requests) -> list[list[str]]:
-        return [[EOS_TOKEN] for _ in requests]
+    def explain_many(self, requests) -> list[tuple[float, list[str]]]:
+        return [(3.0, [EOS_TOKEN]) for _ in requests]
 
     def log_likelihood_many(self, requests) -> list[float]:
         log_v = float(np.log(self.vocab_size))
