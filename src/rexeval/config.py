@@ -67,6 +67,8 @@ class MetricSettings:
     audit: bool = False
 
     def __post_init__(self):
+        if not self.metrics:
+            raise ValueError("no metric selected")
         for m in self.metrics:
             if m not in METRIC_NAMES:
                 raise ValueError(f"unknown metric '{m}' (known: {', '.join(METRIC_NAMES)})")
@@ -104,6 +106,11 @@ class ModelSpec:
             if key not in takes:
                 raise ValueError(f"model '{self.name}': unknown key '{key}' for kind "
                                  f"'{self.kind}' (it takes {', '.join(takes) or 'no options'})")
+        if self.trainable:
+            try:
+                KINDS[self.kind].settings(self.option_dict)
+            except ValueError as exc:
+                raise ValueError(f"model '{self.name}': {exc}") from None
 
     @property
     def option_dict(self) -> dict:

@@ -320,6 +320,14 @@ class NeuralRecommender(ExplainableRecommender):
                 past = tuple(a[going] for a in past)
 
 
+def _check_sizes(arch) -> None:
+    """Every int field of an architecture is a size: at least 1."""
+    for field in dataclasses.fields(arch):
+        value = getattr(arch, field.name)
+        if type(value) is int and value < 1:
+            raise ValueError(f"{field.name} must be >= 1")
+
+
 @dataclass(frozen=True)
 class TransformerArch:
     embed_dim: int = 64
@@ -329,6 +337,11 @@ class TransformerArch:
     max_len: int = 24
     rating_hidden: int = 64
     use_aspect: bool = False
+
+    def __post_init__(self):
+        _check_sizes(self)
+        if self.embed_dim % self.heads:
+            raise ValueError(f"heads ({self.heads}) must divide embed_dim ({self.embed_dim})")
 
 
 class TransformerModel(NeuralRecommender):
@@ -455,6 +468,9 @@ class RecurrentArch:
     hidden_dim: int = 128
     max_len: int = 24
     rating_hidden: int = 64
+
+    def __post_init__(self):
+        _check_sizes(self)
 
 
 class RecurrentModel(NeuralRecommender):
@@ -676,21 +692,25 @@ class Kind(NamedTuple):
     arch: type | None = None  # the architecture dataclass it is built from
     privileged: Callable[[dict], bool] = lambda options: False  # reads the answer key
 
-    def train_options(self, options: dict) -> dict:
-        """A trainable kind's options that are not architecture fields: the
-        TrainConfig keyword arguments."""
-        return {k: v for k, v in options.items() if k not in self.arch.__dataclass_fields__}
+    def settings(self, options: dict, seed: int = 0) -> tuple:
+        """A trainable kind's architecture and TrainConfig from its options:
+        the architecture fields build the one, the rest the other. Either
+        raises ValueError on a value it does not take."""
+        fields = self.arch.__dataclass_fields__
+        return (self.arch(**{k: v for k, v in options.items() if k in fields}),
+                TrainConfig(seed=seed, **{k: v for k, v in options.items() if k not in fields}))
 
 
 def _trainable(model: type, arch: type, **kwargs) -> Kind:
     """A trainable kind: it takes its architecture's fields and the training
     settings other than the seed, each parsed as the type of its default."""
     def build(options, corpus, lexicon, seed):
-        arch_options = {k: v for k, v in options.items() if k in arch.__dataclass_fields__}
-        return model(arch(**arch_options), corpus.vocab, *_id_bounds(corpus), seed, lexicon)
+        return model(kind.settings(options)[0], corpus.vocab, *_id_bounds(corpus), seed,
+                     lexicon)
     parsers = {f.name: type(f.default) for settings in (arch, TrainConfig)
                for f in dataclasses.fields(settings) if f.name != "seed"}
-    return Kind(parsers, build, model, arch, **kwargs)
+    kind = Kind(parsers, build, model, arch, **kwargs)
+    return kind
 
 
 # every roster kind, by the name a [model:*] section gives as its `kind`

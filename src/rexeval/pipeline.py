@@ -32,7 +32,7 @@ from .metrics import HELPERS, AuditWriter, CellInputs, mrr_ae_eligible, selected
 from .models import KINDS, model_from_parameters
 from .nn import load_checkpoint, save_checkpoint
 from .report import EvaluationReport, ModelRow, format_table
-from .training import TrainConfig, train_model
+from .training import train_model
 
 CORPUS_FILE = "corpus.tsv"
 WORLD_FILE = "world.json"
@@ -248,7 +248,7 @@ def stage_train(config: RunConfig, log=None) -> dict:
                 continue
             seed = model_seed(config.seeds.model, spec.name)
             model = build_model(spec, config, corpus, lexicon)
-            tconfig = TrainConfig(seed=seed, **KINDS[spec.kind].train_options(spec.option_dict))
+            _, tconfig = KINDS[spec.kind].settings(spec.option_dict, seed)
             prefixed = (lambda m: log(f"[train] {spec.name}: {m}")) if log else None
             history = train_model(model, corpus, tconfig, log=prefixed)
             save_checkpoint(ckpt_dir / f"{spec.name}.ckpt", model.store, seed,
@@ -311,8 +311,11 @@ def _read_generations(path: Path, pool, config: RunConfig, name: str) -> list:
             fields = line.split("\t")
             if len(fields) != 4:
                 raise StageError("evaluate", f"{path}:{lineno}: expected 4 fields")
-            rows.append((int(fields[0]), int(fields[1]), float(fields[2]),
-                         tuple(fields[3].split())))
+            try:
+                rows.append((int(fields[0]), int(fields[1]), float(fields[2]),
+                             tuple(fields[3].split())))
+            except ValueError as exc:
+                raise StageError("evaluate", f"{path}:{lineno}: {exc}") from None
     if len(rows) < len(pool):
         raise StageError("evaluate", f"generations for '{name}' cover {len(rows)} pairs "
                                      f"but the pool needs {len(pool)}; rerun the "

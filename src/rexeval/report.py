@@ -171,9 +171,7 @@ def _read_audit(path: Path) -> list[dict]:
 def _unexplained_ranks(rows: list[dict]) -> list[str]:
     """MRR-AE rows whose best impostor does not account for the rank: the
     gold ranks first exactly when every impostor scores a higher
-    perplexity. Audits written before the column existed are skipped."""
-    if not rows or "ppl_best_impostor" not in rows[0]:
-        return []
+    perplexity."""
     return [r["instance"] for r in rows
             if (float(r["ppl_best_impostor"]) > float(r["ppl_gold"])) != (int(r["rank"]) == 1)]
 

@@ -195,6 +195,41 @@ def test_load_config_rejections(tmp_path, ini, message):
         load_config(path)
 
 
+@pytest.mark.parametrize("kind, key, value, message", [
+    ("transformer", "layers", "0", "layers must be >= 1"),
+    ("transformer", "heads", "0", "heads must be >= 1"),
+    ("transformer", "heads", "3", r"heads \(3\) must divide embed_dim \(64\)"),
+    ("transformer", "embed_dim", "0", "embed_dim must be >= 1"),
+    ("recurrent", "epochs", "0", "epochs must be >= 1"),
+    ("transformer", "lr", "0", "lr must be positive"),
+])
+def test_load_config_rejects_model_values_the_model_cannot_take(tmp_path, kind, key, value,
+                                                                message):
+    path = tmp_path / "values.ini"
+    path.write_text(f"[model:m]\nkind = {kind}\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^model 'm': {message}$"):
+        load_config(path)
+
+
+def test_an_empty_metric_selection_is_rejected_at_load(tmp_path, capsys):
+    path = tmp_path / "metrics.ini"
+    path.write_text("[metrics]\nmetrics =\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="no metric selected"):
+        load_config(path)
+    out = tmp_path / "run"
+    assert _cli("run-all", "--metrics", "", "--out", out, "--quiet") == 1
+    assert "no metric selected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_committed_config_loads():
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted(root.glob("configs/*.ini")) + sorted(root.glob("fixtures/*.ini"))
+    assert {path.name for path in paths} >= {"default.ini", "smoke.ini"}
+    for path in paths:
+        assert load_config(path).models, path
+
+
 def test_load_config_rejects_metric_settings_the_evaluate_stage_cannot_use(tmp_path):
     path = tmp_path / "metrics.ini"
     for key, value in (("cnll_weight", "1.5"), ("cnll_weight", "-0.25"),
@@ -775,6 +810,20 @@ def test_generation_pool_alignment_guards(micro_ini, tmp_path, capsys):
                 "--models", "oracle", "--metrics", "entail rmse",
                 "--n-explanations", "4") == 1
     assert "different configuration" in capsys.readouterr().err
+
+
+def test_a_generations_row_that_does_not_parse_names_its_line(micro_ini, runall_dir, tmp_path,
+                                                             capsys):
+    out = tmp_path / "corrupt"
+    shutil.copytree(runall_dir, out)
+    gens_path = out / "gens" / "oracle.tsv"
+    lines = gens_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = "x" + lines[2][lines[2].index("\t"):]
+    gens_path.write_text("".join(lines), encoding="utf-8")
+    assert _cli("evaluate", "--config", micro_ini, "--out", out, "--quiet",
+                "--models", "oracle", "--metrics", "rmse") == 1
+    assert (f"[evaluate] {gens_path}:3: invalid literal for int() with base 10: 'x'"
+            in capsys.readouterr().err)
 
 
 def test_unused_model_option_fails_before_anything_is_written(tmp_path, capsys):

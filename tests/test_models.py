@@ -420,7 +420,7 @@ def test_every_option_a_kind_takes_reaches_the_model(tiny_corpus, lexicon):
             value = not defaults[key] if parse is bool else parse(2 * defaults[key])
             options = {key: value}
             model = entry.build(options, tiny_corpus, lexicon, 7)
-            train = TrainConfig(**entry.train_options(options))
+            _, train = entry.settings(options)
             # exactly one of the two carries it, so no option is accepted and ignored
             carried = [getattr(obj, key, None) == value for obj in (model.arch, train)]
             assert carried.count(True) == 1, (kind, key)

@@ -79,6 +79,12 @@ def _write_audit(path, rows):
     writer.dump(path)
 
 
+_MRR_AE_ROWS = [{"instance": "0:0", "rank": 1, "reciprocal_rank": 1.0, "ppl_gold": 2.0,
+                 "n_candidates": 3, "best_impostor": 4, "ppl_best_impostor": 2.5},
+                {"instance": "1:0", "rank": 2, "reciprocal_rank": 0.5, "ppl_gold": 2.0,
+                 "n_candidates": 3, "best_impostor": 0, "ppl_best_impostor": 1.5}]
+
+
 def _full_audit_report(tmp_path):
     audit = tmp_path / "audit"
     cells = {}
@@ -93,9 +99,7 @@ def _full_audit_report(tmp_path):
                    "flipped": j < 1} for j in range(4)])
     cells["air_generated"] = _result("air_generated", 75.0, 4)
 
-    _write_audit(audit / "alpha" / "mrr_ae.tsv",
-                 [{"instance": "0:0", "rank": 1, "reciprocal_rank": 1.0},
-                  {"instance": "1:0", "rank": 2, "reciprocal_rank": 0.5}])
+    _write_audit(audit / "alpha" / "mrr_ae.tsv", _MRR_AE_ROWS)
     cells["mrr_ae"] = _result("mrr_ae", 75.0, 2)
 
     _write_audit(audit / "alpha" / "tlae.tsv",
@@ -176,10 +180,7 @@ def test_verify_against_audit_cell_selection(tmp_path):
 
 
 def test_verify_against_audit_checks_the_best_impostor(tmp_path):
-    rows = [{"instance": "0:0", "rank": 1, "reciprocal_rank": 1.0, "ppl_gold": 2.0,
-             "n_candidates": 3, "best_impostor": 4, "ppl_best_impostor": 2.5},
-            {"instance": "1:0", "rank": 2, "reciprocal_rank": 0.5, "ppl_gold": 2.0,
-             "n_candidates": 3, "best_impostor": 0, "ppl_best_impostor": 1.5}]
+    rows = [dict(row) for row in _MRR_AE_ROWS]
     report = EvaluationReport("cfg", "fp", {}, {}, None, [
         ModelRow("alpha", False, "", {"mrr_ae": _result("mrr_ae", 75.0, 2)})])
     _write_audit(tmp_path / "alpha" / "mrr_ae.tsv", rows)
@@ -190,4 +191,15 @@ def test_verify_against_audit_checks_the_best_impostor(tmp_path):
     _write_audit(tmp_path / "alpha" / "mrr_ae.tsv", rows)
     with pytest.raises(AuditMismatch, match="best impostor does not explain the rank "
                                             "of 1 instances, first 1:0"):
+        verify_against_audit(report, tmp_path)
+
+
+def test_an_mrr_ae_audit_without_its_best_impostor_columns_fails(tmp_path):
+    report = EvaluationReport("cfg", "fp", {}, {}, None, [
+        ModelRow("alpha", False, "", {"mrr_ae": _result("mrr_ae", 75.0, 2)})])
+    path = tmp_path / "alpha" / "mrr_ae.tsv"
+    _write_audit(path, [{k: v for k, v in row.items()
+                         if k not in ("best_impostor", "ppl_best_impostor")}
+                        for row in _MRR_AE_ROWS])
+    with pytest.raises(AuditMismatch, match=re.escape(f"{path}: no column 'ppl_best_impostor'")):
         verify_against_audit(report, tmp_path)
