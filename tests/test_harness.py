@@ -227,7 +227,7 @@ def test_every_committed_config_loads():
     paths = sorted(root.glob("configs/*.ini")) + sorted(root.glob("fixtures/*.ini"))
     assert {path.name for path in paths} >= {"default.ini", "smoke.ini"}
     for path in paths:
-        assert load_config(path).models, path
+        load_config(path)
 
 
 def test_load_config_rejects_metric_settings_the_evaluate_stage_cannot_use(tmp_path):
