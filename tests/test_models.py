@@ -818,12 +818,23 @@ def test_ratings_take_the_aspects_decoding_takes(tiny_corpus, lexicon, sanity_co
     assert len({rating for rating, _ in explained}) > 1
 
 
-def test_base_explain_many_is_per_pair_explain(tiny_corpus):
+def test_base_predict_rating_many_is_per_pair_predict_rating(tiny_corpus):
+    """The ratings explain_many returns for a batch are the per-pair ratings."""
+    requests = [(r.user, r.item, None) for r in tiny_corpus.test]
+    for model in (OracleModel(tiny_corpus.world), RandomScorer(5, tiny_corpus.vocab),
+                  UnigramModel.fit(tiny_corpus), UniformScorer(7)):
+        assert [rating for rating, _ in model.explain_many(requests)] == [
+            predict_rating(model, u, i) for u, i, _ in requests]
+        assert model.explain_many([]) == []
+
+
+def test_base_generate_many_is_per_pair_generate(tiny_corpus):
+    """The texts explain_many returns for a batch are the per-pair texts."""
     requests = [(r.user, r.item, r.aspect) for r in tiny_corpus.test]
     for model in (OracleModel(tiny_corpus.world), RandomScorer(5, tiny_corpus.vocab),
                   UnigramModel.fit(tiny_corpus), UniformScorer(7)):
-        assert model.explain_many(requests) == [model.explain_many([request])[0]
-                                                for request in requests]
+        assert [tokens for _, tokens in model.explain_many(requests)] == [
+            generate(model, u, i, aspect=a) for u, i, a in requests]
         assert model.explain_many([]) == []
 
 
