@@ -3,8 +3,8 @@
 Sections: [corpus] for the synthetic generator (or an external TSV),
 [seeds] for the three named seed streams, [metrics] for evaluation
 knobs, [output] for the run directory, and one [model:NAME] section per
-roster entry. A settings section's keys are the fields of its class
-(`SECTIONS`), as a model section's are its kind's options. The lineage
+roster entry. A section's keys are the fields of its settings classes:
+its class in `SECTIONS`, or its kind's in `models.KINDS`. The lineage
 hash covers exactly the sections that shape artifacts on disk (corpus
 spec, corpus/model seeds, model roster), so evaluation-only overrides
 never orphan a corpus or checkpoint.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 
@@ -29,6 +30,14 @@ TLAE_MODES = ("model-rating", "gold-rating", "both")
 def _repeated(names) -> list[str]:
     """The names that occur more than once, in order of first occurrence."""
     return [name for name in dict.fromkeys(names) if names.count(name) > 1]
+
+
+def _fields(*classes, **keys) -> dict:
+    """The field table of settings classes: each INI key, with the field it
+    sets and that field's default. `keys` gives the key of a field that is
+    spelled differently from it."""
+    return {keys.get(f.name, f.name): (f.name, f.default)
+            for cls in classes for f in dataclasses.fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -92,8 +101,12 @@ class MetricSettings:
 class ModelSpec:
     name: str
     kind: str
+    # the (key, value) pairs its section gives, sorted; the lineage hash
+    # reads them as given
     options: tuple[tuple[str, object], ...] = ()
     note: str = ""
+    # an instance of each of the kind's settings classes, built from options
+    settings: tuple = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -101,20 +114,18 @@ class ModelSpec:
         if not re.fullmatch(r"[A-Za-z0-9._-]+", self.name):
             raise ValueError(f"model name '{self.name}' may only use letters, digits, "
                              "dot, dash and underscore")
-        takes = KINDS[self.kind].options
+        classes = KINDS[self.kind].settings
+        takes = _fields(*classes)
         for key, _ in self.options:
             if key not in takes:
                 raise ValueError(f"model '{self.name}': unknown key '{key}' for kind "
                                  f"'{self.kind}' (it takes {', '.join(takes) or 'no options'})")
-        if self.trainable:
-            try:
-                KINDS[self.kind].settings(self.option_dict)
-            except ValueError as exc:
-                raise ValueError(f"model '{self.name}': {exc}") from None
-
-    @property
-    def option_dict(self) -> dict:
-        return dict(self.options)
+        try:
+            settings = tuple(cls(**{key: value for key, value in self.options
+                                    if key in cls.__dataclass_fields__}) for cls in classes)
+        except ValueError as exc:
+            raise ValueError(f"model '{self.name}': {exc}") from None
+        object.__setattr__(self, "settings", settings)
 
     @property
     def trainable(self) -> bool:
@@ -124,7 +135,7 @@ class ModelSpec:
     def privileged(self) -> bool:
         """Whether the model reads the answer key: the oracle, and a
         transformer fed the gold aspect."""
-        return KINDS[self.kind].privileged(self.option_dict)
+        return KINDS[self.kind].privileged(*self.settings)
 
 
 @dataclass(frozen=True)
@@ -175,30 +186,28 @@ def _parse_value(section: str, key: str, raw: str, kind):
         raise ValueError(f"[{section}] {key}: cannot parse '{raw}'") from None
 
 
-# each settings section: the fields its keys set, with their defaults, and
-# the INI key of each field that is spelled differently from it
+# each settings section: its field table, and what its values build
 SECTIONS = {
-    "corpus": ({f.name: f.default for f in dataclasses.fields(CorpusSpec)},
-               {"lexicon_path": "lexicon", "external_path": "path"}),
-    "seeds": ({f.name: f.default for f in dataclasses.fields(Seeds)}, {}),
-    "metrics": ({f.name: f.default for f in dataclasses.fields(MetricSettings)}, {}),
-    "output": ({"out_dir": RunConfig.out_dir}, {"out_dir": "dir"}),
+    "corpus": (_fields(CorpusSpec, lexicon_path="lexicon", external_path="path"), CorpusSpec),
+    "seeds": (_fields(Seeds), Seeds),
+    "metrics": (_fields(MetricSettings), MetricSettings),
+    "output": ({"dir": ("out_dir", RunConfig.out_dir)}, dict),
 }
 
 
-def _read_section(parser, section: str) -> dict:
-    """A settings section's values by field name, each parsed as the type
-    of the field's default: a tuple takes items separated by commas or
-    spaces, and a field whose default is None takes text, empty for none."""
-    if not parser.has_section(section):
-        return {}
-    defaults, keys = SECTIONS[section]
-    fields = {keys.get(name, name): name for name in defaults}
+def _read_section(parser, section: str, fields: dict, build):
+    """`build(**values)` of a section's values by field name. `fields` is
+    its field table, and a value is parsed as the type of its field's
+    default: a tuple takes items separated by commas or spaces, and a field
+    whose default is None takes text, empty for none. A float that is not
+    finite is rejected after `build`'s own checks, so a field with a range
+    reports its range."""
     values = {}
-    for key, raw in parser[section].items():
+    nonfinite = []
+    for key, raw in parser[section].items() if parser.has_section(section) else ():
         if key not in fields:
             raise ValueError(f"[{section}] unknown key '{key}'")
-        default = defaults[fields[key]]
+        name, default = fields[key]
         if default is None:
             value = raw.strip() or None
         elif isinstance(default, tuple):
@@ -206,50 +215,44 @@ def _read_section(parser, section: str) -> dict:
                           for part in raw.replace(",", " ").split())
         else:
             value = _parse_value(section, key, raw, type(default))
-        values[fields[key]] = value
-    return values
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            nonfinite.append(key)
+        values[name] = value
+    built = build(**values)
+    if nonfinite:
+        raise ValueError(f"[{section}] {nonfinite[0]} must be finite")
+    return built
+
+
+def _read_model(parser, section: str) -> ModelSpec:
+    name = section[len("model:"):].strip()
+    if not name:
+        raise ValueError("model section needs a name: [model:NAME]")
+    kind = parser[section].get("kind", "").strip()
+    if not kind:
+        raise ValueError(f"[{section}] missing 'kind'")
+    # a key the kind does not take is read as text, for ModelSpec to reject
+    fields = {key: (key, "") for key in parser[section]}
+    fields.update(_fields(*KINDS[kind].settings) if kind in KINDS else {})
+    return _read_section(parser, section, fields, lambda kind, note="", **options:
+                         ModelSpec(name, kind, tuple(sorted(options.items())), note))
 
 
 def load_config(path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh, source=str(path))
-    settings = {section: _read_section(parser, section) for section in SECTIONS}
-
-    models: list[ModelSpec] = []
-    for section_name in parser.sections():
-        if not section_name.startswith("model:"):
-            if section_name not in SECTIONS:
-                raise ValueError(f"unknown section [{section_name}]")
-            continue
-        name = section_name[len("model:"):].strip()
-        if not name:
-            raise ValueError("model section needs a name: [model:NAME]")
-        section = parser[section_name]
-        kind = section.get("kind", "").strip()
-        if not kind:
-            raise ValueError(f"[{section_name}] missing 'kind'")
-        # a key the kind does not take is kept as text, for ModelSpec to reject
-        parsers = KINDS[kind].options if kind in KINDS else {}
-        options = []
-        note = ""
-        for key in section:
-            if key == "kind":
-                continue
-            if key == "note":
-                note = section[key].strip()
-                continue
-            options.append((key, _parse_value(section_name, key, section[key],
-                                              parsers.get(key, str))))
-        models.append(ModelSpec(name, kind, tuple(sorted(options)), note))
-
-    return RunConfig(
-        corpus=CorpusSpec(**settings["corpus"]),
-        seeds=Seeds(**settings["seeds"]),
-        metrics=MetricSettings(**settings["metrics"]),
-        models=tuple(models) if models else RunConfig().models,
-        **settings["output"],
-    )
+    for section in parser.sections():
+        if section not in SECTIONS and not section.startswith("model:"):
+            raise ValueError(f"unknown section [{section}]")
+    settings = {section: _read_section(parser, section, *SECTIONS[section])
+                for section in SECTIONS}
+    models = tuple(_read_model(parser, section) for section in parser.sections()
+                   if section.startswith("model:"))
+    return RunConfig(corpus=settings["corpus"], seeds=settings["seeds"],
+                     metrics=settings["metrics"], models=models or RunConfig().models,
+                     **settings["output"])
 
 
 def lineage_hash(config: RunConfig) -> str:

@@ -603,6 +603,15 @@ class RandomScorer(ExplainableRecommender):
                 for user, item, tokens in _nonempty(requests)]
 
 
+@dataclass(frozen=True)
+class UnigramSettings:
+    alpha: float = 0.1  # add-alpha smoothing of the token counts
+
+    def __post_init__(self):
+        if not self.alpha > 0:
+            raise ValueError("alpha must be positive")
+
+
 class UnigramModel(ExplainableRecommender):
     """Add-alpha unigram baseline fit on the training split."""
 
@@ -612,7 +621,7 @@ class UnigramModel(ExplainableRecommender):
         self.vocab = vocab
 
     @classmethod
-    def fit(cls, corpus, alpha: float = 0.1) -> "UnigramModel":
+    def fit(cls, corpus, alpha: float) -> "UnigramModel":
         vocab = corpus.vocab
         counts = np.zeros(len(vocab), dtype=np.float64)
         for review in corpus.train:
@@ -648,7 +657,8 @@ def model_from_parameters(header: dict, values: np.ndarray, vocab: Vocab,
     kind = KINDS.get(desc["kind"])
     if kind is None or kind.model is None:
         raise ValueError(f"{source}: unknown model kind '{desc['kind']}'")
-    arch = kind.arch(**{f.name: desc[f.name] for f in dataclasses.fields(kind.arch)})
+    arch_type = kind.settings[0]
+    arch = arch_type(**{f.name: desc[f.name] for f in dataclasses.fields(arch_type)})
     model = kind.model(arch, vocab, desc["num_users"], desc["num_items"],
                        seed=header["seed"], lexicon=lexicon)
     for want, have in itertools.zip_longest(model.store.layout(), header["parameters"]):
@@ -682,45 +692,32 @@ def _id_bounds(corpus) -> tuple[int, int]:
 
 
 class Kind(NamedTuple):
-    """One roster kind: the [model:*] options it takes, how an untrained
-    model of it is built, and, for a trainable kind, its model class and
-    architecture."""
+    """One roster kind: the frozen settings dataclasses whose fields are the
+    keys its [model:*] section takes, with their types, defaults and checks;
+    how an untrained model is built from instances of them; and, for a
+    trainable kind, its model class, whose settings are its architecture
+    and then TrainConfig."""
 
-    options: dict[str, Callable]  # option -> parser of its INI value
-    build: Callable  # (options dict, corpus, lexicon, seed) -> untrained model
+    settings: tuple[type, ...]
+    build: Callable  # (corpus, lexicon, seed, *settings) -> untrained model
     model: type | None = None  # NeuralRecommender subclass, for a trainable kind
-    arch: type | None = None  # the architecture dataclass it is built from
-    privileged: Callable[[dict], bool] = lambda options: False  # reads the answer key
-
-    def settings(self, options: dict, seed: int = 0) -> tuple:
-        """A trainable kind's architecture and TrainConfig from its options:
-        the architecture fields build the one, the rest the other. Either
-        raises ValueError on a value it does not take."""
-        fields = self.arch.__dataclass_fields__
-        return (self.arch(**{k: v for k, v in options.items() if k in fields}),
-                TrainConfig(seed=seed, **{k: v for k, v in options.items() if k not in fields}))
+    privileged: Callable[..., bool] = lambda *settings: False  # reads the answer key
 
 
 def _trainable(model: type, arch: type, **kwargs) -> Kind:
-    """A trainable kind: it takes its architecture's fields and the training
-    settings other than the seed, each parsed as the type of its default."""
-    def build(options, corpus, lexicon, seed):
-        return model(kind.settings(options)[0], corpus.vocab, *_id_bounds(corpus), seed,
-                     lexicon)
-    parsers = {f.name: type(f.default) for settings in (arch, TrainConfig)
-               for f in dataclasses.fields(settings) if f.name != "seed"}
-    kind = Kind(parsers, build, model, arch, **kwargs)
-    return kind
+    def build(corpus, lexicon, seed, arch, train):
+        return model(arch, corpus.vocab, *_id_bounds(corpus), seed, lexicon)
+    return Kind((arch, TrainConfig), build, model, **kwargs)
 
 
 # every roster kind, by the name a [model:*] section gives as its `kind`
 KINDS = {
-    "oracle": Kind({}, lambda options, corpus, lexicon, seed: OracleModel(corpus.world),
-                   privileged=lambda options: True),
-    "random": Kind({}, lambda options, corpus, lexicon, seed: RandomScorer(seed, corpus.vocab)),
-    "unigram": Kind({"alpha": float},
-                    lambda options, corpus, lexicon, seed: UnigramModel.fit(corpus, **options)),
+    "oracle": Kind((), lambda corpus, lexicon, seed: OracleModel(corpus.world),
+                   privileged=lambda: True),
+    "random": Kind((), lambda corpus, lexicon, seed: RandomScorer(seed, corpus.vocab)),
+    "unigram": Kind((UnigramSettings,), lambda corpus, lexicon, seed, unigram:
+                    UnigramModel.fit(corpus, unigram.alpha)),
     "transformer": _trainable(TransformerModel, TransformerArch,
-                              privileged=lambda options: bool(options.get("use_aspect"))),
+                              privileged=lambda arch, train: arch.use_aspect),
     "recurrent": _trainable(RecurrentModel, RecurrentArch),
 }

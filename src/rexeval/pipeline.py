@@ -165,8 +165,8 @@ def _load_corpus_artifacts(config: RunConfig, stage: str):
 
 def build_model(spec, config: RunConfig, corpus, lexicon):
     """Construct an untrained model for one roster entry."""
-    return KINDS[spec.kind].build(spec.option_dict, corpus, lexicon,
-                                  model_seed(config.seeds.model, spec.name))
+    return KINDS[spec.kind].build(corpus, lexicon, model_seed(config.seeds.model, spec.name),
+                                  *spec.settings)
 
 
 def _materialize_models(config: RunConfig, corpus, lexicon, stage: str) -> dict:
@@ -246,12 +246,11 @@ def stage_train(config: RunConfig, log=None) -> dict:
         for spec in config.active_models:
             if not spec.trainable:
                 continue
-            seed = model_seed(config.seeds.model, spec.name)
             model = build_model(spec, config, corpus, lexicon)
-            _, tconfig = KINDS[spec.kind].settings(spec.option_dict, seed)
+            _, tconfig = spec.settings
             prefixed = (lambda m: log(f"[train] {spec.name}: {m}")) if log else None
             history = train_model(model, corpus, tconfig, log=prefixed)
-            save_checkpoint(ckpt_dir / f"{spec.name}.ckpt", model.store, seed,
+            save_checkpoint(ckpt_dir / f"{spec.name}.ckpt", model.store, model.seed,
                             lineage_hash(config), extra={"model": model.architecture_header()})
             _write_json(log_dir / f"{spec.name}.json",
                         {"config_hash": lineage_hash(config), "history": history,

@@ -45,7 +45,6 @@ class TrainConfig:
     rating_weight: float = 1.0
     clip_norm: float = 5.0
     patience: int = 3
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -214,13 +213,14 @@ def optimize(store, config: TrainConfig, batches, loss, validate,
 
 
 def train_model(model, corpus, config: TrainConfig, log=None) -> list[dict]:
-    """Optimize in place; returns the per-epoch history."""
+    """Optimize in place, drawing batches from the model's seed; returns
+    the per-epoch history."""
     train = corpus.train
     if not train:
         raise ValueError("empty train split")
     vocab = corpus.vocab
     lengths = [len(r.tokens) for r in train]
-    rng = np.random.default_rng([config.seed, 0x7E41])
+    rng = np.random.default_rng([model.seed, 0x7E41])
     # this epoch's token-weighted nll, review-weighted mse, positions, reviews
     seen = [0.0, 0.0, 0, 0]
 

@@ -15,7 +15,7 @@ from rexeval.config import ModelSpec, RunConfig
 from rexeval.lexicon import NEGATIVE, Vocab, classify_polarity
 from rexeval.metrics import (AuditWriter, EmbeddingTable, air, entail_metric,
                              greedy_match_f1, mrr_ae, mrr_ae_probes, rmse, rmse_metric)
-from rexeval.models import RandomScorer, UnigramModel
+from rexeval.models import RandomScorer, UnigramModel, UnigramSettings
 from rexeval.perturb import negate_sentiment, substitute_aspect
 from rexeval.pipeline import run_pipeline
 
@@ -105,7 +105,7 @@ def test_criterion_5_trained_models_beat_their_baselines(
     requests = [(r.user, r.item, r.tokens) for r in test]
     model_ppl = float(np.mean(trained_transformer.perplexity_many(requests)))
     unigram_ppl = float(np.mean(
-        UnigramModel.fit(sanity_corpus).perplexity_many(requests)))
+        UnigramModel.fit(sanity_corpus, UnigramSettings().alpha).perplexity_many(requests)))
 
     conditioned = entail_metric(
         [(r.user, r.item, generate(trained_conditional, r.user, r.item, aspect=r.aspect),

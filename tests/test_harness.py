@@ -120,8 +120,8 @@ def test_load_config_full_ini(micro_config):
     assert not specs["random"].trainable
     tiny = specs["tiny"]
     assert tiny.trainable
-    assert tiny.option_dict["embed_dim"] == 16
-    assert tiny.option_dict["lr"] == 3e-3
+    arch, train = tiny.settings
+    assert (arch.embed_dim, train.lr) == (16, 3e-3)
     assert tiny.options == tuple(sorted(tiny.options))
     assert config.selected is None and config.active_models == config.models
 
@@ -187,6 +187,13 @@ def test_load_config_reads_every_settings_field(tmp_path):
     ("[model:m]\nkind = transformer\nhidden_dim = 8\n",
      "unknown key 'hidden_dim' for kind 'transformer'"),
     ("[model:m]\nkind = unigram\nepochs = 3\n", "unknown key 'epochs' for kind 'unigram'"),
+    # a float no class bounds is rejected when it is not finite, in any section
+    ("[corpus]\naffinity_gain = nan\n", r"^\[corpus\] affinity_gain must be finite$"),
+    ("[corpus]\nofftopic_rate = inf\n", r"^\[corpus\] offtopic_rate must be finite$"),
+    ("[corpus]\nsplits = 0.8 -inf 0.1\n", r"^\[corpus\] splits must be finite$"),
+    ("[model:m]\nkind = transformer\nlr = nan\n", r"^\[model:m\] lr must be finite$"),
+    ("[model:m]\nkind = recurrent\nclip_norm = inf\n",
+     r"^\[model:m\] clip_norm must be finite$"),
 ])
 def test_load_config_rejections(tmp_path, ini, message):
     path = tmp_path / "bad.ini"
@@ -202,6 +209,9 @@ def test_load_config_rejections(tmp_path, ini, message):
     ("transformer", "embed_dim", "0", "embed_dim must be >= 1"),
     ("recurrent", "epochs", "0", "epochs must be >= 1"),
     ("transformer", "lr", "0", "lr must be positive"),
+    ("unigram", "alpha", "0", "alpha must be positive"),
+    ("unigram", "alpha", "-0.5", "alpha must be positive"),
+    ("unigram", "alpha", "nan", "alpha must be positive"),
 ])
 def test_load_config_rejects_model_values_the_model_cannot_take(tmp_path, kind, key, value,
                                                                 message):
@@ -228,6 +238,20 @@ def test_every_committed_config_loads():
     assert {path.name for path in paths} >= {"default.ini", "smoke.ini"}
     for path in paths:
         load_config(path)
+
+
+@pytest.mark.parametrize("ini, run", [("fixtures/smoke.ini", "runs/smoke"),
+                                      ("configs/default.ini", "runs/default")])
+def test_a_committed_run_reports_its_committed_table(tmp_path, ini, run):
+    """The committed config parses to the lineage its run was made under:
+    the report stage accepts the run's artifacts and renders its bytes."""
+    root = Path(__file__).resolve().parents[1]
+    for name in ("meta.json", "results.json"):
+        shutil.copyfile(root / run / name, tmp_path / name)
+    shutil.copytree(root / run / "train_logs", tmp_path / "train_logs")
+    config = dataclasses.replace(load_config(root / ini), out_dir=str(tmp_path))
+    pipeline.stage_report(config)
+    assert (tmp_path / "report.txt").read_bytes() == (root / run / "report.txt").read_bytes()
 
 
 def test_load_config_rejects_metric_settings_the_evaluate_stage_cannot_use(tmp_path):

@@ -21,7 +21,7 @@ from rexeval.models import (KINDS, OracleModel, RandomScorer, RecurrentArch,
 from rexeval.perturb import sample_distinct, substitute_aspect
 from rexeval.training import DivergenceError
 
-from testkit import (UniformScorer, bigram_nll, cosine, mrr_random_baseline,
+from testkit import (UniformScorer, bigram_nll, build_kind, cosine, mrr_random_baseline,
                      regressor_predict)
 
 
@@ -263,7 +263,7 @@ def test_mrr_ae_from_shared_probes_equals_its_own(small_corpus, lexicon):
     probes = mrr_ae_probes(reviews, lexicon, k=12, seed=3)
     kinds = [(name, {}) for name in KINDS] + [("transformer", {"use_aspect": True})]
     for name, options in kinds:
-        model = KINDS[name].build(options, small_corpus, lexicon, 5)
+        model = build_kind(name, small_corpus, lexicon, 5, **options)
         own, shared = AuditWriter(), AuditWriter()
         expect = mrr_ae(model, mrr_ae_probes(reviews, lexicon, k=12, seed=3), audit=own)
         assert mrr_ae(model, probes, audit=shared) == expect, name

@@ -116,7 +116,7 @@ def test_every_train_review_is_seen_once_per_epoch(setup, monkeypatch):
     monkeypatch.setattr(training, "make_batch", recording)
     epochs = 3
     history = train_model(fresh(), corpus, TrainConfig(epochs=epochs, batch_size=batch_size,
-                                                       patience=epochs, seed=4))
+                                                       patience=epochs))
     assert len(history) == epochs
     per_epoch = math.ceil(len(corpus.train) / batch_size)
     assert len(seen) == epochs * per_epoch
@@ -143,7 +143,7 @@ def test_training_improves_and_restores_best_state(setup):
     corpus, fresh = setup
     model = fresh()
     before = joint_loss(model, corpus.validation, corpus.vocab, 1.0)[0]
-    history = train_model(model, corpus, TrainConfig(epochs=4, batch_size=16, seed=9))
+    history = train_model(model, corpus, TrainConfig(epochs=4, batch_size=16))
     assert 1 <= len(history) <= 4
     best = min(h["val_joint"] for h in history)
     assert best < before
@@ -181,7 +181,7 @@ def test_optimize_restores_the_best_epochs_values_bitwise():
 
 def test_training_is_deterministic(setup):
     corpus, fresh = setup
-    cfg = TrainConfig(epochs=2, batch_size=16, seed=9)
+    cfg = TrainConfig(epochs=2, batch_size=16)
     m1, m2 = fresh(), fresh()
     h1 = train_model(m1, corpus, cfg)
     h2 = train_model(m2, corpus, cfg)
@@ -193,7 +193,7 @@ def test_training_is_deterministic(setup):
 def test_training_logs_progress(setup):
     corpus, fresh = setup
     lines = []
-    train_model(fresh(), corpus, TrainConfig(epochs=1, batch_size=16, seed=9),
+    train_model(fresh(), corpus, TrainConfig(epochs=1, batch_size=16),
                 log=lines.append)
     assert len(lines) == 1 and "epoch 1" in lines[0]
 

@@ -7,10 +7,10 @@ interface over a one-element request list.
 the batched scoring and ratings of the trainable models are checked
 against. `UniformScorer` and
 `mrr_random_baseline` are the chance references that metric values are
-compared with. The rest are conveniences over the library:
-finite-difference gradient checks, parameter counts, single-text
-regressor predictions, a text's bigram NLL, token cosines, and
-rebuilding a model from a checkpoint file.
+compared with. The rest are conveniences over the library: an
+untrained model of a roster kind, finite-difference gradient checks,
+parameter counts, single-text regressor predictions, a text's bigram
+NLL, token cosines, and rebuilding a model from a checkpoint file.
 """
 
 from __future__ import annotations
@@ -21,11 +21,19 @@ from collections.abc import Callable
 import numpy as np
 
 from rexeval.autodiff import Tape, log_softmax
+from rexeval.config import ModelSpec
 from rexeval.lexicon import BOS_ID
-from rexeval.models import (CHUNK_ROWS, EOS_TOKEN, ExplainableRecommender, _nonempty,
+from rexeval.models import (CHUNK_ROWS, EOS_TOKEN, KINDS, ExplainableRecommender, _nonempty,
                             _sum_target_logprobs, clamp_rating, model_from_parameters)
 from rexeval.nn import ParamStore, load_checkpoint
 from rexeval.training import length_order, padded_ids
+
+
+def build_kind(kind: str, corpus, lexicon, seed: int, **options):
+    """An untrained model of a roster kind, built from a [model:*]
+    section that gives these options."""
+    spec = ModelSpec("m", kind, tuple(sorted(options.items())))
+    return KINDS[kind].build(corpus, lexicon, seed, *spec.settings)
 
 
 def predict_rating(model, user: int, item: int, aspect: str | None = None) -> float:
