@@ -15,7 +15,9 @@ output. Training records each batch on a tape that backward
 consumes; inference (scoring, ratings, decoding) runs the same ops on a
 fresh inference tape per pass (`Tape(grad=False)`), which records no
 steps, so a pass keeps no intermediate it no longer reads and
-concurrent reads share no mutable state.
+concurrent reads share no mutable state. A trained model is built from
+its roster entry (`KINDS`) as an untrained one is; its checkpoint
+supplies only the values (`nn.load_into`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import hashlib
-import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -43,6 +45,9 @@ def strip_reserved(tokens) -> list[str]:
 
 
 def clamp_rating(x: float) -> float:
+    """x clamped to [1, 5]; a NaN or an infinity is an error, not a bound."""
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite rating {x!r}")
     return float(min(5.0, max(1.0, x)))
 
 
@@ -124,11 +129,9 @@ class NeuralRecommender(ExplainableRecommender):
     a GRU's hidden state), so this class gathers, drops and concatenates
     its rows itself. Inference starts from `_shared_prefixes`, one no-word
     pass over each distinct prefix of a call: ratings read its head
-    inputs, and scoring and decoding continue from its state. `kind`
-    names the architecture in checkpoint headers and in `KINDS`.
+    inputs, and scoring and decoding continue from its state.
     """
 
-    kind: str
     word_capacity: int | None = None  # most words a scored text may hold; None: no limit
     dtype = np.dtype(np.float32)  # of the parameter store, hence of all compute
 
@@ -140,11 +143,6 @@ class NeuralRecommender(ExplainableRecommender):
         self.num_items = num_items
         self.seed = seed
         self.lexicon = lexicon
-
-    def architecture_header(self) -> dict:
-        return {"kind": self.kind, "num_users": self.num_users,
-                "num_items": self.num_items, "vocab_size": len(self.vocab),
-                **dataclasses.asdict(self.arch)}
 
     @abc.abstractmethod
     def _run(self, tape: Tape, users, items, aspect_ids, input_ids, past=None):
@@ -353,8 +351,6 @@ class TransformerModel(NeuralRecommender):
     predictions are independent of any decoded words.
     """
 
-    kind = "transformer"
-
     def __init__(self, arch: TransformerArch, vocab: Vocab, num_users: int,
                  num_items: int, seed: int, lexicon=None):
         if arch.use_aspect and lexicon is None:
@@ -479,8 +475,6 @@ class RecurrentModel(NeuralRecommender):
     The rating head is a feed-forward network on the same [user; item]
     concatenation, so ratings do not depend on decoded words.
     """
-
-    kind = "recurrent"
 
     def __init__(self, arch: RecurrentArch, vocab: Vocab, num_users: int,
                  num_items: int, seed: int, lexicon=None):
@@ -644,38 +638,6 @@ class UnigramModel(ExplainableRecommender):
                 for _, _, tokens in _nonempty(requests)]
 
 
-def model_from_parameters(header: dict, values: np.ndarray, vocab: Vocab,
-                          lexicon=None, source="checkpoint"):
-    """Rebuild a trained model from a loaded checkpoint's header and value
-    array; errors name `source` and the first parameter that differs from
-    the model's layout, or the array's dtype when it is not the model's."""
-    desc = header.get("model")
-    if not desc:
-        raise ValueError(f"{source}: checkpoint lacks a model description")
-    if desc["vocab_size"] != len(vocab):
-        raise ValueError(f"{source}: vocab size {desc['vocab_size']} != corpus {len(vocab)}")
-    kind = KINDS.get(desc["kind"])
-    if kind is None or kind.model is None:
-        raise ValueError(f"{source}: unknown model kind '{desc['kind']}'")
-    arch_type = kind.settings[0]
-    arch = arch_type(**{f.name: desc[f.name] for f in dataclasses.fields(arch_type)})
-    model = kind.model(arch, vocab, desc["num_users"], desc["num_items"],
-                       seed=header["seed"], lexicon=lexicon)
-    for want, have in itertools.zip_longest(model.store.layout(), header["parameters"]):
-        if want != have:
-            raise ValueError(f"{source}: " + (
-                f"missing parameter '{want[0]}'" if have is None else
-                f"unexpected parameter '{have[0]}'" if want is None else
-                f"parameter '{have[0]}' of shape {tuple(have[1])} where the model has "
-                f"'{want[0]}' of shape {tuple(want[1])}"))
-    if values.dtype != model.store.dtype:
-        raise ValueError(f"{source}: value array is {values.dtype.str} but a "
-                         f"'{desc['kind']}' model computes in {model.store.dtype.str}")
-    model.store.values[...] = values
-    model.store.step = int(header["step"])
-    return model
-
-
 # ----------------------------------------------------------------------
 # the roster kinds
 
@@ -696,7 +658,9 @@ class Kind(NamedTuple):
     keys its [model:*] section takes, with their types, defaults and checks;
     how an untrained model is built from instances of them; and, for a
     trainable kind, its model class, whose settings are its architecture
-    and then TrainConfig."""
+    and then TrainConfig. `build` is the one way a model is made: the
+    train stage trains what it builds, and generate and evaluate build
+    the same model and copy its trained values in from its checkpoint."""
 
     settings: tuple[type, ...]
     build: Callable  # (corpus, lexicon, seed, *settings) -> untrained model

@@ -11,20 +11,23 @@ layout and dtype, so each of clipping, an Adam step, a snapshot, a
 restore and a load is one pass over one vector.
 
 A checkpoint (format `rexeval-checkpoint-v4`) is a magic line, a JSON
-header line (seed, step, config hash, optional model description, and
-`parameters`: the layout as each name and shape in order), then one
-`.npy` array (`numpy.lib.format`) of `values` as little-endian IEEE-754
-in the store's own dtype (`<f4` or `<f8`). The array holds the bit
-patterns themselves, so every value, signed zeros, subnormals,
-infinities and NaN payloads included, reads back bit for bit on any
-host, which the determinism contract relies on. Files in the earlier
-formats (v1 hex floats, v2 base64 lines, v3 float64 arrays) are rejected
-with a message to rerun the train stage; checkpoints are regenerable
-from the run's config.
+header line (seed, step, config hash, and `parameters`: the layout as
+each name and shape in order), then one `.npy` array
+(`numpy.lib.format`) of `values` as little-endian IEEE-754 in the
+store's own dtype (`<f4` or `<f8`). The array holds the bit patterns
+themselves, so every value, signed zeros, subnormals, infinities and NaN
+payloads included, reads back bit for bit on any host, which the
+determinism contract relies on. A checkpoint holds values, not an
+architecture: `load_into` copies them into a store built from the
+model's roster entry, as the train stage built it, once its layout and
+dtype match. Files in the earlier formats (v1 hex floats, v2 base64
+lines, v3 float64 arrays) are rejected with a message to rerun the
+train stage; checkpoints are regenerable from the run's config.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -121,12 +124,9 @@ def clip_global_norm(store: ParamStore, grads: np.ndarray, max_norm: float) -> f
     return norm
 
 
-def save_checkpoint(path, store: ParamStore, seed: int, config_hash: str,
-                    extra: dict | None = None) -> None:
-    header = {"seed": int(seed), "step": int(store.step), "config_hash": config_hash}
-    if extra:
-        header.update(extra)
-    header["parameters"] = store.layout()
+def save_checkpoint(path, store: ParamStore, seed: int, config_hash: str) -> None:
+    header = {"seed": int(seed), "step": int(store.step), "config_hash": config_hash,
+              "parameters": store.layout()}
     with open(path, "wb") as fh:
         fh.write(f"{CHECKPOINT_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode("utf-8"))
         np.lib.format.write_array(fh, store.values.astype(store.dtype.newbyteorder("<"),
@@ -174,3 +174,21 @@ def load_checkpoint(path) -> tuple[dict, np.ndarray]:
         raise ValueError(f"{path}: the array holds {values.size} values but the header's "
                          f"parameters take {end}")
     return header, values
+
+
+def load_into(store: ParamStore, header: dict, values: np.ndarray, path) -> None:
+    """Copy a loaded checkpoint's values into a built store and set its
+    step. Errors name the file and the first parameter that differs from
+    the store's layout, or the array's dtype when it is not the store's."""
+    for want, have in itertools.zip_longest(store.layout(), header["parameters"]):
+        if want != have:
+            raise ValueError(f"{path}: " + (
+                f"missing parameter '{want[0]}'" if have is None else
+                f"unexpected parameter '{have[0]}'" if want is None else
+                f"parameter '{have[0]}' of shape {tuple(have[1])} where the model has "
+                f"'{want[0]}' of shape {tuple(want[1])}"))
+    if values.dtype != store.dtype:
+        raise ValueError(f"{path}: value array is {values.dtype.str} but the model "
+                         f"computes in {store.dtype.str}")
+    store.values[...] = values
+    store.step = int(header["step"])

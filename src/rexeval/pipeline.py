@@ -4,6 +4,8 @@ Five stages, each resumable from the run directory alone: gen-corpus,
 train, generate, evaluate, report. Every stage revalidates the lineage
 hash stored in meta.json, so artifacts produced under one configuration
 abort any stage invoked under another instead of silently mixing runs.
+Generate and evaluate build every model from its roster entry, as train
+does; a trained one then takes its values from its checkpoint.
 All artifacts are written deterministically (seeded generators, the
 exact bytes of each parameter store in checkpoints, repr floats
 elsewhere, sorted keys); wall-clock timing, peak memory and page faults
@@ -19,6 +21,7 @@ import ctypes
 import functools
 import hashlib
 import json
+import math
 import resource
 import shutil
 import sys
@@ -29,8 +32,8 @@ from .config import RunConfig, lineage_hash
 from .corpus import build_corpus, generate_world, load_corpus, load_world, save_corpus, save_world
 from .lexicon import load_lexicon
 from .metrics import HELPERS, AuditWriter, CellInputs, mrr_ae_eligible, selected_cells
-from .models import KINDS, model_from_parameters
-from .nn import load_checkpoint, save_checkpoint
+from .models import KINDS
+from .nn import load_checkpoint, load_into, save_checkpoint
 from .report import EvaluationReport, ModelRow, format_table
 from .training import train_model
 
@@ -141,6 +144,14 @@ def _read_meta(config: RunConfig, stage: str) -> dict:
     return meta
 
 
+def _check_lineage(stage: str, artifact: str, found, lineage: str, rerun: str) -> None:
+    """Fail `stage` unless a per-model artifact (a checkpoint, a gens file,
+    a train log, results.json) carries this run's lineage hash."""
+    if found != lineage:
+        raise StageError(stage, f"{artifact} belongs to a different configuration; "
+                                f"rerun the {rerun} stage")
+
+
 def _load_corpus_artifacts(config: RunConfig, stage: str):
     out = Path(config.out_dir)
     meta = _read_meta(config, stage)
@@ -169,25 +180,23 @@ def build_model(spec, config: RunConfig, corpus, lexicon):
                                   *spec.settings)
 
 
-def _materialize_models(config: RunConfig, corpus, lexicon, stage: str) -> dict:
-    """Build untrainable models and load trained ones from checkpoints."""
-    out = Path(config.out_dir)
-    expected = lineage_hash(config)
+def _materialize_models(config: RunConfig, corpus, lexicon, stage: str,
+                        lineage: str) -> dict:
+    """Build every active model from its roster entry, as the train stage
+    does, and copy each trained one's values in from its checkpoint."""
     models = {}
     for spec in config.active_models:
+        model = models[spec.name] = build_model(spec, config, corpus, lexicon)
         if not spec.trainable:
-            models[spec.name] = build_model(spec, config, corpus, lexicon)
             continue
-        path = out / CKPT_DIR / f"{spec.name}.ckpt"
+        path = Path(config.out_dir) / CKPT_DIR / f"{spec.name}.ckpt"
         if not path.exists():
             raise StageError(stage, f"missing checkpoint for '{spec.name}'; "
                                     "run the train stage first")
         header, values = load_checkpoint(path)
-        if header.get("config_hash") != expected:
-            raise StageError(stage, f"checkpoint for '{spec.name}' was trained under "
-                                    "a different configuration; rerun the train stage")
-        models[spec.name] = model_from_parameters(header, values, corpus.vocab, lexicon,
-                                                  source=path)
+        _check_lineage(stage, f"checkpoint for '{spec.name}'", header.get("config_hash"),
+                       lineage, "train")
+        load_into(model.store, header, values, path)
     return models
 
 
@@ -235,7 +244,8 @@ def stage_train(config: RunConfig, log=None) -> dict:
     out = Path(config.out_dir)
     histories: dict[str, list] = {}
     with _stage("train"):
-        corpus, lexicon, _ = _load_corpus_artifacts(config, "train")
+        corpus, lexicon, meta = _load_corpus_artifacts(config, "train")
+        lineage = meta["config_hash"]
         if "mrr_ae" in config.metrics.metrics:
             # a k the evaluation pool cannot supply fails before any training
             mrr_ae_eligible(_evaluation_pool(config, corpus), lexicon, config.metrics.k)
@@ -250,10 +260,9 @@ def stage_train(config: RunConfig, log=None) -> dict:
             _, tconfig = spec.settings
             prefixed = (lambda m: log(f"[train] {spec.name}: {m}")) if log else None
             history = train_model(model, corpus, tconfig, log=prefixed)
-            save_checkpoint(ckpt_dir / f"{spec.name}.ckpt", model.store, model.seed,
-                            lineage_hash(config), extra={"model": model.architecture_header()})
+            save_checkpoint(ckpt_dir / f"{spec.name}.ckpt", model.store, model.seed, lineage)
             _write_json(log_dir / f"{spec.name}.json",
-                        {"config_hash": lineage_hash(config), "history": history,
+                        {"config_hash": lineage, "history": history,
                          "max_epochs": tconfig.epochs})
             histories[spec.name] = history
     return histories
@@ -267,8 +276,9 @@ def stage_generate(config: RunConfig, log=None) -> dict:
     out = Path(config.out_dir)
     generations: dict[str, list] = {}
     with _stage("generate"):
-        corpus, lexicon, _ = _load_corpus_artifacts(config, "generate")
-        models = _materialize_models(config, corpus, lexicon, "generate")
+        corpus, lexicon, meta = _load_corpus_artifacts(config, "generate")
+        lineage = meta["config_hash"]
+        models = _materialize_models(config, corpus, lexicon, "generate", lineage)
         pool = _evaluation_pool(config, corpus)
         if not pool:
             raise StageError("generate", "empty test split: nothing to explain")
@@ -282,7 +292,7 @@ def stage_generate(config: RunConfig, log=None) -> dict:
             rows = [(review.user, review.item, float(rating), tokens)
                     for review, (rating, tokens) in zip(pool, model.explain_many(requests))]
             with open(gen_dir / f"{spec.name}.tsv", "w", encoding="utf-8") as fh:
-                fh.write(f"# config {lineage_hash(config)}\n")
+                fh.write(f"# config {lineage}\n")
                 for user, item, rating, tokens in rows:
                     fh.write(f"{user}\t{item}\t{rating!r}\t{' '.join(tokens)}\n")
             generations[spec.name] = rows
@@ -291,7 +301,7 @@ def stage_generate(config: RunConfig, log=None) -> dict:
     return generations
 
 
-def _read_generations(path: Path, pool, config: RunConfig, name: str) -> list:
+def _read_generations(path: Path, pool, lineage: str, name: str) -> list:
     if not path.exists():
         raise StageError("evaluate", f"missing generations for '{name}'; "
                                      "run the generate stage first")
@@ -302,10 +312,8 @@ def _read_generations(path: Path, pool, config: RunConfig, name: str) -> list:
             if not line:
                 continue
             if line.startswith("# config "):
-                if line.removeprefix("# config ") != lineage_hash(config):
-                    raise StageError("evaluate", f"generations for '{name}' were produced "
-                                                 "under a different configuration; rerun "
-                                                 "the generate stage")
+                _check_lineage("evaluate", f"generations for '{name}'",
+                               line.removeprefix("# config "), lineage, "generate")
                 continue
             fields = line.split("\t")
             if len(fields) != 4:
@@ -315,6 +323,9 @@ def _read_generations(path: Path, pool, config: RunConfig, name: str) -> list:
                              tuple(fields[3].split())))
             except ValueError as exc:
                 raise StageError("evaluate", f"{path}:{lineno}: {exc}") from None
+            if not math.isfinite(rows[-1][2]):
+                raise StageError("evaluate", f"{path}:{lineno}: non-finite rating "
+                                             f"{fields[2]!r}")
     if len(rows) < len(pool):
         raise StageError("evaluate", f"generations for '{name}' cover {len(rows)} pairs "
                                      f"but the pool needs {len(pool)}; rerun the "
@@ -332,7 +343,8 @@ def stage_evaluate(config: RunConfig, log=None) -> EvaluationReport:
     cells = selected_cells(settings)
     with _stage("evaluate"):
         corpus, lexicon, meta = _load_corpus_artifacts(config, "evaluate")
-        models = (_materialize_models(config, corpus, lexicon, "evaluate")
+        lineage = meta["config_hash"]
+        models = (_materialize_models(config, corpus, lexicon, "evaluate", lineage)
                   if any(cell.scores_model for cell in cells) else {})
         pool = _evaluation_pool(config, corpus)
         if not pool:
@@ -342,7 +354,7 @@ def stage_evaluate(config: RunConfig, log=None) -> EvaluationReport:
         if any(cell.reads_gens for cell in cells):
             for spec in config.active_models:
                 gens[spec.name] = _read_generations(out / GEN_DIR / f"{spec.name}.tsv",
-                                                    pool, config, spec.name)
+                                                    pool, lineage, spec.name)
 
         helper_log = (lambda m: log(f"[evaluate] {m}")) if log else None
         needed = {cell.helper for cell in cells}
@@ -381,7 +393,7 @@ def stage_evaluate(config: RunConfig, log=None) -> EvaluationReport:
                 log(f"[evaluate] {spec.name}: {summary}")
 
         report = EvaluationReport(
-            config_hash=meta["config_hash"],
+            config_hash=lineage,
             corpus_fingerprint=meta["corpus_fingerprint"],
             seeds={"corpus": config.seeds.corpus, "model": config.seeds.model,
                    "eval": config.seeds.eval},
@@ -412,9 +424,8 @@ def _training_summaries(config: RunConfig, report: EvaluationReport) -> dict:
         if not path.exists():
             continue
         train_log = json.loads(path.read_text(encoding="utf-8"))
-        if train_log["config_hash"] != report.config_hash:
-            raise StageError("report", f"train log for '{row.model}' belongs to a different "
-                                       "configuration; rerun the train stage")
+        _check_lineage("report", f"train log for '{row.model}'", train_log["config_hash"],
+                       report.config_hash, "train")
         history = train_log["history"]
         best = min(history, key=lambda entry: entry["val_joint"])["epoch"]
         summaries[row.model] = (len(history), train_log["max_epochs"], best)
@@ -424,14 +435,12 @@ def _training_summaries(config: RunConfig, report: EvaluationReport) -> dict:
 def stage_report(config: RunConfig, log=None) -> EvaluationReport:
     out = Path(config.out_dir)
     with _stage("report"):
-        _read_meta(config, "report")
+        lineage = _read_meta(config, "report")["config_hash"]
         results_path = out / RESULTS_FILE
         if not results_path.exists():
             raise StageError("report", "no evaluation results; run the evaluate stage first")
         report = EvaluationReport.load(results_path)
-        if report.config_hash != lineage_hash(config):
-            raise StageError("report", "results.json belongs to a different configuration; "
-                                       "rerun the evaluate stage")
+        _check_lineage("report", RESULTS_FILE, report.config_hash, lineage, "evaluate")
         report.training = _training_summaries(config, report)
         (out / REPORT_TXT).write_text(format_table(report), encoding="utf-8")
     if log:

@@ -691,13 +691,13 @@ def test_generate_runs_one_prefix_pass_per_trainable_model(tmp_path, monkeypatch
     original = NeuralRecommender._shared_prefixes
 
     def counted(self, *args):
-        passes.append(self.kind)
+        passes.append(type(self).__name__)
         return original(self, *args)
 
     monkeypatch.setattr(NeuralRecommender, "_shared_prefixes", counted)
     generations = pipeline.stage_generate(apply_overrides(load_config(ini), out_dir=out))
     assert set(generations) == {"oracle", "random", "tiny", "gru"}
-    assert sorted(passes) == ["recurrent", "transformer"]
+    assert sorted(passes) == ["RecurrentModel", "TransformerModel"]
 
 
 # ----------------------------------------------------------------------
@@ -737,6 +737,33 @@ def test_an_mrr_ae_k_the_pool_cannot_supply_fails_before_training(micro_ini, tmp
             in capsys.readouterr().err)
     assert not list(out.glob("checkpoints/*.ckpt"))
     assert not (out / "gens").exists()
+
+
+def test_stages_from_disk_read_values_and_lineage_from_a_checkpoint(micro_ini, runall_dir,
+                                                                   tmp_path, capsys):
+    """A header that also holds the architecture, as headers written before
+    it was read from the roster entry do, reproduces the run byte for
+    byte; one of another lineage is refused."""
+    target = tmp_path / "described"
+    shutil.copytree(runall_dir, target)
+    ckpt = target / "checkpoints" / "tiny.ckpt"
+    magic, header, array = ckpt.read_bytes().split(b"\n", 2)
+    described = dict(json.loads(header), model={
+        "kind": "transformer", "num_users": 20, "num_items": 12, "vocab_size": 0,
+        "embed_dim": 16, "ffn_dim": 32, "layers": 1, "heads": 2, "max_len": 24,
+        "rating_hidden": 64, "use_aspect": False})
+    ckpt.write_bytes(b"\n".join([magic, json.dumps(described, sort_keys=True).encode(),
+                                 array]))
+    for stage in ("generate", "evaluate", "report"):
+        assert _cli(stage, "--config", micro_ini, "--out", target, "--quiet") == 0
+    drop = ("timing.txt", "tiny.ckpt")
+    assert _tree(target, drop) == _tree(runall_dir, drop)
+
+    other = dict(described, config_hash="deadbeef")
+    ckpt.write_bytes(b"\n".join([magic, json.dumps(other).encode(), array]))
+    assert _cli("generate", "--config", micro_ini, "--out", target, "--quiet") == 1
+    assert ("[generate] checkpoint for 'tiny' belongs to a different configuration; "
+            "rerun the train stage" in capsys.readouterr().err)
 
 
 def test_a_checkpoint_in_an_earlier_format_asks_for_the_train_stage(micro_ini, runall_dir,
@@ -842,12 +869,19 @@ def test_a_generations_row_that_does_not_parse_names_its_line(micro_ini, runall_
     shutil.copytree(runall_dir, out)
     gens_path = out / "gens" / "oracle.tsv"
     lines = gens_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = lines[2].split("\t")
     lines[2] = "x" + lines[2][lines[2].index("\t"):]
     gens_path.write_text("".join(lines), encoding="utf-8")
     assert _cli("evaluate", "--config", micro_ini, "--out", out, "--quiet",
                 "--models", "oracle", "--metrics", "rmse") == 1
     assert (f"[evaluate] {gens_path}:3: invalid literal for int() with base 10: 'x'"
             in capsys.readouterr().err)
+    # a rating that parses but is not finite is no rating either
+    lines[2] = "\t".join([*fields[:2], "nan", fields[3]])
+    gens_path.write_text("".join(lines), encoding="utf-8")
+    assert _cli("evaluate", "--config", micro_ini, "--out", out, "--quiet",
+                "--models", "oracle", "--metrics", "rmse") == 1
+    assert f"[evaluate] {gens_path}:3: non-finite rating 'nan'" in capsys.readouterr().err
 
 
 def test_unused_model_option_fails_before_anything_is_written(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import re
 
@@ -18,7 +19,8 @@ from rexeval.models import (CHUNK_ROWS, EOS_TOKEN, KINDS, OracleModel, RandomSco
                             RecurrentArch, RecurrentModel, TransformerArch,
                             TransformerModel, UnigramModel, UnigramSettings,
                             _sum_target_logprobs, clamp_rating, strip_reserved)
-from rexeval.nn import ParamStore, clip_global_norm, load_checkpoint, save_checkpoint
+from rexeval.nn import (CHECKPOINT_MAGIC, ParamStore, clip_global_norm, load_checkpoint,
+                        save_checkpoint)
 from rexeval.training import TrainConfig, make_batch, padded_ids, train_model
 
 from testkit import (UniformScorer, build_kind, full_pass_log_likelihoods, generate,
@@ -249,11 +251,11 @@ def test_a_text_scores_the_same_bits_in_any_chunk(tiny_corpus, lexicon, width):
     requests += requests[:10]  # repeats
     for model in roster:
         alone = [log_likelihood(model, u, i, t) for u, i, t in requests]
-        assert model.log_likelihood_many(requests) == alone, model.kind
+        assert model.log_likelihood_many(requests) == alone, type(model).__name__
         for size in (1, 7, 64, len(requests)):
             order = rng.permutation(len(requests))
             assert scored_in_calls(model, [requests[j] for j in order], size) == \
-                [alone[j] for j in order], (model.kind, size)
+                [alone[j] for j in order], (type(model).__name__, size)
 
 
 def test_token_log_probs_are_distributions(fresh_transformer, fresh_recurrent):
@@ -289,6 +291,14 @@ def test_rating_predictions_are_clamped(fresh_transformer, fresh_recurrent):
     assert clamp_rating(0.3) == 1.0
     assert clamp_rating(7.2) == 5.0
     assert clamp_rating(3.3) == 3.3
+
+
+def test_clamp_rating_rejects_a_non_finite_rating():
+    """A NaN is no rating, and an infinity no bound: neither is clamped."""
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"non-finite rating {x!r}"):
+            clamp_rating(x)
+    assert clamp_rating(1e308) == 5.0 and clamp_rating(-1e308) == 1.0
 
 
 def test_generation_shape_and_stopping(fresh_transformer, fresh_recurrent):
@@ -339,48 +349,79 @@ def test_conditioning_changes_scores(tiny_corpus, lexicon):
     assert a[0, 0] != b[0, 0]  # first-step distribution already differs
 
 
-def test_checkpoint_round_trip_preserves_behavior(tmp_path, tiny_corpus, lexicon,
-                                                  fresh_transformer, fresh_recurrent):
-    for model in (fresh_transformer, fresh_recurrent):
-        path = tmp_path / f"{model.architecture_header()['kind']}.ckpt"
-        model.store.step = 5
-        save_checkpoint(path, model.store, seed=model.seed, config_hash="h",
-                        extra={"model": model.architecture_header()})
-        back = model_from_checkpoint(path, tiny_corpus.vocab, lexicon)
+def _trained_like(model, seed: int):
+    """The model with every value replaced by a seeded draw, so a value
+    that a load did not copy shows."""
+    rng = np.random.default_rng(seed)
+    model.store.values[...] = rng.normal(scale=0.3, size=model.store.values.size)
+    model.store.step = 5
+    return model
+
+
+def test_checkpoint_round_trip_preserves_behavior(tmp_path, tiny_corpus, lexicon):
+    """Build from the roster entry, save, build again and load: every value
+    bit, score, rating and text comes back."""
+    requests = [(r.user, r.item, r.aspect) for r in tiny_corpus.test[:6]]
+    texts = [(r.user, r.item, list(r.tokens)) for r in tiny_corpus.test[:6]]
+    for kind, options in (("transformer", dict(embed_dim=16, ffn_dim=32, layers=1, heads=2)),
+                          ("transformer", dict(embed_dim=16, ffn_dim=32, layers=1, heads=2,
+                                               use_aspect=True)),
+                          ("recurrent", dict(embed_dim=16, hidden_dim=24))):
+        model = _trained_like(build_kind(kind, tiny_corpus, lexicon, 7, **options), 3)
+        path = tmp_path / f"{kind}.ckpt"
+        save_checkpoint(path, model.store, seed=model.seed, config_hash="h")
+        back = model_from_checkpoint(path, model.arch, tiny_corpus.vocab, model.num_users,
+                                     model.num_items, lexicon)
         assert back.store.step == 5
-        reqs = [(r.user, r.item, list(r.tokens)) for r in tiny_corpus.test[:5]]
-        assert back.log_likelihood_many(reqs) == model.log_likelihood_many(reqs)
-        assert predict_rating(back, 1, 2) == predict_rating(model, 1, 2)
-        assert generate(back, 1, 2) == generate(model, 1, 2)
+        assert back.store.layout() == model.store.layout()
+        assert back.store.values.dtype == model.store.values.dtype == np.float32
+        assert back.store.values.tobytes() == model.store.values.tobytes()
+        asked = [(u, i, a if model.conditions_on_aspect else None) for u, i, a in requests]
+        assert back.explain_many(asked) == model.explain_many(asked)
+        assert back.log_likelihood_many(texts) == model.log_likelihood_many(texts)
+
+
+def test_a_checkpoint_header_with_a_model_description_loads_bit_exactly(
+        tmp_path, tiny_corpus, fresh_transformer):
+    """Headers written before the architecture was read from the roster
+    entry also hold a `model` description; it is ignored."""
+    model = fresh_transformer
+    values = np.random.default_rng(4).normal(size=model.store.values.size).astype(np.float32)
+    header = {"seed": 7, "step": 9, "config_hash": "h", "parameters": model.store.layout(),
+              "model": {"kind": "transformer", "num_users": 10, "num_items": 8,
+                        "vocab_size": len(tiny_corpus.vocab),
+                        **dataclasses.asdict(model.arch)}}
+    path = tmp_path / "parent.ckpt"
+    with open(path, "wb") as fh:
+        fh.write(f"{CHECKPOINT_MAGIC}\n{json.dumps(header, sort_keys=True)}\n".encode())
+        np.lib.format.write_array(fh, values, allow_pickle=False)
+    back = model_from_checkpoint(path, model.arch, tiny_corpus.vocab, 10, 8)
+    assert back.store.step == 9
+    assert back.store.values.tobytes() == values.tobytes()
 
 
 def test_model_from_checkpoint_validation(tmp_path, tiny_corpus, fresh_transformer):
-    from rexeval.lexicon import Vocab
-
-    bare = tmp_path / "bare.ckpt"
-    save_checkpoint(bare, fresh_transformer.store, seed=1, config_hash="h")
-    with pytest.raises(ValueError, match="lacks a model description"):
-        model_from_checkpoint(bare, tiny_corpus.vocab)
-
-    full = tmp_path / "full.ckpt"
-    save_checkpoint(full, fresh_transformer.store, seed=1, config_hash="h",
-                    extra={"model": fresh_transformer.architecture_header()})
-    with pytest.raises(ValueError, match="vocab size"):
-        model_from_checkpoint(full, Vocab.from_texts([["a"]]))
-
-    weird = tmp_path / "weird.ckpt"
-    desc = dict(fresh_transformer.architecture_header(), kind="convnet")
-    save_checkpoint(weird, fresh_transformer.store, seed=1, config_hash="h",
-                    extra={"model": desc})
-    with pytest.raises(ValueError, match="unknown model kind"):
-        model_from_checkpoint(weird, tiny_corpus.vocab)
+    """A checkpoint of another vocabulary or width is rejected, naming the
+    file and the first parameter that differs."""
+    path = tmp_path / "full.ckpt"
+    save_checkpoint(path, fresh_transformer.store, seed=1, config_hash="h")
+    d, vocab_size = fresh_transformer.arch.embed_dim, len(tiny_corpus.vocab)
+    other = Vocab.from_texts([["a"]])
+    with pytest.raises(ValueError) as err:
+        model_from_checkpoint(path, fresh_transformer.arch, other, 10, 8)
+    assert str(err.value) == (f"{path}: parameter 'word.emb' of shape {(vocab_size, d)} where "
+                              f"the model has 'word.emb' of shape {(len(other), d)}")
+    wider = dataclasses.replace(fresh_transformer.arch, embed_dim=2 * d)
+    with pytest.raises(ValueError) as err:
+        model_from_checkpoint(path, wider, tiny_corpus.vocab, 10, 8)
+    assert str(err.value) == (f"{path}: parameter 'user.emb' of shape {(10, d)} where "
+                              f"the model has 'user.emb' of shape {(10, 2 * d)}")
 
 
 def test_truncated_or_padded_checkpoint_is_rejected(tmp_path, tiny_corpus,
                                                     fresh_transformer):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, fresh_transformer.store, seed=1, config_hash="h",
-                    extra={"model": fresh_transformer.architecture_header()})
+    save_checkpoint(path, fresh_transformer.store, seed=1, config_hash="h")
     header, _ = load_checkpoint(path)
     assert header["parameters"] == fresh_transformer.store.layout()
     names = fresh_transformer.store.names()
@@ -391,9 +432,9 @@ def test_truncated_or_padded_checkpoint_is_rejected(tmp_path, tiny_corpus,
         store = ParamStore(dtype)
         for name, values in changed.items():
             store.add(name, values)
-        save_checkpoint(path, store, seed=1, config_hash="h", extra={"model": header["model"]})
+        save_checkpoint(path, store, seed=1, config_hash="h")
         with pytest.raises(ValueError, match=message) as err:
-            model_from_checkpoint(path, tiny_corpus.vocab)
+            model_from_checkpoint(path, fresh_transformer.arch, tiny_corpus.vocab, 10, 8)
         assert str(path) in str(err.value)
 
     rejected({name: values for name, values in params.items() if name != last},
@@ -408,8 +449,7 @@ def test_truncated_or_padded_checkpoint_is_rejected(tmp_path, tiny_corpus,
     swapped = {second: params[second], first: params[first]}
     rejected({**swapped, **params}, f"parameter '{second}' .* where the model has '{first}'")
     # the model's layout, in another dtype than the model computes in
-    rejected(params, "value array is <f8 but a 'transformer' model computes in <f4",
-             dtype=np.float64)
+    rejected(params, "value array is <f8 but the model computes in <f4", dtype=np.float64)
 
 
 def test_every_option_a_kind_takes_reaches_the_model(tiny_corpus, lexicon):
@@ -431,7 +471,7 @@ def test_every_option_a_kind_takes_reaches_the_model(tiny_corpus, lexicon):
             assert carried.count(True) == 1, (kind, name)
             if entry.model is not None:
                 model = entry.build(tiny_corpus, lexicon, 7, *spec.settings)
-                assert entry.model.kind == kind and model.arch == spec.settings[0]
+                assert type(model) is entry.model and model.arch == spec.settings[0]
                 # what the train stage hands train_model
                 assert type(spec.settings[1]) is TrainConfig
     smoothed = build_kind("unigram", tiny_corpus, lexicon, 7, alpha=5.0)
@@ -499,7 +539,7 @@ def test_no_compute_drifts_back_to_float64(tiny_corpus, lexicon, monkeypatch):
         assert {n.op for n in nodes} >= {"affine", "embedding"}
         drift = {(n.op, n.value.dtype.name) for n in trained + nodes
                  if n.value.dtype != np.float32}
-        assert drift == set(), model.kind
+        assert drift == set(), type(model).__name__
         assert {g.dtype.name for g in slots} == {"float32"}
         assert {a.dtype.name for a in (grads, model.store.values, *model.store._moments)} \
             == {"float32"}
@@ -550,7 +590,7 @@ def test_shared_prefix_scoring_equals_full_passes(tiny_corpus, lexicon, wide_mod
         for label, requests in cases.items():
             assert model.log_likelihood_many(requests) == \
                 full_pass_log_likelihoods(model, requests), \
-                (model.kind, model.conditions_on_aspect, label)
+                (type(model).__name__, model.conditions_on_aspect, label)
 
 
 def test_scoring_validates_before_any_forward_pass(wide_models, monkeypatch):
@@ -692,13 +732,13 @@ def test_a_repeated_prefix_decodes_as_alone(tiny_corpus, sanity_corpus, briefly_
         requests = [pool[j] for j in rng.permutation(len(pool))]
         reference = {request: full_prefix_generate(model, *request) for request in asked}
         expect = [reference[request] for request in requests]
-        assert texts_of(model, requests) == expect, model.kind
+        assert texts_of(model, requests) == expect, type(model).__name__
         for size in (1, 7, 64):
             order = rng.permutation(len(requests))
             shuffled = [requests[j] for j in order]
             decoded = [tokens for lo in range(0, len(shuffled), size)
                        for tokens in texts_of(model, shuffled[lo:lo + size])]
-            assert decoded == [expect[j] for j in order], (model.kind, size)
+            assert decoded == [expect[j] for j in order], (type(model).__name__, size)
     assert len({len(tokens) for tokens in expect}) > 1  # rows stop at mixed lengths
 
 
@@ -761,7 +801,7 @@ def test_prefix_pass_ratings_equal_prefix_and_bos_ratings(tiny_corpus, lexicon, 
         # the distinct prefixes fill more than one prefix pass
         assert len({(u, i) for u, i, _ in requests}) > CHUNK_ROWS
         assert ratings_of(model, requests) == prefix_bos_ratings(model, requests), \
-            (model.kind, model.conditions_on_aspect, width)
+            (type(model).__name__, model.conditions_on_aspect, width)
 
 
 def _sum_target_logprobs_reference(lp, word_ids) -> float:

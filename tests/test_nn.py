@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from rexeval.autodiff import softmax_xent_forward
 from rexeval.lexicon import Vocab
-from rexeval.models import TransformerArch, TransformerModel, model_from_parameters
+from rexeval.models import TransformerArch, TransformerModel
 from rexeval.nn import (CHECKPOINT_MAGIC, ParamStore, clip_global_norm, load_checkpoint,
-                        save_checkpoint)
+                        load_into, save_checkpoint)
 
 from testkit import grad_check
 
@@ -88,13 +88,13 @@ def test_adam_step_equals_the_fresh_array_formula_bitwise():
 
 def test_a_loaded_store_allocates_no_adam_moments(tmp_path):
     vocab = Vocab.from_texts([["good", "food"]])
-    model = TransformerModel(TransformerArch(embed_dim=8, ffn_dim=8, layers=1, heads=1),
-                             vocab, 3, 2, seed=5)
+    arch = TransformerArch(embed_dim=8, ffn_dim=8, layers=1, heads=1)
+    model = TransformerModel(arch, vocab, 3, 2, seed=5)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, model.store, seed=5, config_hash="h",
-                    extra={"model": model.architecture_header()})
+    save_checkpoint(path, model.store, seed=5, config_hash="h")
     header, values = load_checkpoint(path)
-    loaded = model_from_parameters(header, values, vocab, source=path).store
+    loaded = TransformerModel(arch, vocab, 3, 2, seed=6).store
+    load_into(loaded, header, values, path)
     assert loaded.values.dtype == model.store.values.dtype == np.float32
     assert loaded.values.tobytes() == model.store.values.tobytes()
     assert loaded._moments is None
@@ -180,13 +180,13 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     store.add("edge", np.array([0.1, -0.0, 1e-300, 1.7976931348623157e308, np.pi]))
     store.step = 17
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, store, seed=42, config_hash="abc123",
-                    extra={"model": {"kind": "demo"}})
+    save_checkpoint(path, store, seed=42, config_hash="abc123")
     header, loaded = load_checkpoint(path)
+    # values and lineage only: the architecture comes from the roster entry
+    assert sorted(header) == ["config_hash", "parameters", "seed", "step"]
     assert header["seed"] == 42
     assert header["step"] == 17
     assert header["config_hash"] == "abc123"
-    assert header["model"] == {"kind": "demo"}
     assert header["parameters"] == store.layout() == [["w", [4, 3]], ["edge", [5]]]
     assert (loaded.view(np.uint64) == store.values.view(np.uint64)).all()
 

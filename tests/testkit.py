@@ -10,7 +10,8 @@ against. `UniformScorer` and
 compared with. The rest are conveniences over the library: an
 untrained model of a roster kind, finite-difference gradient checks,
 parameter counts, single-text regressor predictions, a text's bigram
-NLL, token cosines, and rebuilding a model from a checkpoint file.
+NLL, token cosines, and a trained model of an architecture loaded from
+a checkpoint file.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from rexeval.autodiff import Tape, log_softmax
 from rexeval.config import ModelSpec
 from rexeval.lexicon import BOS_ID
 from rexeval.models import (CHUNK_ROWS, EOS_TOKEN, KINDS, ExplainableRecommender, _nonempty,
-                            _sum_target_logprobs, clamp_rating, model_from_parameters)
-from rexeval.nn import ParamStore, load_checkpoint
+                            _sum_target_logprobs, clamp_rating)
+from rexeval.nn import ParamStore, load_checkpoint, load_into
 from rexeval.training import length_order, padded_ids
 
 
@@ -158,7 +159,12 @@ def cosine(table, a: str, b: str) -> float:
     return float(table.cosine_matrix([ia], [ib])[0, 0])
 
 
-def model_from_checkpoint(path, vocab, lexicon=None):
-    """Rebuild a trained model from a checkpoint file; errors name the file."""
+def model_from_checkpoint(path, arch, vocab, num_users: int, num_items: int, lexicon=None):
+    """A model of the architecture `arch`, built as its kind builds one and
+    then given a checkpoint file's values, as the generate and evaluate
+    stages do; errors name the file."""
     header, values = load_checkpoint(path)
-    return model_from_parameters(header, values, vocab, lexicon, source=path)
+    model_class = next(kind.model for kind in KINDS.values() if kind.settings[:1] == (type(arch),))
+    model = model_class(arch, vocab, num_users, num_items, header["seed"], lexicon)
+    load_into(model.store, header, values, path)
+    return model
