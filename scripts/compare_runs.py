@@ -7,13 +7,15 @@ Every file under either directory is compared byte for byte, except
 `checkpoints/` (its format may change between versions without changing
 any result) and the `timing.txt` sidecar (wall-clock time). Prints each
 file that differs or exists on one side only, and exits 1 if there is
-any, else 0. With --timing it first prints both runs' `timing.txt`
+any, else 0. A text file that differs is named with the line of its
+first difference. With --timing it first prints both runs' `timing.txt`
 values side by side with their ratio B/A; they never change the exit
 status.
 """
 
 import argparse
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 SKIPPED_DIRS = ("checkpoints",)
@@ -40,9 +42,20 @@ def compare(run_a: Path, run_b: Path) -> list[str]:
             problems.append(f"only in {run_a}: {rel}")
         elif rel not in in_a:
             problems.append(f"only in {run_b}: {rel}")
-        elif (run_a / rel).read_bytes() != (run_b / rel).read_bytes():
-            problems.append(f"differs: {rel}")
+        elif (a := (run_a / rel).read_bytes()) != (b := (run_b / rel).read_bytes()):
+            line = first_difference(a, b)
+            problems.append(f"differs: {rel}" + (f" (first at line {line})" if line else ""))
     return problems
+
+
+def first_difference(a: bytes, b: bytes) -> int | None:
+    """The 1-based number of the first line at which two different texts
+    differ, or None when either is not UTF-8 text."""
+    try:
+        lines_a, lines_b = (data.decode("utf-8").splitlines(keepends=True) for data in (a, b))
+    except UnicodeDecodeError:
+        return None
+    return next(n for n, (x, y) in enumerate(zip_longest(lines_a, lines_b), 1) if x != y)
 
 
 def timing(run: Path) -> dict[str, str]:

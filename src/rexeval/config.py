@@ -101,14 +101,13 @@ class MetricSettings:
 class ModelSpec:
     name: str
     kind: str
-    # the (key, value) pairs its section gives, sorted; the lineage hash
-    # reads them as given
-    options: tuple[tuple[str, object], ...] = ()
+    # the (key, value) pairs its section gives, which build `settings`
+    options: dataclasses.InitVar[tuple[tuple[str, object], ...]] = ()
     note: str = ""
-    # an instance of each of the kind's settings classes, built from options
+    # an instance of each of the kind's settings classes
     settings: tuple = dataclasses.field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, options):
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind '{self.kind}' (known: {', '.join(KINDS)})")
         if not re.fullmatch(r"[A-Za-z0-9._-]+", self.name):
@@ -116,12 +115,12 @@ class ModelSpec:
                              "dot, dash and underscore")
         classes = KINDS[self.kind].settings
         takes = _fields(*classes)
-        for key, _ in self.options:
+        for key, _ in options:
             if key not in takes:
                 raise ValueError(f"model '{self.name}': unknown key '{key}' for kind "
                                  f"'{self.kind}' (it takes {', '.join(takes) or 'no options'})")
         try:
-            settings = tuple(cls(**{key: value for key, value in self.options
+            settings = tuple(cls(**{key: value for key, value in options
                                     if key in cls.__dataclass_fields__}) for cls in classes)
         except ValueError as exc:
             raise ValueError(f"model '{self.name}': {exc}") from None
@@ -136,6 +135,11 @@ class ModelSpec:
         """Whether the model reads the answer key: the oracle, and a
         transformer fed the gold aspect."""
         return KINDS[self.kind].privileged(*self.settings)
+
+
+# the pairs only build `settings`: reading them back, or `dataclasses.replace`
+# of a spec, raises instead of finding the empty default
+del ModelSpec.options
 
 
 @dataclass(frozen=True)
@@ -236,7 +240,7 @@ def _read_model(parser, section: str) -> ModelSpec:
     fields = {key: (key, "") for key in parser[section]}
     fields.update(_fields(*KINDS[kind].settings) if kind in KINDS else {})
     return _read_section(parser, section, fields, lambda kind, note="", **options:
-                         ModelSpec(name, kind, tuple(sorted(options.items())), note))
+                         ModelSpec(name, kind, tuple(options.items()), note))
 
 
 def load_config(path) -> RunConfig:
@@ -255,30 +259,25 @@ def load_config(path) -> RunConfig:
                      **settings["output"])
 
 
-def lineage_hash(config: RunConfig) -> str:
-    """Hash of everything that shapes on-disk artifacts.
+def _changed(settings) -> list[str]:
+    """`name=repr(value)` of each field of a settings object that is off
+    its default, in declaration order."""
+    return [f"{f.name}={getattr(settings, f.name)!r}" for f in dataclasses.fields(settings)
+            if getattr(settings, f.name) != f.default]
 
-    Covers the corpus spec, the corpus and model seeds, and the model
-    roster (minus display notes). Metric settings and the eval seed are
-    excluded so evaluation overrides can rerun against existing corpora
-    and checkpoints.
-    """
-    corpus = config.corpus
-    parts = [
-        "corpus",
-        str(corpus.users), str(corpus.items), str(corpus.aspects),
-        str(corpus.reviews_per_user), repr(corpus.affinity_gain),
-        repr(corpus.offtopic_rate),
-        " ".join(repr(s) for s in corpus.splits),
-        corpus.lexicon_path or "-", corpus.external_path or "-",
-        "seeds", str(config.seeds.corpus), str(config.seeds.model),
-        "models",
-    ]
+
+def lineage_hash(config: RunConfig) -> str:
+    """Hash of everything that shapes on-disk artifacts: the corpus spec,
+    the corpus and model seeds, and each roster entry's name, kind and
+    settings, not its note. Settings count by their fields that are off
+    their defaults, so a spelled-out default hashes as the default. Metric
+    settings and the eval seed are excluded so evaluation overrides can
+    rerun against existing corpora and checkpoints."""
+    parts = ["corpus", *_changed(config.corpus),
+             "seeds", str(config.seeds.corpus), str(config.seeds.model), "models"]
     for spec in config.models:
-        parts.append(spec.name)
-        parts.append(spec.kind)
-        for key, value in spec.options:
-            parts.append(f"{key}={value!r}")
+        parts += [spec.name, spec.kind, *(part for settings in spec.settings
+                                         for part in _changed(settings))]
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
 
 
@@ -287,13 +286,6 @@ def apply_overrides(config: RunConfig, *, out_dir=None, seed_corpus=None,
                     k=None, n_explanations=None, air_mode=None, tlae_mode=None,
                     audit=None) -> RunConfig:
     """Apply CLI-level overrides, returning a new config."""
-    seeds = config.seeds
-    if seed_corpus is not None or seed_model is not None or seed_eval is not None:
-        seeds = Seeds(
-            corpus=seeds.corpus if seed_corpus is None else seed_corpus,
-            model=seeds.model if seed_model is None else seed_model,
-            eval=seeds.eval if seed_eval is None else seed_eval,
-        )
     selected = config.selected
     if models is not None:
         wanted = [m.strip() for m in models.split(",") if m.strip()]
@@ -302,11 +294,13 @@ def apply_overrides(config: RunConfig, *, out_dir=None, seed_corpus=None,
         selected = tuple(wanted)
     if metrics is not None:
         metrics = tuple(metrics.replace(",", " ").split())
-    updates = {key: value for key, value in (
-        ("metrics", metrics), ("k", k), ("n_explanations", n_explanations),
-        ("air_mode", air_mode), ("tlae_mode", tlae_mode), ("audit", audit))
-        if value is not None}
-    settings = dataclasses.replace(config.metrics, **updates)
-    return dataclasses.replace(
-        config, seeds=seeds, metrics=settings, selected=selected,
-        out_dir=out_dir if out_dir is not None else config.out_dir)
+    seeds = _given(config.seeds, corpus=seed_corpus, model=seed_model, eval=seed_eval)
+    settings = _given(config.metrics, metrics=metrics, k=k, n_explanations=n_explanations,
+                      air_mode=air_mode, tlae_mode=tlae_mode, audit=audit)
+    return _given(config, seeds=seeds, metrics=settings, selected=selected, out_dir=out_dir)
+
+
+def _given(settings, **values):
+    """`settings` with each field that `values` gives, other than None, replaced."""
+    return dataclasses.replace(settings, **{key: value for key, value in values.items()
+                                            if value is not None})

@@ -280,7 +280,10 @@ class AuxRegressor:
         self.store = store
         self.validation_mse: float | None = None
 
-    def _run(self, tape: Tape, input_ids: np.ndarray, pad: np.ndarray):
+    def _run(self, tape: Tape, ids):
+        """The unclamped readings of rows of word ids that `_encode` gives."""
+        input_ids, _, pad = padded_ids(ids)
+        input_ids, pad = input_ids[:, 1:], pad[:, 1:]  # without the BOS column
         store = self.store
         emb = tape.embedding(tape.param(store, "word.emb"), input_ids)
         query = tape.broadcast(tape.param(store, "query"),
@@ -291,22 +294,23 @@ class AuxRegressor:
                                     tape.param(store, "head.b1")), "tanh")
         return tape.affine(h, tape.param(store, "head.w2"), tape.param(store, "head.b2"))
 
-    def _encode(self, texts) -> tuple[np.ndarray, np.ndarray]:
-        """Word ids and pad mask of texts without their reserved tokens."""
+    def _encode(self, texts) -> list:
+        """Word ids of texts without their reserved tokens."""
         ids = [self.vocab.encode(strip_reserved(tokens), append_eos=False) for tokens in texts]
         if not all(len(row) for row in ids):
             raise ValueError("cannot score empty text")
-        input_ids, _, pad = padded_ids(ids)
-        return input_ids[:, 1:], pad[:, 1:]  # without the BOS column
+        return ids
 
     def predict_many(self, texts) -> np.ndarray:
         """Readings in [1, 5], CHUNK_ROWS texts a pass; a text reads the same
         bits alone or among any others (`autodiff.attention_forward`)."""
-        out = np.empty(len(texts), dtype=np.float64)
-        for start in range(0, len(texts), CHUNK_ROWS):
-            chunk = texts[start:start + CHUNK_ROWS]
-            input_ids, pad = self._encode(chunk)
-            raw = self._run(Tape(grad=False), input_ids, pad).value[:, 0]
+        return self._predict_ids(self._encode(texts))
+
+    def _predict_ids(self, ids) -> np.ndarray:
+        out = np.empty(len(ids), dtype=np.float64)
+        for start in range(0, len(ids), CHUNK_ROWS):
+            chunk = ids[start:start + CHUNK_ROWS]
+            raw = self._run(Tape(grad=False), chunk).value[:, 0]
             out[start:start + len(chunk)] = np.clip(raw, 1.0, 5.0)
         return out
 
@@ -318,9 +322,9 @@ def train_aux_regressor(corpus, *, embed_dim: int, seed: int, log=None) -> AuxRe
     if not corpus.train:
         raise ValueError("empty train split")
     reg = AuxRegressor(corpus.vocab, embed_dim, seed)
-    train_texts = [list(r.tokens) for r in corpus.train]
+    train_ids = reg._encode([r.tokens for r in corpus.train])
     train_targets = np.array([r.rating for r in corpus.train], dtype=np.float64)
-    val_texts = [list(r.tokens) for r in corpus.validation]
+    val_ids = reg._encode([r.tokens for r in corpus.validation])
     val_targets = [float(r.rating) for r in corpus.validation]
     # center the head at the mean target so the [1, 5] clamp is not
     # saturated at init and validation selection sees progress immediately
@@ -328,18 +332,17 @@ def train_aux_regressor(corpus, *, embed_dim: int, seed: int, log=None) -> AuxRe
     rng = np.random.default_rng([seed, 0xA0C, 1])
 
     def batches():
-        order = rng.permutation(len(train_texts))
-        for start in range(0, len(train_texts), REGRESSOR_TRAINING.batch_size):
+        order = rng.permutation(len(train_ids))
+        for start in range(0, len(train_ids), REGRESSOR_TRAINING.batch_size):
             rows = order[start:start + REGRESSOR_TRAINING.batch_size]
-            input_ids, pad = reg._encode([train_texts[j] for j in rows])
-            yield input_ids, pad, train_targets[rows].reshape(-1, 1)
+            yield [train_ids[j] for j in rows], train_targets[rows].reshape(-1, 1)
 
     def loss(tape, batch):
-        input_ids, pad, targets = batch
-        return tape.squared_error(reg._run(tape, input_ids, pad), targets)
+        ids, targets = batch
+        return tape.squared_error(reg._run(tape, ids), targets)
 
     def validate(epoch):
-        val_mse = _mse(reg.predict_many(val_texts), val_targets)
+        val_mse = _mse(reg._predict_ids(val_ids), val_targets)
         if log is not None:
             log(f"regressor epoch {epoch}: val mse {val_mse:.4f}")
         return val_mse, val_mse

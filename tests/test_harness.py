@@ -1,5 +1,6 @@
 """Config parsing, lineage hashing, CLI, and pipeline artifact contracts."""
 
+import configparser
 import dataclasses
 import hashlib
 import json
@@ -14,9 +15,10 @@ import pytest
 
 import rexeval
 from rexeval.cli import main
-from rexeval.config import (CorpusSpec, MetricSettings, ModelSpec, RunConfig,
+from rexeval.config import (SECTIONS, CorpusSpec, MetricSettings, ModelSpec, RunConfig,
                             Seeds, apply_overrides, lineage_hash, load_config)
-from rexeval.models import EOS_TOKEN, NeuralRecommender, TransformerModel
+from rexeval.models import EOS_TOKEN, KINDS, NeuralRecommender, TransformerModel
+from rexeval.nn import load_checkpoint
 from rexeval import metrics, pipeline
 from rexeval.pipeline import model_seed
 from rexeval.report import EvaluationReport, verify_against_audit
@@ -122,7 +124,10 @@ def test_load_config_full_ini(micro_config):
     assert tiny.trainable
     arch, train = tiny.settings
     assert (arch.embed_dim, train.lr) == (16, 3e-3)
-    assert tiny.options == tuple(sorted(tiny.options))
+    # the section's pairs only build the settings; a copy cannot lose them
+    assert not hasattr(tiny, "options")
+    with pytest.raises(AttributeError):
+        dataclasses.replace(tiny, note="renoted")
     assert config.selected is None and config.active_models == config.models
 
 
@@ -244,14 +249,56 @@ def test_every_committed_config_loads():
                                       ("configs/default.ini", "runs/default")])
 def test_a_committed_run_reports_its_committed_table(tmp_path, ini, run):
     """The committed config parses to the lineage its run was made under:
-    the report stage accepts the run's artifacts and renders its bytes."""
+    every gens file's header carries it, and the report stage accepts the
+    run's artifacts and renders its bytes."""
     root = Path(__file__).resolve().parents[1]
     for name in ("meta.json", "results.json"):
         shutil.copyfile(root / run / name, tmp_path / name)
     shutil.copytree(root / run / "train_logs", tmp_path / "train_logs")
     config = dataclasses.replace(load_config(root / ini), out_dir=str(tmp_path))
+    gens = sorted((root / run / "gens").glob("*.tsv"))
+    assert gens
+    for path in gens:
+        header = path.read_text(encoding="utf-8").split("\n", 1)[0]
+        assert (path.name, header) == (path.name, f"# config {lineage_hash(config)}")
     pipeline.stage_report(config)
     assert (tmp_path / "report.txt").read_bytes() == (root / run / "report.txt").read_bytes()
+
+
+def _ini_text(value) -> str:
+    """A settings value as an INI section spells it: empty for None."""
+    if value is None:
+        return ""
+    return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@pytest.mark.parametrize("ini", ["fixtures/smoke.ini", "configs/default.ini"])
+def test_spelled_out_defaults_hash_as_the_defaults(tmp_path, ini):
+    """A copy of a committed config whose [corpus] and [model:*] sections
+    spell out every default builds the same settings and hashes the same."""
+    root = Path(__file__).resolve().parents[1]
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser.read(root / ini, encoding="utf-8")
+    defaults = {"corpus": {key: default for key, (_, default)
+                           in SECTIONS["corpus"][0].items()}}
+    for section in parser.sections():
+        if section.startswith("model:"):
+            classes = KINDS[parser[section]["kind"]].settings
+            defaults[section] = {f.name: f.default for cls in classes
+                                 for f in dataclasses.fields(cls)}
+    added = 0
+    for section, keys in defaults.items():
+        for key, default in keys.items():
+            if key not in parser[section]:
+                parser[section][key] = _ini_text(default)
+                added += 1
+    assert added
+    spelled = tmp_path / "spelled.ini"
+    with open(spelled, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    original, copy = load_config(root / ini), load_config(spelled)
+    assert copy == original
+    assert lineage_hash(copy) == lineage_hash(original)
 
 
 def test_load_config_rejects_metric_settings_the_evaluate_stage_cannot_use(tmp_path):
@@ -305,6 +352,12 @@ def test_model_spec_privileged_marks_oracle_and_aspect_transformers():
         assert not ModelSpec("m", kind).privileged
 
 
+def _pairs(spec: ModelSpec) -> tuple:
+    """Every (key, value) pair of a roster entry's built settings."""
+    return tuple((f.name, getattr(settings, f.name)) for settings in spec.settings
+                 for f in dataclasses.fields(settings))
+
+
 def test_lineage_hash_covers_artifacts_only(micro_config):
     base = micro_config
     ref = lineage_hash(base)
@@ -321,12 +374,12 @@ def test_lineage_hash_covers_artifacts_only(micro_config):
         base, corpus=dataclasses.replace(base.corpus, users=21))) != ref
     resized = tuple(
         ModelSpec(m.name, m.kind,
-                  tuple((k, 24 if k == "embed_dim" else v) for k, v in m.options),
+                  tuple((k, 24 if k == "embed_dim" else v) for k, v in _pairs(m)),
                   m.note)
         for m in base.models)
     assert lineage_hash(dataclasses.replace(base, models=resized)) != ref
     # display notes are cosmetic
-    renoted = tuple(ModelSpec(m.name, m.kind, m.options, "different note")
+    renoted = tuple(ModelSpec(m.name, m.kind, _pairs(m), "different note")
                     for m in base.models)
     assert lineage_hash(dataclasses.replace(base, models=renoted)) == ref
 
@@ -447,14 +500,21 @@ def test_compare_runs_names_every_differing_or_missing_file(staged_dir, runall_d
     (copy / "timing.txt").write_text("wall_time_seconds 0.000\n", encoding="utf-8")
     assert _compare_runs(runall_dir, copy).returncode == 0
     gens = copy / "gens" / "tiny.tsv"
-    gens.write_bytes(gens.read_bytes() + b"\n")
+    lines = gens.read_bytes().splitlines(keepends=True)
+    gens.write_bytes(b"".join(lines) + b"\n")
+    report = copy / "report.txt"
+    head = report.read_text(encoding="utf-8").splitlines(keepends=True)
+    report.write_text("".join(head[:3] + ["inserted\n"] + head[3:]), encoding="utf-8")
+    (copy / "world.json").write_bytes(b"\xff")  # a file that is not text is named alone
     (copy / "audit" / "tiny" / "rmse.tsv").unlink()
     (copy / "extra.txt").write_text("x", encoding="utf-8")
     diff = _compare_runs(runall_dir, copy)
     assert diff.returncode == 1
     assert diff.stdout.splitlines() == [f"only in {runall_dir}: audit/tiny/rmse.tsv",
                                         f"only in {copy}: extra.txt",
-                                        "differs: gens/tiny.tsv"]
+                                        f"differs: gens/tiny.tsv (first at line {len(lines) + 1})",
+                                        "differs: report.txt (first at line 4)",
+                                        "differs: world.json"]
 
 
 def test_compare_runs_prints_timing_beside_the_byte_compare(staged_dir, runall_dir,
@@ -764,6 +824,23 @@ def test_stages_from_disk_read_values_and_lineage_from_a_checkpoint(micro_ini, r
     assert _cli("generate", "--config", micro_ini, "--out", target, "--quiet") == 1
     assert ("[generate] checkpoint for 'tiny' belongs to a different configuration; "
             "rerun the train stage" in capsys.readouterr().err)
+
+
+def test_generate_and_evaluate_models_hold_their_checkpoints_values(micro_config, runall_dir):
+    """A model built for generate or evaluate holds its checkpoint's array
+    bit for bit, not the values it was built with."""
+    config = dataclasses.replace(micro_config, out_dir=str(runall_dir))
+    corpus, lexicon, meta = pipeline._load_corpus_artifacts(config, "evaluate")
+    models = pipeline._materialize_models(config, corpus, lexicon, "evaluate",
+                                          meta["config_hash"])
+    trainable = [spec for spec in config.models if spec.trainable]
+    assert trainable
+    for spec in trainable:
+        _, values = load_checkpoint(runall_dir / "checkpoints" / f"{spec.name}.ckpt")
+        loaded = models[spec.name].store.values
+        assert loaded.dtype == values.dtype and loaded.tobytes() == values.tobytes()
+        built = pipeline.build_model(spec, config, corpus, lexicon).store.values
+        assert built.tobytes() != loaded.tobytes()
 
 
 def test_a_checkpoint_in_an_earlier_format_asks_for_the_train_stage(micro_ini, runall_dir,

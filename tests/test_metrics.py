@@ -335,8 +335,8 @@ def test_regressor_training_input_validation(small_corpus):
 
 def test_regressor_training_raises_on_a_non_finite_validation_mse(small_corpus, monkeypatch):
     # NaN passes np.clip, so a diverged regressor reads NaN on validation
-    monkeypatch.setattr(AuxRegressor, "predict_many",
-                        lambda self, texts: np.full(len(texts), np.nan))
+    monkeypatch.setattr(AuxRegressor, "_predict_ids",
+                        lambda self, ids: np.full(len(ids), np.nan))
     with pytest.raises(DivergenceError, match="regressor diverged in epoch 1: "
                                               "non-finite validation loss") as err:
         train_aux_regressor(small_corpus, embed_dim=8, seed=0)

@@ -33,7 +33,7 @@ from rexeval.training import length_order, padded_ids
 def build_kind(kind: str, corpus, lexicon, seed: int, **options):
     """An untrained model of a roster kind, built from a [model:*]
     section that gives these options."""
-    spec = ModelSpec("m", kind, tuple(sorted(options.items())))
+    spec = ModelSpec("m", kind, tuple(options.items()))
     return KINDS[kind].build(corpus, lexicon, seed, *spec.settings)
 
 
