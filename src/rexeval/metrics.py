@@ -6,11 +6,13 @@ aspect-substituted alternatives (MRR-AE), and agreement between a
 text-only rating regressor and the model's own rating (TLAE).
 Coherence compares generated text against the gold review: an
 aspect+polarity entailment proxy, greedy embedding matching, and a
-reference-conditioned bigram NLL. All aggregates accumulate in
-instance order with plain float sums so results are independent of any
-worker scheduling, and every metric can stream per-instance rows to an
-audit callback for external recomputation. `CELLS`, at the end, is the
-one list of report cells that config, evaluation, report and audit read.
+reference-conditioned bigram NLL. Every metric builds one audit row per
+evaluated instance, and `_result` reduces the rows to the cell's value
+with its `CELLS` entry's `reduce`, the reduction the audit check applies
+to the same rows read back from disk. Reductions add in instance order
+from 0.0 with plain float sums, so results do not depend on any worker
+scheduling. `CELLS`, at the end, is the one list of report cells, with
+their directions, that config, evaluation, report and audit read.
 """
 
 from __future__ import annotations
@@ -76,6 +78,16 @@ class MetricResult:
                    d["direction"], dict(d.get("config", {})))
 
 
+def _result(name: str, rows: list[dict], excluded: int, config: dict, audit) -> MetricResult:
+    """Cell `name`'s result: its reduction of the audit rows, which go to
+    `audit`, when one is given, in order."""
+    cell = CELLS_BY_KEY[name]
+    if audit is not None:
+        for row in rows:
+            audit(**row)
+    return MetricResult(name, cell.reduce(rows), len(rows), excluded, cell.direction, config)
+
+
 class AuditWriter:
     """Collects one row per evaluated instance and writes them as TSV."""
 
@@ -130,23 +142,14 @@ def air(model, reviews, lexicon: Lexicon, *, texts=None, source: str = "ground-t
         pool.append((review, pair))
     if not pool:
         raise ValueError("empty AIR pool")
-    requests = []
-    for review, pair in pool:
-        requests.append((review.user, review.item, pair.original))
-        requests.append((review.user, review.item, pair.perturbed))
+    requests = [(review.user, review.item, text) for review, pair in pool
+                for text in (pair.original, pair.perturbed)]
     ppls = model.perplexity_many(requests)
-    flipped = 0
-    for j, (review, pair) in enumerate(pool):
-        ppl_orig = ppls[2 * j]
-        ppl_neg = ppls[2 * j + 1]
-        is_flipped = ppl_neg < ppl_orig
-        flipped += is_flipped
-        if audit is not None:
-            audit(instance=f"{review.user}:{review.item}", ppl_original=ppl_orig,
-                  ppl_negated=ppl_neg, flipped=is_flipped)
-    value = 100.0 * (1.0 - flipped / len(pool))
-    return MetricResult(name, value, len(pool), excluded, HIGHER,
-                        {"min_rating": AIR_MIN_RATING, "source": source})
+    rows = [{"instance": f"{review.user}:{review.item}", "ppl_original": ppls[2 * j],
+             "ppl_negated": ppls[2 * j + 1], "flipped": ppls[2 * j + 1] < ppls[2 * j]}
+            for j, (review, _) in enumerate(pool)]
+    return _result(name, rows, excluded, {"min_rating": AIR_MIN_RATING, "source": source},
+                   audit)
 
 
 # ----------------------------------------------------------------------
@@ -233,25 +236,21 @@ def mrr_ae(model, probes: MrrProbes, *, audit=None) -> MetricResult:
     one `perplexity_many` call, so several models can share one probe set.
     """
     ppls = model.perplexity_many(probes.requests)
-    rr_sum = 0.0
+    rows = []
     start = 0
     for chosen in probes.pools:
         user, item, _ = probes.requests[start]
         ppl_gold = ppls[start]
         others = ppls[start + 1:start + 1 + len(chosen)]
         start += 1 + len(chosen)
-        rank = 1 + sum(p < ppl_gold for p in others) + sum(p == ppl_gold for p in others)
-        rr_sum += 1.0 / rank
-        if audit is not None:
-            best = min(range(len(others)), key=others.__getitem__)
-            audit(instance=f"{user}:{item}", rank=rank,
-                  reciprocal_rank=1.0 / rank, ppl_gold=ppl_gold,
-                  n_candidates=len(chosen), best_impostor=chosen[best],
-                  ppl_best_impostor=others[best])
-    value = 100.0 * (rr_sum / len(probes.pools))
-    return MetricResult("mrr_ae", value, len(probes.pools), 0, HIGHER,
-                        {"k": probes.k, "seed": probes.seed,
-                         "candidate_exclusion": "rewrites-equal-to-gold"})
+        rank = 1 + sum(p <= ppl_gold for p in others)
+        best = min(range(len(others)), key=others.__getitem__)
+        rows.append({"instance": f"{user}:{item}", "rank": rank,
+                     "reciprocal_rank": 1.0 / rank, "ppl_gold": ppl_gold,
+                     "n_candidates": len(chosen), "best_impostor": chosen[best],
+                     "ppl_best_impostor": others[best]})
+    return _result("mrr_ae", rows, 0, {"k": probes.k, "seed": probes.seed,
+                                       "candidate_exclusion": "rewrites-equal-to-gold"}, audit)
 
 
 # ----------------------------------------------------------------------
@@ -367,13 +366,13 @@ def _mse(predicted, gold) -> float:
     return total / len(predicted)
 
 
-def per_generation(instances, column: str, rows_of, audit) -> tuple[float, int, int]:
-    """Add up one audit column over (user, item, generated, other) instances.
+def per_generation(instances, rows_of) -> tuple[list[dict], int]:
+    """The audit rows of (user, item, generated, other) instances.
 
     Reserved tokens are dropped from each generated text, and a text left
     empty is excluded and counted. `rows_of(kept)` gives the audit fields
-    of each kept (words, other) pair, in order; the `column` field of each
-    is added in instance order. Returns (total, count, excluded).
+    of each kept (words, other) pair, in order; each row is its instance
+    followed by those fields. Returns (rows, excluded).
     """
     kept = []
     excluded = 0
@@ -385,13 +384,8 @@ def per_generation(instances, column: str, rows_of, audit) -> tuple[float, int, 
             excluded += 1
     if not kept:
         raise ValueError("all generations empty")
-    total = 0.0
-    rows = rows_of([(words, other) for _, words, other in kept])
-    for (instance, _, _), fields in zip(kept, rows):
-        total += fields[column]
-        if audit is not None:
-            audit(instance=instance, **fields)
-    return total, len(kept), excluded
+    fields = rows_of([(words, other) for _, words, other in kept])
+    return [{"instance": key, **f} for (key, _, _), f in zip(kept, fields)], excluded
 
 
 def tlae(regressor: AuxRegressor, generations, *, target: str = "model-rating",
@@ -408,8 +402,8 @@ def tlae(regressor: AuxRegressor, generations, *, target: str = "model-rating",
             yield {"regressor_rating": pred, "target_rating": float(rating),
                    "squared_error": d * d}
 
-    total, count, excluded = per_generation(generations, "squared_error", rows_of, audit)
-    return MetricResult(name, total / count, count, excluded, LOWER, {"target": target})
+    rows, excluded = per_generation(generations, rows_of)
+    return _result(name, rows, excluded, {"target": target}, audit)
 
 
 # ----------------------------------------------------------------------
@@ -429,11 +423,10 @@ def entail_metric(instances, lexicon: Lexicon, audit=None) -> MetricResult:
     empty generations are excluded and counted."""
     if not instances:
         raise ValueError("no instances to score")
-    hits, count, excluded = per_generation(
-        instances, "entailed", lambda kept: (
-            {"entailed": entail_proxy(words, list(reference), lexicon)}
-            for words, reference in kept), audit)
-    return MetricResult("entail", 100.0 * hits / count, count, excluded, HIGHER, {})
+    rows, excluded = per_generation(instances, lambda kept: (
+        {"entailed": entail_proxy(words, list(reference), lexicon)}
+        for words, reference in kept))
+    return _result("entail", rows, excluded, {}, audit)
 
 
 # ----------------------------------------------------------------------
@@ -546,11 +539,10 @@ def gm_f1_metric(instances, table: EmbeddingTable, audit=None) -> MetricResult:
     """Mean greedy-match F1 over (user, item, generated, reference) instances."""
     if not instances:
         raise ValueError("no instances to score")
-    total, count, excluded = per_generation(
-        instances, "f1", lambda kept: (
-            dict(zip(("precision", "recall", "f1"), greedy_match_f1(words, reference, table)))
-            for words, reference in kept), audit)
-    return MetricResult("gm_f1", total / count, count, excluded, HIGHER, {})
+    rows, excluded = per_generation(instances, lambda kept: (
+        dict(zip(("precision", "recall", "f1"), greedy_match_f1(words, reference, table)))
+        for words, reference in kept))
+    return _result("gm_f1", rows, excluded, {}, audit)
 
 
 # ----------------------------------------------------------------------
@@ -629,35 +621,28 @@ def cnll_metric(instances, lm: BigramLM, weight: float, audit=None) -> MetricRes
     """Mean conditioned NLL over (user, item, generated, reference) instances."""
     if not instances:
         raise ValueError("no instances to score")
-    total, count, excluded = per_generation(
-        instances, "score", lambda kept: (
-            {"score": cond_nll_score(words, list(reference), lm, weight)}
-            for words, reference in kept), audit)
-    return MetricResult("cnll", total / count, count, excluded, LOWER, {"weight": weight})
+    rows, excluded = per_generation(instances, lambda kept: (
+        {"score": cond_nll_score(words, list(reference), lm, weight)}
+        for words, reference in kept))
+    return _result("cnll", rows, excluded, {"weight": weight}, audit)
 
 
 # ----------------------------------------------------------------------
 # recommendation error
 
 
-def rmse(predicted, gold) -> float:
-    return math.sqrt(_mse(predicted, gold))
-
-
 def rmse_metric(instances, audit=None) -> MetricResult:
-    """RMSE over (user, item, predicted, gold) rating instances."""
+    """RMSE over (user, item, predicted, gold) rating instances, the
+    predictions clamped to [1, 5]."""
     if not instances:
         raise ValueError("no instances to score")
-    preds = []
-    golds = []
+    rows = []
     for user, item, predicted, gold in instances:
-        preds.append(clamp_rating(predicted))
-        golds.append(float(gold))
-        if audit is not None:
-            d = preds[-1] - golds[-1]
-            audit(instance=f"{user}:{item}", predicted=preds[-1], gold=golds[-1],
-                  squared_error=d * d)
-    return MetricResult("rmse", rmse(preds, golds), len(preds), 0, LOWER, {})
+        predicted, gold = clamp_rating(predicted), float(gold)
+        d = predicted - gold
+        rows.append({"instance": f"{user}:{item}", "predicted": predicted, "gold": gold,
+                     "squared_error": d * d})
+    return _result("rmse", rows, 0, {}, audit)
 
 
 # ----------------------------------------------------------------------
@@ -686,7 +671,12 @@ def _beside_gold(c: CellInputs, column: int, gold: str) -> list:
 
 
 def _mean(rows: list[dict], column: str) -> float:
-    return sum(float(r[column]) for r in rows) / len(rows)
+    """One column's mean, added in row order from 0.0; not with `sum`,
+    which compensates its float additions from Python 3.12 on."""
+    total = 0.0
+    for r in rows:
+        total += float(r[column])
+    return total / len(rows)
 
 
 # what cells share within one evaluation, built once, in this order, when a
@@ -704,14 +694,18 @@ HELPERS = {
 
 class Cell(NamedTuple):
     """One report column: what selects it, what it reads, how it is
-    computed and shown, and how its audit rows recompute its value."""
+    computed and shown, and which way is better. `reduce` is the cell's
+    one reduction: `_result` applies it to the audit rows the metric
+    builds to give the reported value, and the audit check applies it to
+    the same rows read back from disk."""
 
     key: str  # results and audit key
     metric: str  # config metric name that selects it
     # (CellInputs, audit) -> MetricResult, calling the metric through its
     # module-level name so that a rebinding of the name is seen
     compute: Callable
-    header: str
+    header: str  # the report adds the direction's arrow
+    direction: str  # HIGHER or LOWER
     fmt: str
     reduce: Callable[[list[dict]], float]  # audit rows -> value
     modes: tuple[str, tuple[str, ...]] | None = None  # (setting, values that turn it on)
@@ -724,46 +718,46 @@ class Cell(NamedTuple):
 CELLS = (
     Cell("air", "air",
          lambda c, a: air(c.model, c.pool, c.lexicon, source="ground-truth", audit=a),
-         "AIR↑", "{:.2f}", lambda rows: 100.0 * (1.0 - _mean(rows, "flipped")),
+         "AIR", HIGHER, "{:.2f}", lambda rows: 100.0 * (1.0 - _mean(rows, "flipped")),
          modes=("air_mode", ("ground-truth", "both")), scores_model=True),
     Cell("air_generated", "air",
          lambda c, a: air(c.model, c.pool, c.lexicon, source="generated", audit=a,
                           texts=[strip_reserved(t) for _, _, _, t in c.gens],
                           name="air_generated"),
-         "AIR-gen↑", "{:.2f}", lambda rows: 100.0 * (1.0 - _mean(rows, "flipped")),
+         "AIR-gen", HIGHER, "{:.2f}", lambda rows: 100.0 * (1.0 - _mean(rows, "flipped")),
          modes=("air_mode", ("generated", "both")), scores_model=True, reads_gens=True),
     Cell("mrr_ae", "mrr_ae",
          lambda c, a: mrr_ae(c.model, c.helpers["mrr_probes"], audit=a),
-         "MRR-AE↑", "{:.2f}", lambda rows: 100.0 * _mean(rows, "reciprocal_rank"),
+         "MRR-AE", HIGHER, "{:.2f}", lambda rows: 100.0 * _mean(rows, "reciprocal_rank"),
          scores_model=True, helper="mrr_probes"),
     Cell("tlae", "tlae",
          lambda c, a: tlae(c.helpers["regressor"], [(u, i, t, r) for u, i, r, t in c.gens],
                            target="model-rating", audit=a),
-         "TLAE↓", "{:.3f}", lambda rows: _mean(rows, "squared_error"),
+         "TLAE", LOWER, "{:.3f}", lambda rows: _mean(rows, "squared_error"),
          modes=("tlae_mode", ("model-rating", "both")), reads_gens=True, helper="regressor"),
     Cell("tlae_gold", "tlae",
          lambda c, a: tlae(c.helpers["regressor"], _beside_gold(c, 3, "rating"),
                            target="gold-rating", name="tlae_gold", audit=a),
-         "TLAE-gold↓", "{:.3f}", lambda rows: _mean(rows, "squared_error"),
+         "TLAE-gold", LOWER, "{:.3f}", lambda rows: _mean(rows, "squared_error"),
          modes=("tlae_mode", ("gold-rating", "both")), reads_gens=True, helper="regressor"),
     Cell("entail", "entail",
          lambda c, a: entail_metric(_beside_gold(c, 3, "tokens"), c.lexicon, audit=a),
-         "Entail↑", "{:.2f}",
+         "Entail", HIGHER, "{:.2f}",
          lambda rows: 100.0 * sum(int(r["entailed"]) for r in rows) / len(rows),
          reads_gens=True),
     Cell("gm_f1", "gm_f1",
          lambda c, a: gm_f1_metric(_beside_gold(c, 3, "tokens"), c.helpers["embeddings"],
                                    audit=a),
-         "GM-F1↑", "{:.3f}", lambda rows: _mean(rows, "f1"),
+         "GM-F1", HIGHER, "{:.3f}", lambda rows: _mean(rows, "f1"),
          reads_gens=True, helper="embeddings"),
     Cell("cnll", "cnll",
          lambda c, a: cnll_metric(_beside_gold(c, 3, "tokens"), c.helpers["bigram"],
                                   weight=c.settings.cnll_weight, audit=a),
-         "CNLL↓", "{:.3f}", lambda rows: _mean(rows, "score"),
+         "CNLL", LOWER, "{:.3f}", lambda rows: _mean(rows, "score"),
          reads_gens=True, helper="bigram"),
     Cell("rmse", "rmse",
          lambda c, a: rmse_metric(_beside_gold(c, 2, "rating"), audit=a),
-         "RMSE↓", "{:.3f}", lambda rows: math.sqrt(_mean(rows, "squared_error")),
+         "RMSE", LOWER, "{:.3f}", lambda rows: math.sqrt(_mean(rows, "squared_error")),
          reads_gens=True),
 )
 CELLS_BY_KEY = {cell.key: cell for cell in CELLS}

@@ -366,6 +366,11 @@ def stage_evaluate(config: RunConfig, log=None) -> EvaluationReport:
             log(f"[evaluate] regressor validation mse {regressor.validation_mse:.4f}")
         shared = shared._replace(helpers=helpers)
 
+        # no earlier results or audit log outlives this evaluate, even a
+        # failed one, to disagree with what it writes
+        (out / RESULTS_FILE).unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            shutil.rmtree(out / AUDIT_DIR)
         rows = []
         cell_seconds = {}
         for spec in config.active_models:

@@ -4,7 +4,8 @@ The table's columns come from `metrics.CELLS`; it marks the per-column
 best among non-privileged models and footnotes every cell that excluded
 instances. The JSON form carries every MetricResult so any cell can be
 traced back to its inputs, and `verify_against_audit` recomputes cells
-from per-instance audit logs with each cell's reduction in `CELLS`.
+from per-instance audit logs with each cell's reduction in `CELLS`, the
+one that gave the reported value, so the two must be equal.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .metrics import CELLS, CELLS_BY_KEY, HIGHER, MetricResult
-
-AUDIT_TOL = 1e-9  # largest relative gap between a cell and its audit recomputation
 
 
 @dataclass
@@ -88,19 +87,18 @@ class EvaluationReport:
         raise KeyError(f"no row for model '{model}'")
 
 
-def _best_values(report: EvaluationReport, key: str) -> float | None:
+def _best_values(report: EvaluationReport, column) -> float | None:
     """Best value in a column among non-privileged rows."""
-    contenders = [row.cells[key].value for row in report.rows
-                  if not row.privileged and key in row.cells]
+    contenders = [row.cells[column.key].value for row in report.rows
+                  if not row.privileged and column.key in row.cells]
     if not contenders:
         return None
-    direction = next(row.cells[key].direction for row in report.rows if key in row.cells)
-    return max(contenders) if direction == HIGHER else min(contenders)
+    return max(contenders) if column.direction == HIGHER else min(contenders)
 
 
 def format_table(report: EvaluationReport) -> str:
     columns = [c for c in CELLS if any(c.key in row.cells for row in report.rows)]
-    best = {c.key: _best_values(report, c.key) for c in columns}
+    best = {c.key: _best_values(report, c) for c in columns}
 
     footnotes: list[str] = []
     grid: list[list[str]] = []
@@ -122,7 +120,8 @@ def format_table(report: EvaluationReport) -> str:
             rendered.append(text)
         grid.append(rendered)
 
-    headers = ["model"] + [c.header for c in columns]
+    headers = ["model"] + [c.header + ("↑" if c.direction == HIGHER else "↓")
+                           for c in columns]
     widths = [max(len(headers[c]), *(len(g[c]) for g in grid)) for c in range(len(headers))]
     lines = [
         "explanation faithfulness and coherence report",
@@ -204,9 +203,8 @@ def verify_against_audit(report: EvaluationReport, audit_dir,
     by default every report cell is verified once any of them has an
     audit log, and a run without audit logs verifies nothing. Returns the
     checked (model, key, reported, recomputed) tuples and raises
-    AuditMismatch on a checked cell without its log, any disagreement
-    beyond AUDIT_TOL (relative to the reported magnitude) or any
-    instance-count mismatch.
+    AuditMismatch on a checked cell without its log, a recomputed value
+    not equal to the reported one or any instance-count mismatch.
     """
     audit_dir = Path(audit_dir)
     checked: list[tuple[str, str, float, float]] = []
@@ -230,7 +228,7 @@ def verify_against_audit(report: EvaluationReport, audit_dir,
                     f"{row.model}/{key}: audit has {len(rows)} instances, "
                     f"report says {cell.count}")
             recomputed, unexplained = _recompute(CELLS_BY_KEY[key], cell.name, rows, path)
-            if abs(recomputed - cell.value) > AUDIT_TOL * max(1.0, abs(cell.value)):
+            if recomputed != cell.value:
                 raise AuditMismatch(
                     f"{row.model}/{key}: reported {cell.value!r} but audit "
                     f"recomputes to {recomputed!r}")

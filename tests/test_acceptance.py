@@ -14,7 +14,7 @@ from rexeval.cli import main
 from rexeval.config import ModelSpec, RunConfig
 from rexeval.lexicon import NEGATIVE, Vocab, classify_polarity
 from rexeval.metrics import (AuditWriter, EmbeddingTable, air, entail_metric,
-                             greedy_match_f1, mrr_ae, mrr_ae_probes, rmse, rmse_metric)
+                             greedy_match_f1, mrr_ae, mrr_ae_probes, rmse_metric)
 from rexeval.models import RandomScorer, UnigramModel, UnigramSettings
 from rexeval.perturb import negate_sentiment, substitute_aspect
 from rexeval.pipeline import run_pipeline
@@ -96,11 +96,10 @@ def test_criterion_4_oracle_sweeps_the_default_pipeline(tmp_path, capsys):
 def test_criterion_5_trained_models_beat_their_baselines(
         sanity_corpus, trained_transformer, trained_conditional, lexicon, capsys):
     test = sanity_corpus.test
-    golds = [float(r.rating) for r in test]
-    model_rmse = rmse([predict_rating(trained_transformer, r.user, r.item)
-                       for r in test], golds)
+    model_rmse = rmse_metric([(r.user, r.item, predict_rating(trained_transformer, r.user, r.item),
+                               r.rating) for r in test]).value
     mean_rating = float(np.mean([r.rating for r in sanity_corpus.train]))
-    mean_rmse = rmse([mean_rating] * len(test), golds)
+    mean_rmse = rmse_metric([(r.user, r.item, mean_rating, r.rating) for r in test]).value
 
     requests = [(r.user, r.item, r.tokens) for r in test]
     model_ppl = float(np.mean(trained_transformer.perplexity_many(requests)))

@@ -706,6 +706,52 @@ def test_selection_and_generated_air_mode(micro_ini, runall_dir, tmp_path):
                                                  "entail", "rmse"}
 
 
+@pytest.fixture(scope="module")
+def unaudited_ini(tmp_path_factory):
+    assert "audit = true\n" in MICRO_INI
+    path = tmp_path_factory.mktemp("cfg") / "unaudited.ini"
+    path.write_text(MICRO_INI.replace("audit = true\n", ""), encoding="utf-8")
+    return path
+
+
+def test_audit_on_and_off_write_the_same_results(runall_dir, unaudited_ini, tmp_path):
+    target = tmp_path / "unaudited"
+    shutil.copytree(runall_dir, target)
+    assert _cli("evaluate", "--config", unaudited_ini, "--out", target, "--quiet") == 0
+    assert (target / "results.json").read_bytes() == (runall_dir / "results.json").read_bytes()
+
+
+def test_evaluate_replaces_the_audit_logs_as_a_whole(micro_ini, runall_dir, unaudited_ini,
+                                                     tmp_path, monkeypatch, capsys):
+    # an unaudited evaluate under another eval seed leaves no earlier rows
+    stale = tmp_path / "stale"
+    shutil.copytree(runall_dir, stale)
+    assert _cli("evaluate", "--config", unaudited_ini, "--out", stale, "--seed-eval", 30,
+                "--quiet") == 0
+    assert (stale / "results.json").read_bytes() != (runall_dir / "results.json").read_bytes()
+    assert not (stale / "audit").exists()
+    assert verify_against_audit(EvaluationReport.load(stale / "results.json"),
+                                stale / "audit") == []
+    # an audited subset leaves the logs of its own cells only
+    subset = tmp_path / "subset"
+    shutil.copytree(runall_dir, subset)
+    assert _cli("evaluate", "--config", micro_ini, "--out", subset, "--metrics", "rmse",
+                "--quiet") == 0
+    assert sorted(_tree(subset / "audit")) == ["oracle/rmse.tsv", "random/rmse.tsv",
+                                               "tiny/rmse.tsv"]
+    # a failed evaluate leaves no earlier results beside its own partial logs
+    failed = tmp_path / "failed"
+    shutil.copytree(runall_dir, failed)
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken cell")
+
+    monkeypatch.setattr(metrics, "rmse_metric", broken)
+    assert _cli("evaluate", "--config", micro_ini, "--out", failed, "--quiet") == 1
+    assert "broken cell" in capsys.readouterr().err
+    assert not (failed / "results.json").exists()
+
+
 def test_cells_that_read_only_generations_open_no_checkpoint(micro_ini, runall_dir,
                                                               tmp_path, capsys):
     argv = ("--metrics", "tlae entail gm_f1 cnll rmse", "--tlae-mode", "both")

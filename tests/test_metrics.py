@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from rexeval.lexicon import NEGATIVE, RESERVED_TOKENS, UNK_ID, Vocab, classify_polarity
-from rexeval.metrics import (BIGRAM_ALPHA, HIGHER, LOWER, AuditWriter, AuxRegressor,
-                             BigramLM, EmbeddingTable, MetricResult, air,
-                             cnll_metric, cond_nll_score, entail_metric,
+from rexeval.metrics import (BIGRAM_ALPHA, CELLS_BY_KEY, HIGHER, LOWER, AuditWriter,
+                             AuxRegressor, BigramLM, EmbeddingTable, MetricResult, _mse,
+                             air, cnll_metric, cond_nll_score, entail_metric,
                              entail_proxy, gm_f1_metric, greedy_match_f1,
-                             mrr_ae, mrr_ae_eligible, mrr_ae_probes, rmse, rmse_metric,
+                             mrr_ae, mrr_ae_eligible, mrr_ae_probes, rmse_metric,
                              tlae, train_aux_regressor,
                              train_cooccurrence_embeddings)
 from rexeval.models import (KINDS, OracleModel, RandomScorer, RecurrentArch,
@@ -580,18 +580,29 @@ def test_cnll_metric_aggregates():
 
 
 def test_rmse_hand_values():
-    assert rmse([1.0, 3.0], [2.0, 5.0]) == math.sqrt((1.0 + 4.0) / 2)
-    assert rmse([2.5], [2.5]) == 0.0
+    assert rmse_metric([(0, 0, 1.0, 2.0), (0, 1, 3.0, 5.0)]).value == math.sqrt((1.0 + 4.0) / 2)
+    assert rmse_metric([(0, 0, 2.5, 2.5)]).value == 0.0
     with pytest.raises(ValueError, match="length mismatch"):
-        rmse([1.0], [1.0, 2.0])
+        _mse([1.0], [1.0, 2.0])
     with pytest.raises(ValueError, match="empty"):
-        rmse([], [])
+        _mse([], [])
+    with pytest.raises(ValueError, match="no instances"):
+        rmse_metric([])
+
+
+def test_cell_reductions_add_in_row_order_from_zero():
+    # a compensated sum (math.fsum, or `sum` from Python 3.12 on) keeps
+    # the 1.0 and gives 1/3; in-order float additions lose it
+    rows = [{column: x for column in ("squared_error", "f1", "score")}
+            for x in (1e16, 1.0, -1e16)]
+    for key in ("tlae", "tlae_gold", "gm_f1", "cnll"):
+        assert CELLS_BY_KEY[key].reduce(rows) == 0.0, key
 
 
 def test_rmse_metric_clamps_predictions():
     writer = AuditWriter()
     result = rmse_metric([(0, 0, 7.2, 5.0), (0, 1, 0.0, 2.0)], audit=writer)
-    assert result.value == rmse([5.0, 1.0], [5.0, 2.0])
+    assert result.value == math.sqrt((0.0 + 1.0) / 2)
     assert result.count == 2
     assert writer.rows[0]["predicted"] == 5.0
     assert writer.rows[1]["squared_error"] == 1.0

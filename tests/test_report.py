@@ -143,7 +143,7 @@ def test_verify_against_audit_recomputes_every_cell(tmp_path):
     assert [model for model, _, _, _ in checked] == ["alpha"] * 9 + ["beta"]
     for model, key, reported, recomputed in checked:
         assert reported == report.row(model).cells[key].value
-        assert recomputed == pytest.approx(reported)
+        assert recomputed == reported
 
 
 def test_verify_against_audit_detects_tampering(tmp_path):
@@ -156,6 +156,21 @@ def test_verify_against_audit_detects_tampering(tmp_path):
     report.row("alpha").cells["air"] = _result("air", 80.0, 9)
     with pytest.raises(AuditMismatch, match="audit has 10 instances"):
         verify_against_audit(report, audit)
+
+
+def test_verify_against_audit_fails_a_value_one_ulp_off(tmp_path):
+    report, audit = _full_audit_report(tmp_path)
+    for row in report.rows:
+        for key, cell in list(row.cells.items()):
+            for toward in (math.inf, -math.inf):
+                off = math.nextafter(cell.value, toward)
+                row.cells[key] = _result(key, off, cell.count, direction=cell.direction)
+                with pytest.raises(AuditMismatch, match=re.escape(
+                        f"{row.model}/{key}: reported {off!r} but audit recomputes to "
+                        f"{cell.value!r}")):
+                    verify_against_audit(report, audit)
+            row.cells[key] = cell
+    assert len(verify_against_audit(report, audit)) == 10
 
 
 def test_verify_against_audit_needs_every_log_of_an_audited_run(tmp_path):
