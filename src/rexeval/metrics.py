@@ -8,11 +8,13 @@ Coherence compares generated text against the gold review: an
 aspect+polarity entailment proxy, greedy embedding matching, and a
 reference-conditioned bigram NLL. Every metric builds one audit row per
 evaluated instance, and `_result` reduces the rows to the cell's value
-with its `CELLS` entry's `reduce`, the reduction the audit check applies
-to the same rows read back from disk. Reductions add in instance order
-from 0.0 with plain float sums, so results do not depend on any worker
-scheduling. `CELLS`, at the end, is the one list of report cells, with
-their directions, that config, evaluation, report and audit read.
+with its `CELLS` entry's `reduce` and returns them with it, as
+`MetricResult.rows`, for the caller to write with `report.write_audit`;
+the audit check applies the same reduction to the rows read back from
+disk. Reductions add in instance order from 0.0 with plain float sums, so
+results do not depend on any worker scheduling. `CELLS`, at the end, is
+the one list of report cells, with their directions, that config,
+evaluation, report and audit read.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ class MetricResult:
     excluded: int
     direction: str
     config: dict = field(default_factory=dict)
+    # the audit rows the value reduces, in instance order; never serialized
+    rows: list[dict] = field(default_factory=list, compare=False, repr=False)
 
     def __post_init__(self):
         if self.count < 1:
@@ -78,41 +82,12 @@ class MetricResult:
                    d["direction"], dict(d.get("config", {})))
 
 
-def _result(name: str, rows: list[dict], excluded: int, config: dict, audit) -> MetricResult:
-    """Cell `name`'s result: its reduction of the audit rows, which go to
-    `audit`, when one is given, in order."""
+def _result(name: str, rows: list[dict], excluded: int, config: dict) -> MetricResult:
+    """Cell `name`'s result: its reduction of the audit rows, which it
+    carries."""
     cell = CELLS_BY_KEY[name]
-    if audit is not None:
-        for row in rows:
-            audit(**row)
-    return MetricResult(name, cell.reduce(rows), len(rows), excluded, cell.direction, config)
-
-
-class AuditWriter:
-    """Collects one row per evaluated instance and writes them as TSV."""
-
-    def __init__(self):
-        self.rows: list[dict] = []
-
-    def __call__(self, **fields) -> None:
-        self.rows.append(fields)
-
-    @staticmethod
-    def _format(value) -> str:
-        if isinstance(value, bool):
-            return "1" if value else "0"
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            if not self.rows:
-                return
-            columns = list(self.rows[0])
-            fh.write("\t".join(columns) + "\n")
-            for row in self.rows:
-                fh.write("\t".join(self._format(row[c]) for c in columns) + "\n")
+    return MetricResult(name, cell.reduce(rows), len(rows), excluded, cell.direction, config,
+                        rows)
 
 
 # ----------------------------------------------------------------------
@@ -120,7 +95,7 @@ class AuditWriter:
 
 
 def air(model, reviews, lexicon: Lexicon, *, texts=None, source: str = "ground-truth",
-        name: str = "air", audit=None) -> MetricResult:
+        name: str = "air") -> MetricResult:
     """Percentage of positive reviews (rated AIR_MIN_RATING or more) whose
     sentiment-negated rewrite does NOT receive strictly lower perplexity;
     ties count as invariant."""
@@ -148,8 +123,7 @@ def air(model, reviews, lexicon: Lexicon, *, texts=None, source: str = "ground-t
     rows = [{"instance": f"{review.user}:{review.item}", "ppl_original": ppls[2 * j],
              "ppl_negated": ppls[2 * j + 1], "flipped": ppls[2 * j + 1] < ppls[2 * j]}
             for j, (review, _) in enumerate(pool)]
-    return _result(name, rows, excluded, {"min_rating": AIR_MIN_RATING, "source": source},
-                   audit)
+    return _result(name, rows, excluded, {"min_rating": AIR_MIN_RATING, "source": source})
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +200,7 @@ def mrr_ae_probes(reviews, lexicon: Lexicon, *, k: int, seed: int) -> MrrProbes:
     return MrrProbes(k, seed, pools, requests)
 
 
-def mrr_ae(model, probes: MrrProbes, *, audit=None) -> MetricResult:
+def mrr_ae(model, probes: MrrProbes) -> MetricResult:
     """Mean reciprocal rank (x100) of each gold review ranked by perplexity
     against the k candidates carrying its aspect that `mrr_ae_probes` drew.
 
@@ -250,7 +224,7 @@ def mrr_ae(model, probes: MrrProbes, *, audit=None) -> MetricResult:
                      "n_candidates": len(chosen), "best_impostor": chosen[best],
                      "ppl_best_impostor": others[best]})
     return _result("mrr_ae", rows, 0, {"k": probes.k, "seed": probes.seed,
-                                       "candidate_exclusion": "rewrites-equal-to-gold"}, audit)
+                                       "candidate_exclusion": "rewrites-equal-to-gold"})
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +363,7 @@ def per_generation(instances, rows_of) -> tuple[list[dict], int]:
 
 
 def tlae(regressor: AuxRegressor, generations, *, target: str = "model-rating",
-         name: str = "tlae", audit=None) -> MetricResult:
+         name: str = "tlae") -> MetricResult:
     """MSE between the regressor's reading of each generated text and the
     target rating; empty generations are excluded and counted."""
     if not generations:
@@ -403,7 +377,7 @@ def tlae(regressor: AuxRegressor, generations, *, target: str = "model-rating",
                    "squared_error": d * d}
 
     rows, excluded = per_generation(generations, rows_of)
-    return _result(name, rows, excluded, {"target": target}, audit)
+    return _result(name, rows, excluded, {"target": target})
 
 
 # ----------------------------------------------------------------------
@@ -418,7 +392,7 @@ def entail_proxy(generated, reference, lexicon: Lexicon) -> bool:
     return classify_polarity(generated, lexicon) == classify_polarity(reference, lexicon)
 
 
-def entail_metric(instances, lexicon: Lexicon, audit=None) -> MetricResult:
+def entail_metric(instances, lexicon: Lexicon) -> MetricResult:
     """Percentage of (user, item, generated, reference) instances entailed;
     empty generations are excluded and counted."""
     if not instances:
@@ -426,7 +400,7 @@ def entail_metric(instances, lexicon: Lexicon, audit=None) -> MetricResult:
     rows, excluded = per_generation(instances, lambda kept: (
         {"entailed": entail_proxy(words, list(reference), lexicon)}
         for words, reference in kept))
-    return _result("entail", rows, excluded, {}, audit)
+    return _result("entail", rows, excluded, {})
 
 
 # ----------------------------------------------------------------------
@@ -535,14 +509,14 @@ def greedy_match_f1(generated, reference, table: EmbeddingTable) -> tuple[float,
     return precision, recall, 2.0 * precision * recall / (precision + recall)
 
 
-def gm_f1_metric(instances, table: EmbeddingTable, audit=None) -> MetricResult:
+def gm_f1_metric(instances, table: EmbeddingTable) -> MetricResult:
     """Mean greedy-match F1 over (user, item, generated, reference) instances."""
     if not instances:
         raise ValueError("no instances to score")
     rows, excluded = per_generation(instances, lambda kept: (
         dict(zip(("precision", "recall", "f1"), greedy_match_f1(words, reference, table)))
         for words, reference in kept))
-    return _result("gm_f1", rows, excluded, {}, audit)
+    return _result("gm_f1", rows, excluded, {})
 
 
 # ----------------------------------------------------------------------
@@ -617,21 +591,21 @@ def cond_nll_score(generated, reference, lm: BigramLM, weight: float) -> float:
     return total / len(ids)
 
 
-def cnll_metric(instances, lm: BigramLM, weight: float, audit=None) -> MetricResult:
+def cnll_metric(instances, lm: BigramLM, weight: float) -> MetricResult:
     """Mean conditioned NLL over (user, item, generated, reference) instances."""
     if not instances:
         raise ValueError("no instances to score")
     rows, excluded = per_generation(instances, lambda kept: (
         {"score": cond_nll_score(words, list(reference), lm, weight)}
         for words, reference in kept))
-    return _result("cnll", rows, excluded, {"weight": weight}, audit)
+    return _result("cnll", rows, excluded, {"weight": weight})
 
 
 # ----------------------------------------------------------------------
 # recommendation error
 
 
-def rmse_metric(instances, audit=None) -> MetricResult:
+def rmse_metric(instances) -> MetricResult:
     """RMSE over (user, item, predicted, gold) rating instances, the
     predictions clamped to [1, 5]."""
     if not instances:
@@ -642,7 +616,7 @@ def rmse_metric(instances, audit=None) -> MetricResult:
         d = predicted - gold
         rows.append({"instance": f"{user}:{item}", "predicted": predicted, "gold": gold,
                      "squared_error": d * d})
-    return _result("rmse", rows, 0, {}, audit)
+    return _result("rmse", rows, 0, {})
 
 
 # ----------------------------------------------------------------------
@@ -701,7 +675,7 @@ class Cell(NamedTuple):
 
     key: str  # results and audit key
     metric: str  # config metric name that selects it
-    # (CellInputs, audit) -> MetricResult, calling the metric through its
+    # CellInputs -> MetricResult, calling the metric through its
     # module-level name so that a rebinding of the name is seen
     compute: Callable
     header: str  # the report adds the direction's arrow
@@ -717,46 +691,45 @@ class Cell(NamedTuple):
 # every metric cell, in report column order
 CELLS = (
     Cell("air", "air",
-         lambda c, a: air(c.model, c.pool, c.lexicon, source="ground-truth", audit=a),
+         lambda c: air(c.model, c.pool, c.lexicon, source="ground-truth"),
          "AIR", HIGHER, "{:.2f}", lambda rows: 100.0 * (1.0 - _mean(rows, "flipped")),
          modes=("air_mode", ("ground-truth", "both")), scores_model=True),
     Cell("air_generated", "air",
-         lambda c, a: air(c.model, c.pool, c.lexicon, source="generated", audit=a,
-                          texts=[strip_reserved(t) for _, _, _, t in c.gens],
-                          name="air_generated"),
+         lambda c: air(c.model, c.pool, c.lexicon, source="generated",
+                       texts=[strip_reserved(t) for _, _, _, t in c.gens],
+                       name="air_generated"),
          "AIR-gen", HIGHER, "{:.2f}", lambda rows: 100.0 * (1.0 - _mean(rows, "flipped")),
          modes=("air_mode", ("generated", "both")), scores_model=True, reads_gens=True),
     Cell("mrr_ae", "mrr_ae",
-         lambda c, a: mrr_ae(c.model, c.helpers["mrr_probes"], audit=a),
+         lambda c: mrr_ae(c.model, c.helpers["mrr_probes"]),
          "MRR-AE", HIGHER, "{:.2f}", lambda rows: 100.0 * _mean(rows, "reciprocal_rank"),
          scores_model=True, helper="mrr_probes"),
     Cell("tlae", "tlae",
-         lambda c, a: tlae(c.helpers["regressor"], [(u, i, t, r) for u, i, r, t in c.gens],
-                           target="model-rating", audit=a),
+         lambda c: tlae(c.helpers["regressor"], [(u, i, t, r) for u, i, r, t in c.gens],
+                        target="model-rating"),
          "TLAE", LOWER, "{:.3f}", lambda rows: _mean(rows, "squared_error"),
          modes=("tlae_mode", ("model-rating", "both")), reads_gens=True, helper="regressor"),
     Cell("tlae_gold", "tlae",
-         lambda c, a: tlae(c.helpers["regressor"], _beside_gold(c, 3, "rating"),
-                           target="gold-rating", name="tlae_gold", audit=a),
+         lambda c: tlae(c.helpers["regressor"], _beside_gold(c, 3, "rating"),
+                        target="gold-rating", name="tlae_gold"),
          "TLAE-gold", LOWER, "{:.3f}", lambda rows: _mean(rows, "squared_error"),
          modes=("tlae_mode", ("gold-rating", "both")), reads_gens=True, helper="regressor"),
     Cell("entail", "entail",
-         lambda c, a: entail_metric(_beside_gold(c, 3, "tokens"), c.lexicon, audit=a),
+         lambda c: entail_metric(_beside_gold(c, 3, "tokens"), c.lexicon),
          "Entail", HIGHER, "{:.2f}",
          lambda rows: 100.0 * sum(int(r["entailed"]) for r in rows) / len(rows),
          reads_gens=True),
     Cell("gm_f1", "gm_f1",
-         lambda c, a: gm_f1_metric(_beside_gold(c, 3, "tokens"), c.helpers["embeddings"],
-                                   audit=a),
+         lambda c: gm_f1_metric(_beside_gold(c, 3, "tokens"), c.helpers["embeddings"]),
          "GM-F1", HIGHER, "{:.3f}", lambda rows: _mean(rows, "f1"),
          reads_gens=True, helper="embeddings"),
     Cell("cnll", "cnll",
-         lambda c, a: cnll_metric(_beside_gold(c, 3, "tokens"), c.helpers["bigram"],
-                                  weight=c.settings.cnll_weight, audit=a),
+         lambda c: cnll_metric(_beside_gold(c, 3, "tokens"), c.helpers["bigram"],
+                               weight=c.settings.cnll_weight),
          "CNLL", LOWER, "{:.3f}", lambda rows: _mean(rows, "score"),
          reads_gens=True, helper="bigram"),
     Cell("rmse", "rmse",
-         lambda c, a: rmse_metric(_beside_gold(c, 2, "rating"), audit=a),
+         lambda c: rmse_metric(_beside_gold(c, 2, "rating")),
          "RMSE", LOWER, "{:.3f}", lambda rows: math.sqrt(_mean(rows, "squared_error")),
          reads_gens=True),
 )

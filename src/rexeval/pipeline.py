@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import dataclasses
 import functools
 import hashlib
 import json
@@ -31,10 +32,10 @@ from pathlib import Path
 from .config import RunConfig, lineage_hash
 from .corpus import build_corpus, generate_world, load_corpus, load_world, save_corpus, save_world
 from .lexicon import load_lexicon
-from .metrics import HELPERS, AuditWriter, CellInputs, mrr_ae_eligible, selected_cells
+from .metrics import HELPERS, CellInputs, mrr_ae_eligible, selected_cells
 from .models import KINDS
 from .nn import load_checkpoint, load_into, save_checkpoint
-from .report import EvaluationReport, ModelRow, format_table
+from .report import EvaluationReport, ModelRow, format_table, write_audit
 from .training import train_model
 
 CORPUS_FILE = "corpus.tsv"
@@ -366,9 +367,10 @@ def stage_evaluate(config: RunConfig, log=None) -> EvaluationReport:
             log(f"[evaluate] regressor validation mse {regressor.validation_mse:.4f}")
         shared = shared._replace(helpers=helpers)
 
-        # no earlier results or audit log outlives this evaluate, even a
-        # failed one, to disagree with what it writes
+        # no earlier results, report or audit log outlives this evaluate,
+        # even a failed one, to disagree with what it writes
         (out / RESULTS_FILE).unlink(missing_ok=True)
+        (out / REPORT_TXT).unlink(missing_ok=True)
         with contextlib.suppress(FileNotFoundError):
             shutil.rmtree(out / AUDIT_DIR)
         rows = []
@@ -377,20 +379,22 @@ def stage_evaluate(config: RunConfig, log=None) -> EvaluationReport:
             inputs = shared._replace(model=models.get(spec.name), gens=gens.get(spec.name))
             results: dict = {}
             for cell in cells:
-                audit = AuditWriter() if settings.audit else None
                 started = time.perf_counter()
                 try:
-                    results[cell.key] = cell.compute(inputs, audit)
+                    result = cell.compute(inputs)
                 except Exception as exc:
                     raise StageError("evaluate", f"model '{spec.name}', cell '{cell.key}': "
                                                  f"{type(exc).__name__}: {exc}") from exc
                 seconds = cell_seconds[spec.name, cell.key] = time.perf_counter() - started
                 if log:
                     log(f"[evaluate] {spec.name} {cell.key} {seconds:.3f} s")
-                if audit is not None:
+                if settings.audit:
                     cell_dir = out / AUDIT_DIR / spec.name
                     cell_dir.mkdir(parents=True, exist_ok=True)
-                    audit.dump(cell_dir / f"{cell.key}.tsv")
+                    write_audit(cell_dir / f"{cell.key}.tsv", result.rows)
+                # keep the value only: a cell's rows are freed before the next cell runs
+                results[cell.key] = dataclasses.replace(result, rows=[])
+                del result
             rows.append(ModelRow(model=spec.name, privileged=spec.privileged,
                                  note=spec.note, cells=results))
             if log:

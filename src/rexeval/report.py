@@ -5,7 +5,9 @@ best among non-privileged models and footnotes every cell that excluded
 instances. The JSON form carries every MetricResult so any cell can be
 traced back to its inputs, and `verify_against_audit` recomputes cells
 from per-instance audit logs with each cell's reduction in `CELLS`, the
-one that gave the reported value, so the two must be equal.
+one that gave the reported value, so the two must be equal. The audit
+log format is this module's alone: `write_audit` writes a metric's rows
+and `_read_audit` reads them back.
 """
 
 from __future__ import annotations
@@ -150,6 +152,24 @@ def format_table(report: EvaluationReport) -> str:
 
 class AuditMismatch(ValueError):
     pass
+
+
+def _audit_field(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_audit(path, rows: list[dict]) -> None:
+    """Audit rows as TSV: a header of the first row's keys, then one line
+    per row, bools as 1/0, floats by `repr` and anything else by `str`."""
+    columns = list(rows[0])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(columns) + "\n")
+        for row in rows:
+            fh.write("\t".join(_audit_field(row[c]) for c in columns) + "\n")
 
 
 def _read_audit(path: Path) -> list[dict]:

@@ -13,8 +13,8 @@ import numpy as np
 from rexeval.cli import main
 from rexeval.config import ModelSpec, RunConfig
 from rexeval.lexicon import NEGATIVE, Vocab, classify_polarity
-from rexeval.metrics import (AuditWriter, EmbeddingTable, air, entail_metric,
-                             greedy_match_f1, mrr_ae, mrr_ae_probes, rmse_metric)
+from rexeval.metrics import (EmbeddingTable, air, entail_metric, greedy_match_f1, mrr_ae,
+                             mrr_ae_probes, rmse_metric)
 from rexeval.models import RandomScorer, UnigramModel, UnigramSettings
 from rexeval.perturb import negate_sentiment, substitute_aspect
 from rexeval.pipeline import run_pipeline
@@ -204,19 +204,17 @@ def test_criterion_7_squaring_probabilities_changes_nothing(sanity_corpus, lexic
     base = RandomScorer(77, sanity_corpus.vocab)
     squared = _SquaredPerplexity(base)
 
-    audit_base, audit_sq = AuditWriter(), AuditWriter()
-    air_base = air(base, sanity_corpus.train, lexicon, audit=audit_base)
-    air_sq = air(squared, sanity_corpus.train, lexicon, audit=audit_sq)
-    flips_equal = [row["flipped"] for row in audit_base.rows] \
-        == [row["flipped"] for row in audit_sq.rows]
+    air_base = air(base, sanity_corpus.train, lexicon)
+    air_sq = air(squared, sanity_corpus.train, lexicon)
+    flips_equal = [row["flipped"] for row in air_base.rows] \
+        == [row["flipped"] for row in air_sq.rows]
 
     reviews = sanity_corpus.train[:120]
-    rank_base, rank_sq = AuditWriter(), AuditWriter()
     probes = mrr_ae_probes(reviews, lexicon, k=50, seed=5)
-    mrr_base = mrr_ae(base, probes, audit=rank_base)
-    mrr_sq = mrr_ae(squared, probes, audit=rank_sq)
-    ranks_equal = [row["rank"] for row in rank_base.rows] \
-        == [row["rank"] for row in rank_sq.rows]
+    mrr_base = mrr_ae(base, probes)
+    mrr_sq = mrr_ae(squared, probes)
+    ranks_equal = [row["rank"] for row in mrr_base.rows] \
+        == [row["rank"] for row in mrr_sq.rows]
 
     ok = (air_base.count >= 100 and mrr_base.count >= 100
           and air_base.value == air_sq.value and flips_equal

@@ -461,8 +461,8 @@ def test_evaluate_builds_one_probe_set_and_times_each_cell(micro_ini, runall_dir
     monkeypatch.setattr(metrics, "mrr_ae_probes",
                         lambda *args, **kwargs: built.append(args) or build(*args, **kwargs))
     lines = []
-    report = pipeline.stage_evaluate(
-        apply_overrides(load_config(micro_ini), out_dir=str(target)), log=lines.append)
+    config = apply_overrides(load_config(micro_ini), out_dir=str(target))
+    report = pipeline.stage_evaluate(config, log=lines.append)
     assert len(built) == 1  # one probe set for the three models
     cells = ("air", "mrr_ae", "tlae", "tlae_gold", "entail", "gm_f1", "cnll", "rmse")
     order = [(model, cell) for model in ("oracle", "random", "tiny") for cell in cells]
@@ -470,7 +470,9 @@ def test_evaluate_builds_one_probe_set_and_times_each_cell(micro_ini, runall_dir
     assert [(model, cell) for _, model, cell, _, _ in timed] == order
     assert all(tag == "[evaluate]" and float(value) >= 0 for tag, _, _, value, _ in timed)
     assert list(report.cell_seconds) == order
-    # timing is kept out of every artifact
+    # timing is kept out of every artifact; evaluate removed the report,
+    # and the report stage writes it again
+    pipeline.stage_report(config)
     assert _tree(target) == _tree(runall_dir)
 
 
@@ -732,6 +734,8 @@ def test_evaluate_replaces_the_audit_logs_as_a_whole(micro_ini, runall_dir, unau
     assert not (stale / "audit").exists()
     assert verify_against_audit(EvaluationReport.load(stale / "results.json"),
                                 stale / "audit") == []
+    # ... and no report of the table it replaced
+    assert not (stale / "report.txt").exists()
     # an audited subset leaves the logs of its own cells only
     subset = tmp_path / "subset"
     shutil.copytree(runall_dir, subset)
@@ -749,7 +753,7 @@ def test_evaluate_replaces_the_audit_logs_as_a_whole(micro_ini, runall_dir, unau
     monkeypatch.setattr(metrics, "rmse_metric", broken)
     assert _cli("evaluate", "--config", micro_ini, "--out", failed, "--quiet") == 1
     assert "broken cell" in capsys.readouterr().err
-    assert not (failed / "results.json").exists()
+    assert not (failed / "results.json").exists() and not (failed / "report.txt").exists()
 
 
 def test_cells_that_read_only_generations_open_no_checkpoint(micro_ini, runall_dir,

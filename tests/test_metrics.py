@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from rexeval.lexicon import NEGATIVE, RESERVED_TOKENS, UNK_ID, Vocab, classify_polarity
-from rexeval.metrics import (BIGRAM_ALPHA, CELLS_BY_KEY, HIGHER, LOWER, AuditWriter,
-                             AuxRegressor, BigramLM, EmbeddingTable, MetricResult, _mse,
-                             air, cnll_metric, cond_nll_score, entail_metric,
+from rexeval.metrics import (BIGRAM_ALPHA, CELLS_BY_KEY, HIGHER, LOWER, AuxRegressor,
+                             BigramLM, EmbeddingTable, MetricResult, _mse, air,
+                             cnll_metric, cond_nll_score, entail_metric,
                              entail_proxy, gm_f1_metric, greedy_match_f1,
                              mrr_ae, mrr_ae_eligible, mrr_ae_probes, rmse_metric,
                              tlae, train_aux_regressor,
@@ -36,13 +36,16 @@ class _ScriptedScorer:
 
 
 # ----------------------------------------------------------------------
-# result container and audit writer
+# result container
 
 
 def test_metric_result_validation():
     ok = MetricResult("m", 1.5, count=4, excluded=2, direction=LOWER, config={"k": 3})
     assert ok.attempted == 6
     assert MetricResult.from_dict(ok.to_dict()) == ok
+    # the audit rows travel with a result but are neither written nor compared
+    audited = dataclasses.replace(ok, rows=[{"instance": "0:1", "score": 1.5}])
+    assert audited.to_dict() == ok.to_dict() and audited == ok
     with pytest.raises(ValueError, match="no evaluated instances"):
         MetricResult("m", 1.0, count=0, excluded=0, direction=LOWER)
     with pytest.raises(ValueError, match="negative excluded"):
@@ -51,19 +54,6 @@ def test_metric_result_validation():
         MetricResult("m", 1.0, count=1, excluded=0, direction="sideways")
     with pytest.raises(ValueError, match="non-finite"):
         MetricResult("m", math.nan, count=1, excluded=0, direction=HIGHER)
-
-
-def test_audit_writer_formats_rows(tmp_path):
-    writer = AuditWriter()
-    writer(instance="0:1", flipped=True, score=0.5)
-    writer(instance="2:3", flipped=False, score=1.25)
-    path = tmp_path / "audit.tsv"
-    writer.dump(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines == ["instance\tflipped\tscore", "0:1\t1\t0.5", "2:3\t0\t1.25"]
-    empty = tmp_path / "empty.tsv"
-    AuditWriter().dump(empty)
-    assert empty.read_text(encoding="utf-8") == ""
 
 
 # ----------------------------------------------------------------------
@@ -88,15 +78,14 @@ def test_air_value_matches_flip_count(small_corpus, lexicon):
             return 0.5
         return 2.0
 
-    writer = AuditWriter()
-    result = air(_ScriptedScorer(scripted), reviews, lexicon, audit=writer)
+    result = air(_ScriptedScorer(scripted), reviews, lexicon)
     pool = [r for r in reviews if r.rating >= 4]
     flipped = sum(r.user % 2 == 0 for r in pool)
     assert result.value == 100.0 * (1.0 - flipped / len(pool))
     assert result.count == len(pool)
-    assert len(writer.rows) == result.count
-    assert sum(row["flipped"] for row in writer.rows) == flipped
-    assert set(writer.rows[0]) == {"instance", "ppl_original", "ppl_negated", "flipped"}
+    assert len(result.rows) == result.count
+    assert sum(row["flipped"] for row in result.rows) == flipped
+    assert set(result.rows[0]) == {"instance", "ppl_original", "ppl_negated", "flipped"}
 
 
 def test_air_exclusions_and_errors(small_corpus, lexicon):
@@ -122,13 +111,12 @@ def test_air_exclusions_and_errors(small_corpus, lexicon):
 
 def test_mrr_worst_tie_rank_under_uniform_scorer(small_corpus, lexicon):
     reviews = small_corpus.test[:12]
-    writer = AuditWriter()
     result = mrr_ae(UniformScorer(len(small_corpus.vocab)),
-                    mrr_ae_probes(reviews, lexicon, k=1, seed=0), audit=writer)
+                    mrr_ae_probes(reviews, lexicon, k=1, seed=0))
     # every candidate ties with the gold, which then takes rank 2
     assert result.value == 50.0
     assert result.count == 12
-    assert all(row["rank"] == 2 and row["n_candidates"] == 1 for row in writer.rows)
+    assert all(row["rank"] == 2 and row["n_candidates"] == 1 for row in result.rows)
     assert result.config["k"] == 1
 
 
@@ -227,13 +215,12 @@ def test_batched_mrr_ae_equals_per_gold_reference(small_corpus, lexicon,
     for model in models:
         for reviews, k in cases:
             expect, rows, _ = per_gold_mrr_ae(model, reviews, lexicon, k=k, seed=4)
-            writer = AuditWriter()
-            probes = mrr_ae_probes(reviews, lexicon, k=k, seed=4)
-            assert mrr_ae(model, probes, audit=writer) == expect
-            assert [(r["rank"], r["ppl_gold"]) for r in writer.rows] == rows
-            assert [r["instance"] for r in writer.rows] == [f"{g.user}:{g.item}"
+            result = mrr_ae(model, mrr_ae_probes(reviews, lexicon, k=k, seed=4))
+            assert result == expect
+            assert [(r["rank"], r["ppl_gold"]) for r in result.rows] == rows
+            assert [r["instance"] for r in result.rows] == [f"{g.user}:{g.item}"
                                                             for g in reviews]
-    assert [r["n_candidates"] for r in writer.rows] == [20] * 30
+    assert [r["n_candidates"] for r in result.rows] == [20] * 30
 
 
 def test_mrr_audit_names_the_lowest_perplexity_impostor(small_corpus, lexicon,
@@ -247,15 +234,14 @@ def test_mrr_audit_names_the_lowest_perplexity_impostor(small_corpus, lexicon,
     for reviews, k in ((pool_with_duplicate, 11), (small_corpus.test[:30], 20)):
         golds = {r.text for r in reviews}
         scorer = _ScriptedScorer(scripted)
-        writer = AuditWriter()
-        mrr_ae(scorer, mrr_ae_probes(reviews, lexicon, k=k, seed=1), audit=writer)
+        audit = mrr_ae(scorer, mrr_ae_probes(reviews, lexicon, k=k, seed=1)).rows
         _, rows, pools = per_gold_mrr_ae(scorer, reviews, lexicon, k=k, seed=1)
-        for row, (rank, ppl_gold), pool in zip(writer.rows, rows, pools):
+        for row, (rank, ppl_gold), pool in zip(audit, rows, pools):
             lowest = min(ppl for _, ppl in pool)
             assert row["ppl_best_impostor"] == lowest
             assert row["best_impostor"] == next(j for j, ppl in pool if ppl == lowest)
             assert (rank == 1) == (lowest > ppl_gold)
-        assert {row["rank"] for row in writer.rows} != {1}
+        assert {row["rank"] for row in audit} != {1}
 
 
 def test_mrr_ae_from_shared_probes_equals_its_own(small_corpus, lexicon):
@@ -264,10 +250,10 @@ def test_mrr_ae_from_shared_probes_equals_its_own(small_corpus, lexicon):
     kinds = [(name, {}) for name in KINDS] + [("transformer", {"use_aspect": True})]
     for name, options in kinds:
         model = build_kind(name, small_corpus, lexicon, 5, **options)
-        own, shared = AuditWriter(), AuditWriter()
-        expect = mrr_ae(model, mrr_ae_probes(reviews, lexicon, k=12, seed=3), audit=own)
-        assert mrr_ae(model, probes, audit=shared) == expect, name
-        assert shared.rows == own.rows, name
+        expect = mrr_ae(model, mrr_ae_probes(reviews, lexicon, k=12, seed=3))
+        shared = mrr_ae(model, probes)
+        assert shared == expect, name
+        assert shared.rows == expect.rows, name
     # scoring leaves the shared set as it was built
     assert probes == mrr_ae_probes(reviews, lexicon, k=12, seed=3)
 
@@ -348,8 +334,7 @@ def test_tlae_matches_external_recomputation(small_corpus):
     gens = [(r.user, r.item, list(r.tokens) + ["<eos>"], float(r.rating))
             for r in small_corpus.test[:8]]
     gens.append((0, 0, ["<eos>"], 3.0))  # empty after stripping
-    writer = AuditWriter()
-    result = tlae(reg, gens, audit=writer)
+    result = tlae(reg, gens)
     preds = reg.predict_many([g[2][:-1] for g in gens[:8]])
     expected = 0.0
     for j, (_, _, _, target) in enumerate(gens[:8]):
@@ -358,7 +343,7 @@ def test_tlae_matches_external_recomputation(small_corpus):
     assert result.value == expected / 8
     assert (result.count, result.excluded) == (8, 1)
     assert result.direction == LOWER
-    assert len(writer.rows) == 8
+    assert len(result.rows) == 8
     with pytest.raises(ValueError, match="no generations"):
         tlae(reg, [])
     with pytest.raises(ValueError, match="all generations empty"):
@@ -439,11 +424,10 @@ def test_gm_f1_metric_aggregates():
         (0, 1, ["a"], ["a"]),
         (1, 1, ["<eos>"], ["a"]),
     ]
-    writer = AuditWriter()
-    result = gm_f1_metric(instances, table, audit=writer)
+    result = gm_f1_metric(instances, table)
     assert result.value == (0.5 + 1.0) / 2
     assert (result.count, result.excluded) == (2, 1)
-    assert writer.rows[0] == {"instance": "0:0", "precision": 0.5,
+    assert result.rows[0] == {"instance": "0:0", "precision": 0.5,
                               "recall": 0.5, "f1": 0.5}
 
 
@@ -487,12 +471,11 @@ def test_gm_f1_on_token_ids_equals_per_token_cosines(small_corpus):
         generated += ["service", "<eos>"] if j % 3 == 0 else ["<eos>"]
         instances.append((review.user, review.item, generated, list(review.tokens)))
     instances.append((0, 0, ["<eos>"], ["food"]))  # excluded: no words
-    writer = AuditWriter()
-    result = gm_f1_metric(instances, table, audit=writer)
+    result = gm_f1_metric(instances, table)
     expect = [_greedy_match_reference([t for t in gen if t not in RESERVED_TOKENS], ref,
                                       vectors, vocab)
               for _, _, gen, ref in instances[:-1]]
-    assert [(r["precision"], r["recall"], r["f1"]) for r in writer.rows] == expect
+    assert [(r["precision"], r["recall"], r["f1"]) for r in result.rows] == expect
     total = 0.0
     for _, _, f1 in expect:
         total += f1
@@ -600,11 +583,10 @@ def test_cell_reductions_add_in_row_order_from_zero():
 
 
 def test_rmse_metric_clamps_predictions():
-    writer = AuditWriter()
-    result = rmse_metric([(0, 0, 7.2, 5.0), (0, 1, 0.0, 2.0)], audit=writer)
+    result = rmse_metric([(0, 0, 7.2, 5.0), (0, 1, 0.0, 2.0)])
     assert result.value == math.sqrt((0.0 + 1.0) / 2)
     assert result.count == 2
-    assert writer.rows[0]["predicted"] == 5.0
-    assert writer.rows[1]["squared_error"] == 1.0
+    assert result.rows[0]["predicted"] == 5.0
+    assert result.rows[1]["squared_error"] == 1.0
     with pytest.raises(ValueError, match="no instances"):
         rmse_metric([])

@@ -6,9 +6,9 @@ import shutil
 
 import pytest
 
-from rexeval.metrics import HIGHER, LOWER, AuditWriter, MetricResult
-from rexeval.report import (AuditMismatch, EvaluationReport, ModelRow,
-                            format_table, verify_against_audit)
+from rexeval.metrics import HIGHER, LOWER, MetricResult
+from rexeval.report import (AuditMismatch, EvaluationReport, ModelRow, _read_audit,
+                            format_table, verify_against_audit, write_audit)
 
 
 def _result(name, value, count, excluded=0, direction=HIGHER):
@@ -71,12 +71,25 @@ def test_format_table_marks_best_and_footnotes():
     assert "note oracle: reads the answer key" in lines
 
 
+def test_audit_writer_formats_rows_and_reads_them_back(tmp_path):
+    path = tmp_path / "audit.tsv"
+    write_audit(path, [{"instance": "0:1", "flipped": True, "score": 0.1, "rank": 3},
+                       {"instance": "2:3", "flipped": False, "score": 1.25, "rank": 10}])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == ["instance\tflipped\tscore\trank", "0:1\t1\t0.1\t3",
+                     "2:3\t0\t1.25\t10"]
+    assert _read_audit(path) == [
+        {"instance": "0:1", "flipped": "1", "score": "0.1", "rank": "3"},
+        {"instance": "2:3", "flipped": "0", "score": "1.25", "rank": "10"}]
+    # a float keeps every bit through the file
+    third = 1.0 / 3.0
+    write_audit(path, [{"instance": "0:0", "f1": third}])
+    assert float(_read_audit(path)[0]["f1"]) == third
+
+
 def _write_audit(path, rows):
-    writer = AuditWriter()
-    for row in rows:
-        writer(**row)
     path.parent.mkdir(parents=True, exist_ok=True)
-    writer.dump(path)
+    write_audit(path, rows)
 
 
 _MRR_AE_ROWS = [{"instance": "0:0", "rank": 1, "reciprocal_rank": 1.0, "ppl_gold": 2.0,
